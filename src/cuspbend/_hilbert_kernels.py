@@ -9,7 +9,10 @@ times both.
 The march is identical to the generic oracle path in :mod:`cuspbend.hilbert`:
 double the line parameter outward from the second point until the domain is
 exited (cap ``U_CAP`` means the chord never leaves the chart), then bisect
-at most ``MAX_BISECT`` times, stopping early at the float fixed point.
+at most ``MAX_BISECT`` times, stopping early at the float fixed point.  An
+end that never leaves the chart lies at infinity and drops its factor
+u/(u-1) from the cross ratio; past ``U_CAP`` that factor is exactly 1 in
+floats anyway.  Only a chord unbounded at both ends has infinite length.
 """
 
 from __future__ import annotations
@@ -99,6 +102,16 @@ if _HAVE_NUMBA:
         return 0.5 * (lo + hi)
 
     @njit(cache=True)
+    def _distance_from_ends(u, s):
+        if np.isnan(u) and np.isnan(s):
+            return np.inf
+        if np.isnan(u):
+            return 0.5 * np.log(s / (s - 1.0))
+        if np.isnan(s):
+            return 0.5 * np.log(u / (u - 1.0))
+        return 0.5 * np.log(s * u / ((s - 1.0) * (u - 1.0)))
+
+    @njit(cache=True)
     def _ball_distances_jit(X, Y):
         m = X.shape[0]
         out = np.empty(m)
@@ -114,10 +127,7 @@ if _HAVE_NUMBA:
                 continue
             u = _march_ball(x, d)
             s = _march_ball(y, -d)
-            if np.isnan(u) or np.isnan(s):
-                out[r] = np.inf
-            else:
-                out[r] = 0.5 * np.log(s * u / ((s - 1.0) * (u - 1.0)))
+            out[r] = _distance_from_ends(u, s)
         return out
 
     @njit(cache=True)
@@ -136,10 +146,7 @@ if _HAVE_NUMBA:
                 continue
             u = _march_model(x, d, psi, t)
             s = _march_model(y, -d, psi, t)
-            if np.isnan(u) or np.isnan(s):
-                out[r] = np.inf
-            else:
-                out[r] = 0.5 * np.log(s * u / ((s - 1.0) * (u - 1.0)))
+            out[r] = _distance_from_ends(u, s)
         return out
 
 
@@ -199,7 +206,9 @@ def _distances_np(value_fn, X, Y):
     s = _march_np(value_fn, Y, -D)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = 0.5 * np.log(s * u / ((s - 1.0) * (u - 1.0)))
-    out[np.isnan(u) | np.isnan(s)] = np.inf
+        out = np.where(np.isnan(u), 0.5 * np.log(s / (s - 1.0)), out)
+        out = np.where(np.isnan(s), 0.5 * np.log(u / (u - 1.0)), out)
+    out[np.isnan(u) & np.isnan(s)] = np.inf
     out[np.all(D == 0.0, axis=1)] = 0.0
     return out
 
@@ -210,6 +219,18 @@ def _ball_distances_np(X, Y):
 
 def _model_distances_np(X, Y, psi, t):
     return _distances_np(lambda P: _model_value_np(P, psi, t), X, Y)
+
+
+def ball_interior(P):
+    """Rows of P that are finite points strictly inside the unit ball."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.all(np.isfinite(P), axis=1) & (_ball_value_np(P) < 0.0)
+
+
+def model_interior(P, psi, t: int):
+    """Rows of P that are finite points strictly inside the model domain."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.all(np.isfinite(P), axis=1) & (_model_value_np(P, psi, t) < 0.0)
 
 
 # ---------------------------------------------------------------------------

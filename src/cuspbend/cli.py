@@ -6,9 +6,12 @@ optional SVG chart), ``bend`` (apply bending moves to a representation from
 JSON), ``classify`` (cusp parameter from bending data or from generators in
 model form), and ``hilbert`` (distances for point pairs in a domain).
 
-Exit codes: 0 success / all properties pass, 1 property failure, 2 usage or
-I/O error.  ``CUSPBEND_THREADS`` caps sweep parallelism; output order is
-fixed by input order regardless of scheduling.
+Exit codes: 0 success / all properties pass, 1 property failure (a failed
+``verify`` property, or ``classify`` generators that miss the normal form:
+the residual goes to standard error), 2 usage or I/O error, including
+Hilbert points that are not finite and strictly interior.
+``CUSPBEND_THREADS`` caps sweep parallelism; output order is fixed by input
+order regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 from . import verify as verify_mod
 from .bending import BendingMove, MarkedRep, iterated_bend
 from .cusp_classify import (
+    PatternMismatch,
     RectangularCuspData,
     classify_h_form,
     conjugate_and_match,
@@ -32,7 +36,7 @@ from .cusp_classify import (
 )
 from .cusp_models import CuspParameter
 from .hilbert import ball_oracle, hilbert_distances, model_domain_oracle
-from .projlin import DEFAULT_TOL, is_exact, matrix_from_json, parse_scalar
+from .projlin import DEFAULT_TOL, is_exact, matrix_from_json, parse_scalar, scalar_to_json
 
 
 def _fmt(x) -> str:
@@ -342,6 +346,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cuspbend: i/o error: {exc}", file=sys.stderr)
         return 2
+    except PatternMismatch as exc:
+        print(f"cuspbend: {exc}\nresidual: {scalar_to_json(exc.residual)}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, TypeError) as exc:
         print(f"cuspbend: {exc}", file=sys.stderr)
         return 2

@@ -256,8 +256,9 @@ def _pattern_residual(got: ProjMap, want: ProjMap):
     normal form's corner grows like 1/s, so an absolute comparison would
     drown legitimate matches for small bending parameters."""
     if got.exact and want.exact:
-        return max((abs(x - y) for x, y in
-                    zip(got.entries.ravel(), want.entries.ravel())), default=Fraction(0))
+        # |N/d - M/e| = |N e - M d| / (d e), entrywise on the integer forms
+        diff = np.max(np.abs(got.num * want.den - want.num * got.den))
+        return Fraction(diff, got.den * want.den)
     fg = np.asarray(got.to_float().entries, dtype=np.float64)
     fw = np.asarray(want.to_float().entries, dtype=np.float64)
     scale = max(1.0, float(np.max(np.abs(fw))))

@@ -6,9 +6,12 @@ Boundary crossings are located by an exponential march followed by bisection:
 oracle-only access forbids closed-form intersection.
 
 Everything here is float; the identities tested are metric, not algebraic.
-Chords that never leave the affine chart (the model cusp domains are
-unbounded in their chart) yield an infinite distance with a diagnostic tag
-rather than an error.
+A chord that never leaves the affine chart at one end (the model cusp
+domains are unbounded in their chart) meets the boundary there at the
+chord's point at infinity, so its distance stays finite; ``chord_boundary``
+tags such an end as unbounded.  Single pairs and batches share one input
+contract: a point that is not finite and strictly interior is a
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -102,8 +105,9 @@ class ChordIntersection:
     """Boundary crossings of the chord through x and y, ordered z1, x, y, z2.
 
     ``unbounded`` names the ends ("z1", "z2", "both") whose march left the
-    chart without exiting the domain; those crossings are None and the
-    Hilbert distance along the chord is infinite.
+    chart without exiting the domain; those crossings are None.  Such an end
+    meets the boundary at the chord's point at infinity, and the Hilbert
+    distance along the chord is infinite only when both ends are unbounded.
     """
 
     z1: Optional[ProjPoint]
@@ -129,6 +133,21 @@ def _as_chart(p, n: int) -> np.ndarray:
 
 def _chart_point(x: np.ndarray) -> ProjPoint:
     return ProjPoint(list(x) + [1.0])
+
+
+def _require_interior(dom: ConvexDomainOracle, name: str, pt: np.ndarray) -> None:
+    if not (np.all(np.isfinite(pt)) and dom.classify(_chart_point(pt), 0.0) == INTERIOR):
+        raise ValueError(f"point {name} is not interior to the domain")
+
+
+def _require_interior_rows(X: np.ndarray, Y: np.ndarray, interior) -> None:
+    """The batch form of the contract: name the first bad row and point."""
+    bad_x, bad_y = ~interior(X), ~interior(Y)
+    rows = np.flatnonzero(bad_x | bad_y)
+    if rows.size:
+        i = int(rows[0])
+        raise ValueError(
+            f"row {i}: point {'x' if bad_x[i] else 'y'} is not interior to the domain")
 
 
 def _march(dom: ConvexDomainOracle, base: np.ndarray, direction: np.ndarray,
@@ -168,8 +187,7 @@ def chord_boundary(dom: ConvexDomainOracle, x, y,
     if np.array_equal(xc, yc):
         raise ValueError("chord needs two distinct points")
     for name, pt in (("x", xc), ("y", yc)):
-        if dom.classify(_chart_point(pt), 0.0) != INTERIOR:
-            raise ValueError(f"point {name} is not interior to the domain")
+        _require_interior(dom, name, pt)
     d = yc - xc
     u2, res2 = _march(dom, xc, d, max_bisect)
     s1, res1 = _march(dom, yc, -d, max_bisect)
@@ -216,17 +234,26 @@ def cross_ratio(z1, x, y, z2, tol: float = DEFAULT_TOL) -> float:
 
 def hilbert_distance(dom: ConvexDomainOracle, x, y,
                      max_bisect: int = MAX_BISECT) -> float:
-    """Hilbert distance between interior points; inf when the chord never
-    leaves the chart (use chord_boundary directly for the diagnostic)."""
+    """Hilbert distance between interior points.
+
+    An end of the chord that never leaves the chart meets the boundary at
+    the chord's point at infinity; the distance is inf only when both ends
+    do (use chord_boundary directly for the diagnostic).
+    """
     xc = _as_chart(x, dom.n)
     yc = _as_chart(y, dom.n)
     if np.array_equal(xc, yc):
+        _require_interior(dom, "x", xc)
         return 0.0
     chord = chord_boundary(dom, xc, yc, max_bisect)
-    if chord.unbounded is not None:
+    if chord.unbounded == "both":
         return math.inf
-    return 0.5 * math.log(cross_ratio(chord.z1, _chart_point(xc),
-                                      _chart_point(yc), chord.z2))
+    z1, z2 = chord.z1, chord.z2
+    if chord.unbounded is not None:
+        at_infinity = ProjPoint(list(yc - xc) + [0.0])
+        z1 = at_infinity if z1 is None else z1
+        z2 = at_infinity if z2 is None else z2
+    return 0.5 * math.log(cross_ratio(z1, _chart_point(xc), _chart_point(yc), z2))
 
 
 def hilbert_distances(dom: ConvexDomainOracle, X, Y,
@@ -235,17 +262,28 @@ def hilbert_distances(dom: ConvexDomainOracle, X, Y,
 
     Built-in domains (kind "ball" or "model") run through the compiled or
     vectorized kernels; custom oracles fall back to per-pair evaluation.
+    Bad input raises the ValueError of :func:`hilbert_distance`, prefixed
+    with the first offending row.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if X.shape != Y.shape or X.shape[1] != dom.n:
         raise ValueError(f"expected paired arrays of shape (m, {dom.n})")
     if dom.kind == "ball":
+        _require_interior_rows(X, Y, _kernels.ball_interior)
         return _kernels.ball_distances(X, Y, jit=jit)
     if dom.kind == "model":
         psi, t = dom.params
-        return _kernels.model_distances(X, Y, np.asarray(psi), t, jit=jit)
-    return np.array([hilbert_distance(dom, x, y) for x, y in zip(X, Y)])
+        psi = np.asarray(psi, dtype=np.float64)
+        _require_interior_rows(X, Y, lambda P: _kernels.model_interior(P, psi, t))
+        return _kernels.model_distances(X, Y, psi, t, jit=jit)
+    out = np.empty(X.shape[0])
+    for i, (x, y) in enumerate(zip(X, Y)):
+        try:
+            out[i] = hilbert_distance(dom, x, y)
+        except ValueError as exc:
+            raise ValueError(f"row {i}: {exc}") from exc
+    return out
 
 
 def klein_distance(x, y) -> float:

@@ -2,9 +2,17 @@
 
 Scalars are plain Python numbers: ``fractions.Fraction`` (or ``int``) in
 exact mode, ``float`` in float mode.  The mode tag is the type itself.
-Matrices and points carry their scalars in numpy arrays -- ``object`` dtype
-for exact entries, ``float64`` for floats -- so that ``@`` threads exact
-arithmetic through compositions without rounding.
+
+An exact :class:`ProjMap` stores its exact value as an integer numerator
+matrix ``num`` (a numpy ``object`` array of Python ints) over one positive
+int denominator ``den``, with ``gcd(den, *num) == 1``, so every rational
+matrix has exactly one stored form.  Composition is an integer matmul plus
+one gcd reduction; inverse and determinant use fraction-free Bareiss
+elimination (Bareiss 1968, *Math. Comp.* 22).  ``entries`` of an exact map
+is a read-only ``Fraction`` view, built on first access and cached.  Float
+maps store ``entries`` as a frozen ``float64`` array.  Points keep their
+coordinates in numpy arrays -- ``object`` dtype of ``Fraction`` for exact
+points, ``float64`` for floats.
 
 Everything here is a value: construction copies, arrays are frozen, and all
 operations are pure, so instances are safe to share across threads.
@@ -12,6 +20,7 @@ operations are pure, so instances are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +49,11 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _is_exact_type(cls) -> bool:
+    """:func:`is_exact` for every instance of the type."""
+    return issubclass(cls, (int, Fraction)) and not issubclass(cls, bool)
+
+
 def parse_scalar(s):
     """JSON scalar decoding: strings "p/q" are exact, ints exact, floats float."""
     if isinstance(s, str):
@@ -58,19 +72,6 @@ def scalar_to_json(x):
     if is_exact(x):
         return str(Fraction(x))
     return float(x)
-
-
-def _coerce_entries(rows) -> np.ndarray:
-    """Nested sequence -> frozen numpy array, object/Fraction or float64."""
-    arr = np.array(rows, dtype=object)
-    flat = arr.ravel()
-    if all(is_exact(x) for x in flat):
-        out = np.array([[Fraction(x) for x in row] for row in arr.reshape(arr.shape[0], -1)],
-                       dtype=object).reshape(arr.shape)
-    else:
-        out = np.array(rows, dtype=np.float64)
-    out.setflags(write=False)
-    return out
 
 
 def _coerce_vector(coords) -> np.ndarray:
@@ -127,28 +128,98 @@ class ProjPoint:
         return f"ProjPoint({list(self.coords)})"
 
 
-@dataclass(frozen=True, eq=False)
-class ProjMap:
-    """Invertible (n+1)x(n+1) matrix regarded up to nonzero global scale."""
+def _exact_parts(mat: np.ndarray):
+    """Object array of exact scalars -> (numerator ints, denominator).
 
-    entries: np.ndarray
+    The denominator is the lcm of the entries' denominators; the result is
+    already reduced, since each prime of that lcm divides some entry's own
+    denominator to the full power, and that entry's numerator is prime to it.
+    """
+    pairs = [x.as_integer_ratio() for x in mat.flat]
+    den = math.lcm(*[q for _, q in pairs])
+    num = np.array([p * (den // q) for p, q in pairs], dtype=object)
+    return num.reshape(mat.shape), den
+
+
+class ProjMap:
+    """Invertible (n+1)x(n+1) matrix regarded up to nonzero global scale.
+
+    An exact map holds its value as ``num / den`` (see the module notes) and
+    ``entries`` is its ``Fraction`` view; a float map holds ``entries`` as
+    ``float64`` and has ``num = den = None``.  Instances are immutable.
+    """
+
+    __slots__ = ("n", "num", "den", "_entries")
 
     def __init__(self, entries):
-        mat = _coerce_entries(entries)
+        if isinstance(entries, np.ndarray) and entries.dtype == np.float64:
+            mat = entries
+        else:
+            mat = np.array(entries, dtype=object)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"projective map must be square, got shape {mat.shape}")
         if mat.shape[0] < 2:
             raise ValueError("projective map must be at least 2x2")
-        object.__setattr__(self, "entries", mat)
+        if mat.dtype == object and all(map(_is_exact_type, set(map(type, mat.flat)))):
+            self._set(*_exact_parts(mat), None)
+        else:
+            self._set(None, None, np.array(entries, dtype=np.float64))
+
+    def _set(self, num, den, entries) -> None:
+        """Freeze and store the owned array of one form: num (with den) or entries."""
+        held = entries if num is None else num
+        held.setflags(write=False)
+        setattr_ = object.__setattr__
+        setattr_(self, "n", held.shape[0] - 1)
+        setattr_(self, "num", num)
+        setattr_(self, "den", den)
+        setattr_(self, "_entries", entries)
+
+    @classmethod
+    def _from_exact(cls, num: np.ndarray, den: int) -> "ProjMap":
+        """Exact map from an owned integer array, reduced here; den != 0."""
+        if den < 0:
+            num, den = -num, -den
+        g = math.gcd(den, *num.flat)
+        if g != 1:
+            num, den = num // g, den // g
+        out = object.__new__(cls)
+        out._set(num, den, None)
+        return out
+
+    @classmethod
+    def _from_float(cls, arr: np.ndarray) -> "ProjMap":
+        """Float map from an owned, already valid float64 array."""
+        out = object.__new__(cls)
+        out._set(None, None, arr)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ProjMap is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ProjMap is immutable (cannot delete {name!r})")
+
+    def __reduce__(self):
+        return ProjMap, (self.entries,)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The matrix: ``float64``, or a cached ``Fraction`` view when exact."""
+        if self._entries is None:
+            view = np.array([Fraction(x, self.den) for x in self.num.flat], dtype=object)
+            view = view.reshape(self.num.shape)
+            view.setflags(write=False)
+            object.__setattr__(self, "_entries", view)
+        return self._entries
 
     @classmethod
     def identity(cls, n: int, exact: bool = True) -> "ProjMap":
-        size = n + 1
         if exact:
-            rows = [[Fraction(1) if i == j else Fraction(0) for j in range(size)]
-                    for i in range(size)]
-            return cls(rows)
-        return cls(np.eye(size))
+            num = np.zeros((n + 1, n + 1), dtype=object)
+            num[np.diag_indices(n + 1)] = 1
+            return cls._from_exact(num, 1)
+        return cls._from_float(np.eye(n + 1))
 
     @classmethod
     def diagonal(cls, diag) -> "ProjMap":
@@ -157,15 +228,16 @@ class ProjMap:
         return cls(rows)
 
     @property
-    def n(self) -> int:
-        return self.entries.shape[0] - 1
-
-    @property
     def exact(self) -> bool:
-        return self.entries.dtype == object
+        return self.num is not None
 
     def to_float(self) -> "ProjMap":
-        return ProjMap(np.array(self.entries, dtype=np.float64))
+        """The map in floats (itself if already float).  int / int division
+        rounds each entry correctly, so this equals ``float(Fraction)``
+        entrywise."""
+        if self.num is None:
+            return self
+        return ProjMap._from_float((self.num / self.den).astype(np.float64))
 
     def __matmul__(self, other):
         if isinstance(other, ProjMap):
@@ -191,65 +263,65 @@ def compose(a: ProjMap, b: ProjMap) -> ProjMap:
     """Matrix product a.b; acts as 'apply b, then a'."""
     if a.n != b.n:
         raise DimensionMismatch(f"cannot compose maps of dimension {a.n} and {b.n}")
+    if a.exact and b.exact:
+        return ProjMap._from_exact(a.num @ b.num, a.den * b.den)
+    if not (a.exact or b.exact):
+        return ProjMap._from_float(a.entries @ b.entries)
+    # one exact, one float: Fraction * float rounds the Fraction to float first
     return ProjMap(a.entries @ b.entries)
+
+
+def _bareiss(rows: list, size: int):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) in place on
+    integer rows whose first ``size`` columns are square.
+
+    Every division is exact.  On return that block is ``pivot * I`` with
+    ``pivot = sign * det(block)``; ``pivot`` is 0 when the block is singular.
+    """
+    prev, sign = 1, 1
+    for k in range(size):
+        pivot_row = next((r for r in range(k, size) if rows[r][k] != 0), None)
+        if pivot_row is None:
+            return 0, sign
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        row_k = rows[k]
+        p = row_k[k]
+        for i in range(size):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], row_k)]
+        prev = p
+    return prev, sign
 
 
 def det(a: ProjMap):
     """Determinant in the matrix's own arithmetic."""
     if not a.exact:
         return float(np.linalg.det(a.entries))
-    return _exact_det(a.entries)
-
-
-def _exact_det(mat: np.ndarray) -> Fraction:
-    m = [list(row) for row in mat]
-    size = len(m)
-    result = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                for c in range(col, size):
-                    m[r][c] -= factor * m[col][c]
-    return result
-
-
-def _exact_inverse(mat: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan over Fraction; raises SingularMatrix on zero determinant."""
-    size = mat.shape[0]
-    m = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(size)]
-         for i, row in enumerate(mat)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix("matrix is singular (exact determinant zero)")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(size):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    out = np.array([row[size:] for row in m], dtype=object)
-    return out
+    size = a.n + 1
+    pivot, sign = _bareiss(a.num.tolist(), size)
+    return Fraction(sign * pivot, a.den ** size)
 
 
 def inverse(a: ProjMap) -> ProjMap:
     if a.exact:
-        return ProjMap(_exact_inverse(a.entries))
+        # (N/d)^-1 = d adj(N) / det(N); elimination of [N | I] leaves
+        # [D I | D N^-1] with D = +-det(N)
+        size = a.n + 1
+        rows = [row + [int(i == j) for j in range(size)]
+                for i, row in enumerate(a.num.tolist())]
+        pivot, _ = _bareiss(rows, size)
+        if pivot == 0:
+            raise SingularMatrix("matrix is singular (exact determinant zero)")
+        adj = np.array([row[size:] for row in rows], dtype=object)
+        return ProjMap._from_exact(adj * a.den, pivot)
     cond = np.linalg.cond(a.entries)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrix(
             f"matrix is numerically singular (condition estimate {cond:.3e})")
-    return ProjMap(np.linalg.inv(a.entries))
+    return ProjMap._from_float(np.linalg.inv(a.entries))
 
 
 def act(a: ProjMap, p: ProjPoint) -> ProjPoint:
@@ -271,7 +343,7 @@ def act(a: ProjMap, p: ProjPoint) -> ProjPoint:
 
 def _flatten(x) -> np.ndarray:
     if isinstance(x, ProjMap):
-        return x.entries.ravel()
+        return x.num.ravel() if x.exact else x.entries.ravel()
     if isinstance(x, ProjPoint):
         return x.coords
     raise TypeError(f"expected ProjMap or ProjPoint, got {type(x).__name__}")
@@ -280,8 +352,9 @@ def _flatten(x) -> np.ndarray:
 def proj_equiv(a, b, tol: float = DEFAULT_TOL) -> bool:
     """True iff a and b are proportional by a nonzero scalar.
 
-    Exact inputs are compared by cross-multiplication; float inputs are
-    normalized by their largest-magnitude entry and compared within tol.
+    Exact inputs are compared by cross-multiplication (of the integer
+    numerators, for maps); float inputs are normalized by their
+    largest-magnitude entry and compared within tol.
     """
     if type(a) is not type(b):
         raise TypeError("proj_equiv compares two maps or two points")
@@ -296,6 +369,9 @@ def proj_equiv(a, b, tol: float = DEFAULT_TOL) -> bool:
         if ia is None:
             return True
         return all(va[ia] * vb[j] == vb[ia] * va[j] for j in range(len(va)))
+    if isinstance(a, ProjMap):
+        # one exact map, one float: compare the float values
+        va, vb = a.entries.ravel(), b.entries.ravel()
     fa = np.asarray(va, dtype=np.float64)
     fb = np.asarray(vb, dtype=np.float64)
     idx = int(np.argmax(np.abs(fa)))

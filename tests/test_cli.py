@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +142,28 @@ def test_classify_subcommand_generators(tmp_path):
     cls = json.loads(out.read_text())
     assert cls["type"] == 1
     assert cls["psi"][0] == pytest.approx(1.5, abs=1e-9)
+
+
+def test_classify_exact_output_matches_fixture(tmp_path):
+    """Byte-identical ``classify --exact`` output for n = 3..6 and every type,
+    against outputs recorded with the Fraction-matrix implementation."""
+    fixture = Path(__file__).parent / "fixtures" / "classify_exact.json"
+    cases = json.loads(fixture.read_text())["cases"]
+    assert {case["input"]["n"] for case in cases} == {3, 4, 5, 6}
+    src, out = tmp_path / "data.json", tmp_path / "cls.json"
+    for case in cases:
+        src.write_text(json.dumps(case["input"]))
+        assert main(["classify", "--in", str(src), "--exact", "--out", str(out)]) == 0
+        assert out.read_text() == case["output"], case["name"]
+
+
+def test_classify_pattern_mismatch_is_property_failure(tmp_path, capsys):
+    src = tmp_path / "data.json"
+    src.write_text(json.dumps({"n": 3, "b": [1.0, 1.0], "s": [0.5, 0.0]}))
+    assert main(["classify", "--in", str(src), "--tol", "0"]) == 1
+    residual = float(capsys.readouterr().err.rsplit("residual: ", 1)[1])
+    assert 0.0 < residual <= 1e-12
+    assert main(["classify", "--in", str(src)]) == 0
 
 
 def test_classify_exact_flag_rejects_floats(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -75,7 +76,7 @@ def test_chord_boundary_rejects_bad_input():
         chord_boundary(dom, [0.0, 0.0], [2.0, 0.0])
 
 
-def test_unbounded_chord_reports_infinite_distance():
+def test_unbounded_chord_end_at_infinity_gives_finite_distance():
     psi = CuspParameter([0.0, 0.0])
     dom = model_domain_oracle(psi)
     # vertical chord: never exits upward, hits the boundary leaf downward
@@ -86,7 +87,29 @@ def test_unbounded_chord_reports_infinite_distance():
     c, _ = leaf_coordinate(ModelDomain(psi), chord.z1)
     assert abs(c) <= 1e-10
     assert chord.residual <= 1e-12
-    assert math.isinf(hilbert_distance(dom, [1.0, 0.0], [2.0, 0.0]))
+    # ends z1 = (0, 0) and the point at infinity: cross ratio |z1 y| / |z1 x| = 2
+    half_log_2 = 0.5 * math.log(2.0)
+    for x, y in (([1.0, 0.0], [2.0, 0.0]), ([2.0, 0.0], [1.0, 0.0])):
+        assert abs(hilbert_distance(dom, x, y) - half_log_2) <= 1e-12
+        assert abs(hilbert_distances(dom, [x], [y])[0] - half_log_2) <= 1e-12
+
+
+@pytest.mark.parametrize("y", [[2.0, 0.0], [1.0, 0.0], [math.nan, 0.0]],
+                         ids=["exterior", "boundary", "nan"])
+def test_bad_points_rejected_by_single_batch_and_cli(tmp_path, capsys, y):
+    from cuspbend.cli import main
+    dom, x = ball_oracle(2), [0.0, 0.0]
+    with pytest.raises(ValueError, match="point y is not interior"):
+        hilbert_distance(dom, x, y)
+    with pytest.raises(ValueError, match="row 1: point y is not interior"):
+        hilbert_distances(dom, [x, x], [[0.5, 0.0], y])
+    src = tmp_path / "pairs.json"
+    src.write_text(json.dumps({"domain": {"kind": "ball", "n": 2}, "pairs": [[x, y]]}))
+    assert main(["hilbert", "--in", str(src), "--out", str(tmp_path / "d.csv")]) == 2
+    assert "row 0: point y is not interior" in capsys.readouterr().err
+    # the x == y shortcut does not skip the check
+    with pytest.raises(ValueError, match="point x is not interior"):
+        hilbert_distance(dom, y, y)
 
 
 def test_cross_ratio_real_line():

@@ -14,6 +14,7 @@ from cuspbend.projlin import (
     SingularMatrix,
     act,
     compose,
+    det,
     eigen,
     inverse,
     matrix_from_json,
@@ -179,3 +180,96 @@ def test_act_composition_random():
         b = ProjMap(rng.uniform(-1, 1, (n + 1, n + 1)))
         p = ProjPoint(rng.uniform(0.5, 1.5, n + 1))
         assert proj_equiv(act(compose(a, b), p), act(a, act(b, p)), 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# exact maps against a plain-Fraction reference written here
+
+
+def ref_matmul(a, b):
+    size = len(a)
+    out = [[F(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            for k in range(size):
+                out[i][j] += a[i][k] * b[k][j]
+    return out
+
+
+def ref_inverse_and_det(a):
+    """Gauss-Jordan on [a | I]: (inverse or None, determinant)."""
+    size = len(a)
+    m = [list(row) + [F(int(i == j)) for j in range(size)] for i, row in enumerate(a)]
+    d = F(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
+        if pivot is None:
+            return None, F(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            d = -d
+        p = m[col][col]
+        d *= p
+        m[col] = [x / p for x in m[col]]
+        for r in range(size):
+            if r != col:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[size:] for row in m], d
+
+
+def ref_proportional(a, b):
+    fa = [x for row in a for x in row]
+    fb = [x for row in b for x in row]
+    if [x == 0 for x in fa] != [x == 0 for x in fb]:
+        return False
+    ratios = {x / y for x, y in zip(fa, fb) if y != 0}
+    return len(ratios) <= 1
+
+
+@st.composite
+def rational_matrix_pair(draw):
+    """Two same-size matrices of small rationals: negative entries, zeros,
+    mixed denominators; sometimes singular, sometimes proportional."""
+    size = draw(st.integers(2, 5))
+    entry = st.one_of(st.just(F(0)), st.fractions(min_value=-20, max_value=20,
+                                                   max_denominator=12))
+    square = st.lists(st.lists(entry, min_size=size, max_size=size),
+                      min_size=size, max_size=size)
+    a = draw(square)
+    shape = draw(st.sampled_from(["free", "repeated_row", "zero_column", "scaled"]))
+    if shape == "repeated_row":
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        c = draw(small_fraction)
+        a[i] = [c * x for x in a[j]]
+    elif shape == "zero_column":
+        j = draw(st.integers(0, size - 1))
+        for row in a:
+            row[j] = F(0)
+    if shape == "scaled":
+        c = draw(small_fraction.filter(lambda x: x != 0))
+        b = [[c * x for x in row] for row in a]
+    else:
+        b = draw(square)
+    return a, b
+
+
+@settings(max_examples=120, deadline=None)
+@given(rational_matrix_pair())
+def test_exact_ops_match_fraction_reference(pair):
+    a_rows, b_rows = pair
+    a, b = ProjMap(a_rows), ProjMap(b_rows)
+    # the stored integer form: one positive denominator, nothing left to cancel
+    assert a.den > 0 and math.gcd(a.den, *a.num.ravel().tolist()) == 1
+    assert not (a.num.flags.writeable or a.entries.flags.writeable)
+    assert a.entries.tolist() == a_rows
+    assert compose(a, b).entries.tolist() == ref_matmul(a_rows, b_rows)
+    inv, d = ref_inverse_and_det(a_rows)
+    assert det(a) == d
+    if inv is None:
+        with pytest.raises(SingularMatrix):
+            inverse(a)
+    else:
+        assert inverse(a).entries.tolist() == inv
+    assert proj_equiv(a, b) == ref_proportional(a_rows, b_rows)
+    assert a.to_float().entries.tolist() == [[float(x) for x in row] for row in a_rows]

@@ -1,224 +1,168 @@
-"""Hot chord-marching kernels for Hilbert distances in the built-in domains.
+"""Row-vectorized chord kernels for batch Hilbert distances in the built-in
+domains.
 
-Two interchangeable implementations of the same bracket-then-bisect march:
-numba ``@njit`` kernels and a vectorized pure-numpy fallback.  The active
-path is chosen at import time: set ``CUSPBEND_NO_NUMBA=1`` (or install
-without numba) to force the fallback.  ``benchmarks/bench_hilbert.py``
-times both.
+For interior x != y with d = y - x, the chord meets the boundary at
+z1 = x - v_x d and z2 = y + v_y d with v_x, v_y > 0, and the Hilbert distance
+is 1/2 (log1p(1/v_y) + log1p(1/v_x)).  An end that never leaves the chart
+lies at the chord's point at infinity (v = inf) and drops its factor.  When
+both ends do, they are that same point, the cross ratio is 1 and the
+distance 0: the chord lies in the domain, or x and y are closer than the
+march resolves.
 
-The march is identical to the generic oracle path in :mod:`cuspbend.hilbert`:
-double the line parameter outward from the second point until the domain is
-exited (cap ``U_CAP`` means the chord never leaves the chart), then bisect
-at most ``MAX_BISECT`` times, stopping early at the float fixed point.  An
-end that never leaves the chart lies at infinity and drops its factor
-u/(u-1) from the cross ratio; past ``U_CAP`` that factor is exactly 1 in
-floats anyway.  Only a chord unbounded at both ends has infinite length.
+* The unit ball and the model domain of type t = 0 are quadrics, so each
+  end solves A v^2 + 2 B v - C = 0 with C > 0 (the point is interior) and
+  is that equation's positive root, in closed form (Klein model;
+  Papadopoulos-Troyanov, *Handbook of Hilbert Geometry*, EMS 2014).
+* The model domains of type t >= 1 are not quadrics: their ends come from
+  the bracket-then-bisect march of the generic oracle route in
+  :mod:`cuspbend.hilbert`.  Double the line parameter outward until the
+  domain is exited (past ``U_CAP`` the chord never leaves the chart), then
+  bisect at most ``MAX_BISECT`` times, stopping early at the float fixed
+  point.  A ray whose direction cannot make the leaf value fall is marked
+  unbounded before the march.
+
+The march needs nothing but a value function that is negative inside, so
+it stays as the reference route: ``verify``'s ``hilbert.klein-agreement``
+compares the Klein formula against the march on the ball, an independent
+route to the ball's closed form.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 U_CAP = 1e18
 MAX_BISECT = 200
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-NUMBA_DISABLED = os.environ.get("CUSPBEND_NO_NUMBA", "") not in ("", "0")
-JIT_ENABLED = _HAVE_NUMBA and not NUMBA_DISABLED
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _ball_value_at(x, d, u):
-        # |x + u d|^2 - 1, computed without temporaries
-        s = 0.0
-        for i in range(x.shape[0]):
-            p = x[i] + u * d[i]
-            s += p * p
-        return s - 1.0
-
-    @njit(cache=True)
-    def _model_value_at(x, d, u, psi, t):
-        # leaf coordinate negated: negative inside, +1 past the in-chart closure
-        c = x[0] + u * d[0]
-        for k in range(t):
-            p = x[1 + k] + u * d[1 + k]
-            if p <= 0.0:
-                return 1.0
-            c += psi[k] * np.log(p)
-        for j in range(1 + t, x.shape[0]):
-            p = x[j] + u * d[j]
-            c -= 0.5 * p * p
-        return -c
-
-    @njit(cache=True)
-    def _march_ball(x, d):
-        lo = 1.0
-        hi = 2.0
-        while _ball_value_at(x, d, hi) < 0.0:
-            lo = hi
-            hi *= 2.0
-            if hi > U_CAP:
-                return np.nan
-        for _ in range(MAX_BISECT):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if _ball_value_at(x, d, mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    @njit(cache=True)
-    def _march_model(x, d, psi, t):
-        lo = 1.0
-        hi = 2.0
-        while _model_value_at(x, d, hi, psi, t) < 0.0:
-            lo = hi
-            hi *= 2.0
-            if hi > U_CAP:
-                return np.nan
-        for _ in range(MAX_BISECT):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if _model_value_at(x, d, mid, psi, t) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    @njit(cache=True)
-    def _distance_from_ends(u, s):
-        if np.isnan(u) and np.isnan(s):
-            return np.inf
-        if np.isnan(u):
-            return 0.5 * np.log(s / (s - 1.0))
-        if np.isnan(s):
-            return 0.5 * np.log(u / (u - 1.0))
-        return 0.5 * np.log(s * u / ((s - 1.0) * (u - 1.0)))
-
-    @njit(cache=True)
-    def _ball_distances_jit(X, Y):
-        m = X.shape[0]
-        out = np.empty(m)
-        for r in range(m):
-            x = X[r]
-            y = Y[r]
-            d = y - x
-            dn = 0.0
-            for i in range(d.shape[0]):
-                dn += d[i] * d[i]
-            if dn == 0.0:
-                out[r] = 0.0
-                continue
-            u = _march_ball(x, d)
-            s = _march_ball(y, -d)
-            out[r] = _distance_from_ends(u, s)
-        return out
-
-    @njit(cache=True)
-    def _model_distances_jit(X, Y, psi, t):
-        m = X.shape[0]
-        out = np.empty(m)
-        for r in range(m):
-            x = X[r]
-            y = Y[r]
-            d = y - x
-            dn = 0.0
-            for i in range(d.shape[0]):
-                dn += d[i] * d[i]
-            if dn == 0.0:
-                out[r] = 0.0
-                continue
-            u = _march_model(x, d, psi, t)
-            s = _march_model(y, -d, psi, t)
-            out[r] = _distance_from_ends(u, s)
-        return out
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy fallback: the same march vectorized across pairs
 
 def _ball_value_np(P):
     return np.sum(P * P, axis=1) - 1.0
 
 
-def _model_value_np(P, psi, t):
-    n = P.shape[1]
-    c = P[:, 0].copy()
-    bad = np.zeros(P.shape[0], dtype=bool)
+def _leaf_value(cols, psi, t):
+    """Leaf coordinate from the chart coordinate columns: positive inside the
+    model domain; a nonpositive log coordinate makes it -inf or nan."""
+    c = cols[0]
     for k in range(t):
-        x = P[:, 1 + k]
-        bad |= x <= 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            c += psi[k] * np.log(np.where(x > 0.0, x, 1.0))
-    for j in range(1 + t, n):
-        c -= 0.5 * P[:, j] * P[:, j]
-    out = -c
-    out[bad] = 1.0
+        c = c + psi[k] * np.log(cols[1 + k])
+    for x in cols[1 + t:]:
+        c = c - 0.5 * x * x
+    return c
+
+
+# ---------------------------------------------------------------------------
+# closed form on the quadrics
+
+
+def _dot(P, Q):
+    return np.einsum("ij,ij->i", P, Q)
+
+
+def _quadric_root(A, B, C):
+    """Positive root of A v^2 + 2 B v - C = 0 for C > 0, cancellation-free;
+    inf when A = 0 and B < 0 (the ray never leaves the domain)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(B * B + A * C)
+        return np.where(B > 0.0, C / (B + r), (r - B) / A)
+
+
+def _quadric_distances(end, X, Y):
+    """Distances from ``end(P, E)``, the end parameter w of the ray P + w E.
+
+    E is d scaled to largest entry 1, so no scale of d under- or overflows
+    the quadric's coefficients; the end parameter along d is v = w / m."""
+    D = Y - X
+    m = np.max(np.abs(D), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        E = D / m[:, None]
+        out = 0.5 * (np.log1p(m / end(Y, E)) + np.log1p(m / end(X, -E)))
+    out[m == 0.0] = 0.0
     return out
 
 
-def _march_np(value_fn, X, D):
-    m = X.shape[0]
-    lo = np.ones(m)
-    hi = np.full(m, 2.0)
-    unbounded = np.zeros(m, dtype=bool)
+def _ball_end(P, E):
+    # |P + w E|^2 = 1
+    return _quadric_root(_dot(E, E), _dot(P, E), -_ball_value_np(P))
+
+
+def _model0_end(P, E):
+    # leaf value P_0 + w E_0 - 1/2 |P' + w E'|^2 = 0, doubled
+    Pf, Ef = P[:, 1:], E[:, 1:]
+    return _quadric_root(_dot(Ef, Ef), _dot(Pf, Ef) - E[:, 0], 2.0 * _leaf_value(P.T, (), 0))
+
+
+# ---------------------------------------------------------------------------
+# the march
+
+
+def _march_np(inside, unbounded):
+    """End parameter u >= 1 of every ray, nan where it is unbounded.
+
+    ``inside(u)`` tells which rays are inside the domain at parameter u."""
+    lo = np.ones(unbounded.shape[0])
+    hi = np.full(unbounded.shape[0], 2.0)
+    unbounded = unbounded.copy()
     while True:
-        inside = value_fn(X + hi[:, None] * D) < 0.0
-        inside &= ~unbounded
-        if not inside.any():
+        step = inside(hi) & ~unbounded
+        if not step.any():
             break
-        lo[inside] = hi[inside]
-        hi[inside] *= 2.0
+        lo[step] = hi[step]
+        hi[step] *= 2.0
         unbounded |= hi > U_CAP
+    hi[unbounded] = lo[unbounded]
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        done = (mid == lo) | (mid == hi) | unbounded
-        if done.all():
+        step = (mid != lo) & (mid != hi)
+        if not step.any():
             break
-        inside = value_fn(X + mid[:, None] * D) < 0.0
-        step = ~done
-        lo = np.where(step & inside, mid, lo)
-        hi = np.where(step & ~inside, mid, hi)
+        ins = inside(mid)
+        np.copyto(lo, mid, where=step & ins)
+        np.copyto(hi, mid, where=step & ~ins)
     u = 0.5 * (lo + hi)
     u[unbounded] = np.nan
     return u
 
 
-def _distances_np(value_fn, X, Y):
+def _rays(X, Y):
+    """Both rays of every chord, stacked: from x along d, then from y along -d."""
     D = Y - X
-    u = _march_np(value_fn, X, D)
-    s = _march_np(value_fn, Y, -D)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    return np.vstack([X, Y]), np.vstack([D, -D])
+
+
+def _march_distances(inside, unbounded):
+    """Distances from the march of the rays of :func:`_rays`."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        u, s = np.split(_march_np(inside, unbounded), 2)
         out = 0.5 * np.log(s * u / ((s - 1.0) * (u - 1.0)))
         out = np.where(np.isnan(u), 0.5 * np.log(s / (s - 1.0)), out)
         out = np.where(np.isnan(s), 0.5 * np.log(u / (u - 1.0)), out)
-    out[np.isnan(u) & np.isnan(s)] = np.inf
-    out[np.all(D == 0.0, axis=1)] = 0.0
+    # both ends at the chord's one point at infinity (x = y among them): cross ratio 1
+    out[np.isnan(u) & np.isnan(s)] = 0.0
     return out
 
 
-def _ball_distances_np(X, Y):
-    return _distances_np(_ball_value_np, X, Y)
+def _distances_np(value_fn, X, Y):
+    """Distances by the march on a value function that is negative inside."""
+    P, E = _rays(X, Y)
+    return _march_distances(lambda u: value_fn(P + u[:, None] * E) < 0.0,
+                            np.zeros(P.shape[0], dtype=bool))
 
 
-def _model_distances_np(X, Y, psi, t):
-    return _distances_np(lambda P: _model_value_np(P, psi, t), X, Y)
+def _model_inside(P, E, psi, t):
+    """Which rays P + u E are inside the model domain, column by column."""
+    cols = [(P[:, j].copy(), E[:, j].copy()) for j in range(P.shape[1])]
+    return lambda u: _leaf_value([p + u * e for p, e in cols], psi, t) > 0.0
+
+
+def _model_ray_stays(E, t):
+    """Rays along which the leaf value cannot fall, psi_k > 0 for k < t: log
+    coordinates nondecreasing, free coordinates fixed, first one nondecreasing."""
+    return (np.all(E[:, 1:1 + t] >= 0.0, axis=1) & np.all(E[:, 1 + t:] == 0.0, axis=1)
+            & (E[:, 0] >= 0.0))
+
+
+# ---------------------------------------------------------------------------
+# public entry points
 
 
 def ball_interior(P):
@@ -229,29 +173,24 @@ def ball_interior(P):
 
 def model_interior(P, psi, t: int):
     """Rows of P that are finite points strictly inside the model domain."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.all(np.isfinite(P), axis=1) & (_model_value_np(P, psi, t) < 0.0)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return np.all(np.isfinite(P), axis=1) & (_leaf_value(P.T, psi, t) > 0.0)
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-
-def ball_distances(X, Y, jit: bool | None = None) -> np.ndarray:
-    """Hilbert distances between row-paired chart points of the unit ball."""
+def ball_distances(X, Y) -> np.ndarray:
+    """Hilbert distances between row-paired interior points of the unit ball."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     Y = np.ascontiguousarray(Y, dtype=np.float64)
-    use_jit = JIT_ENABLED if jit is None else (jit and _HAVE_NUMBA)
-    if use_jit:
-        return _ball_distances_jit(X, Y)
-    return _ball_distances_np(X, Y)
+    return _quadric_distances(_ball_end, X, Y)
 
 
-def model_distances(X, Y, psi, t: int, jit: bool | None = None) -> np.ndarray:
-    """Hilbert distances in the model cusp domain with parameter psi (type t)."""
+def model_distances(X, Y, psi, t: int) -> np.ndarray:
+    """Hilbert distances between row-paired interior points of the model
+    cusp domain with parameter psi (type t)."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     Y = np.ascontiguousarray(Y, dtype=np.float64)
+    if t == 0:
+        return _quadric_distances(_model0_end, X, Y)
     psi = np.ascontiguousarray(psi, dtype=np.float64)
-    use_jit = JIT_ENABLED if jit is None else (jit and _HAVE_NUMBA)
-    if use_jit:
-        return _model_distances_jit(X, Y, psi, t)
-    return _model_distances_np(X, Y, psi, t)
+    P, E = _rays(X, Y)
+    return _march_distances(_model_inside(P, E, psi, t), _model_ray_stays(E, t))

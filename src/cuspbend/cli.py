@@ -17,6 +17,7 @@ order regardless of scheduling.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -40,11 +41,8 @@ from .projlin import DEFAULT_TOL, is_exact, matrix_from_json, parse_scalar, scal
 
 
 def _fmt(x) -> str:
-    """Floats at 17 significant digits (round-trip safe); inf sentinel."""
-    xf = float(x)
-    if math.isinf(xf):
-        return "inf" if xf > 0 else "-inf"
-    return f"{xf:.17g}"
+    """Floats at 17 significant digits (round-trip safe); inf prints as inf."""
+    return f"{float(x):.17g}"
 
 
 def _thread_count() -> int:
@@ -272,12 +270,11 @@ def _cmd_hilbert(args) -> int:
     X = np.asarray([p[0] for p in pairs], dtype=np.float64)
     Y = np.asarray([p[1] for p in pairs], dtype=np.float64)
     dists = hilbert_distances(dom, X, Y)
-    lines = ["x,y,d"]
-    for x, y, d in zip(X, Y, dists):
-        xs = " ".join(_fmt(c) for c in x)
-        ys = " ".join(_fmt(c) for c in y)
-        lines.append(f'"{xs}","{ys}",{_fmt(d)}')
-    _write_text(args.out, "\n".join(lines) + "\n")
+    # one % over every value: "%.17g" prints exactly what _fmt prints
+    point = " ".join(["%.17g"] * X.shape[1])
+    row = f'"{point}","{point}",%.17g'
+    values = np.column_stack([X, Y, dists]).ravel().tolist()
+    _write_text(args.out, "x,y,d\n" + "\n".join([row] * len(dists)) % tuple(values) + "\n")
     return 0
 
 
@@ -335,10 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -106,8 +106,8 @@ class ChordIntersection:
 
     ``unbounded`` names the ends ("z1", "z2", "both") whose march left the
     chart without exiting the domain; those crossings are None.  Such an end
-    meets the boundary at the chord's point at infinity, and the Hilbert
-    distance along the chord is infinite only when both ends are unbounded.
+    meets the boundary at the chord's point at infinity; when both ends are
+    unbounded they meet it at the same point.
     """
 
     z1: Optional[ProjPoint]
@@ -132,7 +132,7 @@ def _as_chart(p, n: int) -> np.ndarray:
 
 
 def _chart_point(x: np.ndarray) -> ProjPoint:
-    return ProjPoint(list(x) + [1.0])
+    return ProjPoint(np.append(x, 1.0))
 
 
 def _require_interior(dom: ConvexDomainOracle, name: str, pt: np.ndarray) -> None:
@@ -237,8 +237,9 @@ def hilbert_distance(dom: ConvexDomainOracle, x, y,
     """Hilbert distance between interior points.
 
     An end of the chord that never leaves the chart meets the boundary at
-    the chord's point at infinity; the distance is inf only when both ends
-    do (use chord_boundary directly for the diagnostic).
+    the chord's point at infinity.  When both ends do, they meet it at the
+    same point, so the cross ratio is 1 and the distance 0 (use
+    chord_boundary directly for the diagnostic).
     """
     xc = _as_chart(x, dom.n)
     yc = _as_chart(y, dom.n)
@@ -247,23 +248,28 @@ def hilbert_distance(dom: ConvexDomainOracle, x, y,
         return 0.0
     chord = chord_boundary(dom, xc, yc, max_bisect)
     if chord.unbounded == "both":
-        return math.inf
+        return 0.0
     z1, z2 = chord.z1, chord.z2
     if chord.unbounded is not None:
-        at_infinity = ProjPoint(list(yc - xc) + [0.0])
+        at_infinity = ProjPoint(np.append(yc - xc, 0.0))
         z1 = at_infinity if z1 is None else z1
         z2 = at_infinity if z2 is None else z2
     return 0.5 * math.log(cross_ratio(z1, _chart_point(xc), _chart_point(yc), z2))
 
 
-def hilbert_distances(dom: ConvexDomainOracle, X, Y,
-                      jit: bool | None = None) -> np.ndarray:
+def hilbert_distances(dom: ConvexDomainOracle, X, Y) -> np.ndarray:
     """Batch distances for row-paired chart points.
 
-    Built-in domains (kind "ball" or "model") run through the compiled or
-    vectorized kernels; custom oracles fall back to per-pair evaluation.
-    Bad input raises the ValueError of :func:`hilbert_distance`, prefixed
-    with the first offending row.
+    Built-in domains run through the vectorized kernels of
+    :mod:`cuspbend._hilbert_kernels`: the unit ball and the type-0 model
+    domain are quadrics and take their chord ends in closed form; model
+    domains of type t >= 1 have none and march every row at once.  Custom
+    oracles fall back to :func:`hilbert_distance` per pair.  The marches stay
+    as reference routes, since they need only a membership test: ``verify``
+    checks the Klein formula against the batch march, and the tests check
+    every batch row against the per-pair route.  Bad input raises the
+    ValueError of :func:`hilbert_distance`, prefixed with the first
+    offending row.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
@@ -271,12 +277,12 @@ def hilbert_distances(dom: ConvexDomainOracle, X, Y,
         raise ValueError(f"expected paired arrays of shape (m, {dom.n})")
     if dom.kind == "ball":
         _require_interior_rows(X, Y, _kernels.ball_interior)
-        return _kernels.ball_distances(X, Y, jit=jit)
+        return _kernels.ball_distances(X, Y)
     if dom.kind == "model":
         psi, t = dom.params
         psi = np.asarray(psi, dtype=np.float64)
         _require_interior_rows(X, Y, lambda P: _kernels.model_interior(P, psi, t))
-        return _kernels.model_distances(X, Y, psi, t, jit=jit)
+        return _kernels.model_distances(X, Y, psi, t)
     out = np.empty(X.shape[0])
     for i, (x, y) in enumerate(zip(X, Y)):
         try:

@@ -95,10 +95,16 @@ class ProjPoint:
     coords: np.ndarray
 
     def __init__(self, coords):
-        vec = _coerce_vector(coords)
+        if isinstance(coords, np.ndarray) and coords.dtype == np.float64 and coords.ndim == 1:
+            vec = coords.copy()
+            vec.setflags(write=False)
+            zero = not vec.any()
+        else:
+            vec = _coerce_vector(coords)
+            zero = all(x == 0 for x in vec)
         if vec.shape[0] < 2:
             raise ValueError("projective point needs at least 2 coordinates")
-        if all(x == 0 for x in vec):
+        if zero:
             raise ValueError("projective point cannot be the zero vector")
         object.__setattr__(self, "coords", vec)
 
@@ -122,6 +128,8 @@ class ProjPoint:
                         dtype=object if self.exact else np.float64)
 
     def to_float(self) -> "ProjPoint":
+        if not self.exact:
+            return self
         return ProjPoint([float(c) for c in self.coords])
 
     def __repr__(self):

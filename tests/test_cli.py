@@ -184,6 +184,48 @@ def test_hilbert_subcommand(tmp_path):
         assert float(row[-1]) == pytest.approx(klein_distance(x, y), abs=1e-9)
 
 
+def test_hilbert_csv_matches_per_value_format(tmp_path):
+    from cuspbend.cli import _fmt
+    for v in (0.1, -0.0, 1e-310, 1.0 / 3.0, 1e22, math.inf, -math.inf):
+        assert "%.17g" % v == _fmt(v)
+    # model domain psi = (0, 0, 0): a generic pair, x = y, and a chord whose
+    # upper end is at infinity
+    pairs = [[[1.0, 0.2, -0.3], [2.0, 0.5, 0.4]],
+             [[1.0, 0.2, -0.3], [1.0, 0.2, -0.3]],
+             [[1.0, 0.2, -0.3], [3.0, 0.2, -0.3]]]
+    src = tmp_path / "pairs.json"
+    src.write_text(json.dumps({"domain": {"kind": "model", "psi": [0.0, 0.0, 0.0]},
+                               "pairs": pairs}))
+    out = tmp_path / "dist.csv"
+    assert main(["hilbert", "--in", str(src), "--out", str(out)]) == 0
+    dists = [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()[1:]]
+    assert dists[1] == 0.0 and 0.0 < dists[2] < math.inf
+    lines = ["x,y,d"] + [
+        '"{}","{}",{}'.format(" ".join(map(_fmt, x)), " ".join(map(_fmt, y)), _fmt(d))
+        for (x, y), d in zip(pairs, dists)]
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
+def test_main_keeps_no_state_between_calls(tmp_path):
+    """The parser is built once per process; no parsed value may carry over."""
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["verify", "--suite", "projlin", "--suite", "cusp_models", "--seed", "5",
+                 "--perturb-h", "1e-3", "--out", str(first)]) == 1
+    src = tmp_path / "pairs.json"
+    src.write_text(json.dumps({"domain": {"kind": "ball", "n": 2},
+                               "pairs": [[[0.0, 0.0], [0.5, 0.0]]]}))
+    assert main(["hilbert", "--in", str(src), "--out", str(tmp_path / "d.csv")]) == 0
+    assert main(["verify", "--suite", "projlin", "--out", str(second)]) == 0
+    report = json.loads(first.read_text())
+    assert (report["suites"], report["seed"], report["all_pass"]) == (
+        ["cusp_models", "projlin"], 5, False)
+    report = json.loads(second.read_text())
+    assert (report["suites"], report["seed"], report["all_pass"]) == (["projlin"], 0, True)
+    assert main(["verify", "--suite", "nope"]) == 2
+    assert main(["hilbert", "--in", str(src), "--out", str(tmp_path / "e.csv")]) == 0
+    assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "e.csv").read_bytes()
+
+
 def test_missing_input_is_io_error(tmp_path):
     assert main(["classify", "--in", str(tmp_path / "absent.json")]) == 2
 

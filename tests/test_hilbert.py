@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspbend.cusp_models import CuspParameter, INTERIOR, BOUNDARY, EXTERIOR
 from cuspbend.hilbert import (
@@ -184,41 +186,81 @@ def test_hilbert_matches_klein_in_ball():
         assert abs(hilbert_distance(dom, x, y) - klein_distance(x, y)) <= 1e-9
 
 
-def test_batch_routes_agree():
-    rng = np.random.default_rng(8)
-    dom = ball_oracle(2)
-    X = rng.uniform(-0.6, 0.6, (50, 2))
-    Y = rng.uniform(-0.6, 0.6, (50, 2))
-    jit = hilbert_distances(dom, X, Y, jit=True)
-    plain = hilbert_distances(dom, X, Y, jit=False)
-    single = np.array([hilbert_distance(dom, x, y) for x, y in zip(X, Y)])
-    assert np.max(np.abs(jit - plain)) <= 1e-12
-    assert np.max(np.abs(jit - single)) <= 1e-12
-    same = hilbert_distances(dom, X, X)
-    assert np.all(same == 0.0)
+def _ball_point(draw, n):
+    raw = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    norm = np.linalg.norm(raw)
+    radius = draw(st.floats(0.0, 0.999))
+    return raw * (radius / norm) if norm > 0.0 else raw
 
 
-def test_batch_model_domain_routes_agree():
-    rng = np.random.default_rng(9)
-    psi = CuspParameter([1.0, 0.0, 0.0])
-    dom = model_domain_oracle(psi)
-    from cuspbend.cusp_models import ModelDomain, leaf_point
-    md = ModelDomain(psi)
-    pts = []
-    for _ in range(40):
-        c = rng.uniform(0.1, 2.0)
-        xs = [rng.uniform(0.4, 2.0), rng.uniform(-1.0, 1.0)]
-        pts.append(np.asarray(leaf_point(md, c, xs).chart(), dtype=float))
-    X, Y = np.array(pts[:20]), np.array(pts[20:])
-    jit = hilbert_distances(dom, X, Y, jit=True)
-    plain = hilbert_distances(dom, X, Y, jit=False)
-    finite = np.isfinite(jit)
-    assert np.array_equal(finite, np.isfinite(plain))
-    assert np.max(np.abs(jit[finite] - plain[finite])) <= 1e-12
-    for k in range(0, 20, 5):
-        got = hilbert_distance(dom, X[k], Y[k])
-        if math.isfinite(got):
-            assert abs(got - jit[k]) <= 1e-11
+def _model_point(draw, psi, t, n=3):
+    c = draw(st.floats(0.01, 2.0))
+    logs = np.array(draw(st.lists(st.floats(0.2, 3.0), min_size=t, max_size=t)))
+    free = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=n - 1 - t,
+                                  max_size=n - 1 - t)))
+    first = c - float(np.dot(psi[:t], np.log(logs))) + 0.5 * float(np.dot(free, free))
+    return np.concatenate([[first], logs, free])
+
+
+def _bad_point(kind, dom_kind, n, t):
+    if kind == "nan":
+        return np.full(n, math.nan)
+    if dom_kind == "ball":
+        return np.eye(n)[0] * (1.0 if kind == "boundary" else 2.0)
+    # leaf height 0 (boundary) or -1 (exterior): log coordinates 1, free ones 0
+    first = 0.0 if kind == "boundary" else -1.0
+    return np.array([first] + [1.0] * t + [0.0] * (n - 1 - t))
+
+
+@pytest.mark.parametrize("kind,n,t", [("ball", 2, 0), ("ball", 3, 0), ("model", 3, 0),
+                                      ("model", 3, 1), ("model", 3, 2)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batch_rows_equal_single_pair(kind, n, t, data):
+    """Each row of hilbert_distances equals hilbert_distance, the generic
+    oracle march: closed forms on the quadrics, the vectorized march for
+    t >= 1, chords with an end at infinity, x = y rows and bad rows."""
+    if kind == "ball":
+        dom = ball_oracle(n)
+        point = lambda: _ball_point(data.draw, n)
+    else:
+        a = data.draw(st.floats(0.3, 2.0))
+        psi = np.array([a, data.draw(st.floats(0.1, a)), 0.0][:t] + [0.0] * (n - t))
+        dom = model_domain_oracle(CuspParameter(psi.tolist()))
+        point = lambda: _model_point(data.draw, psi, t, n)
+    row_kinds = ["pair", "same"] + (["infinity"] if kind == "model" else [])
+    X, Y = [], []
+    for row in data.draw(st.lists(st.sampled_from(row_kinds), min_size=1, max_size=6)):
+        x = point()
+        if row == "pair":
+            y = point()
+        elif row == "same":
+            y = x.copy()
+        else:
+            # a ray along which the leaf value cannot fall: the chord has an end at infinity
+            d = np.array([data.draw(st.floats(0.1, 2.0))]
+                         + data.draw(st.lists(st.floats(0.0, 2.0), min_size=t, max_size=t))
+                         + [0.0] * (n - 1 - t))
+            y = x + d
+            if data.draw(st.booleans()):
+                x, y = y, x
+        X.append(x)
+        Y.append(y)
+    X, Y = np.array(X), np.array(Y)
+
+    batch = hilbert_distances(dom, X, Y)
+    for i, (x, y) in enumerate(zip(X, Y)):
+        want = hilbert_distance(dom, x, y)
+        assert abs(batch[i] - want) <= 1e-12 * max(1.0, want), (i, batch[i], want)
+
+    bad_row = data.draw(st.integers(0, len(X) - 1))
+    bad = _bad_point(data.draw(st.sampled_from(["exterior", "boundary", "nan"])), kind, n, t)
+    (X if data.draw(st.booleans()) else Y)[bad_row] = bad
+    with pytest.raises(ValueError) as single:
+        hilbert_distance(dom, X[bad_row], Y[bad_row])
+    with pytest.raises(ValueError) as batched:
+        hilbert_distances(dom, X, Y)
+    assert str(batched.value) == f"row {bad_row}: {single.value}"
 
 
 def test_transformed_oracle_naturality():

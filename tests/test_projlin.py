@@ -97,6 +97,26 @@ def test_proj_equiv_exact():
     assert not proj_equiv(m, ProjMap([[F(1), F(2)], [F(1), F(1)]]))
 
 
+def test_point_from_float_array_is_a_frozen_copy():
+    arr = np.array([0.5, -2.0, 1.0])
+    p = ProjPoint(arr)
+    arr[0] = 7.0
+    assert p.coords.tolist() == [0.5, -2.0, 1.0]
+    assert not p.coords.flags.writeable and not p.exact
+    assert p.to_float() is p
+    # the array fast path and the list path build the same point
+    assert ProjPoint([0.5, -2.0, 1.0]).coords.tolist() == p.coords.tolist()
+    assert np.isnan(ProjPoint(np.array([math.nan, 1.0])).coords[0])
+    with pytest.raises(ValueError, match="zero vector"):
+        ProjPoint(np.zeros(3))
+    with pytest.raises(ValueError, match="zero vector"):
+        ProjPoint(np.array([-0.0, 0.0]))
+    with pytest.raises(ValueError, match="at least 2"):
+        ProjPoint(np.array([1.0]))
+    exact = ProjPoint([F(1, 2), 1])
+    assert exact.exact and exact.to_float().coords.tolist() == [0.5, 1.0]
+
+
 def test_eigen_diagonal():
     pairs = eigen(ProjMap.diagonal([1.0, 2.0, 3.0]))
     values = [p.value for p in pairs]

@@ -89,6 +89,9 @@ class MarkedRep:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", rels)
         object.__setattr__(self, "tol", tol)
+        # generator name -> inverse, filled on first use; valid for the
+        # instance's lifetime, as the generators never change
+        object.__setattr__(self, "_inverses", {})
         if check:
             self.check_relators()
 
@@ -102,13 +105,20 @@ class MarkedRep:
         for name, exp in word:
             if name not in self.generators:
                 raise KeyError(f"unknown generator {name!r}")
-            g = self.generators[name]
             if exp < 0:
-                g = inverse(g)
+                g = self._inverse(name)
                 exp = -exp
+            else:
+                g = self.generators[name]
             for _ in range(exp):
                 result = compose(result, g)
         return result
+
+    def _inverse(self, name: str) -> ProjMap:
+        inv = self._inverses.get(name)
+        if inv is None:
+            inv = self._inverses[name] = inverse(self.generators[name])
+        return inv
 
     def _exact(self) -> bool:
         return all(g.exact for g in self.generators.values())

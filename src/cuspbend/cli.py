@@ -7,11 +7,16 @@ JSON), ``classify`` (cusp parameter from bending data or from generators in
 model form), and ``hilbert`` (distances for point pairs in a domain).
 
 Exit codes: 0 success / all properties pass, 1 property failure (a failed
-``verify`` property, or ``classify`` generators that miss the normal form:
-the residual goes to standard error), 2 usage or I/O error, including
-Hilbert points that are not finite and strictly interior.
-``CUSPBEND_THREADS`` caps sweep parallelism; output order is fixed by input
-order regardless of scheduling.
+``verify`` property, or ``classify`` or ``sweep`` generators that miss the
+normal form: the residual goes to standard error, and ``sweep`` names the
+first such grid row), 2 usage or I/O error.  Usage errors include Hilbert
+points that are not finite and strictly interior, and bending data that
+:class:`RectangularCuspData` or the float-classification guard refuses: a
+shape constant, bending parameter or multiplier that is not finite, an s
+whose exp overflows, or a nonzero s below ``MIN_BEND_FLOAT``.
+
+``sweep`` classifies its whole grid with one call to the float kernel
+:func:`conjugation_residuals`.
 """
 
 from __future__ import annotations
@@ -20,9 +25,7 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,7 +36,9 @@ from .cusp_classify import (
     RectangularCuspData,
     classify_h_form,
     conjugate_and_match,
+    conjugation_residuals,
     cusp_parameter_entry,
+    require_normal_form,
 )
 from .cusp_models import CuspParameter
 from .hilbert import ball_oracle, hilbert_distances, model_domain_oracle
@@ -43,23 +48,6 @@ from .projlin import DEFAULT_TOL, is_exact, matrix_from_json, parse_scalar, scal
 def _fmt(x) -> str:
     """Floats at 17 significant digits (round-trip safe); inf prints as inf."""
     return f"{float(x):.17g}"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CUSPBEND_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    workers = _thread_count()
-    if workers == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_text(path, text: str) -> None:
@@ -111,25 +99,11 @@ def _parse_grid(spec: str):
     if len(parts) != 3:
         raise ValueError("grid must be start:stop:steps")
     start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("grid bounds must be finite")
     if steps < 1:
         raise ValueError("grid needs at least one step")
     return np.linspace(start, stop, steps)
-
-
-def _sweep_row(n, b_vals, slots, s):
-    svec = [float(s) if (i in slots and s != 0) else 0.0 for i in range(2, n + 1)]
-    data = RectangularCuspData(n, b=b_vals, s=svec)
-    cls = conjugate_and_match(data)
-    a_vals, ainv_vals = [], []
-    for k, sk in enumerate(svec):
-        if sk == 0:
-            a_vals.append(math.inf)
-            ainv_vals.append(0.0)
-        else:
-            a = cusp_parameter_entry(data.b[k], data.mu[k], sk)
-            a_vals.append(a)
-            ainv_vals.append(1.0 / a)
-    return svec, a_vals, ainv_vals, cls.type
 
 
 def _cmd_sweep(args) -> int:
@@ -149,7 +123,16 @@ def _cmd_sweep(args) -> int:
     else:
         slots = list(range(2, n + 1))
 
-    rows = _map_ordered(lambda s: _sweep_row(n, b_vals, slots, s), grid)
+    cusps = [RectangularCuspData(n, b=b_vals, s=[
+        float(s) if (i in slots and s != 0) else 0.0 for i in range(2, n + 1)]) for s in grid]
+    residuals = conjugation_residuals(b_vals, [data.s for data in cusps],
+                                      [data.mu for data in cusps])
+    require_normal_form(residuals, DEFAULT_TOL)
+    rows = []
+    for data in cusps:
+        a_vals = [cusp_parameter_entry(b, mu, s) if s != 0 else math.inf
+                  for b, mu, s in zip(data.b, data.mu, data.s)]
+        rows.append((data.s, a_vals, [1.0 / a for a in a_vals], len(data.bent_slots())))
     header = ([f"s_{i}" for i in range(2, n + 1)]
               + [f"a_{i}" for i in range(2, n + 1)]
               + [f"ainv_{i}" for i in range(2, n + 1)] + ["type"])

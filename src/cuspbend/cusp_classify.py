@@ -24,6 +24,13 @@ collecting the a_i (sorted non-increasing); its type equals the number of
 nonzero bending parameters.  Note a_i blows up as s_i -> 0+: the inverted
 parameters 1/a_i extend continuously by 0 across type changes, which is why
 sweeps report both.
+
+The conjugation is checked by one of two routes.  Exact data goes through
+integer :class:`ProjMap` arithmetic and must match with residual exactly 0.
+Float data goes through :func:`conjugation_residuals`, a numpy kernel that
+conjugates the generators of G grid rows at once and returns one scaled
+residual per row; :func:`conjugate_and_match` calls it on one row and the
+``sweep`` command on its whole grid.
 """
 
 from __future__ import annotations
@@ -52,6 +59,18 @@ from .projlin import (
 MIN_BEND_FLOAT = 1e-8
 
 
+def _finite(x) -> bool:
+    return is_exact(x) or math.isfinite(x)
+
+
+def _exp(s) -> float:
+    """exp(s) in floats, refusing an s whose exponential overflows."""
+    try:
+        return math.exp(float(s))
+    except OverflowError:
+        raise ValueError(f"bending parameter {s} is too large: exp(s) overflows") from None
+
+
 class PatternMismatch(ValueError):
     """Conjugated generators failed to match the expected normal form."""
 
@@ -76,30 +95,37 @@ class RectangularCuspData:
         b = tuple(b)
         if len(b) != n - 1:
             raise ValueError(f"need {n - 1} shape constants, got {len(b)}")
+        if not all(map(_finite, b)):
+            raise ValueError("shape constants must be finite")
         if any(x <= 0 for x in b):
             raise ValueError("shape constants must be positive")
         if s is None and mu is None:
             raise ValueError("supply bending parameters s, multipliers mu, or both")
+        if mu is not None:
+            mu = tuple(mu)
+            if len(mu) != n - 1:
+                raise ValueError(f"need {n - 1} multipliers, got {len(mu)}")
+            if not all(map(_finite, mu)):
+                raise ValueError("multipliers must be finite")
+            if any(m <= 0 for m in mu):
+                raise ValueError("multipliers must be positive")
         if s is None:
             s = tuple(math.log(float(m)) for m in mu)
         else:
             s = tuple(s)
         if len(s) != n - 1:
             raise ValueError(f"need {n - 1} bending parameters, got {len(s)}")
+        if not all(map(_finite, s)):
+            raise ValueError("bending parameters must be finite")
         if any(x < 0 for x in s):
             raise ValueError("bending parameters must be nonnegative")
+        exp_s = tuple(_exp(x) for x in s)
         if mu is None:
-            mu = tuple(1 if x == 0 else math.exp(float(x)) for x in s)
+            mu = tuple(1 if x == 0 else e for x, e in zip(s, exp_s))
         else:
-            mu = tuple(mu)
-            if len(mu) != n - 1:
-                raise ValueError(f"need {n - 1} multipliers, got {len(mu)}")
-            if any(m <= 0 for m in mu):
-                raise ValueError("multipliers must be positive")
-            for k, (m, x) in enumerate(zip(mu, s)):
-                if abs(float(m) - math.exp(float(x))) > 1e-12 * max(1.0, float(m)):
-                    raise ValueError(
-                        f"mu_{k+2} = {m} inconsistent with exp(s_{k+2}) = {math.exp(float(x))}")
+            for k, (m, e) in enumerate(zip(mu, exp_s)):
+                if abs(float(m) - e) > 1e-12 * max(1.0, float(m)):
+                    raise ValueError(f"mu_{k+2} = {m} inconsistent with exp(s_{k+2}) = {e}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "s", s)
@@ -170,13 +196,22 @@ def bent_cusp_generators(data: RectangularCuspData) -> list[ProjMap]:
 
 
 def _check_float_guard(data: RectangularCuspData) -> None:
-    if data.exact:
-        return
-    for k in data.bent_slots():
-        if abs(float(data.s[k])) < MIN_BEND_FLOAT:
-            raise ValueError(
-                f"bending parameter s_{k+2} = {data.s[k]} is below {MIN_BEND_FLOAT}; "
-                "float classification is ill-conditioned there, supply exact mu instead")
+    if not data.exact:
+        _guard_small_bending(np.array([data.s], dtype=np.float64),
+                             np.array([data.mu], dtype=np.float64))
+
+
+def _guard_small_bending(s: np.ndarray, mu: np.ndarray) -> None:
+    """Refuse float classification of any slot with a nonzero bending
+    parameter, or a multiplier other than 1, below MIN_BEND_FLOAT.  Testing s
+    as well as mu matters: exp(s) rounds to 1.0 for s below about 1e-16."""
+    small = ((s != 0) | (mu != 1)) & (np.abs(s) < MIN_BEND_FLOAT)
+    if small.any():
+        row, k = np.argwhere(small)[0]
+        where = f"row {row}: " if s.shape[0] > 1 else ""
+        raise ValueError(
+            f"{where}bending parameter s_{k+2} = {s[row, k]} is below {MIN_BEND_FLOAT}; "
+            "float classification is ill-conditioned there, supply exact mu instead")
 
 
 def normalizing_matrix(data: RectangularCuspData) -> ProjMap:
@@ -251,18 +286,77 @@ def _expected_normal_form(data: RectangularCuspData, k: int) -> ProjMap:
     return ProjMap(rows)
 
 
-def _pattern_residual(got: ProjMap, want: ProjMap):
-    """Entrywise deviation, scaled by the expected matrix's magnitude: the
-    normal form's corner grows like 1/s, so an absolute comparison would
-    drown legitimate matches for small bending parameters."""
-    if got.exact and want.exact:
-        # |N/d - M/e| = |N e - M d| / (d e), entrywise on the integer forms
-        diff = np.max(np.abs(got.num * want.den - want.num * got.den))
-        return Fraction(diff, got.den * want.den)
-    fg = np.asarray(got.to_float().entries, dtype=np.float64)
-    fw = np.asarray(want.to_float().entries, dtype=np.float64)
-    scale = max(1.0, float(np.max(np.abs(fw))))
-    return float(np.max(np.abs(fg - fw))) / scale
+def conjugation_residuals(b, s, mu) -> np.ndarray:
+    """Float kernel: pattern residual of every row of a bending grid.
+
+    ``b`` has shape (m,) with m = n - 1; ``s`` and ``mu`` have shape (G, m),
+    one row per grid value, with mu = 1 on unbent slots.  Generator k is
+    diag(mu) U(b_k): the unipotent U(b_k) with row k+1 scaled by mu_k.  The
+    normalizing matrix A and its closed-form inverse I - C + C^2 (see
+    :func:`_normalizing_inverse`) conjugate all G*m generators in two stacked
+    matmuls, and each slot is compared with its normal form.  The residual
+    of a slot is max|got - want| / max(1, max|want|): the normal form's
+    corner grows like 1/s, so an absolute comparison would drown legitimate
+    matches for small bending parameters.  A row's residual is the maximum
+    over its slots, and NaN if any slot's is.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
+    rows, m = mu.shape
+    n = m + 1
+    _guard_small_bending(s, mu)
+    slot = np.arange(m)
+    coord = slot + 1                         # matrix index of slot k
+    r_bent, k_bent = np.nonzero(mu != 1)
+
+    unipotent = np.zeros((m, n + 1, n + 1))
+    unipotent[:, np.arange(n + 1), np.arange(n + 1)] = 1.0
+    unipotent[slot, 0, coord] = b
+    unipotent[slot, coord, n] = b
+    unipotent[slot, 0, n] = b * b / 2
+    gens = np.repeat(unipotent[None], rows, axis=0)
+    gens[:, slot, coord, :] *= mu[:, :, None]
+
+    b_bent, mu_bent = b[k_bent], mu[r_bent, k_bent]
+    denom = mu_bent - 1.0
+    alpha = -b_bent / denom
+    delta = mu_bent * b_bent / denom
+    a_mat = np.repeat(np.eye(n + 1)[None], rows, axis=0)
+    a_inv = a_mat.copy()
+    a_mat[r_bent, 0, k_bent + 1] = alpha
+    a_mat[r_bent, k_bent + 1, n] = delta
+    a_inv[r_bent, 0, k_bent + 1] = -alpha
+    a_inv[r_bent, k_bent + 1, n] = -delta
+    # corner of C^2: the products summed slot by slot, as a Python sum would
+    products = np.zeros((rows, m))
+    products[r_bent, k_bent] = alpha * delta
+    corner = np.zeros(rows)
+    for k in range(m):
+        corner = corner + products[:, k]
+    a_inv[:, 0, n] = corner
+    got = np.matmul(np.matmul(a_mat[:, None], gens), a_inv[:, None])
+
+    want = np.repeat(unipotent[None], rows, axis=0)
+    want[r_bent, k_bent, 0, k_bent + 1] = 0.0
+    want[r_bent, k_bent, k_bent + 1, n] = 0.0
+    want[r_bent, k_bent, k_bent + 1, k_bent + 1] = mu_bent
+    want[r_bent, k_bent, 0, n] = expected_corner(b_bent, mu_bent)
+    scale = np.maximum(1.0, np.max(np.abs(want), axis=(2, 3)))
+    return np.max(np.max(np.abs(got - want), axis=(2, 3)) / scale, axis=1)
+
+
+def require_normal_form(residuals: np.ndarray, tol: float) -> None:
+    """Raise :class:`PatternMismatch` on the first row whose residual is not
+    within tol; NaN fails."""
+    bad = np.flatnonzero(~(residuals <= tol))
+    if bad.size:
+        row = int(bad[0])
+        residual = float(residuals[row])
+        where = f"row {row}: " if residuals.shape[0] > 1 else ""
+        raise PatternMismatch(
+            f"{where}conjugated generators miss the normal form by {residual:.3e} > {tol:.1e}",
+            residual)
 
 
 def conjugate_and_match(data: RectangularCuspData,
@@ -270,32 +364,32 @@ def conjugate_and_match(data: RectangularCuspData,
     """Conjugate the bent generators into normal form, verify the pattern,
     and read off the cusp parameter.
 
-    Exact data must match exactly (zero residual); float data must match
-    within tol.  The conjugator composes the normalizing change of basis
-    with the coordinate permutation sorting the parameter non-increasing.
+    Exact data must match exactly (zero residual), through integer
+    :class:`ProjMap` arithmetic; float data must match within tol, through
+    :func:`conjugation_residuals` on one row.  The conjugator is the
+    normalizing change of basis with its rows permuted so that the parameter
+    is sorted non-increasing.
     """
-    _check_float_guard(data)
     n = data.n
-    gens = bent_cusp_generators(data)
     a_mat = normalizing_matrix(data)
-    a_inv = _normalizing_inverse(data)
-    residual = Fraction(0) if data.exact else 0.0
-    conjugated = []
-    for k, g in enumerate(gens):
-        got = compose(compose(a_mat, g), a_inv)
-        want = _expected_normal_form(data, k)
-        diff = _pattern_residual(got, want)
-        residual = max(residual, diff)
-        conjugated.append(got)
     if data.exact:
+        a_inv = _normalizing_inverse(data)
+        residual = Fraction(0)
+        for k, g in enumerate(bent_cusp_generators(data)):
+            got = compose(compose(a_mat, g), a_inv)
+            want = _expected_normal_form(data, k)
+            # |N/d - M/e| = |N e - M d| / (d e), entrywise on the integer forms
+            diff = np.max(np.abs(got.num * want.den - want.num * got.den))
+            residual = max(residual, Fraction(diff, got.den * want.den))
         if residual != 0:
             raise PatternMismatch(
                 f"exact conjugation failed to reach the normal form (residual {residual})",
                 residual)
-    elif residual > tol:
-        raise PatternMismatch(
-            f"conjugated generators miss the normal form by {residual:.3e} > {tol:.1e}",
-            residual)
+    else:
+        residuals = conjugation_residuals(
+            np.array(data.b, dtype=np.float64), [data.s], [data.mu])
+        require_normal_form(residuals, tol)
+        residual = float(residuals[0])
 
     bent = data.bent_slots()
     avals = {k: cusp_parameter_entry(data.b[k], data.mu[k], data.s[k]) for k in bent}
@@ -303,13 +397,13 @@ def conjugate_and_match(data: RectangularCuspData,
     order = sorted_bent + [k for k in range(n - 1) if k not in bent]
     psi = CuspParameter([avals[k] for k in sorted_bent] + [0.0] * (n - len(bent)))
 
-    perm = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    perm[0][0] = Fraction(1)
-    perm[n][n] = Fraction(1)
-    for new, old in enumerate(order):
-        perm[1 + new][1 + old] = Fraction(1)
-    p_mat = ProjMap(perm)
-    return ClassifiedCusp(psi, len(bent), compose(p_mat, a_mat), residual)
+    # P A is A with its rows reordered; + 0.0 turns a -0.0 entry into 0.0
+    perm = [0] + [1 + k for k in order] + [n]
+    if data.exact:
+        conjugator = ProjMap._from_exact(a_mat.num[perm], a_mat.den)
+    else:
+        conjugator = ProjMap._from_float(a_mat.entries[perm] + 0.0)
+    return ClassifiedCusp(psi, len(bent), conjugator, residual)
 
 
 @dataclass(frozen=True)
@@ -337,7 +431,7 @@ def leaf_invariance_check(data: RectangularCuspData, trials: int = 200,
     conj_inv = inverse(conj)
     gens = [compose(compose(conj, g.to_float()), conj_inv)
             for g in bent_cusp_generators(data)]
-    max_drift = 0.0
+    drifts = []
     for _ in range(trials):
         c = float(rng.uniform(0.0, 3.0))
         coords = [float(rng.uniform(0.2, 3.0)) for _ in range(t)] + \
@@ -345,8 +439,9 @@ def leaf_invariance_check(data: RectangularCuspData, trials: int = 200,
         p = leaf_point(dom, c, coords)
         g = gens[rng.integers(len(gens))]
         c2, _ = leaf_coordinate(dom, act(g, p))
-        max_drift = max(max_drift, abs(float(c2) - c))
-    return LeafInvarianceReport(trials, max_drift, tol)
+        drifts.append(abs(float(c2) - c))
+    # np.max keeps a NaN drift, which then fails the report
+    return LeafInvarianceReport(trials, float(np.max(drifts, initial=0.0)), tol)
 
 
 def equivalent_parameters(psi: CuspParameter, psi2: CuspParameter,
@@ -390,6 +485,8 @@ def classify_h_form(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL) -> Classi
         m = np.asarray(g.to_float().entries, dtype=np.float64)
         if m.shape != (size, size):
             raise ValueError("generators must share one dimension")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("generator entries must be finite")
         if abs(m[n, n]) < tol * np.max(np.abs(m)):
             raise ValueError("generator has no usable normalization entry")
         mats.append(m / m[n, n])
@@ -415,7 +512,7 @@ def classify_h_form(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL) -> Classi
         residual = max(residual, float(np.max(np.abs(m - expected))))
         rows_log.append([math.log(m[i, i]) for i in log_slots])
         rhs.append(0.5 * float(np.dot(v, v)) - m[0, n])
-    if residual > math.sqrt(tol):
+    if not residual <= math.sqrt(tol):
         raise PatternMismatch(
             f"generators deviate from the model block form by {residual:.3e}", residual)
     if t == 0:

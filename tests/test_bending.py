@@ -49,6 +49,25 @@ def test_marked_rep_evaluate_word():
     assert proj_equiv(word_val, g2, 1e-12)
 
 
+def test_marked_rep_inverts_each_generator_once(monkeypatch):
+    import cuspbend.bending as bending_mod
+    calls = []
+
+    def counting_inverse(g):
+        calls.append(g)
+        return inverse(g)
+
+    monkeypatch.setattr(bending_mod, "inverse", counting_inverse)
+    rep = fixture_rep()                   # checks three commutator relators
+    assert len(calls) == 3
+    assert proj_equiv(rep.evaluate(["g2^-1", "g4^-2"]),
+                      inverse(compose(rep.generators["g4"],
+                                      compose(rep.generators["g4"], rep.generators["g2"]))),
+                      1e-12)
+    assert len(calls) == 3
+    assert {id(g) for g in calls} == {id(rep.generators[name]) for name in ("g2", "g3", "g4")}
+
+
 def test_centralizes_check_examples():
     rep = fixture_rep()
     ident = ProjMap.identity(4, exact=False)

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -58,21 +57,20 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_threads_do_not_change_output(tmp_path):
-    out1, out4 = tmp_path / "t1.csv", tmp_path / "t4.csv"
-    argv = ["sweep", "--n", "3", "--b", "1", "--grid", "0.1:1.0:9"]
-    old = os.environ.get("CUSPBEND_THREADS")
-    try:
-        os.environ["CUSPBEND_THREADS"] = "1"
-        assert main(argv + ["--out", str(out1)]) == 0
-        os.environ["CUSPBEND_THREADS"] = "4"
-        assert main(argv + ["--out", str(out4)]) == 0
-    finally:
-        if old is None:
-            os.environ.pop("CUSPBEND_THREADS", None)
-        else:
-            os.environ["CUSPBEND_THREADS"] = old
-    assert out1.read_bytes() == out4.read_bytes()
+def test_sweep_output_matches_fixture(tmp_path):
+    """Byte-identical ``sweep`` CSV and SVG for n = 2..6, all slots and
+    subsets, grids from 0 and one-point grids, against outputs recorded with
+    the per-row ``conjugate_and_match`` implementation."""
+    fixture = Path(__file__).parent / "fixtures" / "sweep.json"
+    cases = json.loads(fixture.read_text())["cases"]
+    assert {case["argv"][1] for case in cases} == {"2", "3", "4", "5", "6"}
+    csv, svg = tmp_path / "sweep.csv", tmp_path / "chart.svg"
+    for case in cases:
+        extra = ["--svg", str(svg)] if "svg" in case else []
+        assert main(["sweep"] + case["argv"] + ["--out", str(csv)] + extra) == 0, case["name"]
+        assert csv.read_text() == case["csv"], case["name"]
+        if "svg" in case:
+            assert svg.read_text() == case["svg"], case["name"]
 
 
 def test_verify_subcommand_report(tmp_path):
@@ -155,6 +153,68 @@ def test_classify_exact_output_matches_fixture(tmp_path):
         src.write_text(json.dumps(case["input"]))
         assert main(["classify", "--in", str(src), "--exact", "--out", str(out)]) == 0
         assert out.read_text() == case["output"], case["name"]
+
+
+def test_classify_float_output_matches_fixture(tmp_path):
+    """Byte-identical float ``classify`` output for n = 2..6 and every type,
+    with s, mu or both given, against outputs recorded with the per-slot
+    ``ProjMap`` conjugation."""
+    fixture = Path(__file__).parent / "fixtures" / "classify_float.json"
+    cases = json.loads(fixture.read_text())["cases"]
+    assert {case["input"]["n"] for case in cases} == {2, 3, 4, 5, 6}
+    src, out = tmp_path / "data.json", tmp_path / "cls.json"
+    for case in cases:
+        src.write_text(json.dumps(case["input"]))
+        assert main(["classify", "--in", str(src), "--out", str(out)]) == 0
+        assert out.read_text() == case["output"], case["name"]
+
+
+@pytest.mark.parametrize("data", [
+    {"n": 3, "b": [1.0, 1.0], "s": [math.nan, 0.0]},
+    {"n": 3, "b": [math.nan, 1.0], "s": [0.5, 0.0]},
+    {"n": 3, "b": [1.0, math.inf], "s": [0.5, 0.0]},
+    {"n": 3, "b": [1.0, 1.0], "mu": [math.inf, 1.0]},
+    {"n": 3, "b": [1.0, 1.0], "mu": [math.nan, 1.0]},
+    {"n": 3, "b": [1.0, 1.0], "s": [1e-17, 0.0]},
+    {"n": 3, "b": [1.0, 1.0], "s": [710.0, 0.0]},
+    {"n": 3, "b": [1.0, 1.0], "s": [1e300, 0.0]},
+])
+def test_classify_bad_bending_data_is_usage_error(tmp_path, capsys, data):
+    src, out = tmp_path / "data.json", tmp_path / "cls.json"
+    src.write_text(json.dumps(data))
+    assert main(["classify", "--in", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--n", "3", "--b", "nan", "--grid", "0:1:3"],
+    ["--n", "3", "--b", "1,inf", "--grid", "0:1:3"],
+    ["--n", "3", "--grid", "0:inf:2"],
+    ["--n", "3", "--grid", "nan:1:2"],
+    ["--n", "3", "--grid", "0:1e-17:2"],
+    ["--n", "3", "--grid", "1e-9:1:3", "--slots", "3"],
+    ["--n", "3", "--grid", "0:710:2"],
+    ["--n", "3", "--grid", "-1:1:3"],
+])
+def test_sweep_bad_bending_data_is_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep"] + args + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_sweep_pattern_mismatch_names_first_bad_row(tmp_path, capsys):
+    # at n = 6 with b = 2 the float conjugation of s = 1e-5 misses the
+    # default tolerance, while s = 0.5 matches
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--n", "6", "--b", "2", "--grid", "0.5:1e-5:2",
+                 "--slots", "2,6", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "row 1:" in err
+    assert float(err.rsplit("residual: ", 1)[1]) > 1e-9
 
 
 def test_classify_pattern_mismatch_is_property_failure(tmp_path, capsys):

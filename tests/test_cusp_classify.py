@@ -3,13 +3,17 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspbend.cusp_classify import (
     PatternMismatch,
     RectangularCuspData,
+    _normalizing_inverse,
     bent_cusp_generators,
     classify_h_form,
     conjugate_and_match,
+    conjugation_residuals,
     cusp_parameter_entry,
     diagonalizable_check,
     diagonalize_commuting,
@@ -17,6 +21,7 @@ from cuspbend.cusp_classify import (
     expected_corner,
     leaf_invariance_check,
     normalizing_matrix,
+    require_normal_form,
     standard_cusp_generators,
     upper_triangular_check,
 )
@@ -42,6 +47,87 @@ def test_rectangular_data_validation():
         RectangularCuspData(3, b=[1, 1], s=[1.0, 0.0], mu=[2.0, 1.0])  # mu != e^s
     data = RectangularCuspData(3, b=[1, 1], s=[math.log(2.0), 0.0], mu=[2.0, 1.0])
     assert data.bent_slots() == [0]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"b": [math.nan, 1.0], "s": [0.5, 0.0]},
+    {"b": [1.0, math.inf], "s": [0.5, 0.0]},
+    {"b": [1.0, 1.0], "s": [math.nan, 0.0]},
+    {"b": [1.0, 1.0], "s": [math.inf, 0.0]},
+    {"b": [1.0, 1.0], "mu": [math.nan, 1.0]},
+    {"b": [1.0, 1.0], "mu": [math.inf, 1.0]},
+    {"b": [1.0, 1.0], "s": [0.5, math.nan], "mu": [math.exp(0.5), 1.0]},
+    {"b": [1.0, 1.0], "s": [710.0, 0.0]},
+    {"b": [1.0, 1.0], "s": [F(10 ** 400), 0.0]},
+    {"b": [1.0, 1.0], "s": [800.0, 0.0], "mu": [1e300, 1.0]},
+])
+def test_rectangular_data_rejects_non_finite_and_overflow(kwargs):
+    with pytest.raises(ValueError):
+        RectangularCuspData(3, **kwargs)
+
+
+def test_float_guard_tests_every_nonzero_bending():
+    # exp(1e-17) rounds to 1.0, so the multiplier alone shows no bending
+    data = RectangularCuspData(3, b=[1.0, 1.0], s=[1e-17, 0.0])
+    assert data.mu[0] == 1.0
+    with pytest.raises(ValueError, match="below"):
+        conjugate_and_match(data)
+    with pytest.raises(ValueError, match="below"):
+        normalizing_matrix(data)
+    with pytest.raises(ValueError, match="row 1: bending parameter s_3"):
+        conjugation_residuals([1.0, 1.0], [[0.5, 0.5], [0.5, 1e-17]], [[1.5, 1.5], [1.5, 1.0]])
+
+
+def test_residual_check_fails_closed():
+    require_normal_form(np.array([0.0, 1e-9]), 1e-9)
+    with pytest.raises(PatternMismatch, match="row 1:"):
+        require_normal_form(np.array([0.0, math.nan, 1.0]), 1e-9)
+    with pytest.raises(PatternMismatch) as info:
+        require_normal_form(np.array([math.nan]), 1e-9)
+    assert math.isnan(info.value.residual)
+    # a NaN shape constant reaching the kernel yields a NaN residual, not 0
+    res = conjugation_residuals([math.nan, 1.0], [[0.5, 0.0]], [[math.exp(0.5), 1.0]])
+    assert math.isnan(res[0])
+
+
+def _independent_residual(data: RectangularCuspData) -> float:
+    """Per-slot ProjMap conjugation against normal forms built here."""
+    n = data.n
+    a_mat, a_inv = normalizing_matrix(data), _normalizing_inverse(data)
+    worst = 0.0
+    for k, g in enumerate(bent_cusp_generators(data)):
+        got = compose(compose(a_mat, g), a_inv).entries
+        b, mu = data.b[k], data.mu[k]
+        want = np.eye(n + 1)
+        if mu == 1:
+            want[0, k + 1] = want[k + 1, n] = b
+            want[0, n] = b * b / 2
+        else:
+            want[k + 1, k + 1] = mu
+            want[0, n] = -b * b * (mu + 1) / (2 * (mu - 1))
+        scale = max(1.0, float(np.max(np.abs(want))))
+        worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+    return worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_per_slot_projmap_route(data):
+    n = data.draw(st.integers(3, 6), label="n")
+    finite = st.floats(0.3, 2.5, allow_nan=False)
+    b = data.draw(st.lists(finite, min_size=n - 1, max_size=n - 1), label="b")
+    slots = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1), label="slots")
+    steps = data.draw(st.integers(1, 21), label="steps")
+    grid = np.linspace(0.0, data.draw(st.floats(0.1, 3.0), label="stop"), steps)
+    cusps = [RectangularCuspData(n, b=b, s=[float(s) if bent else 0.0 for bent in slots])
+             for s in grid]
+    residuals = conjugation_residuals(b, [c.s for c in cusps], [c.mu for c in cusps])
+    assert residuals.shape == (steps,)
+    for cusp, residual in zip(cusps, residuals):
+        assert residual == _independent_residual(cusp)
+        cls = conjugate_and_match(cusp)
+        assert cls.residual == residual
+        assert cls.type == sum(1 for s in cusp.s if s != 0)
 
 
 def test_standard_generators_explicit_matrix():
@@ -294,6 +380,10 @@ def test_classify_h_form_rejects_off_pattern_input():
     bad = ProjMap(np.eye(4) + 0.2 * np.tril(np.ones((4, 4)), -1))
     with pytest.raises((PatternMismatch, ValueError)):
         classify_h_form([bad])
+    nan_entry = np.eye(4)
+    nan_entry[0, 2] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        classify_h_form([ProjMap(nan_entry)])
 
 
 def test_classified_cusp_json():

@@ -310,8 +310,7 @@ def conjugation_residuals(b, s, mu) -> np.ndarray:
     coord = slot + 1                         # matrix index of slot k
     r_bent, k_bent = np.nonzero(mu != 1)
 
-    unipotent = np.zeros((m, n + 1, n + 1))
-    unipotent[:, np.arange(n + 1), np.arange(n + 1)] = 1.0
+    unipotent = np.repeat(np.eye(n + 1)[None], m, axis=0)
     unipotent[slot, 0, coord] = b
     unipotent[slot, coord, n] = b
     unipotent[slot, 0, n] = b * b / 2

@@ -13,18 +13,18 @@ march resolves.
   end solves A v^2 + 2 B v - C = 0 with C > 0 (the point is interior) and
   is that equation's positive root, in closed form (Klein model;
   Papadopoulos-Troyanov, *Handbook of Hilbert Geometry*, EMS 2014).
-* The model domains of type t >= 1 are not quadrics: their ends come from
-  the bracket-then-bisect march of the generic oracle route in
-  :mod:`cuspbend.hilbert`.  Double the line parameter outward until the
+* Every other domain, the model domains of type t >= 1 and any oracle's
+  ``value`` function among them, takes its ends from one bracket-then-bisect
+  march over all rays at once.  Double the line parameter outward until the
   domain is exited (past ``U_CAP`` the chord never leaves the chart), then
   bisect at most ``MAX_BISECT`` times, stopping early at the float fixed
-  point.  A ray whose direction cannot make the leaf value fall is marked
-  unbounded before the march.
+  point.  On the model domains a ray whose direction cannot make the leaf
+  value fall is marked unbounded before the march.
 
 The march needs nothing but a value function that is negative inside, so
-it stays as the reference route: ``verify``'s ``hilbert.klein-agreement``
-compares the Klein formula against the march on the ball, an independent
-route to the ball's closed form.
+it is also the reference route for the closed forms: ``verify``'s
+``hilbert.klein-agreement`` compares the Klein formula against the march
+on the ball.
 """
 
 from __future__ import annotations
@@ -37,6 +37,15 @@ MAX_BISECT = 200
 
 def _ball_value_np(P):
     return np.sum(P * P, axis=1) - 1.0
+
+
+def _model_value_np(P, psi, t):
+    """Negated leaf coordinate of the rows of P: negative inside the model
+    domain, inf where a log coordinate is nonpositive."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        v = -_leaf_value(P.T, psi, t)
+    v[np.isnan(v)] = np.inf
+    return v
 
 
 def _leaf_value(cols, psi, t):
@@ -61,7 +70,7 @@ def _dot(P, Q):
 def _quadric_root(A, B, C):
     """Positive root of A v^2 + 2 B v - C = 0 for C > 0, cancellation-free;
     inf when A = 0 and B < 0 (the ray never leaves the domain)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.sqrt(B * B + A * C)
         return np.where(B > 0.0, C / (B + r), (r - B) / A)
 
@@ -96,31 +105,34 @@ def _model0_end(P, E):
 
 
 def _march_np(inside, unbounded):
-    """End parameter u >= 1 of every ray, nan where it is unbounded.
+    """End parameter u >= 1 of every ray, nan where it is unbounded, and the
+    width of its final bracket.
 
-    ``inside(u)`` tells which rays are inside the domain at parameter u."""
+    ``inside(u)`` tells which rays are inside the domain at parameter u; its
+    floating-point warnings (rows off the domain or the chart) are silenced."""
     lo = np.ones(unbounded.shape[0])
     hi = np.full(unbounded.shape[0], 2.0)
     unbounded = unbounded.copy()
-    while True:
-        step = inside(hi) & ~unbounded
-        if not step.any():
-            break
-        lo[step] = hi[step]
-        hi[step] *= 2.0
-        unbounded |= hi > U_CAP
-    hi[unbounded] = lo[unbounded]
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        step = (mid != lo) & (mid != hi)
-        if not step.any():
-            break
-        ins = inside(mid)
-        np.copyto(lo, mid, where=step & ins)
-        np.copyto(hi, mid, where=step & ~ins)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        while True:
+            step = inside(hi) & ~unbounded
+            if not step.any():
+                break
+            lo[step] = hi[step]
+            hi[step] *= 2.0
+            unbounded |= hi > U_CAP
+        hi[unbounded] = lo[unbounded]
+        for _ in range(MAX_BISECT):
+            mid = 0.5 * (lo + hi)
+            step = (mid != lo) & (mid != hi)
+            if not step.any():
+                break
+            ins = inside(mid)
+            np.copyto(lo, mid, where=step & ins)
+            np.copyto(hi, mid, where=step & ~ins)
     u = 0.5 * (lo + hi)
     u[unbounded] = np.nan
-    return u
+    return u, hi - lo
 
 
 def _rays(X, Y):
@@ -129,23 +141,16 @@ def _rays(X, Y):
     return np.vstack([X, Y]), np.vstack([D, -D])
 
 
-def _march_distances(inside, unbounded):
-    """Distances from the march of the rays of :func:`_rays`."""
+def _march_distances(ends):
+    """Distances from the end parameters of the rays of :func:`_rays`."""
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        u, s = np.split(_march_np(inside, unbounded), 2)
+        u, s = np.split(ends, 2)
         out = 0.5 * np.log(s * u / ((s - 1.0) * (u - 1.0)))
         out = np.where(np.isnan(u), 0.5 * np.log(s / (s - 1.0)), out)
         out = np.where(np.isnan(s), 0.5 * np.log(u / (u - 1.0)), out)
     # both ends at the chord's one point at infinity (x = y among them): cross ratio 1
     out[np.isnan(u) & np.isnan(s)] = 0.0
     return out
-
-
-def _distances_np(value_fn, X, Y):
-    """Distances by the march on a value function that is negative inside."""
-    P, E = _rays(X, Y)
-    return _march_distances(lambda u: value_fn(P + u[:, None] * E) < 0.0,
-                            np.zeros(P.shape[0], dtype=bool))
 
 
 def _model_inside(P, E, psi, t):
@@ -165,16 +170,26 @@ def _model_ray_stays(E, t):
 # public entry points
 
 
-def ball_interior(P):
-    """Rows of P that are finite points strictly inside the unit ball."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.all(np.isfinite(P), axis=1) & (_ball_value_np(P) < 0.0)
-
-
-def model_interior(P, psi, t: int):
-    """Rows of P that are finite points strictly inside the model domain."""
+def interior(value_fn, P):
+    """Rows of P that are finite points strictly inside the domain of a value
+    function."""
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        return np.all(np.isfinite(P), axis=1) & (_leaf_value(P.T, psi, t) > 0.0)
+        return np.all(np.isfinite(P), axis=1) & (value_fn(P) < 0.0)
+
+
+def value_march(value_fn, X, Y):
+    """End parameters and final bracket widths of both rays of every chord
+    (see :func:`_rays`), by the march on a value function of chart rows that
+    is negative inside."""
+    P, E = _rays(X, Y)
+    return _march_np(lambda u: value_fn(P + u[:, None] * E) < 0.0,
+                     np.zeros(P.shape[0], dtype=bool))
+
+
+def value_distances(value_fn, X, Y) -> np.ndarray:
+    """Hilbert distances by the march on a value function that is negative
+    inside."""
+    return _march_distances(value_march(value_fn, X, Y)[0])
 
 
 def ball_distances(X, Y) -> np.ndarray:
@@ -193,4 +208,4 @@ def model_distances(X, Y, psi, t: int) -> np.ndarray:
         return _quadric_distances(_model0_end, X, Y)
     psi = np.ascontiguousarray(psi, dtype=np.float64)
     P, E = _rays(X, Y)
-    return _march_distances(_model_inside(P, E, psi, t), _model_ray_stays(E, t))
+    return _march_distances(_march_np(_model_inside(P, E, psi, t), _model_ray_stays(E, t))[0])

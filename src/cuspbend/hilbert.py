@@ -1,9 +1,20 @@
-"""Hilbert metric on properly convex domains presented by membership oracles.
+"""Hilbert metric on properly convex domains presented by oracles.
 
 The distance between two interior points is half the log of the cross ratio
 of the four collinear points (boundary, x, y, boundary) on their chord.
-Boundary crossings are located by an exponential march followed by bisection:
-oracle-only access forbids closed-form intersection.
+
+A domain answers two questions: ``classify`` places one projective point,
+and ``value`` takes chart rows of shape (m, n) and is negative exactly on
+the rows inside.  The built-in oracles supply ``value`` in numpy: the unit
+ball's quadric and the model domain's negated leaf coordinate.
+``transformed_oracle`` pulls all rows back through g^-1 with one matmul and
+divides by the last homogeneous coordinate whatever its sign, as the
+projective ``classify`` does; a row on the pulled-back hyperplane at
+infinity is outside.  An oracle built from ``classify`` alone gets a row
+loop over it.  Chord ends come from one vectorized march on ``value``
+(exponential bracketing, then bisection; :mod:`cuspbend._hilbert_kernels`)
+for every pair at once; only the unmoved built-in domains take their closed
+forms and kernels instead.  A single pair is a batch of one row.
 
 Everything here is float; the identities tested are metric, not algebraic.
 A chord that never leaves the affine chart at one end (the model cusp
@@ -34,27 +45,47 @@ from .cusp_models import (
 )
 from .projlin import DEFAULT_TOL, ProjMap, ProjPoint, act, inverse
 
-MAX_BISECT = _kernels.MAX_BISECT
-U_CAP = _kernels.U_CAP
-
 
 class ConvexityViolation(RuntimeError):
     """A tested chord met the interior in more than one interval."""
 
 
 @dataclass(frozen=True)
+class _ClassifyRows:
+    """``value`` of an oracle known only by ``classify``: one call per row at
+    tol 0, -1 inside and +1 elsewhere (non-finite rows included)."""
+
+    classify: Callable[..., str]
+
+    def __call__(self, P: np.ndarray) -> np.ndarray:
+        return np.array([-1.0 if np.all(np.isfinite(x))
+                         and self.classify(_chart_point(x), 0.0) == INTERIOR else 1.0
+                         for x in P])
+
+
+@dataclass(frozen=True)
 class ConvexDomainOracle:
-    """Properly convex domain known only through a classification oracle.
+    """Properly convex domain known through oracles.
 
     ``classify(point, tol)`` returns one of interior / boundary / exterior /
-    outside-chart; convexity is an assumed contract.  ``kind`` and ``params``
-    let the batch routines route built-in domains to the fast kernels.
+    outside-chart.  ``value(P)`` maps chart rows of shape (m, n) to m floats,
+    negative inside and positive or ``inf`` elsewhere (``inf`` off the
+    chart); it may leave floating-point warnings to its caller.  Left out, it
+    is a row loop over ``classify``.  Convexity is an assumed contract.
+    ``kind`` and ``params`` route the built-in domains to their closed forms
+    and kernels.
     """
 
     n: int
     classify: Callable[..., str]
     kind: str = "custom"
     params: tuple = ()
+    value: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        # a replaced classify replaces the row loop built from the old one
+        if self.value is None or isinstance(self.value, _ClassifyRows):
+            object.__setattr__(self, "value", _ClassifyRows(self.classify))
 
 
 def ball_oracle(n: int) -> ConvexDomainOracle:
@@ -70,7 +101,7 @@ def ball_oracle(n: int) -> ConvexDomainOracle:
             return BOUNDARY
         return INTERIOR if val < 0 else EXTERIOR
 
-    return ConvexDomainOracle(n, classify, kind="ball")
+    return ConvexDomainOracle(n, classify, kind="ball", value=_kernels._ball_value_np)
 
 
 def model_domain_oracle(psi: CuspParameter) -> ConvexDomainOracle:
@@ -87,17 +118,25 @@ def model_domain_oracle(psi: CuspParameter) -> ConvexDomainOracle:
 
     t = psi.type
     params = (tuple(float(x) for x in psi.psi[:t]), t)
-    return ConvexDomainOracle(psi.n, classify, kind="model", params=params)
+    psi_t = np.array(params[0], dtype=np.float64)
+    return ConvexDomainOracle(psi.n, classify, kind="model", params=params,
+                              value=lambda P: _kernels._model_value_np(P, psi_t, t))
 
 
 def transformed_oracle(dom: ConvexDomainOracle, g: ProjMap) -> ConvexDomainOracle:
-    """Oracle for the image g(domain); classification pulls back through g."""
+    """Oracle for the image g(domain); both oracles pull back through g."""
     g_inv = inverse(g.to_float())
+    # chart rows P pull back to the homogeneous rows P @ lin + shift
+    lin, shift = g_inv.entries.T[:-1], g_inv.entries.T[-1]
 
     def classify(p: ProjPoint, tol: float = DEFAULT_TOL) -> str:
         return dom.classify(act(g_inv, p.to_float()), tol)
 
-    return ConvexDomainOracle(dom.n, classify)
+    def value(P: np.ndarray) -> np.ndarray:
+        H = P @ lin + shift
+        return np.where(H[:, -1] == 0.0, np.inf, dom.value(H[:, :-1] / H[:, -1:]))
+
+    return ConvexDomainOracle(dom.n, classify, value=value)
 
 
 @dataclass(frozen=True)
@@ -135,74 +174,43 @@ def _chart_point(x: np.ndarray) -> ProjPoint:
     return ProjPoint(np.append(x, 1.0))
 
 
-def _require_interior(dom: ConvexDomainOracle, name: str, pt: np.ndarray) -> None:
-    if not (np.all(np.isfinite(pt)) and dom.classify(_chart_point(pt), 0.0) == INTERIOR):
-        raise ValueError(f"point {name} is not interior to the domain")
-
-
-def _require_interior_rows(X: np.ndarray, Y: np.ndarray, interior) -> None:
-    """The batch form of the contract: name the first bad row and point."""
-    bad_x, bad_y = ~interior(X), ~interior(Y)
+def _require_interior_rows(dom: ConvexDomainOracle, X: np.ndarray, Y: np.ndarray,
+                           batch: bool) -> None:
+    """The input contract: every point finite and strictly interior.  A
+    batch names the first offending row, a single pair only the point."""
+    bad_x = ~_kernels.interior(dom.value, X)
+    bad_y = ~_kernels.interior(dom.value, Y)
     rows = np.flatnonzero(bad_x | bad_y)
     if rows.size:
         i = int(rows[0])
-        raise ValueError(
-            f"row {i}: point {'x' if bad_x[i] else 'y'} is not interior to the domain")
+        msg = f"point {'x' if bad_x[i] else 'y'} is not interior to the domain"
+        raise ValueError(f"row {i}: {msg}" if batch else msg)
 
 
-def _march(dom: ConvexDomainOracle, base: np.ndarray, direction: np.ndarray,
-           max_bisect: int):
-    """Bracket and bisect the boundary along base + u*direction, u >= 1.
+def chord_boundary(dom: ConvexDomainOracle, x, y) -> ChordIntersection:
+    """Locate the two boundary points of the chord through interior x, y.
 
-    Classification runs at tol 0 so bisection converges to the sign change
-    itself, not the edge of a tolerance band.  Returns (u, residual) or
-    (None, None) when the march hits the cap without leaving the domain.
+    The march runs on ``dom.value`` to the float fixed point of bisection;
+    ``residual`` is the wider final bracket of the two bounded ends, in
+    chart units.
     """
-
-    def interior(u: float) -> bool:
-        return dom.classify(_chart_point(base + u * direction), 0.0) == INTERIOR
-
-    lo, hi = 1.0, 2.0
-    while interior(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > U_CAP:
-            return None, None
-    for _ in range(max_bisect):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if interior(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), (hi - lo) * float(np.linalg.norm(direction))
-
-
-def chord_boundary(dom: ConvexDomainOracle, x, y,
-                   max_bisect: int = MAX_BISECT) -> ChordIntersection:
-    """Locate the two boundary points of the chord through interior x, y."""
     xc = _as_chart(x, dom.n)
     yc = _as_chart(y, dom.n)
     if np.array_equal(xc, yc):
         raise ValueError("chord needs two distinct points")
-    for name, pt in (("x", xc), ("y", yc)):
-        _require_interior(dom, name, pt)
+    _require_interior_rows(dom, xc[None], yc[None], batch=False)
+    # ray from x along d ends at z2 = x + u d, ray from y along -d at z1 = y - s d
+    (u, s), widths = _kernels.value_march(dom.value, xc[None], yc[None])
     d = yc - xc
-    u2, res2 = _march(dom, xc, d, max_bisect)
-    s1, res1 = _march(dom, yc, -d, max_bisect)
-    unbounded = None
-    if u2 is None and s1 is None:
-        unbounded = "both"
-    elif u2 is None:
-        unbounded = "z2"
-    elif s1 is None:
-        unbounded = "z1"
-    z1 = None if s1 is None else _chart_point(yc - s1 * d)
-    z2 = None if u2 is None else _chart_point(xc + u2 * d)
-    residual = max([r for r in (res1, res2) if r is not None], default=math.nan)
+    bounded = ~np.isnan([u, s])
+    residual = (float(np.max(widths[bounded])) * float(np.linalg.norm(d))
+                if bounded.any() else math.nan)
+    unbounded = {(True, True): None, (False, False): "both",
+                 (False, True): "z2", (True, False): "z1"}[tuple(bounded)]
+    z1 = _chart_point(yc - s * d) if bounded[1] else None
+    z2 = _chart_point(xc + u * d) if bounded[0] else None
     # line parameter of each crossing in p(u) = x + u(y-x): z1 at 1-s, z2 at u
-    u_params = (None if s1 is None else 1.0 - s1, u2)
+    u_params = (float(1.0 - s) if bounded[1] else None, float(u) if bounded[0] else None)
     return ChordIntersection(z1, z2, residual, unbounded, u_params)
 
 
@@ -232,77 +240,61 @@ def cross_ratio(z1, x, y, z2, tol: float = DEFAULT_TOL) -> float:
     return abs(num / den)
 
 
-def hilbert_distance(dom: ConvexDomainOracle, x, y,
-                     max_bisect: int = MAX_BISECT) -> float:
-    """Hilbert distance between interior points.
+def hilbert_distance(dom: ConvexDomainOracle, x, y) -> float:
+    """Hilbert distance between interior points: :func:`hilbert_distances`
+    on one row, with the bad-input message naming only the point.
 
     An end of the chord that never leaves the chart meets the boundary at
     the chord's point at infinity.  When both ends do, they meet it at the
     same point, so the cross ratio is 1 and the distance 0 (use
     chord_boundary directly for the diagnostic).
     """
-    xc = _as_chart(x, dom.n)
-    yc = _as_chart(y, dom.n)
-    if np.array_equal(xc, yc):
-        _require_interior(dom, "x", xc)
-        return 0.0
-    chord = chord_boundary(dom, xc, yc, max_bisect)
-    if chord.unbounded == "both":
-        return 0.0
-    z1, z2 = chord.z1, chord.z2
-    if chord.unbounded is not None:
-        at_infinity = ProjPoint(np.append(yc - xc, 0.0))
-        z1 = at_infinity if z1 is None else z1
-        z2 = at_infinity if z2 is None else z2
-    return 0.5 * math.log(cross_ratio(z1, _chart_point(xc), _chart_point(yc), z2))
+    X = _as_chart(x, dom.n)[None]
+    Y = _as_chart(y, dom.n)[None]
+    _require_interior_rows(dom, X, Y, batch=False)
+    return float(hilbert_distances(dom, X, Y)[0])
 
 
 def hilbert_distances(dom: ConvexDomainOracle, X, Y) -> np.ndarray:
     """Batch distances for row-paired chart points.
 
-    Built-in domains run through the vectorized kernels of
-    :mod:`cuspbend._hilbert_kernels`: the unit ball and the type-0 model
-    domain are quadrics and take their chord ends in closed form; model
-    domains of type t >= 1 have none and march every row at once.  Custom
-    oracles fall back to :func:`hilbert_distance` per pair.  The marches stay
-    as reference routes, since they need only a membership test: ``verify``
-    checks the Klein formula against the batch march, and the tests check
-    every batch row against the per-pair route.  Bad input raises the
-    ValueError of :func:`hilbert_distance`, prefixed with the first
-    offending row.
+    The unit ball and the type-0 model domain are quadrics and take their
+    chord ends in closed form; model domains of type t >= 1 march every row
+    at once with their own ray test (:mod:`cuspbend._hilbert_kernels`).
+    Every other domain, moved built-ins and classify-only oracles included,
+    runs the same march on its ``value`` function.  The march is also the
+    independent route to the closed forms: ``verify`` checks the Klein
+    formula against it on the ball.  Bad input raises the ValueError of
+    :func:`hilbert_distance`, prefixed with the first offending row.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if X.shape != Y.shape or X.shape[1] != dom.n:
         raise ValueError(f"expected paired arrays of shape (m, {dom.n})")
+    _require_interior_rows(dom, X, Y, batch=True)
     if dom.kind == "ball":
-        _require_interior_rows(X, Y, _kernels.ball_interior)
         return _kernels.ball_distances(X, Y)
     if dom.kind == "model":
         psi, t = dom.params
-        psi = np.asarray(psi, dtype=np.float64)
-        _require_interior_rows(X, Y, lambda P: _kernels.model_interior(P, psi, t))
-        return _kernels.model_distances(X, Y, psi, t)
-    out = np.empty(X.shape[0])
-    for i, (x, y) in enumerate(zip(X, Y)):
-        try:
-            out[i] = hilbert_distance(dom, x, y)
-        except ValueError as exc:
-            raise ValueError(f"row {i}: {exc}") from exc
-    return out
+        return _kernels.model_distances(X, Y, np.asarray(psi, dtype=np.float64), t)
+    return _kernels.value_distances(dom.value, X, Y)
 
 
 def klein_distance(x, y) -> float:
     """Closed-form hyperbolic distance between interior points of the unit
-    ball: arccosh((1 - x.y) / sqrt((1-|x|^2)(1-|y|^2)))."""
+    ball, arccosh((1 - x.y) / sqrt((1-|x|^2)(1-|y|^2))), evaluated as
+    arcsinh(sqrt(|d|^2 (1-|x|^2) + (x.d)^2) / sqrt((1-|x|^2)(1-|y|^2))) with
+    d = y - x: a sum of nonnegative terms, accurate for nearby points too."""
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
     nx = float(np.dot(xv, xv))
     ny = float(np.dot(yv, yv))
     if nx >= 1.0 or ny >= 1.0:
         raise ValueError("arguments must lie strictly inside the unit ball")
-    arg = (1.0 - float(np.dot(xv, yv))) / math.sqrt((1.0 - nx) * (1.0 - ny))
-    return math.acosh(max(arg, 1.0))
+    d = yv - xv
+    xd = float(np.dot(xv, d))
+    num = float(np.dot(d, d)) * (1.0 - nx) + xd * xd
+    return math.asinh(math.sqrt(num / ((1.0 - nx) * (1.0 - ny))))
 
 
 def convexity_scan(dom: ConvexDomainOracle, x, y, samples: int = 64) -> None:
@@ -310,9 +302,8 @@ def convexity_scan(dom: ConvexDomainOracle, x, y, samples: int = 64) -> None:
     interior in a single interval.  Raises ConvexityViolation otherwise."""
     xc = _as_chart(x, dom.n)
     yc = _as_chart(y, dom.n)
-    tags = [dom.classify(_chart_point(xc + t * (yc - xc)), 0.0)
-            for t in np.linspace(0.0, 1.0, samples)]
-    runs = [tag for i, tag in enumerate(tags) if i == 0 or tag != tags[i - 1]]
-    if runs.count(INTERIOR) > 1:
-        raise ConvexityViolation(
-            f"interior met in {runs.count(INTERIOR)} intervals along tested chord")
+    ts = np.linspace(0.0, 1.0, samples)[:, None]
+    inside = _kernels.interior(dom.value, xc + ts * (yc - xc))
+    runs = int(inside[0]) + int(np.count_nonzero(inside[1:] & ~inside[:-1]))
+    if runs > 1:
+        raise ConvexityViolation(f"interior met in {runs} intervals along tested chord")

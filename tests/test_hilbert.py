@@ -165,6 +165,9 @@ def test_hilbert_distance_identity_and_symmetry():
 def test_klein_distance_values():
     assert klein_distance([0.0, 0.0], [0.0, 0.0]) == 0.0
     assert klein_distance([0.0, 0.0], [0.5, 0.0]) == pytest.approx(HALF_LOG_3, abs=1e-14)
+    # nearby points: arccosh of a rounded cosine would read 0 here
+    assert klein_distance([0.0, 1e-12], [1e-12, 0.0]) == pytest.approx(
+        math.sqrt(2.0) * 1e-12, rel=1e-12)
     with pytest.raises(ValueError):
         klein_distance([1.0, 0.0], [0.0, 0.0])
 
@@ -212,22 +215,72 @@ def _bad_point(kind, dom_kind, n, t):
     return np.array([first] + [1.0] * t + [0.0] * (n - 1 - t))
 
 
+def _leaf(psi, t, p):
+    """Leaf coordinate of a chart point in Python floats; None where a log
+    coordinate is nonpositive."""
+    c = p[0]
+    for k in range(t):
+        if p[1 + k] <= 0.0:
+            return None
+        c += psi[k] * math.log(p[1 + k])
+    for v in p[1 + t:]:
+        c -= 0.5 * v * v
+    return c
+
+
+def _ray_end(psi, t, p, e):
+    """End parameter u > 1 of the ray p + u e from an interior p + e of the
+    type-t model domain (psi_k > 0 for k < t), by scalar bisection; inf at
+    the chord's point at infinity.  The leaf value falls without bound along
+    the ray unless the free coordinates are fixed and the first and the log
+    coordinates do not decrease."""
+    if e[0] >= 0.0 and all(v >= 0.0 for v in e[1:1 + t]) and all(v == 0.0 for v in e[1 + t:]):
+        return math.inf
+
+    def inside(u):
+        c = _leaf(psi, t, [a + u * b for a, b in zip(p, e)])
+        return c is not None and c > 0.0
+
+    lo, hi = 1.0, 2.0
+    while inside(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > 2.0 ** 60:
+            return math.inf     # its factor log1p(1/(u-1)) is below 1e-18
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _model_reference(psi, t, x, y):
+    """Hilbert distance in the model domain from scalar chord ends: the ray
+    from x through y ends at x + u d, the one from y through x at y - s d."""
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    d = [b - a for a, b in zip(x, y)]
+    u = _ray_end(psi, t, x, d)
+    s = _ray_end(psi, t, y, [-v for v in d])
+    return 0.5 * (math.log1p(1.0 / (u - 1.0)) + math.log1p(1.0 / (s - 1.0)))
+
+
 @pytest.mark.parametrize("kind,n,t", [("ball", 2, 0), ("ball", 3, 0), ("model", 3, 0),
                                       ("model", 3, 1), ("model", 3, 2)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_batch_rows_equal_single_pair(kind, n, t, data):
-    """Each row of hilbert_distances equals hilbert_distance, the generic
-    oracle march: closed forms on the quadrics, the vectorized march for
-    t >= 1, chords with an end at infinity, x = y rows and bad rows."""
+    """Each row of hilbert_distances equals hilbert_distance on that row
+    alone and an independent reference: the Klein formula on the ball, the
+    test's scalar bisection on the leaf value for the model domains.  Rows
+    cover chords with an end at infinity, x = y and bad points."""
     if kind == "ball":
         dom = ball_oracle(n)
         point = lambda: _ball_point(data.draw, n)
+        reference = lambda x, y: 0.0 if np.array_equal(x, y) else klein_distance(x, y)
     else:
         a = data.draw(st.floats(0.3, 2.0))
         psi = np.array([a, data.draw(st.floats(0.1, a)), 0.0][:t] + [0.0] * (n - t))
         dom = model_domain_oracle(CuspParameter(psi.tolist()))
         point = lambda: _model_point(data.draw, psi, t, n)
+        reference = lambda x, y: _model_reference(psi.tolist(), t, x, y)
     row_kinds = ["pair", "same"] + (["infinity"] if kind == "model" else [])
     X, Y = [], []
     for row in data.draw(st.lists(st.sampled_from(row_kinds), min_size=1, max_size=6)):
@@ -250,8 +303,8 @@ def test_batch_rows_equal_single_pair(kind, n, t, data):
 
     batch = hilbert_distances(dom, X, Y)
     for i, (x, y) in enumerate(zip(X, Y)):
-        want = hilbert_distance(dom, x, y)
-        assert abs(batch[i] - want) <= 1e-12 * max(1.0, want), (i, batch[i], want)
+        for want in (hilbert_distance(dom, x, y), reference(x, y)):
+            assert abs(batch[i] - want) <= 1e-12 * max(1.0, want), (i, batch[i], want)
 
     bad_row = data.draw(st.integers(0, len(X) - 1))
     bad = _bad_point(data.draw(st.sampled_from(["exterior", "boundary", "nan"])), kind, n, t)
@@ -260,6 +313,7 @@ def test_batch_rows_equal_single_pair(kind, n, t, data):
         hilbert_distance(dom, X[bad_row], Y[bad_row])
     with pytest.raises(ValueError) as batched:
         hilbert_distances(dom, X, Y)
+    assert not str(single.value).startswith("row")
     assert str(batched.value) == f"row {bad_row}: {single.value}"
 
 
@@ -274,6 +328,101 @@ def test_transformed_oracle_naturality():
     gy = act(g, ProjPoint([*y, 1.0]))
     assert abs(hilbert_distance(dom, x, y)
                - hilbert_distance(moved, gx, gy)) <= 1e-9
+
+
+def _moved(G, P):
+    """Chart coordinates of the images of chart rows P under the matrix G."""
+    H = np.hstack([P, np.ones((len(P), 1))]) @ G.T
+    return H[:, :-1] / H[:, -1:]
+
+
+def _projective(rng, last_row):
+    G = np.eye(4)
+    G[:3, :] += rng.uniform(-0.2, 0.2, (3, 4))
+    G[3, :3] = last_row
+    return G
+
+
+def _leaf_point(rng, psi, t, n=3):
+    c = rng.uniform(0.05, 2.0)
+    logs = rng.uniform(0.3, 2.5, t)
+    free = rng.uniform(-1.5, 1.5, n - 1 - t)
+    first = c - float(np.dot(psi[:t], np.log(logs))) + 0.5 * float(np.dot(free, free))
+    return np.concatenate([[first], logs, free])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["G", "-G"])
+def test_moved_domains_match_closed_forms(sign):
+    """The march on a moved domain's value equals an independent route at
+    the pulled-back points: the Klein formula on the ball, the scalar
+    bisection on a type-1 model domain.  -G is the same projective map
+    with every pulled-back row's last coordinate negative."""
+    rng = np.random.default_rng(12)
+    G = _projective(rng, rng.uniform(-0.25, 0.25, 3))
+    X = rng.uniform(-0.55, 0.55, (40, 3))
+    Y = rng.uniform(-0.55, 0.55, (40, 3))
+    moved = transformed_oracle(ball_oracle(3), ProjMap(sign * G))
+    got = hilbert_distances(moved, _moved(G, X), _moved(G, Y))
+    want = [klein_distance(x, y) for x, y in zip(X, Y)]
+    assert np.max(np.abs(got - want)) <= 1e-9
+
+    # c1 x1 + c2 x2 + 1 > 0 on the model domain when c2 >= c1 psi_1
+    a, c1 = 1.3, 0.2
+    G = _projective(rng, [c1, 1.5 * c1 * a, 0.0])
+    psi = [a, 0.0, 0.0]
+    pts = [_leaf_point(rng, psi, 1) for _ in range(60)]
+    X, Y = np.array(pts[:30]), np.array(pts[30:])
+    # chords with an end at infinity: y - x along the first and log coordinates
+    Y[:5] = X[:5] + np.array([[0.5, 0.3, 0.0]])
+    moved = transformed_oracle(model_domain_oracle(CuspParameter(psi)), ProjMap(sign * G))
+    got = hilbert_distances(moved, _moved(G, X), _moved(G, Y))
+    want = np.array([_model_reference(psi, 1, x, y) for x, y in zip(X, Y)])
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, want))
+
+
+@pytest.mark.parametrize("base", ["ball", "model"])
+def test_value_agrees_with_classify(base):
+    """A moved domain's value is negative exactly where its classify says
+    interior.  The moved chart's hyperplane at infinity cuts the base
+    domain, so interior rows pull back with either sign of last coordinate."""
+    rng = np.random.default_rng(14)
+    if base == "ball":
+        dom, B = ball_oracle(3), rng.uniform(-1.2, 1.2, (400, 3))
+    else:
+        dom = model_domain_oracle(CuspParameter([1.1, 0.0, 0.0]))
+        B = rng.uniform([-1.0, -0.5, -2.0], [3.0, 3.0, 2.0], (400, 3))
+    G = np.eye(4) + rng.uniform(-0.2, 0.2, (4, 4))
+    G[3] = [0.8, 0.0, 0.0, -0.3]
+    moved = transformed_oracle(dom, ProjMap(G))
+    P = _moved(G, B)
+    # the pull-back of P is (B, 1) / last
+    last = np.hstack([B, np.ones((len(B), 1))]) @ G[3]
+    inside = moved.value(P) < 0.0
+    tags = np.array([moved.classify(ProjPoint([*p, 1.0]), 0.0) == INTERIOR for p in P])
+    assert np.array_equal(inside, tags)
+    assert inside[last < 0].any() and inside[last > 0].any()
+    # the built-in value against the row loop over the same classify
+    assert np.array_equal(dom.value(B) < 0.0, ConvexDomainOracle(3, dom.classify).value(B) < 0.0)
+
+
+def test_classify_only_oracles_keep_working():
+    """An oracle built from classify alone, and a moved one, give the same
+    distance, chord ends and bad-input errors through the value row loop."""
+    g = ProjMap(np.array([[1.2, 0.3], [0.2, 1.0]]))
+    gmap = lambda t: (1.2 * t + 0.3) / (0.2 * t + 1.0)
+    for dom, f in ((interval_oracle(), lambda t: t),
+                   (transformed_oracle(interval_oracle(), g), gmap)):
+        x, y = [f(0.0)], [f(0.5)]
+        assert hilbert_distance(dom, x, y) == pytest.approx(HALF_LOG_3, abs=1e-12)
+        assert hilbert_distances(dom, [x, y], [y, x]) == pytest.approx([HALF_LOG_3] * 2, abs=1e-12)
+        chord = chord_boundary(dom, x, y)
+        assert chord.z1.chart()[0] == pytest.approx(f(-1.0), abs=1e-12)
+        assert chord.z2.chart()[0] == pytest.approx(f(1.0), abs=1e-12)
+        assert chord.unbounded is None and chord.residual <= 1e-12
+        with pytest.raises(ValueError, match="^point y is not interior to the domain$"):
+            hilbert_distance(dom, x, [f(2.0)])
+        with pytest.raises(ValueError, match="^row 1: point x is not interior to the domain$"):
+            hilbert_distances(dom, [x, [f(-3.0)]], [y, y])
 
 
 def test_geodesy_on_segments():

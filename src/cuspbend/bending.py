@@ -99,9 +99,11 @@ class MarkedRep:
         return list(self.generators)
 
     def evaluate(self, word) -> ProjMap:
-        """Image of a word in the generators."""
+        """Image of a word in the generators; the empty word gives the
+        identity.  The product starts from the first letter, not from the
+        identity."""
         word = parse_word(word)
-        result = ProjMap.identity(self.n, exact=self._exact())
+        result = None
         for name, exp in word:
             if name not in self.generators:
                 raise KeyError(f"unknown generator {name!r}")
@@ -111,7 +113,9 @@ class MarkedRep:
             else:
                 g = self.generators[name]
             for _ in range(exp):
-                result = compose(result, g)
+                result = g if result is None else compose(result, g)
+        if result is None:
+            return ProjMap.identity(self.n, exact=self._exact())
         return result
 
     def _inverse(self, name: str) -> ProjMap:

@@ -25,12 +25,18 @@ nonzero bending parameters.  Note a_i blows up as s_i -> 0+: the inverted
 parameters 1/a_i extend continuously by 0 across type changes, which is why
 sweeps report both.
 
-The conjugation is checked by one of two routes.  Exact data goes through
-integer :class:`ProjMap` arithmetic and must match with residual exactly 0.
-Float data goes through :func:`conjugation_residuals`, a numpy kernel that
-conjugates the generators of G grid rows at once and returns one scaled
-residual per row; :func:`conjugate_and_match` calls it on one row and the
-``sweep`` command on its whole grid.
+One private builder, :func:`_cusp_arrays`, writes down the bent generators
+g_k, the normalizing matrix A and the normal forms W_k for any number of
+rows of bending data, exact or float; the public generator and conjugator
+functions are slices of its output.  Each generator is checked in the
+inverse-free form A g_k = W_k A, which is equivalent to A g_k A^{-1} = W_k
+since det A = 1, so no route forms A^{-1}.  Exact data goes through integer
+:class:`ProjMap` products and must match with residual exactly 0.  Float
+data goes through :func:`conjugation_residuals`, which checks the
+generators of G grid rows in stacked matmuls and scales each entry of
+|A g - W A| by its componentwise rounding bound |A||g| + |W||A|;
+:func:`conjugate_and_match` runs that check on one row and the ``sweep``
+command on its whole grid.
 """
 
 from __future__ import annotations
@@ -142,6 +148,15 @@ class RectangularCuspData:
 
 @dataclass(frozen=True)
 class ClassifiedCusp:
+    """Cusp parameter, type and conjugator of a classified group.
+
+    ``residual`` is how far the conjugated generators miss their normal
+    form.  From bending data it is ``Fraction(0)`` on the exact route, and on
+    the float route the largest |A g - W A|_ij / (|A||g| + |W||A|)_ij over
+    all generators (0/0 read as 0, NaN kept), about eps on valid data; from
+    model-form generators (:func:`classify_h_form`) it is that function's
+    block-pattern and fit misfit."""
+
     psi: CuspParameter
     type: int
     conjugator: ProjMap
@@ -154,51 +169,6 @@ class ClassifiedCusp:
             "residual": scalar_to_json(self.residual),
             "conjugator": matrix_to_json(self.conjugator),
         }
-
-
-def _zero_one(exact: bool):
-    return (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-
-
-def standard_cusp_generators(data: RectangularCuspData) -> list[ProjMap]:
-    """Unbent generators: unipotent, pairwise commuting, generator i
-    translating by b_i along coordinate i."""
-    n = data.n
-    zero, one = _zero_one(all(is_exact(x) for x in data.b))
-    out = []
-    for k, b in enumerate(data.b):
-        i = k + 1                      # matrix index of coordinate i = k + 2
-        rows = [[zero] * (n + 1) for _ in range(n + 1)]
-        for j in range(n + 1):
-            rows[j][j] = one
-        rows[0][i] = b
-        rows[i][n] = b
-        rows[0][n] = b * b / 2
-        out.append(ProjMap(rows))
-    return out
-
-
-def bent_cusp_generators(data: RectangularCuspData) -> list[ProjMap]:
-    """Generators after bending: the diagonal factor with mu_i in position i
-    times the standard generator."""
-    n = data.n
-    zero, one = _zero_one(data.exact)
-    out = []
-    for k, g in enumerate(standard_cusp_generators(data)):
-        mu = data.mu[k]
-        if mu == 1:
-            out.append(g)
-            continue
-        diag = [one] * (n + 1)
-        diag[k + 1] = mu
-        out.append(compose(ProjMap.diagonal(diag), g))
-    return out
-
-
-def _check_float_guard(data: RectangularCuspData) -> None:
-    if not data.exact:
-        _guard_small_bending(np.array([data.s], dtype=np.float64),
-                             np.array([data.mu], dtype=np.float64))
 
 
 def _guard_small_bending(s: np.ndarray, mu: np.ndarray) -> None:
@@ -214,50 +184,6 @@ def _guard_small_bending(s: np.ndarray, mu: np.ndarray) -> None:
             "float classification is ill-conditioned there, supply exact mu instead")
 
 
-def normalizing_matrix(data: RectangularCuspData) -> ProjMap:
-    """Change of basis fixing e_1 that carries each bent generator's new
-    eigenvector to its own basis vector (and dually); identity on unbent
-    coordinates."""
-    _check_float_guard(data)
-    n = data.n
-    zero, one = _zero_one(data.exact)
-    rows = [[zero] * (n + 1) for _ in range(n + 1)]
-    for j in range(n + 1):
-        rows[j][j] = one
-    for k in data.bent_slots():
-        b, mu = data.b[k], data.mu[k]
-        denom = mu - one
-        rows[0][k + 1] = -b / denom
-        rows[k + 1][n] = mu * b / denom
-    return ProjMap(rows)
-
-
-def _normalizing_inverse(data: RectangularCuspData) -> ProjMap:
-    """Closed-form inverse of the normalizing matrix.
-
-    Writing A = I + C with C supported on row 1 (bent columns) and the last
-    column (bent rows), C^3 = 0, so A^{-1} = I - C + C^2 and C^2 is the
-    single corner entry sum(alpha_k * delta_k).  The generic float inverse
-    would needlessly refuse this matrix for tiny bending parameters.
-    """
-    n = data.n
-    zero, one = _zero_one(data.exact)
-    rows = [[zero] * (n + 1) for _ in range(n + 1)]
-    for j in range(n + 1):
-        rows[j][j] = one
-    corner = zero
-    for k in data.bent_slots():
-        b, mu = data.b[k], data.mu[k]
-        denom = mu - one
-        alpha = -b / denom
-        delta = mu * b / denom
-        rows[0][k + 1] = -alpha
-        rows[k + 1][n] = -delta
-        corner = corner + alpha * delta
-    rows[0][n] = corner
-    return ProjMap(rows)
-
-
 def expected_corner(b, mu):
     """Corner entry of the normal form of a bent generator."""
     return -b * b * (mu + 1) / (2 * (mu - 1))
@@ -268,49 +194,42 @@ def cusp_parameter_entry(b, mu, s) -> float:
     return float(expected_corner(float(b), float(mu))) / -float(s)
 
 
-def _expected_normal_form(data: RectangularCuspData, k: int) -> ProjMap:
-    n = data.n
-    zero, one = _zero_one(data.exact)
-    rows = [[zero] * (n + 1) for _ in range(n + 1)]
-    for j in range(n + 1):
-        rows[j][j] = one
-    mu = data.mu[k]
-    if mu == 1:
-        b = data.b[k]
-        rows[0][k + 1] = b
-        rows[k + 1][n] = b
-        rows[0][n] = b * b / 2
-    else:
-        rows[k + 1][k + 1] = mu
-        rows[0][n] = expected_corner(data.b[k], mu)
-    return ProjMap(rows)
+def _cusp_arrays(b, s, mu):
+    """Bent generators g, normalizing matrices A and normal forms W of G rows
+    of bending data: the one place the construction is written down.
 
+    ``b`` has length m = n - 1; ``s`` and ``mu`` have shape (G, m), with
+    mu = 1 on unbent slots.  Returns g and W of shape (G, m, n+1, n+1) and A
+    of shape (G, n+1, n+1), where for slot k (coordinate i = k + 2, matrix
+    index k + 1):
 
-def conjugation_residuals(b, s, mu) -> np.ndarray:
-    """Float kernel: pattern residual of every row of a bending grid.
+    - g[r, k] is the unipotent U(b_k) -- b_k at (0, k+1) and (k+1, n),
+      b_k^2 / 2 at (0, n) -- with row k+1 scaled by mu_k;
+    - A[r] = I + C, where each bent slot k puts alpha = -b_k / (mu_k - 1) at
+      (0, k+1) and delta = mu_k b_k / (mu_k - 1) at (k+1, n) of C;
+    - W[r, k] is g[r, k] on an unbent slot, and on a bent one the identity
+      with mu_k at (k+1, k+1) and :func:`expected_corner` at (0, n).
 
-    ``b`` has shape (m,) with m = n - 1; ``s`` and ``mu`` have shape (G, m),
-    one row per grid value, with mu = 1 on unbent slots.  Generator k is
-    diag(mu) U(b_k): the unipotent U(b_k) with row k+1 scaled by mu_k.  The
-    normalizing matrix A and its closed-form inverse I - C + C^2 (see
-    :func:`_normalizing_inverse`) conjugate all G*m generators in two stacked
-    matmuls, and each slot is compared with its normal form.  The residual
-    of a slot is max|got - want| / max(1, max|want|): the normal form's
-    corner grows like 1/s, so an absolute comparison would drown legitimate
-    matches for small bending parameters.  A row's residual is the maximum
-    over its slots, and NaN if any slot's is.
+    C^2 has only the corner entry and C^3 = 0, so det A = 1.  The arrays are
+    ``object`` (exact scalars) when every b and mu is exact and ``float64``
+    otherwise; float data must pass the ``MIN_BEND_FLOAT`` guard.
     """
-    b = np.asarray(b, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
+    if all(map(is_exact, b)) and all(is_exact(x) for row in mu for x in row):
+        b = np.array([Fraction(x) for x in b], dtype=object)
+        mu = np.array([[Fraction(x) for x in row] for row in mu], dtype=object)
+        dtype = object
+    else:
+        b, s, mu = (np.asarray(x, dtype=np.float64) for x in (b, s, mu))
+        _guard_small_bending(s, mu)
+        dtype = np.float64
     rows, m = mu.shape
     n = m + 1
-    _guard_small_bending(s, mu)
+    eye = np.eye(n + 1, dtype=dtype)
     slot = np.arange(m)
-    coord = slot + 1                         # matrix index of slot k
+    coord = slot + 1
     r_bent, k_bent = np.nonzero(mu != 1)
 
-    unipotent = np.repeat(np.eye(n + 1)[None], m, axis=0)
+    unipotent = np.repeat(eye[None], m, axis=0)
     unipotent[slot, 0, coord] = b
     unipotent[slot, coord, n] = b
     unipotent[slot, 0, n] = b * b / 2
@@ -318,31 +237,75 @@ def conjugation_residuals(b, s, mu) -> np.ndarray:
     gens[:, slot, coord, :] *= mu[:, :, None]
 
     b_bent, mu_bent = b[k_bent], mu[r_bent, k_bent]
-    denom = mu_bent - 1.0
-    alpha = -b_bent / denom
-    delta = mu_bent * b_bent / denom
-    a_mat = np.repeat(np.eye(n + 1)[None], rows, axis=0)
-    a_inv = a_mat.copy()
-    a_mat[r_bent, 0, k_bent + 1] = alpha
-    a_mat[r_bent, k_bent + 1, n] = delta
-    a_inv[r_bent, 0, k_bent + 1] = -alpha
-    a_inv[r_bent, k_bent + 1, n] = -delta
-    # corner of C^2: the products summed slot by slot, as a Python sum would
-    products = np.zeros((rows, m))
-    products[r_bent, k_bent] = alpha * delta
-    corner = np.zeros(rows)
-    for k in range(m):
-        corner = corner + products[:, k]
-    a_inv[:, 0, n] = corner
-    got = np.matmul(np.matmul(a_mat[:, None], gens), a_inv[:, None])
+    denom = mu_bent - 1
+    a_mat = np.repeat(eye[None], rows, axis=0)
+    a_mat[r_bent, 0, k_bent + 1] = -b_bent / denom
+    a_mat[r_bent, k_bent + 1, n] = mu_bent * b_bent / denom
 
-    want = np.repeat(unipotent[None], rows, axis=0)
-    want[r_bent, k_bent, 0, k_bent + 1] = 0.0
-    want[r_bent, k_bent, k_bent + 1, n] = 0.0
-    want[r_bent, k_bent, k_bent + 1, k_bent + 1] = mu_bent
-    want[r_bent, k_bent, 0, n] = expected_corner(b_bent, mu_bent)
-    scale = np.maximum(1.0, np.max(np.abs(want), axis=(2, 3)))
-    return np.max(np.max(np.abs(got - want), axis=(2, 3)) / scale, axis=1)
+    normal = gens.copy()
+    normal[r_bent, k_bent, 0, k_bent + 1] = 0
+    normal[r_bent, k_bent, k_bent + 1, n] = 0
+    normal[r_bent, k_bent, 0, n] = expected_corner(b_bent, mu_bent)
+    return gens, a_mat, normal
+
+
+def standard_cusp_generators(data: RectangularCuspData) -> list[ProjMap]:
+    """Unbent generators: unipotent, pairwise commuting, generator i
+    translating by b_i along coordinate i."""
+    m = data.n - 1
+    gens, _, _ = _cusp_arrays(data.b, [[0] * m], [[1] * m])
+    return [ProjMap(g) for g in gens[0]]
+
+
+def bent_cusp_generators(data: RectangularCuspData) -> list[ProjMap]:
+    """Generators after bending: the diagonal factor with mu_i in position i
+    times the standard generator."""
+    gens, _, _ = _cusp_arrays(data.b, [data.s], [data.mu])
+    return [ProjMap(g) for g in gens[0]]
+
+
+def normalizing_matrix(data: RectangularCuspData) -> ProjMap:
+    """Change of basis fixing e_1 that carries each bent generator's new
+    eigenvector to its own basis vector (and dually); identity on unbent
+    coordinates."""
+    _, a_mat, _ = _cusp_arrays(data.b, [data.s], [data.mu])
+    return ProjMap(a_mat[0])
+
+
+def _intertwining_residuals(gens: np.ndarray, a_mat: np.ndarray,
+                            normal: np.ndarray) -> np.ndarray:
+    """Scaled residual of A g = W A for every row of float :func:`_cusp_arrays`
+    output: the maximum over slots and entries of
+
+        |A g - W A|_ij / (|A| |g| + |W| |A|)_ij,
+
+    the error over the componentwise rounding bound of the two products
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3).  An
+    entry whose bound is 0 has error 0 and reads 0; a NaN anywhere in a row
+    makes its residual NaN."""
+    a = a_mat[:, None]
+    err = np.abs(np.matmul(a, gens) - np.matmul(normal, a))
+    abs_a = np.abs(a)
+    bound = np.matmul(abs_a, np.abs(gens)) + np.matmul(np.abs(normal), abs_a)
+    return np.max(err / np.where(bound == 0, 1.0, bound), axis=(1, 2, 3))
+
+
+def conjugation_residuals(b, s, mu) -> np.ndarray:
+    """Float kernel: pattern residual of every row of a bending grid.
+
+    ``b`` has shape (m,) with m = n - 1; ``s`` and ``mu`` have shape (G, m),
+    one row per grid value, with mu = 1 on unbent slots.  :func:`_cusp_arrays`
+    builds the generators g, normalizing matrices A and normal forms W of all
+    G rows, and each slot is checked in the inverse-free form A g = W A
+    (equivalent to A g A^{-1} = W, as A is invertible) in stacked matmuls.
+    The residual of a slot is max_ij |A g - W A|_ij / (|A||g| + |W||A|)_ij,
+    with 0/0 read as 0: a relative error against the rounding bound of the
+    two products, so it stays near eps whatever the size of the entries,
+    which grow like 1/s.  A row's residual is the maximum over its slots,
+    and NaN if any slot's is.
+    """
+    arrays = _cusp_arrays(*(np.asarray(x, dtype=np.float64) for x in (b, s, mu)))
+    return _intertwining_residuals(*arrays)
 
 
 def require_normal_form(residuals: np.ndarray, tol: float) -> None:
@@ -363,20 +326,20 @@ def conjugate_and_match(data: RectangularCuspData,
     """Conjugate the bent generators into normal form, verify the pattern,
     and read off the cusp parameter.
 
-    Exact data must match exactly (zero residual), through integer
-    :class:`ProjMap` arithmetic; float data must match within tol, through
-    :func:`conjugation_residuals` on one row.  The conjugator is the
-    normalizing change of basis with its rows permuted so that the parameter
-    is sorted non-increasing.
+    The generators g_k, the normalizing matrix A and the normal forms W_k
+    come from :func:`_cusp_arrays`, and the check is A g_k = W_k A.  Exact
+    data must match exactly (zero residual), through integer
+    :class:`ProjMap` products; float data must match within tol, through
+    the scaled residual of :func:`conjugation_residuals`.  The conjugator is
+    A with its rows permuted so that the parameter is sorted non-increasing.
     """
     n = data.n
-    a_mat = normalizing_matrix(data)
+    gens, a_mat, normal = _cusp_arrays(data.b, [data.s], [data.mu])
     if data.exact:
-        a_inv = _normalizing_inverse(data)
+        a_map = ProjMap(a_mat[0])
         residual = Fraction(0)
-        for k, g in enumerate(bent_cusp_generators(data)):
-            got = compose(compose(a_mat, g), a_inv)
-            want = _expected_normal_form(data, k)
+        for g, w in zip(gens[0], normal[0]):
+            got, want = compose(a_map, ProjMap(g)), compose(ProjMap(w), a_map)
             # |N/d - M/e| = |N e - M d| / (d e), entrywise on the integer forms
             diff = np.max(np.abs(got.num * want.den - want.num * got.den))
             residual = max(residual, Fraction(diff, got.den * want.den))
@@ -385,8 +348,7 @@ def conjugate_and_match(data: RectangularCuspData,
                 f"exact conjugation failed to reach the normal form (residual {residual})",
                 residual)
     else:
-        residuals = conjugation_residuals(
-            np.array(data.b, dtype=np.float64), [data.s], [data.mu])
+        residuals = _intertwining_residuals(gens, a_mat, normal)
         require_normal_form(residuals, tol)
         residual = float(residuals[0])
 
@@ -399,9 +361,9 @@ def conjugate_and_match(data: RectangularCuspData,
     # P A is A with its rows reordered; + 0.0 turns a -0.0 entry into 0.0
     perm = [0] + [1 + k for k in order] + [n]
     if data.exact:
-        conjugator = ProjMap._from_exact(a_mat.num[perm], a_mat.den)
+        conjugator = ProjMap._from_exact(a_map.num[perm], a_map.den)
     else:
-        conjugator = ProjMap._from_float(a_mat.entries[perm] + 0.0)
+        conjugator = ProjMap._from_float(a_mat[0][perm] + 0.0)
     return ClassifiedCusp(psi, len(bent), conjugator, residual)
 
 

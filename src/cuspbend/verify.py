@@ -3,7 +3,9 @@
 Each suite re-checks the invariants its module promises, with seeded
 randomness so a (config, seed) pair fully determines the outcome.  Suites
 return :class:`PropertyResult` rows; the CLI renders them and turns any
-failure into a nonzero exit code.
+failure into a nonzero exit code.  Residuals are folded with ``np.maximum``,
+which keeps a NaN (Python's ``max(0.0, nan)`` is ``0.0``), so a NaN residual
+fails its property.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ def suite_projlin(seed: int = 0) -> list[PropertyResult]:
     for _ in range(200):
         n = int(rng.integers(2, 6))
         a, b, c = (ProjMap(_random_map(rng, n + 1)) for _ in range(3))
-        worst = max(worst, _norm_diff(compose(compose(a, b), c),
-                                      compose(a, compose(b, c))))
+        worst = np.maximum(worst, _norm_diff(compose(compose(a, b), c),
+                                            compose(a, compose(b, c))))
     out.append(_result("projlin", "compose-associative-float", 200, worst, 1e-12))
 
     exact_ok = True
@@ -105,7 +107,7 @@ def suite_projlin(seed: int = 0) -> list[PropertyResult]:
         p = ProjPoint(rng.uniform(-1, 1, n + 1) + 2.0)
         lhs = act(compose(a, b), p).coords
         rhs = act(a, act(b, p)).coords
-        worst = max(worst, float(np.max(np.abs(
+        worst = np.maximum(worst, float(np.max(np.abs(
             lhs / lhs[np.argmax(np.abs(lhs))] - rhs / rhs[np.argmax(np.abs(rhs))]))))
     out.append(_result("projlin", "act-composition", 200, worst, 1e-12))
 
@@ -127,15 +129,15 @@ def suite_projlin(seed: int = 0) -> list[PropertyResult]:
         size = int(rng.integers(4, 9))
         m = ProjMap(_random_map(rng, size, max_cond=1e3))
         for pair in projlin.eigen(m):
-            worst = max(worst, pair.residual)
+            worst = np.maximum(worst, pair.residual)
     out.append(_result("projlin", "eigen-residuals", 100, worst, 1e-9))
 
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 6))
         a = ProjMap(_random_map(rng, n + 1))
-        worst = max(worst, _norm_diff(compose(a, inverse(a)),
-                                      ProjMap.identity(n, exact=False)))
+        worst = np.maximum(worst, _norm_diff(compose(a, inverse(a)),
+                                            ProjMap.identity(n, exact=False)))
     out.append(_result("projlin", "inverse-roundtrip", 100, worst, 1e-10))
     return out
 
@@ -184,8 +186,8 @@ def suite_cusp_models(seed: int = 0, perturb: float = 0.0) -> list[PropertyResul
         psi = _random_psi(rng, n, max_type=n - 1)
         a = _random_h_element(rng, psi)
         b = _random_h_element(rng, psi)
-        worst = max(worst, _norm_diff(cusp_models.h_product(a, b).matrix,
-                                      compose(a.matrix, b.matrix)))
+        worst = np.maximum(worst, _norm_diff(cusp_models.h_product(a, b).matrix,
+                                            compose(a.matrix, b.matrix)))
     out.append(_result("cusp_models", "closure-float", 1000, worst, 1e-12))
 
     worst = 0.0
@@ -202,7 +204,7 @@ def suite_cusp_models(seed: int = 0, perturb: float = 0.0) -> list[PropertyResul
         coords = list(rng.uniform(0.2, 3.0, t)) + list(rng.uniform(-2.0, 2.0, n - 1 - t))
         p = leaf_point(dom, c, coords)
         c2, _tag = leaf_coordinate(dom, act(g, p))
-        worst = max(worst, abs(float(c2) - c))
+        worst = np.maximum(worst, abs(float(c2) - c))
     note = f"perturb={perturb}" if perturb else ""
     out.append(_result("cusp_models", "leaf-invariance", 1000, worst, 1e-9, note))
 
@@ -267,7 +269,7 @@ def suite_hilbert(seed: int = 0) -> list[PropertyResult]:
         y = _ball_points(rng, 1000, n)
         dh = _hilbert_kernels.value_distances(_hilbert_kernels._ball_value_np, x, y)
         dk = np.array([hilbert.klein_distance(a, b) for a, b in zip(x, y)])
-        worst = max(worst, float(np.max(np.abs(dh - dk))))
+        worst = np.maximum(worst, float(np.max(np.abs(dh - dk))))
     out.append(_result("hilbert", "klein-agreement", 2000, worst, 1e-9))
 
     worst = 0.0
@@ -280,9 +282,9 @@ def suite_hilbert(seed: int = 0) -> list[PropertyResult]:
         dyx = hilbert.hilbert_distances(dom, y, x)
         dxz = hilbert.hilbert_distances(dom, x, z)
         dzy = hilbert.hilbert_distances(dom, z, y)
-        worst = max(worst, float(np.max(np.abs(dxy - dyx))))
-        worst = max(worst, float(np.max(dxy - (dxz + dzy))))
-        worst = max(worst, float(np.max(np.abs(hilbert.hilbert_distances(dom, x, x)))))
+        worst = np.maximum(worst, float(np.max(np.abs(dxy - dyx))))
+        worst = np.maximum(worst, float(np.max(dxy - (dxz + dzy))))
+        worst = np.maximum(worst, float(np.max(np.abs(hilbert.hilbert_distances(dom, x, x)))))
     out.append(_result("hilbert", "metric-axioms-ball", 2000, worst, 1e-9))
 
     worst = 0.0
@@ -302,8 +304,8 @@ def suite_hilbert(seed: int = 0) -> list[PropertyResult]:
         dyx = hilbert.hilbert_distances(dom, y, x)
         dxz = hilbert.hilbert_distances(dom, x, z)
         dzy = hilbert.hilbert_distances(dom, z, y)
-        worst = max(worst, float(np.max(np.abs(dxy - dyx))))
-        worst = max(worst, float(np.max(dxy - (dxz + dzy))))
+        worst = np.maximum(worst, float(np.max(np.abs(dxy - dyx))))
+        worst = np.maximum(worst, float(np.max(dxy - (dxz + dzy))))
     out.append(_result("hilbert", "metric-axioms-model", 3000, worst, 1e-9))
 
     worst = 0.0
@@ -317,7 +319,7 @@ def suite_hilbert(seed: int = 0) -> list[PropertyResult]:
         gx = act(g, ProjPoint(list(x) + [1.0]))
         gy = act(g, ProjPoint(list(y) + [1.0]))
         d1 = hilbert.hilbert_distance(moved, gx, gy)
-        worst = max(worst, abs(d0 - d1))
+        worst = np.maximum(worst, abs(d0 - d1))
     out.append(_result("hilbert", "projective-naturality", 50, worst, 1e-9))
 
     worst = 0.0
@@ -332,7 +334,7 @@ def suite_hilbert(seed: int = 0) -> list[PropertyResult]:
         cr0 = hilbert.cross_ratio(*pts)
         g = ProjMap(_random_map(rng, n + 1, max_cond=50))
         cr1 = hilbert.cross_ratio(*[act(g, p) for p in pts])
-        worst = max(worst, abs(cr0 - cr1) / max(abs(cr0), 1.0))
+        worst = np.maximum(worst, abs(cr0 - cr1) / max(abs(cr0), 1.0))
     out.append(_result("hilbert", "cross-ratio-invariance", 1000, worst, 1e-10))
 
     worst = 0.0
@@ -344,7 +346,7 @@ def suite_hilbert(seed: int = 0) -> list[PropertyResult]:
         z = x + theta * (y - x)
         total = hilbert.hilbert_distances(dom, x, z) + hilbert.hilbert_distances(dom, z, y)
         direct = hilbert.hilbert_distances(dom, x, y)
-        worst = max(worst, float(np.max(np.abs(total - direct))))
+        worst = np.maximum(worst, float(np.max(np.abs(total - direct))))
     out.append(_result("hilbert", "straight-segment-geodesy", 400, worst, 1e-9))
 
     violations = 0
@@ -432,7 +434,7 @@ def suite_bending(seed: int = 0) -> list[PropertyResult]:
         fwd = bending.iterated_bend(rep, moves)
         rev = bending.iterated_bend(rep, moves[::-1])
         for nm in names:
-            worst = max(worst, _norm_diff(fwd.generators[nm], rev.generators[nm]))
+            worst = np.maximum(worst, _norm_diff(fwd.generators[nm], rev.generators[nm]))
     out.append(_result("bending", "order-independence", 100, worst, 1e-12))
 
     exact_ok = True
@@ -569,7 +571,7 @@ def suite_classify(seed: int = 0) -> list[PropertyResult]:
         bent_rep = bending.iterated_bend(rep, cusp_bending_moves(data))
         direct = cusp_classify.bent_cusp_generators(data)
         for nm, g in zip(rep.names(), direct):
-            worst = max(worst, _norm_diff(bent_rep.generators[nm], g.to_float()))
+            worst = np.maximum(worst, _norm_diff(bent_rep.generators[nm], g.to_float()))
     out.append(_result("classify", "pipeline-equivalence", 100, worst, 1e-12))
 
     worst = 0.0
@@ -593,7 +595,7 @@ def suite_classify(seed: int = 0) -> list[PropertyResult]:
         if conj is None:
             fails += 1
         else:
-            worst = max(worst, res)
+            worst = np.maximum(worst, res)
     out.append(_result("classify", "model-bend-diagonalizable", 50,
                        worst if fails == 0 else 1.0, 1e-9, f"failures={fails}"))
 

@@ -49,6 +49,46 @@ def test_marked_rep_evaluate_word():
     assert proj_equiv(word_val, g2, 1e-12)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_evaluate_starts_from_first_letter(exact, monkeypatch):
+    import cuspbend.bending as bending_mod
+    b = [F(1), F(2)] if exact else [1.0, 2.0]
+    gens = dict(zip(["g2", "g3"], standard_cusp_generators(
+        RectangularCuspData(3, b=b, s=[0.0, 0.0]))))
+    rep = MarkedRep(3, gens)
+    calls = []
+
+    def counting_compose(a, c):
+        calls.append((a, c))
+        return compose(a, c)
+
+    monkeypatch.setattr(bending_mod, "compose", counting_compose)
+    empty = rep.evaluate([])
+    assert empty.exact == exact
+    assert np.array_equal(empty.entries, ProjMap.identity(3, exact=exact).entries)
+    assert rep.evaluate(["g2"]) is gens["g2"]
+    assert calls == []
+    g3_inv = inverse(gens["g3"])
+    want = compose(compose(g3_inv, g3_inv), gens["g2"])
+    got = rep.evaluate(["g3^-2", "g2"])
+    assert len(calls) == 2
+    if exact:
+        assert np.array_equal(got.entries, want.entries)
+    else:
+        assert proj_equiv(got, want, 1e-12)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_failing_relator_still_raises(exact):
+    b = [F(1), F(2)] if exact else [1.0, 2.0]
+    gens = dict(zip(["g2", "g3"], standard_cusp_generators(
+        RectangularCuspData(3, b=b, s=[0.0, 0.0]))))
+    MarkedRep(3, gens, [["g2", "g3", "g2^-1", "g3^-1"]])
+    for relator in (["g2"], ["g2", "g3^-1"], ["g3^-2", "g2^2"]):
+        with pytest.raises(RelatorViolation):
+            MarkedRep(3, gens, [relator])
+
+
 def test_marked_rep_inverts_each_generator_once(monkeypatch):
     import cuspbend.bending as bending_mod
     calls = []

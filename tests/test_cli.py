@@ -89,6 +89,20 @@ def test_verify_negative_control():
     assert code == 1
 
 
+def test_verify_fails_on_nan_distance(monkeypatch, capsys):
+    from cuspbend import hilbert
+    real = hilbert.hilbert_distances
+
+    def one_nan_row(dom, x, y):
+        d = np.array(real(dom, x, y))
+        d[0] = math.nan
+        return d
+
+    monkeypatch.setattr(hilbert, "hilbert_distances", one_nan_row)
+    assert main(["verify", "--suite", "hilbert"]) == 1
+    assert "FAIL hilbert.metric-axioms-ball" in capsys.readouterr().out
+
+
 def test_verify_report_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "--suite", "projlin", "--seed", "3", "--out", str(a)]) == 0
@@ -204,17 +218,36 @@ def test_sweep_bad_bending_data_is_usage_error(tmp_path, capsys, args):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_sweep_pattern_mismatch_names_first_bad_row(tmp_path, capsys):
-    # at n = 6 with b = 2 the float conjugation of s = 1e-5 misses the
-    # default tolerance, while s = 0.5 matches
+def test_sweep_small_bending_beside_unbent_slots_matches(tmp_path):
+    # at n = 6 with b = 2, s = 1e-5 on two slots once missed the default
+    # tolerance on the three unbent slots, through the rounding of A^{-1}
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--n", "6", "--b", "2", "--grid", "0.5:1e-5:2",
+                 "--slots", "2,6", "--out", str(out)])
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["2", "2"]
+
+
+def test_sweep_pattern_mismatch_names_first_bad_row(tmp_path, capsys, monkeypatch):
+    # no valid grid misses the normal form, so a residual is injected
+    import cuspbend.cli as cli_mod
+    real = cli_mod.conjugation_residuals
+
+    def second_row_off(b, s, mu):
+        residuals = real(b, s, mu)
+        residuals[1:] = 1e-6
+        return residuals
+
+    monkeypatch.setattr(cli_mod, "conjugation_residuals", second_row_off)
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--n", "6", "--b", "2", "--grid", "0.5:1e-5:3",
                  "--slots", "2,6", "--out", str(out)])
     assert code == 1
     assert not out.exists()
     err = capsys.readouterr().err
     assert "row 1:" in err
-    assert float(err.rsplit("residual: ", 1)[1]) > 1e-9
+    assert float(err.rsplit("residual: ", 1)[1]) == 1e-6
 
 
 def test_classify_pattern_mismatch_is_property_failure(tmp_path, capsys):

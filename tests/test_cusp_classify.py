@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspbend.cusp_classify import (
+    MIN_BEND_FLOAT,
     PatternMismatch,
     RectangularCuspData,
-    _normalizing_inverse,
+    _cusp_arrays,
+    _intertwining_residuals,
     bent_cusp_generators,
     classify_h_form,
     conjugate_and_match,
@@ -91,22 +93,29 @@ def test_residual_check_fails_closed():
 
 
 def _independent_residual(data: RectangularCuspData) -> float:
-    """Per-slot ProjMap conjugation against normal forms built here."""
+    """A g = W A slot by slot in ProjMap products, with the generators g, the
+    normalizing matrix A and the normal forms W built here from the formulas
+    of the ``_cusp_arrays`` docstring."""
     n = data.n
-    a_mat, a_inv = normalizing_matrix(data), _normalizing_inverse(data)
-    worst = 0.0
-    for k, g in enumerate(bent_cusp_generators(data)):
-        got = compose(compose(a_mat, g), a_inv).entries
+    a = np.eye(n + 1)
+    for k in data.bent_slots():
         b, mu = data.b[k], data.mu[k]
-        want = np.eye(n + 1)
-        if mu == 1:
-            want[0, k + 1] = want[k + 1, n] = b
-            want[0, n] = b * b / 2
-        else:
-            want[k + 1, k + 1] = mu
-            want[0, n] = -b * b * (mu + 1) / (2 * (mu - 1))
-        scale = max(1.0, float(np.max(np.abs(want))))
-        worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+        a[0, k + 1] = -b / (mu - 1)
+        a[k + 1, n] = mu * b / (mu - 1)
+    a_map = ProjMap(a)
+    worst = 0.0
+    for k, (b, mu) in enumerate(zip(data.b, data.mu)):
+        g = np.eye(n + 1)
+        g[0, k + 1] = g[k + 1, n] = b
+        g[0, n] = b * b / 2
+        g[k + 1] *= mu
+        w = g.copy()
+        if mu != 1:
+            w[0, k + 1] = w[k + 1, n] = 0.0
+            w[0, n] = -b * b * (mu + 1) / (2 * (mu - 1))
+        err = np.abs(compose(a_map, ProjMap(g)).entries - compose(ProjMap(w), a_map).entries)
+        bound = np.abs(a) @ np.abs(g) + np.abs(w) @ np.abs(a)
+        worst = max(worst, float(np.max(err / np.where(bound == 0, 1.0, bound))))
     return worst
 
 
@@ -128,6 +137,50 @@ def test_kernel_matches_per_slot_projmap_route(data):
         cls = conjugate_and_match(cusp)
         assert cls.residual == residual
         assert cls.type == sum(1 for s in cusp.s if s != 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_float_and_exact_classification_pass_down_to_min_bend(data):
+    """Every s >= MIN_BEND_FLOAT and every subset of bent slots classifies in
+    floats at the default tolerance, and the same floats read as dyadic
+    rationals conjugate exactly: two routes, no shared arithmetic."""
+    n = data.draw(st.integers(2, 6), label="n")
+    b = data.draw(st.lists(st.floats(0.2, 5.0), min_size=n - 1, max_size=n - 1), label="b")
+    slots = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1), label="slots")
+    exps = data.draw(st.lists(st.floats(-8.0, 0.5), min_size=n - 1, max_size=n - 1),
+                     label="log10 s")
+    s = [max(10.0 ** e, MIN_BEND_FLOAT) if bent else 0.0 for e, bent in zip(exps, slots)]
+    cusp = RectangularCuspData(n, b=b, s=s)
+    cls = conjugate_and_match(cusp)
+    assert 0.0 <= cls.residual <= 1e-9
+    assert cls.type == sum(slots)
+    exact = RectangularCuspData(n, b=[F(x) for x in cusp.b], mu=[F(x) for x in cusp.mu])
+    exact_cls = conjugate_and_match(exact)
+    assert exact_cls.residual == 0 and isinstance(exact_cls.residual, F)
+    assert exact_cls.type == cls.type
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-5, 1e-2, 0.5, 3.0])
+@pytest.mark.parametrize("entry", ["mu", "b"])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_perturbed_generator_misses_normal_form(s, entry, slot):
+    """Negative control: one generator built from its mu or b changed by a
+    relative 1e-6, against the A and W of the true data, fails the check on
+    a bent slot (0) and an unbent slot (1) alike."""
+    b, mu = [1.3, 0.7, 2.0], [math.exp(s), 1.0, math.exp(2 * s)]
+    svec = [[s, 0.0, 2 * s]]
+    gens, a_mat, normal = _cusp_arrays(b, svec, [mu])
+    assert _intertwining_residuals(gens, a_mat, normal)[0] <= 1e-15
+    s_new = list(svec[0])
+    if entry == "mu":
+        mu[slot] *= 1 + 1e-6
+        s_new[slot] = math.log(mu[slot])
+    else:
+        b[slot] *= 1 + 1e-6
+    perturbed, _, _ = _cusp_arrays(b, [s_new], [mu])
+    gens[:, slot] = perturbed[:, slot]
+    assert _intertwining_residuals(gens, a_mat, normal)[0] > 1e-9
 
 
 def test_standard_generators_explicit_matrix():

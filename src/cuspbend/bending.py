@@ -11,11 +11,29 @@ well-defined on the whole group.
 Iterated bending applies several moves whose centralizers pairwise commute;
 commutativity makes the outcome independent of the order of the moves, and
 this module refuses move lists that do not satisfy the hypothesis.
+
+Checks.  :func:`iterated_bend` checks, in this order: the centralizers
+commute pairwise; each move's centralizer commutes with its edge words in
+the given representation; then, move by move, the decomposition covers the
+generators, the centralizer has the right dimension, it commutes with the
+edge words in the state the move is applied to, and every relator maps to
+the identity in the new state; with ``verify_order``, the same for the
+moves in a random order, and both results agree on every generator.
+:func:`bend` is the one-move case, and a :class:`MarkedRep` checks its
+relators on construction.  The generator sets are built first, with the
+same :func:`compose` calls in the same order as one move at a time; then
+every check is decided in one stacked pass (words compiled once to letter
+indices, each distinct generator inverted once, the words' products formed
+as stacked matmuls and compared by one row-wise
+:func:`~cuspbend.projlin.proj_equiv_rows`), and the first check that fails,
+in the order above, raises.  The stacking touches only pass/fail, never the
+generators a bend returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +45,7 @@ from .projlin import (
     inverse,
     matrix_from_json,
     matrix_to_json,
-    proj_equiv,
+    proj_equiv_rows,
 )
 
 
@@ -128,15 +146,11 @@ class MarkedRep:
         return all(g.exact for g in self.generators.values())
 
     def check_relators(self) -> None:
-        ident = ProjMap.identity(self.n, exact=self._exact())
-        for word in self.relators:
-            img = self.evaluate(word)
-            if not proj_equiv(img, ident, self.tol):
-                raise RelatorViolation(
-                    f"relator {word_to_json(word)} does not map to the identity")
-
-    def with_generators(self, generators: dict) -> "MarkedRep":
-        return MarkedRep(self.n, generators, self.relators, self.tol)
+        """Raise RelatorViolation for the first relator whose image is not
+        the identity (all relators are decided in one stacked pass)."""
+        checks = _Checks.of(self)
+        checks.run(_require_relators, checks, self, self.generators)
+        checks.share_inverses(self)
 
     def to_json(self) -> dict:
         return {
@@ -227,42 +241,309 @@ class BendingMove:
         return cls(Decomposition.from_json(data), matrix_from_json(data["centralizer"]))
 
 
+def _key(m: ProjMap):
+    """A map by its value: the bytes of a float map, the reduced integer form
+    of an exact one."""
+    return (m.den, *m.num.flat) if m.exact else m.entries.tobytes()
+
+
+class _Checks:
+    """Pass/fail checks, collected in the order the code reaches them and
+    decided together.
+
+    A check asks whether the images of two words in a table of letters (maps,
+    and the inverses that words need) are projectively equal.  Every word is
+    multiplied out left to right as one stacked matmul per letter position,
+    and the pairs are compared by one :func:`proj_equiv_rows`.  Exact letters
+    are stacked as integer numerators (a word's product is then its image up
+    to a positive scale, which proportionality ignores); if any letter of a
+    dimension is float, that dimension's letters are stacked as floats.  A
+    check that repeats an earlier one (same letters, same tol) is dropped: it
+    has the earlier one's verdict.  Maps of equal value share one letter and
+    one inverse, so a generator that two orders of the moves build alike is
+    inverted and checked once.
+    """
+
+    def __init__(self, n: int, names=()):
+        self.n = n
+        self._slot = {name: i for i, name in enumerate(names)}
+        self._letters = {}      # _key(map) -> index in the table of its dimension
+        self._seen = {}         # map -> letter index, sparing _key on a map seen before
+        self._tables = {}       # dimension -> letter maps
+        self._identity = None   # letter index of the identity of dimension n
+        self._inverses = {}     # _key(map) -> its inverse
+        self._codes = {}        # Word -> (letter codes, unknown name or None)
+        self._checks = {}       # (dimension, lhs, rhs, tol) -> failure
+
+    @classmethod
+    def of(cls, rep: MarkedRep) -> _Checks:
+        """Checks over the generators of rep, starting from its cached inverses."""
+        checks = cls(rep.n, rep.generators)
+        checks.share_inverses(rep)
+        return checks
+
+    def letter(self, m: ProjMap) -> int:
+        """The letter index of m, added to its dimension's table if new."""
+        idx = self._seen.get(m)
+        if idx is None:
+            key = _key(m)
+            idx = self._letters.get(key)
+            if idx is None:
+                table = self._tables.setdefault(m.n, [])
+                idx = self._letters[key] = len(table)
+                table.append(m)
+            self._seen[m] = idx
+        return idx
+
+    def inverse(self, m: ProjMap) -> ProjMap:
+        """``inverse(m)``, computed once per map value."""
+        key = _key(m)
+        inv = self._inverses.get(key)
+        if inv is None:
+            inv = self._inverses[key] = inverse(m)
+        return inv
+
+    def share_inverses(self, rep: MarkedRep) -> None:
+        """Exchange cached generator inverses with rep, in both directions."""
+        for name, g in rep.generators.items():
+            key = _key(g)
+            if name in rep._inverses:
+                self._inverses.setdefault(key, rep._inverses[name])
+            elif key in self._inverses:
+                rep._inverses[name] = self._inverses[key]
+
+    def state(self, gens: dict) -> tuple:
+        """A generator set (one map per name, in the order of ``names``) and
+        the letter index of each letter code; an inverse's index is filled
+        when a word first needs it."""
+        maps = list(gens.values())
+        return maps, [self.letter(g) for g in maps] + [None] * len(maps)
+
+    def word(self, state: tuple, word: Word) -> tuple:
+        """Letter indices of the image of a word in a state; the empty word
+        is the identity.  Raises where :meth:`MarkedRep.evaluate` would: an
+        inverse is taken when its letter is reached, before an unknown name
+        further on."""
+        compiled = self._codes.get(word)
+        if compiled is None:
+            compiled = self._codes[word] = self._compile(word)
+        codes, unknown = compiled
+        maps, table = state
+        out = [table[c] for c in codes]
+        if None in out:
+            for i, c in enumerate(codes):
+                if table[c] is None:
+                    table[c] = self.letter(self.inverse(maps[c - len(maps)]))
+                out[i] = table[c]
+        if unknown is not None:
+            raise KeyError(f"unknown generator {unknown!r}")
+        if not out:
+            if self._identity is None:
+                self._identity = self.letter(ProjMap.identity(self.n))
+            out.append(self._identity)
+        return tuple(out)
+
+    def _compile(self, word: Word):
+        """A word as letter codes (slot i for a generator, size + i for its
+        inverse, repeated |exponent| times), cut at the first unknown name."""
+        codes = []
+        for name, exp in word:
+            slot = self._slot.get(name)
+            if slot is None:
+                return tuple(codes), name
+            codes += [slot if exp > 0 else slot + len(self._slot)] * abs(exp)
+        return tuple(codes), None
+
+    def require(self, n: int, lhs: tuple, rhs: tuple, tol: float, failure) -> None:
+        """Check that two words of n-dimensional letters have proportional
+        images; ``failure`` is the exception for when they do not."""
+        self._checks.setdefault((n, lhs, rhs, tol), failure)
+
+    def run(self, build, *args):
+        """Call ``build(*args)``, which adds checks and raises where the code
+        it mirrors would raise.  Then decide every check, and raise the
+        failure of the first that does not hold, else build's exception,
+        else return build's result."""
+        result, error = None, None
+        try:
+            result = build(*args)
+        except (ValueError, KeyError) as exc:
+            error = exc
+        ok = self._verdicts()
+        if not ok.all():
+            raise list(self._checks.values())[int(np.argmin(ok))]
+        if error is not None:
+            raise error
+        return result
+
+    def _verdicts(self) -> np.ndarray:
+        """One bool per distinct check, in the order they were added."""
+        keys = list(self._checks)
+        ok = np.ones(len(keys), dtype=bool)
+        for n, table in self._tables.items():
+            sel = [k for k, key in enumerate(keys) if key[0] == n]
+            if not sel:
+                continue
+            if all(m.exact for m in table):
+                letters = np.array([m.num for m in table], dtype=object)
+            else:
+                letters = np.array([m.to_float().entries for m in table])
+            words = [w for k in sel for w in keys[k][1:3]]
+            prod = _products(letters, words).reshape(len(sel), 2, -1)
+            tols = np.array([keys[k][3] for k in sel])
+            ok[sel] = proj_equiv_rows(prod[:, 0], prod[:, 1], tols)
+        return ok
+
+
+def _products(letters: np.ndarray, words: list) -> np.ndarray:
+    """Left-to-right products of nonempty letter-index words, all at once.
+    The words run longest first, so the rows still being multiplied at each
+    letter position are a prefix of the stack."""
+    order = sorted(range(len(words)), key=lambda i: len(words[i]), reverse=True)
+    by_len = [words[i] for i in order]
+    idx = np.array(list(zip_longest(*by_len, fillvalue=0)))
+    prod = letters[idx[0]]
+    k = len(by_len)
+    for t in range(1, len(idx)):
+        while len(by_len[k - 1]) <= t:
+            k -= 1
+        prod[:k] = prod[:k] @ letters[idx[t, :k]]
+    out = np.empty_like(prod)
+    out[order] = prod
+    return out
+
+
+def _require_commuting(checks: _Checks, maps: Sequence[ProjMap], tol: float,
+                       failure) -> None:
+    """Pairwise commutation of maps, pairs i < j in lexicographic order;
+    ``failure(i, j)`` is the exception for a pair that does not commute."""
+    for i, c in enumerate(maps):
+        for j in range(i + 1, len(maps)):
+            d = maps[j]
+            if c.n != d.n:
+                raise ValueError(f"dimension mismatch: {c.n} vs {d.n}")
+            a, b = checks.letter(c), checks.letter(d)
+            checks.require(c.n, (a, b), (b, a), tol, failure(i, j))
+
+
+def _require_centralizes(checks: _Checks, c: ProjMap, words, state: tuple,
+                         tol: float, failure) -> None:
+    """c commutes with the image of every word in a state."""
+    lc = checks.letter(c)
+    for word in words:
+        w = checks.word(state, word)
+        if c.n != checks.n:
+            raise ValueError(f"dimension mismatch: {c.n} vs {checks.n}")
+        checks.require(c.n, (lc, *w), (*w, lc), tol, failure)
+
+
+def _require_relators(checks: _Checks, rep: MarkedRep, gens: dict) -> None:
+    """Every relator of rep maps to the identity under gens."""
+    state = checks.state(gens)
+    ident = checks.word(state, ())
+    for word in rep.relators:
+        checks.require(rep.n, checks.word(state, word), ident, rep.tol, RelatorViolation(
+            f"relator {word_to_json(word)} does not map to the identity"))
+
+
+def require_pairwise_commuting(maps: Sequence[ProjMap], tol: float, failure) -> None:
+    """Raise ``failure(i, j)`` for the first pair i < j of maps, in
+    lexicographic order, that do not commute projectively; maps of different
+    dimensions raise ValueError where their pair is reached."""
+    checks = _Checks(maps[0].n if maps else 0)
+    checks.run(_require_commuting, checks, maps, tol, failure)
+
+
 def commute_check(c: ProjMap, d: ProjMap, tol: float = DEFAULT_TOL) -> bool:
     """True iff cd = dc projectively."""
-    if c.n != d.n:
-        raise ValueError(f"dimension mismatch: {c.n} vs {d.n}")
-    return proj_equiv(compose(c, d), compose(d, c), tol)
+    try:
+        require_pairwise_commuting([c, d], tol, lambda i, j: NonCommutingMoves())
+    except NonCommutingMoves:
+        return False
+    return True
 
 
 def centralizes_check(c: ProjMap, subgroup_words, rep: MarkedRep,
                       tol: float = DEFAULT_TOL) -> bool:
     """True iff c commutes with the image of every listed word."""
-    for word in subgroup_words:
-        if not commute_check(c, rep.evaluate(word), tol):
-            return False
+    checks = _Checks.of(rep)
+    try:
+        checks.run(_require_centralizes, checks, c, map(parse_word, subgroup_words),
+                   checks.state(rep.generators), tol, CentralizerCheckFailed())
+    except CentralizerCheckFailed:
+        return False
+    checks.share_inverses(rep)
     return True
 
 
-def bend(rep: MarkedRep, move: BendingMove, tol: float = DEFAULT_TOL) -> MarkedRep:
-    """One bending move: conjugate the second amalgam side by the
-    centralizer, or left-multiply the stable letter.  Relators carried by
-    the representation are re-checked on the result."""
+def _bend_step(checks: _Checks, rep: MarkedRep, gens: dict, move: BendingMove,
+               tol: float) -> dict:
+    """One move of :func:`bend` on gens, a generator set of rep: builds the
+    new generators, adding the move's checks to checks in bend's order."""
     dec = move.decomposition
     dec.validate_names(rep)
     c = move.centralizer
     if c.n != rep.n:
         raise ValueError(f"centralizer dimension {c.n} != representation dimension {rep.n}")
-    if not centralizes_check(c, dec.edge_words, rep, tol):
-        raise CentralizerCheckFailed(
-            "centralizer does not commute with the edge subgroup image")
-    gens = dict(rep.generators)
+    _require_centralizes(checks, c, dec.edge_words, checks.state(gens), tol,
+                         CentralizerCheckFailed(
+                             "centralizer does not commute with the edge subgroup image"))
+    gens = dict(gens)
     if dec.kind == "amalgam":
-        c_inv = inverse(c)
+        c_inv = checks.inverse(c)
         for name in dec.side2:
             gens[name] = compose(compose(c, gens[name]), c_inv)
     else:
         gens[dec.stable] = compose(c, gens[dec.stable])
-    return rep.with_generators(gens)
+    _require_relators(checks, rep, gens)
+    return gens
+
+
+def _iterated_steps(checks: _Checks, rep: MarkedRep, moves: list, tol: float,
+                    verify_order: bool, rng) -> dict:
+    """The generator sets and checks of :func:`iterated_bend`, in its order;
+    returns the generators after every move."""
+    def non_commuting(i, j):
+        return NonCommutingMoves(f"centralizers of moves {i} and {j} do not commute; "
+                                 "iterated bending needs pairwise commuting centralizers")
+
+    _require_commuting(checks, [m.centralizer for m in moves], tol, non_commuting)
+    base = checks.state(rep.generators)
+    for k, move in enumerate(moves):
+        _require_centralizes(checks, move.centralizer, move.decomposition.edge_words, base, tol,
+                             CentralizerCheckFailed(f"move {k}: centralizer does not commute "
+                                                    "with its edge subgroup image"))
+    gens = rep.generators
+    for move in moves:
+        gens = _bend_step(checks, rep, gens, move, tol)
+    if verify_order and len(moves) > 1:
+        rng = rng or np.random.default_rng(0)
+        other = rep.generators
+        for idx in rng.permutation(len(moves)):
+            other = _bend_step(checks, rep, other, moves[idx], tol)
+        for name, g in gens.items():
+            checks.require(rep.n, (checks.letter(g),), (checks.letter(other[name]),), tol,
+                           AssertionError(
+                               f"order-permuted bending disagrees on generator {name!r}"))
+    return gens
+
+
+def _bent_rep(checks: _Checks, rep: MarkedRep, gens: dict) -> MarkedRep:
+    """The representation with generators gens, which passed every check."""
+    out = MarkedRep(rep.n, gens, rep.relators, rep.tol, check=False)
+    checks.share_inverses(rep)
+    checks.share_inverses(out)
+    return out
+
+
+def bend(rep: MarkedRep, move: BendingMove, tol: float = DEFAULT_TOL) -> MarkedRep:
+    """One bending move: conjugate the second amalgam side by the
+    centralizer, or left-multiply the stable letter.  Checks, in this order:
+    the decomposition covers the generators, the centralizer's dimension, the
+    centralizer commutes with each edge word, and each relator of the result
+    maps to the identity."""
+    checks = _Checks.of(rep)
+    return _bent_rep(checks, rep, checks.run(_bend_step, checks, rep, rep.generators, move, tol))
 
 
 def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
@@ -270,29 +551,20 @@ def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
                   rng: Optional[np.random.Generator] = None) -> MarkedRep:
     """Apply several bending moves; refuses unless all pairs of centralizing
     elements commute, which is the hypothesis making the result independent
-    of the order in which the moves are applied."""
+    of the order in which the moves are applied.
+
+    Checks, in this order: the centralizers commute pairwise; each move's
+    centralizer commutes with its edge words in rep; then the :func:`bend`
+    checks of each move on the state it is applied to; with ``verify_order``
+    and two or more moves, the bend checks of the moves applied again in a
+    random order, and the two results agree on every generator.  Every
+    generator set is built first; then all checks are decided together, and
+    the first that fails raises, as if each had been checked where it was
+    reached.
+    """
     moves = list(moves)
-    for i in range(len(moves)):
-        for j in range(i + 1, len(moves)):
-            if not commute_check(moves[i].centralizer, moves[j].centralizer, tol):
-                raise NonCommutingMoves(
-                    f"centralizers of moves {i} and {j} do not commute; "
-                    "iterated bending needs pairwise commuting centralizers")
-    for k, move in enumerate(moves):
-        if not centralizes_check(move.centralizer, move.decomposition.edge_words, rep, tol):
-            raise CentralizerCheckFailed(
-                f"move {k}: centralizer does not commute with its edge subgroup image")
-    result = rep
-    for move in moves:
-        result = bend(result, move, tol)
-    if verify_order and len(moves) > 1:
-        rng = rng or np.random.default_rng(0)
-        perm = rng.permutation(len(moves))
-        other = rep
-        for idx in perm:
-            other = bend(other, moves[idx], tol)
-        for name in result.names():
-            if not proj_equiv(result.generators[name], other.generators[name], tol):
-                raise AssertionError(
-                    f"order-permuted bending disagrees on generator {name!r}")
-    return result
+    if not moves:
+        return rep
+    checks = _Checks.of(rep)
+    gens = checks.run(_iterated_steps, checks, rep, moves, tol, verify_order, rng)
+    return _bent_rep(checks, rep, gens)

@@ -653,15 +653,12 @@ def diagonalize_commuting(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL,
     Returns (conjugator, residual) or (None, best_residual) when no basis
     was found after the retries.
     """
-    from .bending import commute_check  # local import to avoid a cycle
+    from .bending import require_pairwise_commuting  # local import to avoid a cycle
 
     if not gens:
         raise ValueError("need at least one generator")
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if not commute_check(gens[i].to_float(), gens[j].to_float(),
-                                 max(tol, 1e-9)):
-                raise ValueError(f"generators {i} and {j} do not commute")
+    require_pairwise_commuting([g.to_float() for g in gens], max(tol, 1e-9),
+                               lambda i, j: ValueError(f"generators {i} and {j} do not commute"))
     rng = rng or np.random.default_rng(0)
     mats = [np.asarray(g.to_float().entries, dtype=np.float64) for g in gens]
     mats = [mat / np.max(np.abs(mat)) for mat in mats]

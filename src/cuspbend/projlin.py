@@ -260,6 +260,8 @@ class ProjMap:
 
 def matrix_to_json(m: ProjMap) -> list:
     """Row-major nested lists; exact entries as "p/q" strings, floats as numbers."""
+    if not m.exact:
+        return m.entries.tolist()
     return [[scalar_to_json(x) for x in row] for row in m.entries]
 
 
@@ -360,35 +362,50 @@ def _flatten(x) -> np.ndarray:
 def proj_equiv(a, b, tol: float = DEFAULT_TOL) -> bool:
     """True iff a and b are proportional by a nonzero scalar.
 
-    Exact inputs are compared by cross-multiplication (of the integer
-    numerators, for maps); float inputs are normalized by their
-    largest-magnitude entry and compared within tol.
+    The one-row case of :func:`proj_equiv_rows`: two exact inputs are
+    compared exactly (maps by their integer numerators), anything else by
+    float values.
     """
     if type(a) is not type(b):
         raise TypeError("proj_equiv compares two maps or two points")
     va, vb = _flatten(a), _flatten(b)
     if va.shape != vb.shape:
         raise DimensionMismatch("shapes differ")
-    if va.dtype == object and vb.dtype == object:
-        ia = next((i for i, x in enumerate(va) if x != 0), None)
-        ib = next((i for i, x in enumerate(vb) if x != 0), None)
-        if ia != ib:
-            return False
-        if ia is None:
-            return True
-        return all(va[ia] * vb[j] == vb[ia] * va[j] for j in range(len(va)))
-    if isinstance(a, ProjMap):
+    if isinstance(a, ProjMap) and (va.dtype == object) != (vb.dtype == object):
         # one exact map, one float: compare the float values
         va, vb = a.entries.ravel(), b.entries.ravel()
-    fa = np.asarray(va, dtype=np.float64)
-    fb = np.asarray(vb, dtype=np.float64)
-    idx = int(np.argmax(np.abs(fa)))
-    max_b = np.max(np.abs(fb))
-    if max_b == 0:
-        return bool(np.max(np.abs(fa)) == 0)
-    if abs(fb[idx]) < tol * max_b:
-        return False
-    return bool(np.max(np.abs(fa / fa[idx] - fb / fb[idx])) <= tol)
+    return bool(proj_equiv_rows(va[None], vb[None], tol)[0])
+
+
+def proj_equiv_rows(a: np.ndarray, b: np.ndarray, tol=DEFAULT_TOL) -> np.ndarray:
+    """Row-wise :func:`proj_equiv` of two (R, K) arrays: row r is True iff
+    a[r] and b[r] are proportional by a nonzero scalar.  ``tol`` is a scalar
+    or one value per row.
+
+    Two ``object`` arrays of exact scalars are compared by
+    cross-multiplication at the first nonzero entry of a (both rows zero
+    counts as proportional).  Otherwise both are read as floats, normalized
+    by the entry at the argmax of |a| and compared within tol; a zero row is
+    proportional only to a zero row, and a row whose b entry at that index is
+    below tol times max |b| is not proportional.
+    """
+    rows = np.arange(a.shape[0])
+    if a.dtype == object and b.dtype == object:
+        nz_a, nz_b = a != 0, b != 0
+        ia, ib = nz_a.argmax(axis=1), nz_b.argmax(axis=1)
+        any_a = nz_a.any(axis=1)
+        cross = (a[rows, ia][:, None] * b == b[rows, ia][:, None] * a).all(axis=1)
+        return (any_a == nz_b.any(axis=1)) & (ia == ib) & (cross | ~any_a)
+    fa = np.asarray(a, dtype=np.float64)
+    fb = np.asarray(b, dtype=np.float64)
+    idx = np.abs(fa).argmax(axis=1)
+    pa, pb = fa[rows, idx], fb[rows, idx]
+    max_b = np.abs(fb).max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero pivot gives inf or nan here, on rows that read False below
+        diff = np.abs(fa / pa[:, None] - fb / pb[:, None]).max(axis=1)
+    return np.where(max_b == 0, pa == 0,
+                    (pa != 0) & (np.abs(pb) >= tol * max_b) & (diff <= tol))
 
 
 @dataclass(frozen=True)

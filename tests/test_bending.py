@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspbend.bending import (
     BendingMove,
@@ -10,6 +12,7 @@ from cuspbend.bending import (
     MarkedRep,
     NonCommutingMoves,
     RelatorViolation,
+    _Checks,
     bend,
     centralizes_check,
     commute_check,
@@ -20,6 +23,8 @@ from cuspbend.cusp_classify import RectangularCuspData, bent_cusp_generators, st
 from cuspbend.cusp_models import hyperplane_centralizer_element
 from cuspbend.projlin import ProjMap, compose, inverse, proj_equiv
 from cuspbend.verify import cusp_bending_moves, cusp_fixture_rep
+
+from equiv_reference import ref_equiv_maps
 
 
 def test_parse_word():
@@ -253,3 +258,99 @@ def test_rep_and_move_json_roundtrip():
     move_back = BendingMove.from_json(move.to_json())
     assert move_back.decomposition == move.decomposition
     assert np.array_equal(move_back.centralizer.entries, move.centralizer.entries)
+
+
+def _rotation(size, i, j, cos, sin):
+    rows = [[F(int(r == c)) for c in range(size)] for r in range(size)]
+    rows[i][i], rows[i][j], rows[j][i], rows[j][j] = cos, -sin, sin, cos
+    return ProjMap(rows)
+
+
+@st.composite
+def rational_orthogonal(draw, size):
+    """A scalar times a signed permutation times a rotation by (3/5, 4/5):
+    every product of a few of them has entries with small powers of 5 as
+    denominators, so two such products are equal or differ by far more than
+    the tolerance."""
+    perm = draw(st.permutations(range(size)))
+    signs = draw(st.lists(st.sampled_from([F(1), F(-1)]), min_size=size, max_size=size))
+    m = ProjMap([[signs[r] if c == perm[r] else F(0) for c in range(size)] for r in range(size)])
+    i, j = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+    cos, sin = draw(st.sampled_from([(F(3, 5), F(4, 5)), (F(4, 5), F(-3, 5)), (F(1), F(0))]))
+    scale = draw(st.sampled_from([F(1), F(-1), F(2), F(-1, 2), F(3)]))
+    return compose(ProjMap.diagonal([scale] * size), compose(m, _rotation(size, i, j, cos, sin)))
+
+
+def _inverse_word(word):
+    return [(name, -exp) for name, exp in reversed(word)]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float", "mixed"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stacked_verdicts_match_per_word_evaluation(mode, data):
+    """Relator, centralizer and comparison checks decided in one stacked pass
+    agree with evaluating each word on its own with ``MarkedRep.evaluate``
+    and comparing by the reference rule, for exact, float and mixed
+    representations.  A perturbation letter p = I + delta E (delta 0 or at
+    least 1e-6) keeps every case away from the tolerance."""
+    draw = data.draw
+    size = draw(st.integers(3, 5))
+    n = size - 1
+    names = ["a", "b", "c"]
+    gens = {name: draw(rational_orthogonal(size)) for name in names}
+    delta = draw(st.sampled_from([F(0), F(1, 10 ** 6), F(1, 1000)]))
+    e = draw(st.lists(st.lists(st.sampled_from([-1, 0, 1]), min_size=size, max_size=size),
+                      min_size=size, max_size=size).filter(lambda rows: any(map(any, rows))))
+    gens["p"] = ProjMap([[int(r == c) + delta * e[r][c] for c in range(size)]
+                         for r in range(size)])
+    if mode == "float":
+        gens = {name: g.to_float() for name, g in gens.items()}
+    elif mode == "mixed":
+        gens["p"] = gens["p"].to_float()
+    rep = MarkedRep(n, gens, check=False)
+    letter = st.tuples(st.sampled_from(names), st.sampled_from([1, -1, 2, -2, 3, -3]))
+    word = st.lists(letter, max_size=3)
+    tol = 1e-9
+
+    checks = _Checks(n, rep.generators)
+    state = checks.state(rep.generators)
+    ident = ProjMap.identity(n, exact=mode == "exact")
+    cases = []                         # (key, reference verdict)
+
+    def add(lhs, rhs, want):
+        key = (n, lhs, rhs, tol)
+        checks.require(*key, len(cases))
+        cases.append((key, want))
+
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["relator", "conjugated_p", "centralizer", "compare",
+                                     "evaluated"]))
+        x = tuple(draw(word))
+        if kind == "relator":
+            rel = x + tuple(draw(word))
+        elif kind == "conjugated_p":
+            rel = x + (("p", draw(st.sampled_from([1, -1, 2]))),) + tuple(_inverse_word(x))
+        if kind in ("relator", "conjugated_p"):
+            add(checks.word(state, rel), checks.word(state, ()),
+                ref_equiv_maps(rep.evaluate(rel), ident, tol))
+        elif kind == "centralizer":
+            c = draw(st.sampled_from([gens["a"], gens["p"], ProjMap.diagonal([-2] * size),
+                                      compose(gens["b"], gens["p"])]))
+            img = rep.evaluate(x)
+            w, lc = checks.word(state, x), checks.letter(c)
+            add((lc, *w), (*w, lc), ref_equiv_maps(compose(c, img), compose(img, c), tol))
+        elif kind == "evaluated":
+            # the word against its own image as one letter: fails if the
+            # stacked product runs in any other order
+            img = rep.evaluate(x + (("p", 1),))
+            add(checks.word(state, x + (("p", 1),)), (checks.letter(img),),
+                ref_equiv_maps(img, img, tol))
+        else:
+            g = gens[draw(st.sampled_from(names))]
+            h = draw(st.sampled_from([g, compose(g, gens["p"]), gens["c"]]))
+            add((checks.letter(g),), (checks.letter(h),), ref_equiv_maps(g, h, tol))
+
+    verdicts = dict(zip(checks._checks.values(), checks._verdicts().tolist()))
+    for key, want in cases:
+        assert verdicts[checks._checks[key]] == want

@@ -332,3 +332,48 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verify" in proc.stdout
+
+
+def test_bend_output_matches_fixture(tmp_path):
+    """Byte-identical ``bend`` output, with and without ``--verify-order``,
+    for n = 3..6, HNN and amalgam moves, exact and float, two seeds, against
+    outputs recorded with the per-word relator and centralizer checks."""
+    fixture = Path(__file__).parent / "fixtures" / "bend.json"
+    cases = json.loads(fixture.read_text())["cases"]
+    assert {case["input"]["rep"]["n"] for case in cases} == {3, 4, 5, 6}
+    kinds = {move["kind"] for case in cases for move in case["input"]["moves"]}
+    assert kinds == {"hnn", "amalgam"}
+    src, out = tmp_path / "bundle.json", tmp_path / "bent.json"
+    for case in cases:
+        src.write_text(json.dumps(case["input"]))
+        for extra in ([], ["--verify-order"]):
+            argv = ["bend", "--in", str(src), "--out", str(out)] + case["argv"] + extra
+            assert main(argv) == 0, case["name"]
+            assert out.read_text() == case["output"], (case["name"], extra)
+
+
+def test_bend_failure_contract(tmp_path, capsys):
+    """Each failing ``bend`` input raises the recorded exception type and
+    message through the API, and the CLI exits with the recorded code and
+    standard error, writing nothing.  Several inputs hold two faults, so the
+    order of the checks decides which one is reported."""
+    from cuspbend.bending import BendingMove, MarkedRep, iterated_bend
+    fixture = Path(__file__).parent / "fixtures" / "bend_failures.json"
+    cases = json.loads(fixture.read_text())["cases"]
+    src = tmp_path / "bundle.json"
+    for case in cases:
+        bundle = case["input"]
+        with pytest.raises(Exception) as info:
+            rep = MarkedRep.from_json(bundle["rep"])
+            moves = [BendingMove.from_json(m) for m in bundle["moves"]]
+            iterated_bend(rep, moves, verify_order="--verify-order" in case["argv"],
+                          rng=np.random.default_rng(int(case["argv"][1])))
+        assert type(info.value).__name__ == case["exception"], case["name"]
+        assert str(info.value) == case["message"], case["name"]
+        out = tmp_path / f"{case['name']}.json"
+        src.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        code = main(["bend", "--in", str(src), "--out", str(out)] + case["argv"])
+        assert code == case["exit"], case["name"]
+        assert capsys.readouterr().err == case["stderr"], case["name"]
+        assert not out.exists(), case["name"]

@@ -397,9 +397,13 @@ def test_diagonalizable_check():
     assert diagonalizable_check(diag)
     par = parabolic_element(ParaboloidModel(2), [1.0]).to_float()
     assert not diagonalizable_check([par])
-    with pytest.raises(ValueError):
+    swap = ProjMap([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="^generators 0 and 1 do not commute$"):
+        diagonalizable_check([ProjMap.diagonal([1.0, 2.0, 1.0]), swap])
+    # the first pair in lexicographic order that fails is the one reported
+    with pytest.raises(ValueError, match="^generators 0 and 2 do not commute$"):
         diagonalizable_check([ProjMap.diagonal([1.0, 2.0, 1.0]),
-                              ProjMap([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])])
+                              ProjMap.diagonal([3.0, 1.0, 1.0]), swap])
 
 
 def test_model_bend_produces_diagonalizable_group():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -21,8 +22,11 @@ from cuspbend.projlin import (
     matrix_to_json,
     parse_scalar,
     proj_equiv,
+    proj_equiv_rows,
     scalar_to_json,
 )
+
+from equiv_reference import ref_equiv_vectors
 
 
 def test_compose_identity():
@@ -95,6 +99,16 @@ def test_proj_equiv_exact():
     m = ProjMap([[F(1), F(2)], [F(0), F(1)]])
     assert proj_equiv(m, ProjMap([[F(3), F(6)], [F(0), F(3)]]))
     assert not proj_equiv(m, ProjMap([[F(1), F(2)], [F(1), F(1)]]))
+
+
+def test_proj_equiv_zero_map_is_false_without_warning():
+    zero = ProjMap(np.zeros((3, 3)))
+    ident = ProjMap.identity(2, exact=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not proj_equiv(zero, ident)
+        assert not proj_equiv(ident, zero)
+        assert proj_equiv(zero, zero)
 
 
 def test_point_from_float_array_is_a_frozen_copy():
@@ -293,3 +307,57 @@ def test_exact_ops_match_fraction_reference(pair):
         assert inverse(a).entries.tolist() == inv
     assert proj_equiv(a, b) == ref_proportional(a_rows, b_rows)
     assert a.to_float().entries.tolist() == [[float(x) for x in row] for row in a_rows]
+
+
+@st.composite
+def equiv_rows(draw):
+    """Row pairs for proj_equiv_rows: exact, float, or exact against float;
+    b is a scaled copy of a (negative scales too), a perturbed or unrelated
+    row, a zero row, or a scaled copy whose entry at the argmax of |a| is
+    made small."""
+    size = draw(st.integers(2, 9))
+    mode = draw(st.sampled_from(["exact", "float", "mixed"]))
+    exact_entry = st.one_of(st.just(F(0)), st.fractions(-20, 20, max_denominator=12))
+    float_entry = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False),
+                            st.floats(-1e-6, 1e-6))
+    a_rows, b_rows = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        entry = float_entry if mode == "float" else exact_entry
+        a = draw(st.lists(entry, min_size=size, max_size=size))
+        shape = draw(st.sampled_from(["scaled", "perturbed", "free", "zero", "small_pivot"]))
+        if shape == "zero":
+            b = [0 * x for x in a]
+        elif shape == "free":
+            b = draw(st.lists(entry, min_size=size, max_size=size))
+        else:
+            scale = draw(st.sampled_from([1, -1, 3, F(-2, 7), F(1, 1000)]))
+            b = [x * scale for x in a]
+            if shape == "perturbed":
+                j = draw(st.integers(0, size - 1))
+                b[j] += draw(st.sampled_from([F(1, 10 ** 12), F(1, 10 ** 9), F(1, 10 ** 6)]))
+            elif shape == "small_pivot":
+                k = max(range(size), key=lambda i: abs(a[i]))
+                small = draw(st.sampled_from([0, F(1, 10 ** 12), F(1, 10 ** 9), F(1, 10 ** 8)]))
+                b[k] = small * max([abs(x) for x in b] + [1])
+        if draw(st.booleans()):
+            a, b = b, a
+        a_rows.append(a)
+        b_rows.append(b)
+    exact = np.array(a_rows, dtype=object), np.array(b_rows, dtype=object)
+    floats = (np.array([[float(x) for x in r] for r in a_rows]),
+              np.array([[float(x) for x in r] for r in b_rows]))
+    if mode == "exact":
+        return exact
+    if mode == "float":
+        return floats
+    return (exact[0], floats[1]) if draw(st.booleans()) else (floats[0], exact[1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(equiv_rows(), st.sampled_from([1e-9, 1e-6, 0.0]), st.booleans())
+def test_proj_equiv_rows_matches_reference_rule(pair, tol, per_row_tol):
+    a, b = pair
+    tols = np.full(len(a), tol) if per_row_tol else tol
+    got = proj_equiv_rows(a, b, tols)
+    assert got.dtype == bool and got.shape == (len(a),)
+    assert got.tolist() == [ref_equiv_vectors(x, y, tol) for x, y in zip(a, b)]

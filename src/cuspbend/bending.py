@@ -23,11 +23,14 @@ moves in a random order, and both results agree on every generator.
 relators on construction.  The generator sets are built first, with the
 same :func:`compose` calls in the same order as one move at a time; then
 every check is decided in one stacked pass (words compiled once to letter
-indices, each distinct generator inverted once, the words' products formed
-as stacked matmuls and compared by one row-wise
-:func:`~cuspbend.projlin.proj_equiv_rows`), and the first check that fails,
-in the order above, raises.  The stacking touches only pass/fail, never the
-generators a bend returns.
+indices, the words' products formed as stacked matmuls and compared by one
+row-wise :func:`~cuspbend.projlin.proj_equiv_rows`), and the first check
+that fails, in the order above, raises.  The stacking touches only
+pass/fail, never the generators a bend returns.  Inverses live in one cache
+keyed by map value: the representation a user builds owns it, and the
+checks, :meth:`MarkedRep.evaluate` and every representation that
+:func:`bend` and :func:`iterated_bend` derive from it share that one dict,
+so each distinct map is inverted once.
 """
 
 from __future__ import annotations
@@ -107,8 +110,7 @@ class MarkedRep:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", rels)
         object.__setattr__(self, "tol", tol)
-        # generator name -> inverse, filled on first use; valid for the
-        # instance's lifetime, as the generators never change
+        # map value -> inverse, shared with the checks and the bent reps
         object.__setattr__(self, "_inverses", {})
         if check:
             self.check_relators()
@@ -126,7 +128,7 @@ class MarkedRep:
             if name not in self.generators:
                 raise KeyError(f"unknown generator {name!r}")
             if exp < 0:
-                g = self._inverse(name)
+                g = _cached_inverse(self._inverses, self.generators[name])
                 exp = -exp
             else:
                 g = self.generators[name]
@@ -136,12 +138,6 @@ class MarkedRep:
             return ProjMap.identity(self.n, exact=self._exact())
         return result
 
-    def _inverse(self, name: str) -> ProjMap:
-        inv = self._inverses.get(name)
-        if inv is None:
-            inv = self._inverses[name] = inverse(self.generators[name])
-        return inv
-
     def _exact(self) -> bool:
         return all(g.exact for g in self.generators.values())
 
@@ -150,7 +146,6 @@ class MarkedRep:
         the identity (all relators are decided in one stacked pass)."""
         checks = _Checks.of(self)
         checks.run(_require_relators, checks, self, self.generators)
-        checks.share_inverses(self)
 
     def to_json(self) -> dict:
         return {
@@ -247,6 +242,15 @@ def _key(m: ProjMap):
     return (m.den, *m.num.flat) if m.exact else m.entries.tobytes()
 
 
+def _cached_inverse(cache: dict, m: ProjMap) -> ProjMap:
+    """``inverse(m)``, computed once per map value in cache."""
+    key = _key(m)
+    inv = cache.get(key)
+    if inv is None:
+        inv = cache[key] = inverse(m)
+    return inv
+
+
 class _Checks:
     """Pass/fail checks, collected in the order the code reaches them and
     decided together.
@@ -259,58 +263,38 @@ class _Checks:
     to a positive scale, which proportionality ignores); if any letter of a
     dimension is float, that dimension's letters are stacked as floats.  A
     check that repeats an earlier one (same letters, same tol) is dropped: it
-    has the earlier one's verdict.  Maps of equal value share one letter and
-    one inverse, so a generator that two orders of the moves build alike is
-    inverted and checked once.
+    has the earlier one's verdict.  Maps of equal value share one letter, so
+    a generator that two orders of the moves build alike is checked once.
+    Inverses come from one value-keyed cache, by default the checks' own;
+    :meth:`of` takes the representation's cache by reference, so inverses
+    computed here serve its later checks, its ``evaluate`` and the
+    representations bent from it.
     """
 
-    def __init__(self, n: int, names=()):
+    def __init__(self, n: int, names=(), inverses: Optional[dict] = None):
         self.n = n
         self._slot = {name: i for i, name in enumerate(names)}
         self._letters = {}      # _key(map) -> index in the table of its dimension
-        self._seen = {}         # map -> letter index, sparing _key on a map seen before
         self._tables = {}       # dimension -> letter maps
         self._identity = None   # letter index of the identity of dimension n
-        self._inverses = {}     # _key(map) -> its inverse
+        self._inverses = {} if inverses is None else inverses   # _key(map) -> inverse
         self._codes = {}        # Word -> (letter codes, unknown name or None)
         self._checks = {}       # (dimension, lhs, rhs, tol) -> failure
 
     @classmethod
     def of(cls, rep: MarkedRep) -> _Checks:
-        """Checks over the generators of rep, starting from its cached inverses."""
-        checks = cls(rep.n, rep.generators)
-        checks.share_inverses(rep)
-        return checks
+        """Checks over the generators of rep, sharing its inverse cache."""
+        return cls(rep.n, rep.generators, rep._inverses)
 
     def letter(self, m: ProjMap) -> int:
         """The letter index of m, added to its dimension's table if new."""
-        idx = self._seen.get(m)
-        if idx is None:
-            key = _key(m)
-            idx = self._letters.get(key)
-            if idx is None:
-                table = self._tables.setdefault(m.n, [])
-                idx = self._letters[key] = len(table)
-                table.append(m)
-            self._seen[m] = idx
-        return idx
-
-    def inverse(self, m: ProjMap) -> ProjMap:
-        """``inverse(m)``, computed once per map value."""
         key = _key(m)
-        inv = self._inverses.get(key)
-        if inv is None:
-            inv = self._inverses[key] = inverse(m)
-        return inv
-
-    def share_inverses(self, rep: MarkedRep) -> None:
-        """Exchange cached generator inverses with rep, in both directions."""
-        for name, g in rep.generators.items():
-            key = _key(g)
-            if name in rep._inverses:
-                self._inverses.setdefault(key, rep._inverses[name])
-            elif key in self._inverses:
-                rep._inverses[name] = self._inverses[key]
+        idx = self._letters.get(key)
+        if idx is None:
+            table = self._tables.setdefault(m.n, [])
+            idx = self._letters[key] = len(table)
+            table.append(m)
+        return idx
 
     def state(self, gens: dict) -> tuple:
         """A generator set (one map per name, in the order of ``names``) and
@@ -333,7 +317,7 @@ class _Checks:
         if None in out:
             for i, c in enumerate(codes):
                 if table[c] is None:
-                    table[c] = self.letter(self.inverse(maps[c - len(maps)]))
+                    table[c] = self.letter(_cached_inverse(self._inverses, maps[c - len(maps)]))
                 out[i] = table[c]
         if unknown is not None:
             raise KeyError(f"unknown generator {unknown!r}")
@@ -472,7 +456,6 @@ def centralizes_check(c: ProjMap, subgroup_words, rep: MarkedRep,
                    checks.state(rep.generators), tol, CentralizerCheckFailed())
     except CentralizerCheckFailed:
         return False
-    checks.share_inverses(rep)
     return True
 
 
@@ -490,7 +473,7 @@ def _bend_step(checks: _Checks, rep: MarkedRep, gens: dict, move: BendingMove,
                              "centralizer does not commute with the edge subgroup image"))
     gens = dict(gens)
     if dec.kind == "amalgam":
-        c_inv = checks.inverse(c)
+        c_inv = _cached_inverse(checks._inverses, c)
         for name in dec.side2:
             gens[name] = compose(compose(c, gens[name]), c_inv)
     else:
@@ -528,11 +511,11 @@ def _iterated_steps(checks: _Checks, rep: MarkedRep, moves: list, tol: float,
     return gens
 
 
-def _bent_rep(checks: _Checks, rep: MarkedRep, gens: dict) -> MarkedRep:
-    """The representation with generators gens, which passed every check."""
+def _bent_rep(rep: MarkedRep, gens: dict) -> MarkedRep:
+    """The representation with generators gens, which passed every check; it
+    shares rep's inverse cache."""
     out = MarkedRep(rep.n, gens, rep.relators, rep.tol, check=False)
-    checks.share_inverses(rep)
-    checks.share_inverses(out)
+    object.__setattr__(out, "_inverses", rep._inverses)
     return out
 
 
@@ -543,7 +526,7 @@ def bend(rep: MarkedRep, move: BendingMove, tol: float = DEFAULT_TOL) -> MarkedR
     centralizer commutes with each edge word, and each relator of the result
     maps to the identity."""
     checks = _Checks.of(rep)
-    return _bent_rep(checks, rep, checks.run(_bend_step, checks, rep, rep.generators, move, tol))
+    return _bent_rep(rep, checks.run(_bend_step, checks, rep, rep.generators, move, tol))
 
 
 def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
@@ -567,4 +550,4 @@ def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
         return rep
     checks = _Checks.of(rep)
     gens = checks.run(_iterated_steps, checks, rep, moves, tol, verify_order, rng)
-    return _bent_rep(checks, rep, gens)
+    return _bent_rep(rep, gens)

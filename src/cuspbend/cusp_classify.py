@@ -30,9 +30,10 @@ g_k, the normalizing matrix A and the normal forms W_k for any number of
 rows of bending data, exact or float; the public generator and conjugator
 functions are slices of its output.  Each generator is checked in the
 inverse-free form A g_k = W_k A, which is equivalent to A g_k A^{-1} = W_k
-since det A = 1, so no route forms A^{-1}.  Exact data goes through integer
-:class:`ProjMap` products and must match with residual exactly 0.  Float
-data goes through :func:`conjugation_residuals`, which checks the
+since det A = 1, so no route forms A^{-1}.  Exact data puts A on one
+denominator and every g_k and W_k on another, checks every slot at once
+with stacked object-integer matmuls, and must match with residual exactly
+0.  Float data goes through :func:`conjugation_residuals`, which checks the
 generators of G grid rows in stacked matmuls and scales each entry of
 |A g - W A| by its componentwise rounding bound |A||g| + |W||A|;
 :func:`conjugate_and_match` runs that check on one row and the ``sweep``
@@ -52,6 +53,7 @@ from .cusp_models import CuspParameter, ModelDomain, leaf_coordinate, leaf_point
 from .projlin import (
     DEFAULT_TOL,
     ProjMap,
+    _exact_parts,
     act,
     compose,
     inverse,
@@ -328,21 +330,20 @@ def conjugate_and_match(data: RectangularCuspData,
 
     The generators g_k, the normalizing matrix A and the normal forms W_k
     come from :func:`_cusp_arrays`, and the check is A g_k = W_k A.  Exact
-    data must match exactly (zero residual), through integer
-    :class:`ProjMap` products; float data must match within tol, through
-    the scaled residual of :func:`conjugation_residuals`.  The conjugator is
-    A with its rows permuted so that the parameter is sorted non-increasing.
+    data must match exactly (zero residual): with A = N/d and every g_k, W_k
+    over one denominator e, the stacked integer products N M_g - M_W N of
+    all slots give the residual max|A g - W A| = max|N M_g - M_W N| / (d e).
+    Float data must match within tol, through the scaled residual of
+    :func:`conjugation_residuals`.  The conjugator is A with its rows
+    permuted so that the parameter is sorted non-increasing.
     """
     n = data.n
     gens, a_mat, normal = _cusp_arrays(data.b, [data.s], [data.mu])
     if data.exact:
-        a_map = ProjMap(a_mat[0])
-        residual = Fraction(0)
-        for g, w in zip(gens[0], normal[0]):
-            got, want = compose(a_map, ProjMap(g)), compose(ProjMap(w), a_map)
-            # |N/d - M/e| = |N e - M d| / (d e), entrywise on the integer forms
-            diff = np.max(np.abs(got.num * want.den - want.num * got.den))
-            residual = max(residual, Fraction(diff, got.den * want.den))
+        a_num, a_den = _exact_parts(a_mat[0])
+        (g_num, w_num), gw_den = _exact_parts(np.stack([gens[0], normal[0]]))
+        diff = np.matmul(a_num, g_num) - np.matmul(w_num, a_num)
+        residual = Fraction(np.max(np.abs(diff)), a_den * gw_den)
         if residual != 0:
             raise PatternMismatch(
                 f"exact conjugation failed to reach the normal form (residual {residual})",
@@ -361,7 +362,7 @@ def conjugate_and_match(data: RectangularCuspData,
     # P A is A with its rows reordered; + 0.0 turns a -0.0 entry into 0.0
     perm = [0] + [1 + k for k in order] + [n]
     if data.exact:
-        conjugator = ProjMap._from_exact(a_map.num[perm], a_map.den)
+        conjugator = ProjMap._from_exact(a_num[perm], a_den)
     else:
         conjugator = ProjMap._from_float(a_mat[0][perm] + 0.0)
     return ClassifiedCusp(psi, len(bent), conjugator, residual)

@@ -52,9 +52,11 @@ class CuspParameter:
         if not vals:
             raise ValueError("cusp parameter must have positive dimension")
         for i, x in enumerate(vals):
+            if not (is_exact(x) or math.isfinite(x)):
+                raise ValueError(f"psi_{i+1} = {x} is not finite")
             if x < 0:
                 raise ValueError(f"psi_{i+1} = {x} < 0")
-            if i + 1 < len(vals) and vals[i + 1] > x:
+            if i > 0 and x > vals[i - 1]:
                 raise ValueError(f"psi must be non-increasing, got {vals}")
         object.__setattr__(self, "psi", vals)
 

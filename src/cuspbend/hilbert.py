@@ -72,15 +72,15 @@ class ConvexDomainOracle:
     negative inside and positive or ``inf`` elsewhere (``inf`` off the
     chart); it may leave floating-point warnings to its caller.  Left out, it
     is a row loop over ``classify``.  Convexity is an assumed contract.
-    ``kind`` and ``params`` route the built-in domains to their closed forms
-    and kernels.
+    ``distances(X, Y)``, set by the built-in constructors only, is the
+    domain's own batch distance kernel for row-paired interior chart points;
+    a domain without one has its chord ends marched on ``value``.
     """
 
     n: int
     classify: Callable[..., str]
-    kind: str = "custom"
-    params: tuple = ()
     value: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    distances: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         # a replaced classify replaces the row loop built from the old one
@@ -101,7 +101,8 @@ def ball_oracle(n: int) -> ConvexDomainOracle:
             return BOUNDARY
         return INTERIOR if val < 0 else EXTERIOR
 
-    return ConvexDomainOracle(n, classify, kind="ball", value=_kernels._ball_value_np)
+    return ConvexDomainOracle(n, classify, value=_kernels._ball_value_np,
+                              distances=_kernels.ball_distances)
 
 
 def model_domain_oracle(psi: CuspParameter) -> ConvexDomainOracle:
@@ -117,10 +118,10 @@ def model_domain_oracle(psi: CuspParameter) -> ConvexDomainOracle:
         return tag
 
     t = psi.type
-    params = (tuple(float(x) for x in psi.psi[:t]), t)
-    psi_t = np.array(params[0], dtype=np.float64)
-    return ConvexDomainOracle(psi.n, classify, kind="model", params=params,
-                              value=lambda P: _kernels._model_value_np(P, psi_t, t))
+    psi_t = np.array([float(x) for x in psi.psi[:t]], dtype=np.float64)
+    return ConvexDomainOracle(psi.n, classify,
+                              value=lambda P: _kernels._model_value_np(P, psi_t, t),
+                              distances=lambda X, Y: _kernels.model_distances(X, Y, psi_t, t))
 
 
 def transformed_oracle(dom: ConvexDomainOracle, g: ProjMap) -> ConvexDomainOracle:
@@ -153,7 +154,6 @@ class ChordIntersection:
     z2: Optional[ProjPoint]
     residual: float
     unbounded: Optional[str] = None
-    u_params: tuple = ()
 
 
 def _as_chart(p, n: int) -> np.ndarray:
@@ -209,9 +209,7 @@ def chord_boundary(dom: ConvexDomainOracle, x, y) -> ChordIntersection:
                  (False, True): "z2", (True, False): "z1"}[tuple(bounded)]
     z1 = _chart_point(yc - s * d) if bounded[1] else None
     z2 = _chart_point(xc + u * d) if bounded[0] else None
-    # line parameter of each crossing in p(u) = x + u(y-x): z1 at 1-s, z2 at u
-    u_params = (float(1.0 - s) if bounded[1] else None, float(u) if bounded[0] else None)
-    return ChordIntersection(z1, z2, residual, unbounded, u_params)
+    return ChordIntersection(z1, z2, residual, unbounded)
 
 
 def cross_ratio(z1, x, y, z2, tol: float = DEFAULT_TOL) -> float:
@@ -226,10 +224,9 @@ def cross_ratio(z1, x, y, z2, tol: float = DEFAULT_TOL) -> float:
             raise ValueError("zero vector is not a projective point")
         pts.append(v / norm)
     P = np.stack(pts)
-    svals = np.linalg.svd(P, compute_uv=False)
+    _, svals, vt = np.linalg.svd(P)
     if len(svals) > 2 and svals[2] > tol * svals[0]:
         raise ValueError(f"points are not collinear (planarity residual {svals[2] / svals[0]:.2e})")
-    _, _, vt = np.linalg.svd(P)
     ab = P @ vt[:2].T
     def two_det(i: int, j: int) -> float:
         return ab[i, 0] * ab[j, 1] - ab[j, 0] * ab[i, 1]
@@ -258,25 +255,23 @@ def hilbert_distance(dom: ConvexDomainOracle, x, y) -> float:
 def hilbert_distances(dom: ConvexDomainOracle, X, Y) -> np.ndarray:
     """Batch distances for row-paired chart points.
 
-    The unit ball and the type-0 model domain are quadrics and take their
-    chord ends in closed form; model domains of type t >= 1 march every row
-    at once with their own ray test (:mod:`cuspbend._hilbert_kernels`).
-    Every other domain, moved built-ins and classify-only oracles included,
-    runs the same march on its ``value`` function.  The march is also the
-    independent route to the closed forms: ``verify`` checks the Klein
-    formula against it on the ball.  Bad input raises the ValueError of
-    :func:`hilbert_distance`, prefixed with the first offending row.
+    A domain with its own ``distances`` kernel runs it: the unit ball and
+    the type-0 model domain are quadrics and take their chord ends in closed
+    form; model domains of type t >= 1 march every row at once with their
+    own ray test (:mod:`cuspbend._hilbert_kernels`).  Every other domain,
+    moved built-ins and classify-only oracles included, runs the same march
+    on its ``value`` function.  The march is also the independent route to
+    the closed forms: ``verify`` checks the Klein formula against it on the
+    ball.  Bad input raises the ValueError of :func:`hilbert_distance`,
+    prefixed with the first offending row.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if X.shape != Y.shape or X.shape[1] != dom.n:
         raise ValueError(f"expected paired arrays of shape (m, {dom.n})")
     _require_interior_rows(dom, X, Y, batch=True)
-    if dom.kind == "ball":
-        return _kernels.ball_distances(X, Y)
-    if dom.kind == "model":
-        psi, t = dom.params
-        return _kernels.model_distances(X, Y, np.asarray(psi, dtype=np.float64), t)
+    if dom.distances is not None:
+        return dom.distances(X, Y)
     return _kernels.value_distances(dom.value, X, Y)
 
 

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +113,36 @@ def test_marked_rep_inverts_each_generator_once(monkeypatch):
                       1e-12)
     assert len(calls) == 3
     assert {id(g) for g in calls} == {id(rep.generators[name]) for name in ("g2", "g3", "g4")}
+
+
+@pytest.mark.parametrize("name", ["n4-amalgam-exact-seed1", "n6-amalgam-float-seed2",
+                                  "n6-hnn-exact-seed1", "n5-hnn-float-seed2"])
+def test_cli_shaped_bend_inverts_each_value_once(name, monkeypatch):
+    """Reading a rep, bending it with ``verify_order`` and evaluating words
+    in the result inverts each distinct map value once: the root rep, the
+    checks and the bent rep share one inverse cache."""
+    import cuspbend.bending as bending_mod
+    fixture = Path(__file__).parent / "fixtures" / "bend.json"
+    case = next(c for c in json.loads(fixture.read_text())["cases"] if c["name"] == name)
+    calls = []
+
+    def counting_inverse(g):
+        calls.append(bending_mod._key(g))
+        return inverse(g)
+
+    monkeypatch.setattr(bending_mod, "inverse", counting_inverse)
+    rep = MarkedRep.from_json(case["input"]["rep"])
+    moves = [BendingMove.from_json(m) for m in case["input"]["moves"]]
+    bent = iterated_bend(rep, moves, verify_order=True,
+                         rng=np.random.default_rng(int(case["argv"][1])))
+    words = [[f"{g}^-1"] for g in bent.names()] + [[f"{g}^-2" for g in rep.names()]]
+    for word in words + words:
+        bent.evaluate(word)
+    for word in rep.relators:
+        rep.evaluate(word)
+    assert calls and len(calls) == len(set(calls))
+    keys = {bending_mod._key(g) for g in (*rep.generators.values(), *bent.generators.values())}
+    assert keys <= set(calls)
 
 
 def test_centralizes_check_examples():

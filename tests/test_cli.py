@@ -299,6 +299,17 @@ def test_hilbert_csv_matches_per_value_format(tmp_path):
     assert out.read_text() == "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("psi", [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0]])
+def test_hilbert_non_finite_psi_is_usage_error(tmp_path, capsys, psi):
+    src, out = tmp_path / "pairs.json", tmp_path / "dist.csv"
+    src.write_text(json.dumps({"domain": {"kind": "model", "psi": psi},
+                               "pairs": [[[1.0, 0.2, -0.3], [2.0, 0.5, 0.4]]]}))
+    assert main(["hilbert", "--in", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "psi_1" in err and "not finite" in err and "Traceback" not in err
+
+
 def test_main_keeps_no_state_between_calls(tmp_path):
     """The parser is built once per process; no parsed value may carry over."""
     first, second = tmp_path / "first.json", tmp_path / "second.json"

@@ -183,6 +183,27 @@ def test_perturbed_generator_misses_normal_form(s, entry, slot):
     assert _intertwining_residuals(gens, a_mat, normal)[0] > 1e-9
 
 
+def test_exact_mismatch_reports_max_intertwining_error(monkeypatch):
+    """Negative control for the exact check: ``_cusp_arrays`` output with one
+    W corner moved by 1/7 and one g entry by 2/11 misses the normal form, and
+    the residual is max |A g - W A| over slots and entries, here summed out
+    entry by entry in Fractions."""
+    import cuspbend.cusp_classify as cc
+    data = RectangularCuspData(4, b=[F(3, 2), F(1), F(2)], mu=[F(3), F(1), F(5, 4)])
+    gens, a_mat, normal = _cusp_arrays(data.b, [data.s], [data.mu])
+    normal[0, 2, 0, 4] += F(1, 7)
+    gens[0, 1, 2, 4] += F(2, 11)
+    monkeypatch.setattr(cc, "_cusp_arrays", lambda b, s, mu: (gens, a_mat, normal))
+    with pytest.raises(PatternMismatch, match="exact conjugation failed") as info:
+        conjugate_and_match(data)
+    a, size = a_mat[0], data.n + 1
+    want = max(abs(sum(a[i, k] * g[k, j] - w[i, k] * a[k, j] for k in range(size)))
+               for g, w in zip(gens[0], normal[0])
+               for i in range(size) for j in range(size))
+    assert want > 0
+    assert info.value.residual == want and isinstance(info.value.residual, F)
+
+
 def test_standard_generators_explicit_matrix():
     g2, g3 = standard_cusp_generators(RectangularCuspData(3, b=[F(1), F(1)], s=[0.0, 0.0]))
     want = [[F(1), F(1), F(0), F(1, 2)],

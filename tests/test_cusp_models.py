@@ -41,6 +41,13 @@ def test_cusp_parameter_validation():
         CuspParameter([1, -1, 0])
 
 
+@pytest.mark.parametrize("psi", [[math.nan, 0, 0], [math.inf, 0, 0], [1.0, math.nan, 0],
+                                 [2.0, 1.0, math.inf], [1.0, 0.0, -math.inf]])
+def test_cusp_parameter_rejects_non_finite(psi):
+    with pytest.raises(ValueError, match="not finite"):
+        CuspParameter(psi)
+
+
 def test_cusp_parameter_json_roundtrip():
     psi = CuspParameter([F(3, 2), F(1), F(0)])
     assert CuspParameter.from_json(psi.to_json()) == psi

@@ -26,11 +26,15 @@ every check is decided in one stacked pass (words compiled once to letter
 indices, the words' products formed as stacked matmuls and compared by one
 row-wise :func:`~cuspbend.projlin.proj_equiv_rows`), and the first check
 that fails, in the order above, raises.  The stacking touches only
-pass/fail, never the generators a bend returns.  Inverses live in one cache
-keyed by map value: the representation a user builds owns it, and the
-checks, :meth:`MarkedRep.evaluate` and every representation that
-:func:`bend` and :func:`iterated_bend` derive from it share that one dict,
-so each distinct map is inverted once.
+pass/fail, never the generators a bend returns.  Inverses are cached by map
+value, and a representation's cache holds inverses of its own generators
+only.  The checks of one call start from a copy of it and add what they
+invert on the way (centralizers, intermediate generators); when the call
+succeeds, the representation it read and the one it returns each take the
+inverses of their own generators.  So within a call, and from a
+representation to the ones bent from it, each distinct map is inverted
+once, and no cache outgrows its representation's generators however often
+one representation is bent.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ class MarkedRep:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", rels)
         object.__setattr__(self, "tol", tol)
-        # map value -> inverse, shared with the checks and the bent reps
+        # map value -> inverse, for generators of this rep only
         object.__setattr__(self, "_inverses", {})
         if check:
             self.check_relators()
@@ -146,6 +150,7 @@ class MarkedRep:
         the identity (all relators are decided in one stacked pass)."""
         checks = _Checks.of(self)
         checks.run(_require_relators, checks, self, self.generators)
+        checks.keep_inverses(self)
 
     def to_json(self) -> dict:
         return {
@@ -265,10 +270,9 @@ class _Checks:
     check that repeats an earlier one (same letters, same tol) is dropped: it
     has the earlier one's verdict.  Maps of equal value share one letter, so
     a generator that two orders of the moves build alike is checked once.
-    Inverses come from one value-keyed cache, by default the checks' own;
-    :meth:`of` takes the representation's cache by reference, so inverses
-    computed here serve its later checks, its ``evaluate`` and the
-    representations bent from it.
+    Inverses come from one value-keyed cache of the checks' own; :meth:`of`
+    starts it from a copy of the representation's, and :meth:`keep_inverses`
+    hands a representation back the inverses of its generators.
     """
 
     def __init__(self, n: int, names=(), inverses: Optional[dict] = None):
@@ -283,8 +287,16 @@ class _Checks:
 
     @classmethod
     def of(cls, rep: MarkedRep) -> _Checks:
-        """Checks over the generators of rep, sharing its inverse cache."""
-        return cls(rep.n, rep.generators, rep._inverses)
+        """Checks over the generators of rep, starting from its inverses."""
+        return cls(rep.n, rep.generators, dict(rep._inverses))
+
+    def keep_inverses(self, rep: MarkedRep) -> None:
+        """Store in rep's cache the inverses found here of rep's generators."""
+        for g in rep.generators.values():
+            key = _key(g)
+            inv = self._inverses.get(key)
+            if inv is not None:
+                rep._inverses[key] = inv
 
     def letter(self, m: ProjMap) -> int:
         """The letter index of m, added to its dimension's table if new."""
@@ -456,6 +468,8 @@ def centralizes_check(c: ProjMap, subgroup_words, rep: MarkedRep,
                    checks.state(rep.generators), tol, CentralizerCheckFailed())
     except CentralizerCheckFailed:
         return False
+    finally:
+        checks.keep_inverses(rep)
     return True
 
 
@@ -511,11 +525,12 @@ def _iterated_steps(checks: _Checks, rep: MarkedRep, moves: list, tol: float,
     return gens
 
 
-def _bent_rep(rep: MarkedRep, gens: dict) -> MarkedRep:
-    """The representation with generators gens, which passed every check; it
-    shares rep's inverse cache."""
+def _bent_rep(checks: _Checks, rep: MarkedRep, gens: dict) -> MarkedRep:
+    """The representation with generators gens, which passed every check of
+    checks; it and rep keep the inverses found there of their generators."""
     out = MarkedRep(rep.n, gens, rep.relators, rep.tol, check=False)
-    object.__setattr__(out, "_inverses", rep._inverses)
+    checks.keep_inverses(rep)
+    checks.keep_inverses(out)
     return out
 
 
@@ -526,7 +541,7 @@ def bend(rep: MarkedRep, move: BendingMove, tol: float = DEFAULT_TOL) -> MarkedR
     centralizer commutes with each edge word, and each relator of the result
     maps to the identity."""
     checks = _Checks.of(rep)
-    return _bent_rep(rep, checks.run(_bend_step, checks, rep, rep.generators, move, tol))
+    return _bent_rep(checks, rep, checks.run(_bend_step, checks, rep, rep.generators, move, tol))
 
 
 def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
@@ -550,4 +565,4 @@ def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
         return rep
     checks = _Checks.of(rep)
     gens = checks.run(_iterated_steps, checks, rep, moves, tol, verify_order, rng)
-    return _bent_rep(rep, gens)
+    return _bent_rep(checks, rep, gens)

@@ -30,10 +30,15 @@ g_k, the normalizing matrix A and the normal forms W_k for any number of
 rows of bending data, exact or float; the public generator and conjugator
 functions are slices of its output.  Each generator is checked in the
 inverse-free form A g_k = W_k A, which is equivalent to A g_k A^{-1} = W_k
-since det A = 1, so no route forms A^{-1}.  Exact data puts A on one
-denominator and every g_k and W_k on another, checks every slot at once
-with stacked object-integer matmuls, and must match with residual exactly
-0.  Float data goes through :func:`conjugation_residuals`, which checks the
+since det A = 1, so no route forms A^{-1}.  Exact data stays in integers
+from the parsed b and mu to the written JSON: the builder writes A as
+integer numerators over one denominator d and every g_k and W_k over one
+shared e, the check runs every slot at once as stacked object-integer
+matmuls and must match with residual exactly 0, and the conjugator is a
+reduced integer :class:`ProjMap` that ``matrix_to_json`` prints from its
+numerators.  ``Fraction`` appears only where the input is parsed, in the
+residual, and in the ``entries`` view of a map that a caller asks for.
+Float data goes through :func:`conjugation_residuals`, which checks the
 generators of G grid rows in stacked matmuls and scales each entry of
 |A g - W A| by its componentwise rounding bound |A||g| + |W||A|;
 :func:`conjugate_and_match` runs that check on one row and the ``sweep``
@@ -53,7 +58,6 @@ from .cusp_models import CuspParameter, ModelDomain, leaf_coordinate, leaf_point
 from .projlin import (
     DEFAULT_TOL,
     ProjMap,
-    _exact_parts,
     act,
     compose,
     inverse,
@@ -201,8 +205,8 @@ def _cusp_arrays(b, s, mu):
     of bending data: the one place the construction is written down.
 
     ``b`` has length m = n - 1; ``s`` and ``mu`` have shape (G, m), with
-    mu = 1 on unbent slots.  Returns g and W of shape (G, m, n+1, n+1) and A
-    of shape (G, n+1, n+1), where for slot k (coordinate i = k + 2, matrix
+    mu = 1 on unbent slots.  g and W have shape (G, m, n+1, n+1) and A has
+    shape (G, n+1, n+1), where for slot k (coordinate i = k + 2, matrix
     index k + 1):
 
     - g[r, k] is the unipotent U(b_k) -- b_k at (0, k+1) and (k+1, n),
@@ -212,21 +216,23 @@ def _cusp_arrays(b, s, mu):
     - W[r, k] is g[r, k] on an unbent slot, and on a bent one the identity
       with mu_k at (k+1, k+1) and :func:`expected_corner` at (0, n).
 
-    C^2 has only the corner entry and C^3 = 0, so det A = 1.  The arrays are
-    ``object`` (exact scalars) when every b and mu is exact and ``float64``
-    otherwise; float data must pass the ``MIN_BEND_FLOAT`` guard.
+    C^2 has only the corner entry and C^3 = 0, so det A = 1.  Float data
+    (any b or mu not exact) returns the ``float64`` arrays (g, A, W) and
+    must pass the ``MIN_BEND_FLOAT`` guard.  Exact data returns the pairs
+    ((g, e), (A, d), (W, e)): integer numerator arrays (``object`` dtype of
+    Python ints) over positive int denominators, one d for A and one e shared
+    by every g and W.  Only the O(G m) slot scalars -- b, b^2 / 2, mu, mu b,
+    alpha, delta and the corner -- are computed, each as an int pair from
+    the ``as_integer_ratio`` of b and mu, and written straight into the
+    integer arrays; no ``Fraction`` and no matrix of them is made.
     """
     if all(map(is_exact, b)) and all(is_exact(x) for row in mu for x in row):
-        b = np.array([Fraction(x) for x in b], dtype=object)
-        mu = np.array([[Fraction(x) for x in row] for row in mu], dtype=object)
-        dtype = object
-    else:
-        b, s, mu = (np.asarray(x, dtype=np.float64) for x in (b, s, mu))
-        _guard_small_bending(s, mu)
-        dtype = np.float64
+        return _exact_cusp_arrays(b, mu)
+    b, s, mu = (np.asarray(x, dtype=np.float64) for x in (b, s, mu))
+    _guard_small_bending(s, mu)
     rows, m = mu.shape
     n = m + 1
-    eye = np.eye(n + 1, dtype=dtype)
+    eye = np.eye(n + 1)
     slot = np.arange(m)
     coord = slot + 1
     r_bent, k_bent = np.nonzero(mu != 1)
@@ -251,19 +257,71 @@ def _cusp_arrays(b, s, mu):
     return gens, a_mat, normal
 
 
+def _exact_cusp_arrays(b, mu):
+    """The exact branch of :func:`_cusp_arrays`.  Each slot scalar is an int
+    pair (numerator, denominator > 0), not necessarily in lowest terms; the
+    numerators are scaled to the lcm of their array kind's denominators."""
+    b = [x.as_integer_ratio() for x in b]
+    rows, m = len(mu), len(b)
+    n, size = m + 1, m + 2
+    g_at, g_val, a_at, a_val, w_at, w_val = [], [], [], [], [], []
+    for r, row in enumerate(mu):
+        for k, ((p, q), x) in enumerate(zip(b, row)):
+            u, v = x.as_integer_ratio()
+            i = k + 1
+            half_sq = (p * p, 2 * q * q)
+            g_at += [(r, k, 0, i), (r, k, i, n), (r, k, i, i), (r, k, 0, n)]
+            g_val += [(p, q), (u * p, v * q), (u, v), half_sq]
+            if u == v:
+                continue
+            # 1 / (mu - 1) = v / (u - v), with its sign moved to the numerator
+            sign, w = (1, u - v) if u > v else (-1, v - u)
+            a_at += [(r, 0, i), (r, i, n)]
+            a_val += [(-sign * p * v, q * w), (sign * u * p, q * w)]
+            w_at += [(r, k, 0, i), (r, k, i, n), (r, k, 0, n)]
+            w_val += [(0, 1), (0, 1), (-sign * p * p * (u + v), 2 * q * q * w)]
+    e = math.lcm(*(den for _, den in g_val + w_val))
+    d = math.lcm(*(den for _, den in a_val))
+
+    def put(arr, at, values, den):
+        if at:
+            arr[tuple(zip(*at))] = np.array([num * (den // q) for num, q in values], dtype=object)
+
+    diag = np.arange(size)
+    gens = np.zeros((rows, m, size, size), dtype=object)
+    gens[..., diag, diag] = e
+    put(gens, g_at, g_val, e)
+    normal = gens.copy()
+    put(normal, w_at, w_val, e)
+    a_mat = np.zeros((rows, size, size), dtype=object)
+    a_mat[..., diag, diag] = d
+    put(a_mat, a_at, a_val, d)
+    return (gens, e), (a_mat, d), (normal, e)
+
+
+def _row_maps(part) -> list[ProjMap]:
+    """The maps of grid row 0 of one :func:`_cusp_arrays` output (a float
+    array or an exact (numerators, denominator) pair): one per slot for g or
+    W, a list of one for A."""
+    if isinstance(part, tuple):
+        num, den = part
+        return [ProjMap._from_exact(x.copy(), den) for x in num[0].reshape(-1, *num.shape[-2:])]
+    return [ProjMap(x) for x in part[0].reshape(-1, *part.shape[-2:])]
+
+
 def standard_cusp_generators(data: RectangularCuspData) -> list[ProjMap]:
     """Unbent generators: unipotent, pairwise commuting, generator i
     translating by b_i along coordinate i."""
     m = data.n - 1
     gens, _, _ = _cusp_arrays(data.b, [[0] * m], [[1] * m])
-    return [ProjMap(g) for g in gens[0]]
+    return _row_maps(gens)
 
 
 def bent_cusp_generators(data: RectangularCuspData) -> list[ProjMap]:
     """Generators after bending: the diagonal factor with mu_i in position i
     times the standard generator."""
     gens, _, _ = _cusp_arrays(data.b, [data.s], [data.mu])
-    return [ProjMap(g) for g in gens[0]]
+    return _row_maps(gens)
 
 
 def normalizing_matrix(data: RectangularCuspData) -> ProjMap:
@@ -271,7 +329,7 @@ def normalizing_matrix(data: RectangularCuspData) -> ProjMap:
     eigenvector to its own basis vector (and dually); identity on unbent
     coordinates."""
     _, a_mat, _ = _cusp_arrays(data.b, [data.s], [data.mu])
-    return ProjMap(a_mat[0])
+    return _row_maps(a_mat)[0]
 
 
 def _intertwining_residuals(gens: np.ndarray, a_mat: np.ndarray,
@@ -330,19 +388,21 @@ def conjugate_and_match(data: RectangularCuspData,
 
     The generators g_k, the normalizing matrix A and the normal forms W_k
     come from :func:`_cusp_arrays`, and the check is A g_k = W_k A.  Exact
-    data must match exactly (zero residual): with A = N/d and every g_k, W_k
-    over one denominator e, the stacked integer products N M_g - M_W N of
-    all slots give the residual max|A g - W A| = max|N M_g - M_W N| / (d e).
-    Float data must match within tol, through the scaled residual of
+    data must match exactly (zero residual): the builder gives A = N/d and
+    every g_k, W_k over one denominator e as integer arrays, and the stacked
+    integer products N M_g - M_W N of all slots give the residual
+    ``Fraction(max|N M_g - M_W N|, d e)`` = max|A g - W A|.  Float data must
+    match within tol, through the scaled residual of
     :func:`conjugation_residuals`.  The conjugator is A with its rows
-    permuted so that the parameter is sorted non-increasing.
+    permuted so that the parameter is sorted non-increasing; exact, it is
+    the integer rows of N over d, reduced by ``ProjMap._from_exact``.
     """
     n = data.n
     gens, a_mat, normal = _cusp_arrays(data.b, [data.s], [data.mu])
     if data.exact:
-        a_num, a_den = _exact_parts(a_mat[0])
-        (g_num, w_num), gw_den = _exact_parts(np.stack([gens[0], normal[0]]))
-        diff = np.matmul(a_num, g_num) - np.matmul(w_num, a_num)
+        (g_num, gw_den), (a_num, a_den), (w_num, _) = gens, a_mat, normal
+        a_num = a_num[0]
+        diff = np.matmul(a_num, g_num[0]) - np.matmul(w_num[0], a_num)
         residual = Fraction(np.max(np.abs(diff)), a_den * gw_den)
         if residual != 0:
             raise PatternMismatch(

@@ -8,11 +8,15 @@ matrix ``num`` (a numpy ``object`` array of Python ints) over one positive
 int denominator ``den``, with ``gcd(den, *num) == 1``, so every rational
 matrix has exactly one stored form.  Composition is an integer matmul plus
 one gcd reduction; inverse and determinant use fraction-free Bareiss
-elimination (Bareiss 1968, *Math. Comp.* 22).  ``entries`` of an exact map
-is a read-only ``Fraction`` view, built on first access and cached.  Float
-maps store ``entries`` as a frozen ``float64`` array.  Points keep their
-coordinates in numpy arrays -- ``object`` dtype of ``Fraction`` for exact
-points, ``float64`` for floats.
+elimination (Bareiss 1968, *Math. Comp.* 22), and :func:`matrix_to_json`
+prints each entry from ``num`` and ``den`` with one gcd.  On the way from
+JSON to map to JSON, ``Fraction`` appears only where scalars are parsed
+(:func:`parse_scalar`) and in ``entries`` of an exact map, a read-only view
+built on first access and cached; a square JSON list of float rows skips
+even that and is read straight into ``float64``.  Float maps store
+``entries`` as a frozen ``float64`` array.  Points keep their coordinates
+in numpy arrays -- ``object`` dtype of ``Fraction`` for exact points,
+``float64`` for floats.
 
 Everything here is a value: construction copies, arrays are frozen, and all
 operations are pure, so instances are safe to share across threads.
@@ -258,14 +262,29 @@ class ProjMap:
         return f"ProjMap(n={self.n}, exact={self.exact})"
 
 
+def _ratio_to_json(p: int, q: int) -> str:
+    """``str(Fraction(p, q))`` for q > 0, with one gcd and no Fraction."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
 def matrix_to_json(m: ProjMap) -> list:
-    """Row-major nested lists; exact entries as "p/q" strings, floats as numbers."""
+    """Row-major nested lists; floats as numbers, exact entries as the strings
+    of ``scalar_to_json`` ("p", or "p/q" in lowest terms), written from
+    ``num`` and ``den`` without building the ``entries`` view."""
     if not m.exact:
         return m.entries.tolist()
-    return [[scalar_to_json(x) for x in row] for row in m.entries]
+    den = m.den
+    return [[_ratio_to_json(p, den) for p in row] for row in m.num.tolist()]
 
 
 def matrix_from_json(rows) -> ProjMap:
+    """A map from row-major nested lists of JSON scalars (see
+    :func:`parse_scalar`).  A square list of lists of floats goes straight
+    to ``float64``; any other input is parsed entry by entry."""
+    if (type(rows) is list and all(type(row) is list and len(row) == len(rows) for row in rows)
+            and all(type(x) is float for row in rows for x in row)):
+        return ProjMap(np.array(rows, dtype=np.float64))
     return ProjMap([[parse_scalar(x) for x in row] for row in rows])
 
 

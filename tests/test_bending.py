@@ -145,6 +145,33 @@ def test_cli_shaped_bend_inverts_each_value_once(name, monkeypatch):
     assert keys <= set(calls)
 
 
+def test_inverse_caches_stay_bounded_under_repeated_bending():
+    """One long-lived rep bent many times with fresh moves: its cache keeps
+    at most one inverse per generator of its own, and so does every rep a
+    bend returns, whatever the checks inverted on the way."""
+    import cuspbend.bending as bending_mod
+    rng = np.random.default_rng(7)
+    b = [1.0, 0.8, 1.3, 0.6, 1.1]
+    root = cusp_fixture_rep(RectangularCuspData(6, b=b, s=[0.0] * 5))
+
+    def own_keys(rep):
+        return {bending_mod._key(g) for g in rep.generators.values()}
+
+    for _ in range(200):
+        s = [0.0] * 5
+        for k in rng.choice(5, size=2, replace=False):
+            s[k] = float(rng.uniform(0.05, 1.5))
+        moves = cusp_bending_moves(RectangularCuspData(6, b=b, s=s))
+        bent = iterated_bend(root, moves, verify_order=True, rng=rng)
+        again = bend(bent, moves[0])
+        for rep in (bent, again):
+            rep.evaluate([f"{name}^-1" for name in rep.names()])
+        for rep in (root, bent, again):
+            assert set(rep._inverses) <= own_keys(rep)
+            assert len(rep._inverses) <= len(rep.generators)
+    assert len(root._inverses) == len(root.generators)
+
+
 def test_centralizes_check_examples():
     rep = fixture_rep()
     ident = ProjMap.identity(4, exact=False)

@@ -141,6 +141,42 @@ def test_classify_subcommand_exact(tmp_path):
     assert cls["psi"][0] == pytest.approx(2.1640425613334453, rel=1e-15)
 
 
+def test_classify_exact_builds_no_fraction_matrix(tmp_path, monkeypatch):
+    """From the parsed b and mu to the written JSON, ``classify --exact``
+    stays on integer arrays: no Fraction-matrix split, no ``entries`` view,
+    and a number of Fractions linear in n (the parsed input, the residual and
+    its string), far below the (n+1)^2 entries of one matrix."""
+    import fractions
+
+    import cuspbend.cusp_classify as cusp_classify
+    import cuspbend.projlin as projlin
+
+    def refuse(*args):
+        raise AssertionError("Fraction matrix built on the exact route")
+
+    for module in (projlin, cusp_classify):
+        monkeypatch.setattr(module, "_exact_parts", refuse, raising=False)
+    monkeypatch.setattr(projlin.ProjMap, "entries", property(refuse))
+    made = []
+    new = fractions.Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    n = 9
+    src, out = tmp_path / "data.json", tmp_path / "cls.json"
+    src.write_text(json.dumps({"n": n, "b": [f"{k + 2}/{k + 3}" for k in range(n - 1)],
+                               "mu": [f"{k + 5}/3" if k % 3 else "1" for k in range(n - 1)]}))
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+    assert main(["classify", "--in", str(src), "--exact", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    cls = json.loads(out.read_text())
+    assert cls["residual"] == "0" and cls["type"] == 5
+    assert len(cls["conjugator"]) == n + 1
+    assert len(made) <= 2 * (n - 1) + 4 < (n + 1) ** 2
+
+
 def test_classify_subcommand_generators(tmp_path):
     from cuspbend.cusp_models import CuspParameter, h_element
     from cuspbend.projlin import matrix_to_json

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cuspbend.cusp_classify import (
@@ -190,18 +190,78 @@ def test_exact_mismatch_reports_max_intertwining_error(monkeypatch):
     entry by entry in Fractions."""
     import cuspbend.cusp_classify as cc
     data = RectangularCuspData(4, b=[F(3, 2), F(1), F(2)], mu=[F(3), F(1), F(5, 4)])
-    gens, a_mat, normal = _cusp_arrays(data.b, [data.s], [data.mu])
-    normal[0, 2, 0, 4] += F(1, 7)
-    gens[0, 1, 2, 4] += F(2, 11)
-    monkeypatch.setattr(cc, "_cusp_arrays", lambda b, s, mu: (gens, a_mat, normal))
+    (g_num, e), (a_num, d), (w_num, _) = _cusp_arrays(data.b, [data.s], [data.mu])
+    # g and W over 77 e, so that both moves are integer numerators
+    g_num, w_num, e = g_num * 77, w_num * 77, e * 77
+    w_num[0, 2, 0, 4] += e // 7
+    g_num[0, 1, 2, 4] += 2 * e // 11
+    monkeypatch.setattr(cc, "_cusp_arrays",
+                        lambda b, s, mu: ((g_num, e), (a_num, d), (w_num, e)))
     with pytest.raises(PatternMismatch, match="exact conjugation failed") as info:
         conjugate_and_match(data)
+
+    def fractions(num, den):
+        return np.vectorize(lambda x: F(x, den), otypes=[object])(num)
+
+    gens, a_mat, normal = fractions(g_num, e), fractions(a_num, d), fractions(w_num, e)
     a, size = a_mat[0], data.n + 1
     want = max(abs(sum(a[i, k] * g[k, j] - w[i, k] * a[k, j] for k in range(size)))
                for g, w in zip(gens[0], normal[0])
                for i in range(size) for j in range(size))
-    assert want > 0
+    assert want == F(2, 11)
     assert info.value.residual == want and isinstance(info.value.residual, F)
+
+
+def _fraction_cusp_matrices(data: RectangularCuspData):
+    """g_k and A in Fractions, entry by entry from the formulas of the
+    ``_cusp_arrays`` docstring."""
+    n = data.n
+    a = [[F(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
+    gens = []
+    for k, (b, mu) in enumerate(zip(data.b, data.mu)):
+        g = [[F(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
+        g[0][k + 1] = g[k + 1][n] = F(b)
+        g[0][n] = F(b) * b / 2
+        g[k + 1] = [mu * x for x in g[k + 1]]
+        gens.append(g)
+        if mu != 1:
+            a[0][k + 1] = -F(b) / (mu - 1)
+            a[k + 1][n] = mu * F(b) / (mu - 1)
+    return gens, a
+
+
+positive_rational = st.fractions(min_value=F(1, 50), max_value=50, max_denominator=60)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_exact_route_matches_fraction_formulas(data):
+    """The integer exact route against Fractions built here: the residual is
+    exactly 0, the conjugator is the Fraction A with its rows in the order of
+    psi, and the generator and normalizing-matrix slices are g and A."""
+    n = data.draw(st.integers(2, 6), label="n")
+    b = data.draw(st.lists(positive_rational, min_size=n - 1, max_size=n - 1), label="b")
+    bent = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1), label="bent")
+    mu = [1 + data.draw(positive_rational, label="mu - 1") if k else F(1) for k in bent]
+    cusp = RectangularCuspData(n, b=b, mu=mu)
+    gens, a = _fraction_cusp_matrices(cusp)
+
+    # psi entries in floats: b^2 (mu + 1) / (2 (mu - 1) log mu) per bent slot
+    avals = {k: float(b[k]) ** 2 * float(mu[k] + 1) / (2 * float(mu[k] - 1)) / math.log(mu[k])
+             for k in range(n - 1) if bent[k]}
+    distinct = sorted(set(avals.values()))
+    assume(all(y - x > 1e-9 * y for x, y in zip(distinct, distinct[1:])))
+    order = sorted(avals, key=lambda k: -avals[k]) + [k for k in range(n - 1) if not bent[k]]
+
+    cls = conjugate_and_match(cusp)
+    assert cls.residual == 0 and isinstance(cls.residual, F)
+    assert cls.type == sum(bent)
+    assert cls.psi.psi == pytest.approx([avals[k] for k in order if bent[k]]
+                                        + [0.0] * (n - sum(bent)), rel=1e-12)
+    rows = [0] + [k + 1 for k in order] + [n]
+    assert cls.conjugator.entries.tolist() == [a[i] for i in rows]
+    assert normalizing_matrix(cusp).entries.tolist() == a
+    assert [g.entries.tolist() for g in bent_cusp_generators(cusp)] == gens
 
 
 def test_standard_generators_explicit_matrix():

@@ -176,6 +176,77 @@ def test_matrix_json_roundtrip():
     assert matrix_from_json(matrix_to_json(mf)).entries.dtype == np.float64
 
 
+# (input, exception type, message) as the entry-by-entry parser reports them
+BAD_JSON_MATRICES = [
+    ([[1.0, 2.0], [3.0]], ValueError, "projective map must be square, got shape (2,)"),
+    ([[1.0, 2.0], [3.0, [4.0]]], ValueError, "not a scalar: [4.0]"),
+    ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], ValueError,
+     "projective map must be square, got shape (2, 3)"),
+    ([[1.0]], ValueError, "projective map must be at least 2x2"),
+    ([], ValueError, "projective map must be square, got shape (0,)"),
+    ([[]], ValueError, "projective map must be square, got shape (1, 0)"),
+    ([1.0, 2.0], TypeError, "'float' object is not iterable"),
+    ([[1.0, True], [0.0, 1.0]], ValueError, "not a scalar: True"),
+    ([[1.0, "x"], [0.0, 1.0]], ValueError, "Invalid literal for Fraction: 'x'"),
+    ([[1.0, {"a": 1}], [0.0, 1.0]], ValueError, "not a scalar: {'a': 1}"),
+    ([[1.0, [2.0]], [0.0, 1.0]], ValueError, "not a scalar: [2.0]"),
+    ([[1.0, None], [0.0, 1.0]], ValueError, "not a scalar: None"),
+    ({"a": 1}, ValueError, "Invalid literal for Fraction: 'a'"),
+]
+
+
+@pytest.mark.parametrize("rows,exc,message", BAD_JSON_MATRICES)
+def test_matrix_from_json_bad_input_messages(rows, exc, message):
+    with pytest.raises(exc) as info:
+        matrix_from_json(rows)
+    assert type(info.value) is exc and str(info.value) == message
+
+
+json_float = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda size: st.lists(
+    st.lists(json_float, min_size=size, max_size=size), min_size=size, max_size=size)))
+def test_matrix_from_json_float_rows_match_entrywise_parse(rows):
+    got = matrix_from_json(rows)
+    want = ProjMap([[parse_scalar(x) for x in row] for row in rows])
+    assert not got.exact and got.entries.dtype == np.float64
+    assert got.entries.tobytes() == want.entries.tobytes()
+
+
+def test_matrix_from_json_ints_and_strings_stay_exact():
+    assert matrix_from_json([[1, 0], [0, 2]]).exact
+    assert matrix_to_json(matrix_from_json([["1/2", 0], [0, 1]])) == [["1/2", "0"], ["0", "1"]]
+    mixed = matrix_from_json([[1, 0.5], [0.0, 1.0]])
+    assert not mixed.exact and mixed.entries.tolist() == [[1.0, 0.5], [0.0, 1.0]]
+
+
+big_fraction = st.one_of(
+    st.just(F(0)),
+    st.integers(-2 ** 70, 2 ** 70).map(F),
+    st.builds(F, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 66)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda size: st.lists(
+    st.lists(big_fraction, min_size=size, max_size=size), min_size=size, max_size=size)))
+def test_matrix_to_json_exact_matches_fraction_strings(rows):
+    m = ProjMap(rows)
+    want = [[str(F(x)) for x in row] for row in rows]
+    assert matrix_to_json(m) == want
+    assert matrix_to_json(m) == [[str(F(x)) for x in row] for row in m.entries]
+
+
+def test_matrix_to_json_exact_edge_entries():
+    big = 2 ** 64 + 1
+    m = ProjMap([[F(-big, 3), F(0)], [F(6, 4), F(-7)]])
+    assert matrix_to_json(m) == [[f"-{big}/3", "0"], ["3/2", "-7"]]
+    assert matrix_to_json(ProjMap([[F(4), F(-2)], [F(0), F(2)]])) == [["4", "-2"], ["0", "2"]]
+
+
 def test_scalar_json():
     assert scalar_to_json(F(3, 2)) == "3/2"
     assert parse_scalar("3/2") == F(3, 2)

@@ -10,10 +10,11 @@ Exit codes: 0 success / all properties pass, 1 property failure (a failed
 ``verify`` property, or ``classify`` or ``sweep`` generators that miss the
 normal form: the residual goes to standard error, and ``sweep`` names the
 first such grid row), 2 usage or I/O error.  Usage errors include Hilbert
-points that are not finite and strictly interior, and bending data that
-:class:`RectangularCuspData` or the float-classification guard refuses: a
-shape constant, bending parameter or multiplier that is not finite, an s
-whose exp overflows, or a nonzero s below ``MIN_BEND_FLOAT``.
+points that are not finite and strictly interior, a Hilbert pair that is
+not two points, a JSON string or object where a list belongs, and bending
+data that :class:`RectangularCuspData` or the float-classification guard
+refuses: a shape constant, bending parameter or multiplier that is not
+finite, an s whose exp overflows, or a nonzero s below ``MIN_BEND_FLOAT``.
 
 ``sweep`` classifies its whole grid with one call to the float kernel
 :func:`conjugation_residuals`.
@@ -42,7 +43,8 @@ from .cusp_classify import (
 )
 from .cusp_models import CuspParameter
 from .hilbert import ball_oracle, hilbert_distances, model_domain_oracle
-from .projlin import DEFAULT_TOL, is_exact, matrix_from_json, parse_scalar, scalar_to_json
+from .projlin import (DEFAULT_TOL, is_exact, matrix_from_json, parse_scalar, require_list,
+                      scalar_to_json)
 
 
 def _fmt(x) -> str:
@@ -125,31 +127,25 @@ def _cmd_sweep(args) -> int:
 
     cusps = [RectangularCuspData(n, b=b_vals, s=[
         float(s) if (i in slots and s != 0) else 0.0 for i in range(2, n + 1)]) for s in grid]
-    residuals = conjugation_residuals(b_vals, [data.s for data in cusps],
-                                      [data.mu for data in cusps])
+    s_rows = np.array([data.s for data in cusps])
+    mu_rows = np.array([data.mu for data in cusps], dtype=np.float64)
+    residuals = conjugation_residuals(b_vals, s_rows, mu_rows)
     require_normal_form(residuals, DEFAULT_TOL)
-    rows = []
-    for data in cusps:
-        a_vals = [cusp_parameter_entry(b, mu, s) if s != 0 else math.inf
-                  for b, mu, s in zip(data.b, data.mu, data.s)]
-        rows.append((data.s, a_vals, [1.0 / a for a in a_vals], len(data.bent_slots())))
-    header = ([f"s_{i}" for i in range(2, n + 1)]
-              + [f"a_{i}" for i in range(2, n + 1)]
-              + [f"ainv_{i}" for i in range(2, n + 1)] + ["type"])
-    lines = [",".join(header)]
-    for svec, a_vals, ainv_vals, ctype in rows:
-        cells = [_fmt(x) for x in svec] + [_fmt(x) for x in a_vals] \
-            + [_fmt(x) for x in ainv_vals] + [str(ctype)]
-        lines.append(",".join(cells))
+    bent = s_rows != 0
+    a_vals = np.full(bent.shape, math.inf)
+    a_vals[bent] = cusp_parameter_entry(np.broadcast_to(b_vals, bent.shape)[bent],
+                                        mu_rows[bent], s_rows[bent])
+    ainv = 1.0 / a_vals
+    header = [f"{col}_{i}" for col in ("s", "a", "ainv") for i in range(2, n + 1)] + ["type"]
+    types = np.count_nonzero(mu_rows != 1, axis=1).tolist()
+    table = np.hstack([s_rows, a_vals, ainv]).tolist()
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) + f",{t}"
+                                  for row, t in zip(table, types)]
     _write_text(args.out, "\n".join(lines) + "\n")
 
     if args.svg:
-        xs = [float(s) for s in grid]
-        series = {}
-        for idx, i in enumerate(range(2, n + 1)):
-            if i in slots:
-                series[f"ainv_{i}"] = [row[2][idx] for row in rows]
-        _write_svg(args.svg, xs, series, "inverted cusp parameter vs bending",
+        series = {f"ainv_{i}": ainv[:, i - 2].tolist() for i in slots}
+        _write_svg(args.svg, grid.tolist(), series, "inverted cusp parameter vs bending",
                    "s", "1/a")
     return 0
 
@@ -233,6 +229,8 @@ def _cmd_classify(args) -> int:
             if mu is None or not all(is_exact(x) for x in values):
                 raise ValueError("--exact needs rational b and mu values in the input")
         rect = RectangularCuspData(n, b=b, s=s, mu=mu)
+        for key in ("b", "s", "mu"):
+            require_list(data.get(key, []), key)
         cls = conjugate_and_match(rect, tol=args.tol)
     _write_text(args.out, json.dumps(cls.to_json(), sort_keys=True, indent=2) + "\n")
     return 0
@@ -247,12 +245,19 @@ def _cmd_hilbert(args) -> int:
     elif kind == "model":
         psi = CuspParameter([float(parse_scalar(x)) for x in dspec["psi"]])
         dom = model_domain_oracle(psi)
+        require_list(dspec["psi"], "psi")
     else:
         raise ValueError(f"unknown domain kind {kind!r} (expected ball or model)")
     pairs = spec["pairs"]
+    for i, p in enumerate(pairs):
+        if type(p) is list and len(p) != 2:
+            raise ValueError(f"pairs[{i}] must be two points, got {len(p)}")
     X = np.asarray([p[0] for p in pairs], dtype=np.float64)
     Y = np.asarray([p[1] for p in pairs], dtype=np.float64)
     dists = hilbert_distances(dom, X, Y)
+    if X.ndim == 1:  # pairs of scalars, not of points (a string point parses as one)
+        require_list(pairs, "pairs")
+        raise ValueError(f"pairs[0] must be two points of dimension {dom.n}")
     # one % over every value: "%.17g" prints exactly what _fmt prints
     point = " ".join(["%.17g"] * X.shape[1])
     row = f'"{point}","{point}",%.17g'

@@ -195,19 +195,21 @@ def expected_corner(b, mu):
     return -b * b * (mu + 1) / (2 * (mu - 1))
 
 
-def cusp_parameter_entry(b, mu, s) -> float:
-    """Cusp-parameter value contributed by a bent slot: -corner / s."""
-    return float(expected_corner(float(b), float(mu))) / -float(s)
+def cusp_parameter_entry(b, mu, s):
+    """Cusp-parameter values contributed by bent slots, -corner / s, in
+    floats: elementwise over arrays (broadcast), or one slot's value."""
+    b, mu, s = (np.asarray(x, dtype=np.float64) for x in (b, mu, s))
+    return expected_corner(b, mu) / -s
 
 
 def _cusp_arrays(b, s, mu):
     """Bent generators g, normalizing matrices A and normal forms W of G rows
     of bending data: the one place the construction is written down.
 
-    ``b`` has length m = n - 1; ``s`` and ``mu`` have shape (G, m), with
-    mu = 1 on unbent slots.  g and W have shape (G, m, n+1, n+1) and A has
-    shape (G, n+1, n+1), where for slot k (coordinate i = k + 2, matrix
-    index k + 1):
+    ``s`` and ``mu`` have shape (G, m), m = n - 1, with mu = 1 on unbent
+    slots; ``b`` has length m, or in floats shape (G, m), one per row.  g
+    and W have shape (G, m, n+1, n+1) and A has shape (G, n+1, n+1), where
+    for slot k (coordinate i = k + 2, matrix index k + 1):
 
     - g[r, k] is the unipotent U(b_k) -- b_k at (0, k+1) and (k+1, n),
       b_k^2 / 2 at (0, n) -- with row k+1 scaled by mu_k;
@@ -228,8 +230,9 @@ def _cusp_arrays(b, s, mu):
     """
     if all(map(is_exact, b)) and all(is_exact(x) for row in mu for x in row):
         return _exact_cusp_arrays(b, mu)
-    b, s, mu = (np.asarray(x, dtype=np.float64) for x in (b, s, mu))
+    s, mu = (np.asarray(x, dtype=np.float64) for x in (s, mu))
     _guard_small_bending(s, mu)
+    b = np.broadcast_to(np.asarray(b, dtype=np.float64), mu.shape)
     rows, m = mu.shape
     n = m + 1
     eye = np.eye(n + 1)
@@ -237,14 +240,13 @@ def _cusp_arrays(b, s, mu):
     coord = slot + 1
     r_bent, k_bent = np.nonzero(mu != 1)
 
-    unipotent = np.repeat(eye[None], m, axis=0)
-    unipotent[slot, 0, coord] = b
-    unipotent[slot, coord, n] = b
-    unipotent[slot, 0, n] = b * b / 2
-    gens = np.repeat(unipotent[None], rows, axis=0)
+    gens = np.tile(eye, (rows, m, 1, 1))
+    gens[:, slot, 0, coord] = b
+    gens[:, slot, coord, n] = b
+    gens[:, slot, 0, n] = b * b / 2
     gens[:, slot, coord, :] *= mu[:, :, None]
 
-    b_bent, mu_bent = b[k_bent], mu[r_bent, k_bent]
+    b_bent, mu_bent = b[r_bent, k_bent], mu[r_bent, k_bent]
     denom = mu_bent - 1
     a_mat = np.repeat(eye[None], rows, axis=0)
     a_mat[r_bent, 0, k_bent + 1] = -b_bent / denom
@@ -353,8 +355,9 @@ def _intertwining_residuals(gens: np.ndarray, a_mat: np.ndarray,
 def conjugation_residuals(b, s, mu) -> np.ndarray:
     """Float kernel: pattern residual of every row of a bending grid.
 
-    ``b`` has shape (m,) with m = n - 1; ``s`` and ``mu`` have shape (G, m),
-    one row per grid value, with mu = 1 on unbent slots.  :func:`_cusp_arrays`
+    ``s`` and ``mu`` have shape (G, m) with m = n - 1, one row per grid
+    value, with mu = 1 on unbent slots; ``b`` has shape (m,), shared by the
+    rows, or (G, m), one per row.  :func:`_cusp_arrays`
     builds the generators g, normalizing matrices A and normal forms W of all
     G rows, and each slot is checked in the inverse-free form A g = W A
     (equivalent to A g A^{-1} = W, as A is invertible) in stacked matmuls.
@@ -414,7 +417,8 @@ def conjugate_and_match(data: RectangularCuspData,
         residual = float(residuals[0])
 
     bent = data.bent_slots()
-    avals = {k: cusp_parameter_entry(data.b[k], data.mu[k], data.s[k]) for k in bent}
+    slots = ([v[k] for k in bent] for v in (data.b, data.mu, data.s))
+    avals = dict(zip(bent, cusp_parameter_entry(*slots).tolist()))
     sorted_bent = sorted(bent, key=lambda k: -avals[k])
     order = sorted_bent + [k for k in range(n - 1) if k not in bent]
     psi = CuspParameter([avals[k] for k in sorted_bent] + [0.0] * (n - len(bent)))

@@ -249,7 +249,7 @@ def hilbert_distance(dom: ConvexDomainOracle, x, y) -> float:
     X = _as_chart(x, dom.n)[None]
     Y = _as_chart(y, dom.n)[None]
     _require_interior_rows(dom, X, Y, batch=False)
-    return float(hilbert_distances(dom, X, Y)[0])
+    return float(_distances(dom, X, Y)[0])
 
 
 def hilbert_distances(dom: ConvexDomainOracle, X, Y) -> np.ndarray:
@@ -270,26 +270,32 @@ def hilbert_distances(dom: ConvexDomainOracle, X, Y) -> np.ndarray:
     if X.shape != Y.shape or X.shape[1] != dom.n:
         raise ValueError(f"expected paired arrays of shape (m, {dom.n})")
     _require_interior_rows(dom, X, Y, batch=True)
+    return _distances(dom, X, Y)
+
+
+def _distances(dom: ConvexDomainOracle, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The body of both distance functions, on rows already checked."""
     if dom.distances is not None:
         return dom.distances(X, Y)
     return _kernels.value_distances(dom.value, X, Y)
 
 
-def klein_distance(x, y) -> float:
+def klein_distance(x, y):
     """Closed-form hyperbolic distance between interior points of the unit
     ball, arccosh((1 - x.y) / sqrt((1-|x|^2)(1-|y|^2))), evaluated as
     arcsinh(sqrt(|d|^2 (1-|x|^2) + (x.d)^2) / sqrt((1-|x|^2)(1-|y|^2))) with
-    d = y - x: a sum of nonnegative terms, accurate for nearby points too."""
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    nx = float(np.dot(xv, xv))
-    ny = float(np.dot(yv, yv))
-    if nx >= 1.0 or ny >= 1.0:
+    d = y - x: a sum of nonnegative terms, accurate for nearby points too.
+    Two points give a float; two arrays of row-paired points, one per row."""
+    xv, yv = (np.asarray(p, dtype=np.float64) for p in (x, y))
+    dot = lambda a, b: np.einsum("...i,...i->...", a, b)
+    nx, ny = dot(xv, xv), dot(yv, yv)
+    if np.any(nx >= 1.0) or np.any(ny >= 1.0):
         raise ValueError("arguments must lie strictly inside the unit ball")
     d = yv - xv
-    xd = float(np.dot(xv, d))
-    num = float(np.dot(d, d)) * (1.0 - nx) + xd * xd
-    return math.asinh(math.sqrt(num / ((1.0 - nx) * (1.0 - ny))))
+    xd = dot(xv, d)
+    num = dot(d, d) * (1.0 - nx) + xd * xd
+    out = np.arcsinh(np.sqrt(num / ((1.0 - nx) * (1.0 - ny))))
+    return float(out) if out.ndim == 0 else out
 
 
 def convexity_scan(dom: ConvexDomainOracle, x, y, samples: int = 64) -> None:

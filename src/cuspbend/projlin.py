@@ -49,8 +49,8 @@ class ExactModeError(ValueError):
 
 
 def is_exact(x) -> bool:
-    """True for scalars that support +,-,*,/ without rounding."""
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    """True for scalars that support +,-,*,/ without rounding (floats skip an ABC check)."""
+    return type(x) is not float and isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 def _is_exact_type(cls) -> bool:
@@ -69,6 +69,14 @@ def parse_scalar(s):
     if isinstance(s, float):
         return s
     raise ValueError(f"not a scalar: {s!r}")
+
+
+def require_list(value, what: str):
+    """``value``, unless it is a JSON string or object where a list is
+    expected: iterating one reads a string by character, a dict by key."""
+    if isinstance(value, (str, dict)):
+        raise ValueError(f"{what} must be a JSON list, not {value!r}")
+    return value
 
 
 def scalar_to_json(x):
@@ -281,11 +289,15 @@ def matrix_to_json(m: ProjMap) -> list:
 def matrix_from_json(rows) -> ProjMap:
     """A map from row-major nested lists of JSON scalars (see
     :func:`parse_scalar`).  A square list of lists of floats goes straight
-    to ``float64``; any other input is parsed entry by entry."""
+    to ``float64``; any other input is parsed entry by entry, then refused
+    if the matrix or a row is a string or dict (:func:`require_list`)."""
     if (type(rows) is list and all(type(row) is list and len(row) == len(rows) for row in rows)
             and all(type(x) is float for row in rows for x in row)):
         return ProjMap(np.array(rows, dtype=np.float64))
-    return ProjMap([[parse_scalar(x) for x in row] for row in rows])
+    m = ProjMap([[parse_scalar(x) for x in row] for row in rows])
+    for i, row in enumerate(require_list(rows, "matrix")):
+        require_list(row, f"matrix row {i}")
+    return m
 
 
 def compose(a: ProjMap, b: ProjMap) -> ProjMap:
@@ -420,8 +432,8 @@ def proj_equiv_rows(a: np.ndarray, b: np.ndarray, tol=DEFAULT_TOL) -> np.ndarray
     idx = np.abs(fa).argmax(axis=1)
     pa, pb = fa[rows, idx], fb[rows, idx]
     max_b = np.abs(fb).max(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a zero pivot gives inf or nan here, on rows that read False below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a zero or subnormal pivot gives inf or nan here, on rows that read False below
         diff = np.abs(fa / pa[:, None] - fb / pb[:, None]).max(axis=1)
     return np.where(max_b == 0, pa == 0,
                     (pa != 0) & (np.abs(pb) >= tol * max_b) & (diff <= tol))

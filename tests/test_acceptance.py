@@ -3,27 +3,14 @@ line with the measured quantity at its pinned tolerance."""
 
 import math
 import time
-from fractions import Fraction as F
 
 import numpy as np
 
 import cuspbend.verify as verify
 from cuspbend.bending import BendingMove, Decomposition, bend, iterated_bend
 from cuspbend.cli import main
-from cuspbend.cusp_classify import (
-    RectangularCuspData,
-    bent_cusp_generators,
-    conjugate_and_match,
-    diagonalize_commuting,
-    equivalent_parameters,
-)
-from cuspbend.cusp_models import (
-    ModelDomain,
-    h_product,
-    leaf_coordinate,
-    leaf_point,
-    zprime_element,
-)
+from cuspbend.cusp_classify import RectangularCuspData, conjugate_and_match, diagonalize_commuting
+from cuspbend.cusp_models import zprime_element
 from cuspbend.hilbert import ball_oracle, cross_ratio, hilbert_distances, klein_distance
 from cuspbend.projlin import ProjMap, ProjPoint, act, compose
 from cuspbend.verify import (
@@ -44,67 +31,37 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_exact_normal_form_identity():
     t0 = time.perf_counter()
-    cases = verify.exact_lemma_identity_cases()
+    r = verify.exact_normal_form_identity(np.random.default_rng(SEED))
     elapsed = time.perf_counter() - t0
-    ok = elapsed < 5.0
-    _report(1, "exact normal-form identity",
-            ok, f"{cases} exact cases, zero residual, {elapsed:.2f}s < 5s")
+    _report(1, "exact normal-form identity", r.passed and elapsed < 5.0,
+            f"{r.trials} exact cases, zero residual, {elapsed:.2f}s < 5s {r.note}")
 
 
 def test_criterion_2_type_law():
-    rng = np.random.default_rng(SEED)
-    mismatches = 0
-    trials = 0
-    for n in range(2, 7):
-        for _ in range(500):
-            data = random_rect_data(rng, n)
-            cls = conjugate_and_match(data)
-            if cls.type != sum(1 for x in data.s if x != 0):
-                mismatches += 1
-            trials += 1
-    _report(2, "type law", mismatches == 0,
-            f"{trials} draws, {mismatches} mismatches")
+    r = verify.type_law(np.random.default_rng(SEED))
+    _report(2, "type law", r.passed, f"{r.trials} draws, {r.max_residual:.0f} bad rows")
 
 
 def test_criterion_3_closure_and_leaf_invariance():
     rng = np.random.default_rng(SEED)
     t0 = time.perf_counter()
-    worst_closure = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 7))
-        psi = verify._random_psi(rng, n, max_type=n - 1)
-        a = verify._random_h_element(rng, psi)
-        b = verify._random_h_element(rng, psi)
-        worst_closure = max(worst_closure, _norm_diff(
-            h_product(a, b).matrix, compose(a.matrix, b.matrix)))
-    worst_drift = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 7))
-        psi = verify._random_psi(rng, n, max_type=n - 1)
-        dom = ModelDomain(psi)
-        t = psi.type
-        g = verify._random_h_element(rng, psi).matrix
-        c = float(rng.uniform(0.0, 3.0))
-        coords = list(rng.uniform(0.2, 3.0, t)) + list(rng.uniform(-2.0, 2.0, n - 1 - t))
-        c2, _ = leaf_coordinate(dom, act(g, leaf_point(dom, c, coords)))
-        worst_drift = max(worst_drift, abs(float(c2) - c))
+    closure = verify.closure_float(rng)
+    drift = verify.leaf_invariance(rng, 0.0)
     elapsed = time.perf_counter() - t0
-    ok = worst_closure <= 1e-12 and worst_drift <= 1e-9 and elapsed < 10.0
+    ok = closure.passed and drift.passed and elapsed < 10.0
     _report(3, "group closure and leaf invariance", ok,
-            f"closure {worst_closure:.2e} <= 1e-12, drift {worst_drift:.2e} <= 1e-9, "
-            f"{elapsed:.2f}s < 10s")
+            f"closure {closure.max_residual:.2e} <= 1e-12, drift {drift.max_residual:.2e} "
+            f"<= 1e-9, {elapsed:.2f}s < 10s")
 
 
 def test_criterion_4_hilbert_klein_and_cross_ratio():
     rng = np.random.default_rng(SEED)
     sup = 0.0
     for n in (2, 3):
-        dom = ball_oracle(n)
         x = verify._ball_points(rng, 1000, n)
         y = verify._ball_points(rng, 1000, n)
-        dh = hilbert_distances(dom, x, y)
-        dk = np.array([klein_distance(a, b) for a, b in zip(x, y)])
-        sup = max(sup, float(np.max(np.abs(dh - dk))))
+        sup = np.maximum(sup, np.max(np.abs(hilbert_distances(ball_oracle(n), x, y)
+                                            - klein_distance(x, y))))
     worst_cr = 0.0
     maps_used = 0
     while maps_used < 1000:
@@ -118,7 +75,7 @@ def test_criterion_4_hilbert_klein_and_cross_ratio():
         cr0 = cross_ratio(*pts)
         g = ProjMap(_random_map(rng, n + 1, max_cond=50))
         cr1 = cross_ratio(*[act(g, p) for p in pts])
-        worst_cr = max(worst_cr, abs(cr0 - cr1) / max(abs(cr0), 1.0))
+        worst_cr = np.maximum(worst_cr, abs(cr0 - cr1) / max(abs(cr0), 1.0))
         maps_used += 1
     ok = sup <= 1e-9 and worst_cr <= 1e-10
     _report(4, "Hilbert/Klein agreement and cross-ratio invariance", ok,
@@ -156,7 +113,7 @@ def test_criterion_5_bending_well_defined_and_commutative():
         fwd = iterated_bend(rep, moves)
         rev = iterated_bend(rep, moves[::-1])
         for nm in names:
-            worst = max(worst, _norm_diff(fwd.generators[nm], rev.generators[nm]))
+            worst = np.maximum(worst, _norm_diff(fwd.generators[nm], rev.generators[nm]))
     ok = relators_ok and worst <= 1e-12
     _report(5, "bending well-definedness and commutativity", ok,
             f"relators hold after every bend at 1e-9; order-swap residual "
@@ -164,18 +121,10 @@ def test_criterion_5_bending_well_defined_and_commutative():
 
 
 def test_criterion_6_pipeline_equivalence():
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(3, 6))
-        data = random_rect_data(rng, n)
-        rep = cusp_fixture_rep(data)
-        bent_rep = iterated_bend(rep, cusp_bending_moves(data))
-        for nm, g in zip(rep.names(), bent_cusp_generators(data)):
-            worst = max(worst, _norm_diff(bent_rep.generators[nm], g.to_float()))
-    _report(6, "pipeline equivalence", worst <= 1e-12,
-            f"bending route vs direct generators, residual {worst:.2e} <= 1e-12 "
-            f"over 100 data sets")
+    r = verify.pipeline_equivalence(np.random.default_rng(SEED))
+    _report(6, "pipeline equivalence", r.passed,
+            f"bending route vs direct generators, residual {r.max_residual:.2e} <= 1e-12 "
+            f"over {r.trials} data sets")
 
 
 def test_criterion_7_model_bend_diagonalizable():
@@ -195,7 +144,7 @@ def test_criterion_7_model_bend_diagonalizable():
         if conj is None:
             failures += 1
         else:
-            worst = max(worst, res)
+            worst = np.maximum(worst, res)
     ok = failures == 0 and worst <= 1e-9
     _report(7, "model bend produces a diagonalizable group", ok,
             f"50 random (lambda, k), failures={failures}, "
@@ -219,30 +168,6 @@ def test_criterion_8_inverted_parameter(tmp_path):
 
 
 def test_criterion_9_scaling_equivalence():
-    rng = np.random.default_rng(SEED)
-    bad_true = 0
-    for _ in range(100):
-        n = int(rng.integers(2, 7))
-        psi = verify._random_psi(rng, n)
-        if not equivalent_parameters(psi, psi.scaled(float(rng.uniform(0.01, 10.0)))):
-            bad_true += 1
-    bad_false = 0
-    done = 0
-    while done < 100:
-        n = int(rng.integers(2, 7))
-        p1 = verify._random_psi(rng, n)
-        p2 = verify._random_psi(rng, n)
-        fa = np.array([float(x) for x in p1.psi])
-        fb = np.array([float(x) for x in p2.psi])
-        if fa.max() == 0 and fb.max() == 0:
-            continue
-        if fa.max() > 0 and fb.max() > 0 and \
-                np.max(np.abs(fa / fa.max() - fb / fb.max())) < 1e-6:
-            continue
-        if equivalent_parameters(p1, p2):
-            bad_false += 1
-        done += 1
-    ok = bad_true == 0 and bad_false == 0
-    _report(9, "scaling equivalence of parameters", ok,
-            f"100 scaled pairs all equivalent ({bad_true} misses); "
-            f"100 non-proportional pairs all rejected ({bad_false} misses)")
+    r = verify.scaling_equivalence(np.random.default_rng(SEED))
+    _report(9, "scaling equivalence of parameters", r.passed,
+            "100 scaled pairs all equivalent, 100 non-proportional pairs all rejected")

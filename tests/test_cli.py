@@ -424,3 +424,82 @@ def test_bend_failure_contract(tmp_path, capsys):
         assert code == case["exit"], case["name"]
         assert capsys.readouterr().err == case["stderr"], case["name"]
         assert not out.exists(), case["name"]
+
+
+def test_verify_output_matches_fixture(tmp_path):
+    """``verify --seed 0 --out`` is byte-identical to the report recorded when
+    every suite scored its trials one at a time: same properties, trials,
+    tolerances, notes and residuals."""
+    fixture = Path(__file__).parent / "fixtures" / "verify_seed0.json"
+    out = tmp_path / "report.json"
+    assert main(["verify", "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == fixture.read_bytes()
+
+
+def test_verify_type_law_fails_on_nan_residual(monkeypatch, capsys):
+    from cuspbend import cusp_classify
+    real = cusp_classify.conjugation_residuals
+
+    def one_nan_row(b, s, mu):
+        residuals = real(b, s, mu)
+        residuals[3] = math.nan
+        return residuals
+
+    monkeypatch.setattr(cusp_classify, "conjugation_residuals", one_nan_row)
+    assert main(["verify", "--suite", "classify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL classify.type-law  trials=2500  max_residual=5.000e+00" in out
+    assert sum(line.startswith("FAIL ") for line in out.splitlines()) == 1
+
+
+@pytest.mark.parametrize("pairs,message", [
+    ([[[0, 0]]], "pairs[0] must be two points, got 1"),
+    ([[]], "pairs[0] must be two points, got 0"),
+    ([[[0, 0], [0, 0], [0, 0]]], "pairs[0] must be two points, got 3"),
+    ([[[0, 0], [0.1, 0]], [[0, 0]]], "pairs[1] must be two points, got 1"),
+    # as many pairs of numbers as the dimension passed the shape check as one row
+    ([[0, 0.1], [0.2, 0.3]], "pairs[0] must be two points of dimension 2"),
+])
+def test_hilbert_pair_not_two_points_is_usage_error(tmp_path, capsys, pairs, message):
+    src, out = tmp_path / "pairs.json", tmp_path / "dist.csv"
+    src.write_text(json.dumps({"domain": {"kind": "ball", "n": 2}, "pairs": pairs}))
+    assert main(["hilbert", "--in", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"cuspbend: {message}\n"
+
+
+@pytest.mark.parametrize("command,data,message", [
+    ("classify", {"n": 3, "b": "12", "s": [0.5, 0.0]}, "b must be a JSON list, not '12'"),
+    ("classify", {"n": 3, "b": {"1": 0, "2": 0}, "s": [0.5, 0.0]},
+     "b must be a JSON list, not {'1': 0, '2': 0}"),
+    ("classify", {"n": 3, "b": [1, 1], "mu": "21"}, "mu must be a JSON list, not '21'"),
+    ("classify", {"generators": [["12", "34"]]}, "matrix row 0 must be a JSON list, not '12'"),
+    ("hilbert", {"domain": {"kind": "model", "psi": "10"}, "pairs": [[[1.0, 0.2], [2.0, 0.5]]]},
+     "psi must be a JSON list, not '10'"),
+    ("hilbert", {"domain": {"kind": "model", "psi": {"1": 0, "0": 1}}, "pairs": []},
+     "psi must be a JSON list, not {'1': 0, '0': 1}"),
+    ("hilbert", {"domain": {"kind": "ball", "n": 1}, "pairs": [["0", "0"]]},
+     "pairs[0] must be two points of dimension 1"),
+    ("hilbert", {"domain": {"kind": "ball", "n": 1}, "pairs": {"00": 1}},
+     "pairs must be a JSON list, not {'00': 1}"),
+])
+def test_string_or_dict_for_a_list_is_usage_error(tmp_path, capsys, command, data, message):
+    """A string or object where a list belongs was read digit by digit or key
+    by key, and often accepted."""
+    src, out = tmp_path / "data.json", tmp_path / "out"
+    src.write_text(json.dumps(data))
+    assert main([command, "--in", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"cuspbend: {message}\n"
+
+
+def test_refused_input_keeps_its_message(tmp_path, capsys):
+    """Input that ``classify`` and ``hilbert`` refused before strings and
+    objects were refused as lists still gets the recorded message."""
+    fixture = Path(__file__).parent / "fixtures" / "refused_input.json"
+    src, out = tmp_path / "data.json", tmp_path / "out"
+    for case in json.loads(fixture.read_text())["cases"]:
+        src.write_text(json.dumps(case["input"]))
+        assert main([case["command"], "--in", str(src), "--out", str(out)]) == 2, case
+        assert capsys.readouterr().err == case["stderr"], case
+        assert not out.exists()

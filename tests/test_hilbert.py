@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -178,6 +179,30 @@ def test_klein_triangle_inequality():
         x, y, z = (rng.uniform(-0.6, 0.6, 3) for _ in range(3))
         slack = klein_distance(x, z) + klein_distance(z, y) - klein_distance(x, y)
         assert slack >= -1e-10
+
+
+def test_klein_distance_rows_match_pairs():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3):
+        X, Y = (rng.uniform(-0.5, 0.5, (40, n)) for _ in range(2))
+        rows = klein_distance(X, Y)
+        assert rows.shape == (40,)
+        assert rows.tobytes() == np.array([klein_distance(x, y) for x, y in zip(X, Y)]).tobytes()
+    with pytest.raises(ValueError):
+        klein_distance([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
+
+
+def test_single_pair_checks_interiority_once():
+    """hilbert_distance evaluates the domain's value once per point: its own
+    check, then the shared body, with no second check by hilbert_distances."""
+    ball = ball_oracle(2)
+    rows = []
+    dom = dataclasses.replace(ball, value=lambda P: rows.append(len(P)) or ball.value(P))
+    assert hilbert_distance(dom, [0.0, 0.0], [0.5, 0.0]) == pytest.approx(HALF_LOG_3, abs=1e-14)
+    assert rows == [1, 1]
+    rows.clear()
+    hilbert_distances(dom, np.zeros((3, 2)), np.full((3, 2), 0.5))
+    assert rows == [3, 3]
 
 
 def test_hilbert_matches_klein_in_ball():

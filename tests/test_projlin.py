@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspbend.projlin import (
@@ -192,6 +192,14 @@ BAD_JSON_MATRICES = [
     ([[1.0, [2.0]], [0.0, 1.0]], ValueError, "not a scalar: [2.0]"),
     ([[1.0, None], [0.0, 1.0]], ValueError, "not a scalar: None"),
     ({"a": 1}, ValueError, "Invalid literal for Fraction: 'a'"),
+    (["ab", "cd"], ValueError, "Invalid literal for Fraction: 'a'"),
+    ("1234", ValueError, "projective map must be square, got shape (4, 1)"),
+    # strings and dicts that parse were read digit by digit or key by key
+    (["12", "34"], ValueError, "matrix row 0 must be a JSON list, not '12'"),
+    ([[1, 0], "01"], ValueError, "matrix row 1 must be a JSON list, not '01'"),
+    ({"12": 0, "34": 1}, ValueError, "matrix must be a JSON list, not {'12': 0, '34': 1}"),
+    ([{"1": 0, "2": 0}, [0, 1]], ValueError,
+     "matrix row 0 must be a JSON list, not {'1': 0, '2': 0}"),
 ]
 
 
@@ -426,6 +434,9 @@ def equiv_rows(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(equiv_rows(), st.sampled_from([1e-9, 1e-6, 0.0]), st.booleans())
+# a subnormal pivot once overflowed the division (a RuntimeWarning)
+@example(pair=(np.array([[5e-324, 0.0]]), np.array([[5e-324, 1e-12]])), tol=1e-9,
+         per_row_tol=False)
 def test_proj_equiv_rows_matches_reference_rule(pair, tol, per_row_tol):
     a, b = pair
     tols = np.full(len(a), tol) if per_row_tol else tol

@@ -53,6 +53,7 @@ from .projlin import (
     matrix_from_json,
     matrix_to_json,
     proj_equiv_rows,
+    require_json,
 )
 
 
@@ -161,7 +162,8 @@ class MarkedRep:
 
     @classmethod
     def from_json(cls, data: dict) -> "MarkedRep":
-        gens = {name: matrix_from_json(rows) for name, rows in data["generators"].items()}
+        gens = {name: matrix_from_json(rows)
+                for name, rows in require_json(data["generators"], "rep.generators", dict).items()}
         return cls(int(data["n"]), gens, data.get("relators"))
 
 

@@ -7,14 +7,15 @@ JSON), ``classify`` (cusp parameter from bending data or from generators in
 model form), and ``hilbert`` (distances for point pairs in a domain).
 
 Exit codes: 0 success / all properties pass, 1 property failure (a failed
-``verify`` property, or ``classify`` or ``sweep`` generators that miss the
-normal form: the residual goes to standard error, and ``sweep`` names the
-first such grid row), 2 usage or I/O error.  Usage errors include Hilbert
-points that are not finite and strictly interior, a Hilbert pair that is
-not two points, a JSON string or object where a list belongs, and bending
-data that :class:`RectangularCuspData` or the float-classification guard
-refuses: a shape constant, bending parameter or multiplier that is not
-finite, an s whose exp overflows, or a nonzero s below ``MIN_BEND_FLOAT``.
+``verify`` property, or ``classify`` or ``sweep`` generators whose one
+relative residual misses the normal form: it goes to standard error, and
+``sweep`` names the first such grid row), 2 usage or I/O error.  Usage
+errors include Hilbert points that are not finite and strictly interior, a
+Hilbert pair that is not two points, a JSON string or object where a list
+belongs, a ``domain`` or ``rep.generators`` that is not an object,
+``classify --exact`` on generators, and bending data that
+:class:`RectangularCuspData` or the float guard refuses (not finite,
+exp(s) overflowing, or a nonzero s below ``MIN_BEND_FLOAT``).
 
 ``sweep`` classifies its whole grid with one call to the float kernel
 :func:`conjugation_residuals`.
@@ -43,7 +44,7 @@ from .cusp_classify import (
 )
 from .cusp_models import CuspParameter
 from .hilbert import ball_oracle, hilbert_distances, model_domain_oracle
-from .projlin import (DEFAULT_TOL, is_exact, matrix_from_json, parse_scalar, require_list,
+from .projlin import (DEFAULT_TOL, is_exact, matrix_from_json, parse_scalar, require_json,
                       scalar_to_json)
 
 
@@ -217,6 +218,8 @@ def _cmd_bend(args) -> int:
 def _cmd_classify(args) -> int:
     data = _load_json(args.input)
     if "generators" in data:
+        if args.exact:
+            raise ValueError("--exact needs bending data (n, b, mu), not generators")
         gens = [matrix_from_json(rows) for rows in data["generators"]]
         cls = classify_h_form(gens, tol=args.tol)
     else:
@@ -224,13 +227,11 @@ def _cmd_classify(args) -> int:
         b = [parse_scalar(x) for x in data["b"]]
         s = [parse_scalar(x) for x in data["s"]] if "s" in data else None
         mu = [parse_scalar(x) for x in data["mu"]] if "mu" in data else None
-        if args.exact:
-            values = b + (mu or [])
-            if mu is None or not all(is_exact(x) for x in values):
-                raise ValueError("--exact needs rational b and mu values in the input")
+        if args.exact and (mu is None or not all(map(is_exact, b + mu))):
+            raise ValueError("--exact needs rational b and mu values in the input")
         rect = RectangularCuspData(n, b=b, s=s, mu=mu)
         for key in ("b", "s", "mu"):
-            require_list(data.get(key, []), key)
+            require_json(data.get(key, []), key, list)
         cls = conjugate_and_match(rect, tol=args.tol)
     _write_text(args.out, json.dumps(cls.to_json(), sort_keys=True, indent=2) + "\n")
     return 0
@@ -238,14 +239,14 @@ def _cmd_classify(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     spec = _load_json(args.input)
-    dspec = spec["domain"]
+    dspec = require_json(spec["domain"], "domain", dict)
     kind = dspec.get("kind")
     if kind == "ball":
         dom = ball_oracle(int(dspec["n"]))
     elif kind == "model":
         psi = CuspParameter([float(parse_scalar(x)) for x in dspec["psi"]])
         dom = model_domain_oracle(psi)
-        require_list(dspec["psi"], "psi")
+        require_json(dspec["psi"], "psi", list)
     else:
         raise ValueError(f"unknown domain kind {kind!r} (expected ball or model)")
     pairs = spec["pairs"]
@@ -256,7 +257,7 @@ def _cmd_hilbert(args) -> int:
     Y = np.asarray([p[1] for p in pairs], dtype=np.float64)
     dists = hilbert_distances(dom, X, Y)
     if X.ndim == 1:  # pairs of scalars, not of points (a string point parses as one)
-        require_list(pairs, "pairs")
+        require_json(pairs, "pairs", list)
         raise ValueError(f"pairs[0] must be two points of dimension {dom.n}")
     # one % over every value: "%.17g" prints exactly what _fmt prints
     point = " ".join(["%.17g"] * X.shape[1])

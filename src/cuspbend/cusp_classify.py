@@ -157,11 +157,11 @@ class ClassifiedCusp:
     """Cusp parameter, type and conjugator of a classified group.
 
     ``residual`` is how far the conjugated generators miss their normal
-    form.  From bending data it is ``Fraction(0)`` on the exact route, and on
-    the float route the largest |A g - W A|_ij / (|A||g| + |W||A|)_ij over
-    all generators (0/0 read as 0, NaN kept), about eps on valid data; from
-    model-form generators (:func:`classify_h_form`) it is that function's
-    block-pattern and fit misfit."""
+    form: ``Fraction(0)`` from exact bending data, and otherwise the largest
+    |A g - W A|_ij / (|A||g| + |W||A|)_ij over all generators (0/0 read as
+    0, NaN kept), about eps on valid data.  Model-form generators
+    (:func:`classify_h_form`) are scored at A = I, with the relative misfit
+    of their corner equations folded in."""
 
     psi: CuspParameter
     type: int
@@ -384,6 +384,16 @@ def require_normal_form(residuals: np.ndarray, tol: float) -> None:
             residual)
 
 
+def _sorted_parameter(values: dict, n: int):
+    """The parameter of the slot values {k: a_k} (coordinate k + 1), sorted
+    non-increasing with unlisted slots 0, and the conjugator's row order
+    [0, 1 + k for the listed slots so sorted, then the others, n]."""
+    ordered = sorted(values, key=lambda k: -values[k])
+    rest = [k for k in range(n - 1) if k not in values]
+    psi = CuspParameter([values[k] for k in ordered] + [0.0] * (n - len(values)))
+    return psi, [0] + [1 + k for k in ordered + rest] + [n]
+
+
 def conjugate_and_match(data: RectangularCuspData,
                         tol: float = DEFAULT_TOL) -> ClassifiedCusp:
     """Conjugate the bent generators into normal form, verify the pattern,
@@ -400,7 +410,6 @@ def conjugate_and_match(data: RectangularCuspData,
     permuted so that the parameter is sorted non-increasing; exact, it is
     the integer rows of N over d, reduced by ``ProjMap._from_exact``.
     """
-    n = data.n
     gens, a_mat, normal = _cusp_arrays(data.b, [data.s], [data.mu])
     if data.exact:
         (g_num, gw_den), (a_num, a_den), (w_num, _) = gens, a_mat, normal
@@ -418,13 +427,8 @@ def conjugate_and_match(data: RectangularCuspData,
 
     bent = data.bent_slots()
     slots = ([v[k] for k in bent] for v in (data.b, data.mu, data.s))
-    avals = dict(zip(bent, cusp_parameter_entry(*slots).tolist()))
-    sorted_bent = sorted(bent, key=lambda k: -avals[k])
-    order = sorted_bent + [k for k in range(n - 1) if k not in bent]
-    psi = CuspParameter([avals[k] for k in sorted_bent] + [0.0] * (n - len(bent)))
-
+    psi, perm = _sorted_parameter(dict(zip(bent, cusp_parameter_entry(*slots).tolist())), data.n)
     # P A is A with its rows reordered; + 0.0 turns a -0.0 entry into 0.0
-    perm = [0] + [1 + k for k in order] + [n]
     if data.exact:
         conjugator = ProjMap._from_exact(a_num[perm], a_den)
     else:
@@ -496,68 +500,59 @@ def classify_h_form(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL) -> Classi
     """Read the cusp parameter off generators already presented in the model
     block form (leading diagonal block, trailing translation block).
 
-    The diagonal slots and corner entries of the generators give one linear
-    equation per generator for the parameter; a least-squares solve recovers
-    it.  The reported residual combines the block-pattern deviation and the
-    equation misfit.  This is deliberately narrow: it classifies groups in
-    (or numerically near) the model form, not arbitrary matrix groups.
+    Each generator m, normalized by its last entry, is scored against the
+    form W built from its own slots (d on the leading t diagonal entries, v
+    in the last column and row 0, the corner; the identity elsewhere) by
+    :func:`_intertwining_residuals` at A = I: |m - W| / (|m| + |W|), so an
+    entry off the pattern must be exactly 0.  Least squares solves the
+    corner equations sum_k psi_k log d_k = |v|^2 / 2 - corner for psi; each
+    misfit over |log d| |psi| + |v|^2 / 2 + |corner| joins the residual.
+    The pattern, then the fit, must be within tol; then psi >= -sqrt(tol).
     """
     if not gens:
         raise ValueError("need at least one generator")
-    size = gens[0].entries.shape[0]
-    n = size - 1
-    mats = []
-    for g in gens:
-        m = np.asarray(g.to_float().entries, dtype=np.float64)
-        if m.shape != (size, size):
-            raise ValueError("generators must share one dimension")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("generator entries must be finite")
-        if abs(m[n, n]) < tol * np.max(np.abs(m)):
-            raise ValueError("generator has no usable normalization entry")
-        mats.append(m / m[n, n])
-    log_slots = sorted({i for m in mats for i in range(1, n)
-                        if abs(m[i, i] - 1.0) > tol})
-    t = len(log_slots)
-    if log_slots != list(range(1, t + 1)):
+    n = gens[0].n
+    mats = [g.to_float().entries for g in gens]
+    if any(m.shape != (n + 1, n + 1) for m in mats):
+        raise ValueError("generators must share one dimension")
+    block = np.stack(mats)
+    if not np.all(np.isfinite(block)):
+        raise ValueError("generator entries must be finite")
+    if np.any(np.abs(block[:, n, n]) < tol * np.max(np.abs(block), axis=(1, 2))):
+        raise ValueError("generator has no usable normalization entry")
+    m = block / block[:, n, n, None, None]
+    moved = [i for i in range(1, n) if np.any(np.abs(m[:, i, i] - 1.0) > tol)]
+    t = len(moved)
+    if moved != list(range(1, t + 1)):
         raise ValueError(
-            f"diagonal slots {[(i + 1) for i in log_slots]} are not the leading block; "
+            f"diagonal slots {[(i + 1) for i in moved]} are not the leading block; "
             "conjugate the group into model coordinate order first")
-    residual = 0.0
-    rows_log, rhs = [], []
-    for m in mats:
-        expected = np.eye(size)
-        for i in log_slots:
-            expected[i, i] = m[i, i]
-            if m[i, i] <= 0:
-                raise ValueError(f"nonpositive diagonal entry at slot {i + 1}")
-        v = m[t + 1:n, n].copy()
-        expected[t + 1:n, n] = v
-        expected[0, t + 1:n] = v
-        expected[0, n] = m[0, n]
-        residual = max(residual, float(np.max(np.abs(m - expected))))
-        rows_log.append([math.log(m[i, i]) for i in log_slots])
-        rhs.append(0.5 * float(np.dot(v, v)) - m[0, n])
-    if not residual <= math.sqrt(tol):
-        raise PatternMismatch(
-            f"generators deviate from the model block form by {residual:.3e}", residual)
-    if t == 0:
-        psi_vals = []
-    else:
-        sol, res2, _, _ = np.linalg.lstsq(np.asarray(rows_log), np.asarray(rhs), rcond=None)
-        if res2.size:
-            residual = max(residual, float(math.sqrt(res2[0])))
-        if np.min(sol) < -math.sqrt(tol):
-            raise ValueError(f"solved parameter has a negative entry: {sol}")
-        psi_vals = [max(float(x), 0.0) for x in sol]
-    order = sorted(range(t), key=lambda k: -psi_vals[k]) + list(range(t, n - 1))
-    perm = [[Fraction(0)] * size for _ in range(size)]
-    perm[0][0] = Fraction(1)
-    perm[n][n] = Fraction(1)
-    for new, old in enumerate(order):
-        perm[1 + new][1 + old] = Fraction(1)
-    psi = CuspParameter(sorted(psi_vals, reverse=True) + [0.0] * (n - t))
-    return ClassifiedCusp(psi, psi.type, ProjMap(perm), residual)
+    lead, tail = np.arange(1, t + 1), np.arange(t + 1, n)
+    d, v, corner = m[:, lead, lead], np.ascontiguousarray(m[:, tail, n]), m[:, 0, n]
+    bad = np.argwhere(d <= 0)
+    if bad.size:
+        raise ValueError(f"nonpositive diagonal entry at slot {bad[0, 1] + 2}")
+    own = np.zeros((n + 1, n + 1), dtype=bool)
+    own[lead, lead] = own[tail, n] = own[0, n] = True
+    normal = np.where(own, m, np.eye(n + 1))
+    normal[:, 0, tail] = v
+    pattern = _intertwining_residuals(m[None], np.eye(n + 1)[None], normal[None])
+    require_normal_form(pattern, tol)
+
+    # math.log per entry and a dot per contiguous row round like a per-generator solve
+    logs = np.array([math.log(x) for x in d.ravel().tolist()]).reshape(d.shape)
+    half_sq = 0.5 * np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
+    rhs = half_sq - corner
+    sol = np.linalg.lstsq(logs, rhs, rcond=None)[0] if t else np.zeros(0)
+    scale = np.abs(logs) @ np.abs(sol) + half_sq + np.abs(corner)
+    misfit = np.abs(logs @ sol - rhs) / np.where(scale == 0, 1.0, scale)
+    residuals = np.maximum(pattern, np.max(misfit))
+    require_normal_form(residuals, tol)
+    if t and np.min(sol) < -math.sqrt(tol):
+        raise ValueError(f"solved parameter has a negative entry: {sol}")
+    psi, perm = _sorted_parameter({k: max(float(x), 0.0) for k, x in enumerate(sol)}, n)
+    conjugator = ProjMap._from_exact(np.eye(n + 1, dtype=np.int64)[perm].astype(object), 1)
+    return ClassifiedCusp(psi, psi.type, conjugator, float(residuals[0]))
 
 
 # ---------------------------------------------------------------------------

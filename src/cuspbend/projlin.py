@@ -71,11 +71,13 @@ def parse_scalar(s):
     raise ValueError(f"not a scalar: {s!r}")
 
 
-def require_list(value, what: str):
-    """``value``, unless it is a JSON string or object where a list is
-    expected: iterating one reads a string by character, a dict by key."""
-    if isinstance(value, (str, dict)):
-        raise ValueError(f"{what} must be a JSON list, not {value!r}")
+def require_json(value, what: str, kind: type):
+    """``value``, unless ``kind`` is list and it is a JSON string or object
+    (iterating one reads a string by character, a dict by key), or ``kind``
+    is dict and it is not an object (reading a key of it names no field)."""
+    if (not isinstance(value, dict)) if kind is dict else isinstance(value, (str, dict)):
+        noun = "object" if kind is dict else "list"
+        raise ValueError(f"{what} must be a JSON {noun}, not {value!r}")
     return value
 
 
@@ -290,13 +292,13 @@ def matrix_from_json(rows) -> ProjMap:
     """A map from row-major nested lists of JSON scalars (see
     :func:`parse_scalar`).  A square list of lists of floats goes straight
     to ``float64``; any other input is parsed entry by entry, then refused
-    if the matrix or a row is a string or dict (:func:`require_list`)."""
+    if the matrix or a row is a string or dict (:func:`require_json`)."""
     if (type(rows) is list and all(type(row) is list and len(row) == len(rows) for row in rows)
             and all(type(x) is float for row in rows for x in row)):
         return ProjMap(np.array(rows, dtype=np.float64))
     m = ProjMap([[parse_scalar(x) for x in row] for row in rows])
-    for i, row in enumerate(require_list(rows, "matrix")):
-        require_list(row, f"matrix row {i}")
+    for i, row in enumerate(require_json(rows, "matrix", list)):
+        require_json(row, f"matrix row {i}", list)
     return m
 
 

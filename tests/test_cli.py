@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -217,6 +218,72 @@ def test_classify_float_output_matches_fixture(tmp_path):
         src.write_text(json.dumps(case["input"]))
         assert main(["classify", "--in", str(src), "--out", str(out)]) == 0
         assert out.read_text() == case["output"], case["name"]
+
+
+def _without_residual(text):
+    return re.sub(r'\n  "residual": [^\n]*\n', "\n", text)
+
+
+def test_classify_generators_output_matches_fixture(tmp_path):
+    """``classify --in`` on model-form generators from ``h_element`` (n =
+    2..6, every type t < n, with a product, a rescaled generator, a permuted
+    diagonal block and exact "p/q" copies of the same floats) keeps the
+    bytes of psi, type and conjugator recorded before the generators route
+    was scored by the relative normal-form residual; only the residual may
+    move, and it stays at rounding level."""
+    fixture = Path(__file__).parent / "fixtures" / "classify_generators.json"
+    cases = json.loads(fixture.read_text())["cases"]
+    assert {len(case["input"]["generators"][0]) - 1 for case in cases} == {2, 3, 4, 5, 6}
+    src, out = tmp_path / "gens.json", tmp_path / "cls.json"
+    for case in cases:
+        src.write_text(json.dumps(case["input"]))
+        assert main(["classify", "--in", str(src), "--out", str(out)]) == 0, case["name"]
+        text = out.read_text()
+        assert _without_residual(text) == _without_residual(case["output"]), case["name"]
+        assert 0.0 <= json.loads(text)["residual"] <= 1e-14, case["name"]
+
+
+def _model_generators():
+    """Three type-1 generators in dimension 3 (the third is the product of the
+    first two), as float matrices."""
+    from cuspbend.cusp_models import CuspParameter, h_element, h_product
+    psi = CuspParameter([1.5, 0.0, 0.0])
+    a, b = h_element(psi, [2.0], [0.3]), h_element(psi, [0.5], [-1.0])
+    return [g.matrix.entries.tolist() for g in (a, b, h_product(a, b))]
+
+
+@pytest.mark.parametrize("count,which,at,change", [
+    (3, 0, (1, 2), lambda x: 2e-5),              # off the pattern, 2e-5
+    (3, 2, (1, 1), lambda x: x * (1 + 1e-6)),    # d
+    (3, 2, (2, 3), lambda x: x * (1 + 1e-6)),    # v in the last column
+    (3, 2, (0, 2), lambda x: x * (1 + 1e-6)),    # v in row 0
+    (3, 2, (0, 3), lambda x: x * (1 + 1e-6)),    # corner
+    (2, 1, (0, 3), lambda x: x + 0.01),          # corner of a two-generator set
+    (2, 1, (0, 3), lambda x: x + 0.5),
+])
+def test_classify_generators_off_normal_form_is_property_failure(tmp_path, capsys, count,
+                                                                 which, at, change):
+    """Negative controls: an entry off the model block pattern, a relative 1e-6
+    change to one d, v or corner entry, or a shifted corner misses the normal
+    form at the default tol, and exits 1 with the residual."""
+    gens = _model_generators()[:count]
+    gens[which][at[0]][at[1]] = change(gens[which][at[0]][at[1]])
+    src, out = tmp_path / "gens.json", tmp_path / "cls.json"
+    src.write_text(json.dumps({"generators": gens}))
+    assert main(["classify", "--in", str(src), "--out", str(out)]) == 1
+    assert not out.exists()
+    first, second = capsys.readouterr().err.splitlines()
+    assert first.startswith("cuspbend: conjugated generators miss the normal form by ")
+    assert float(second.removeprefix("residual: ")) > 1e-9
+
+
+def test_classify_exact_flag_on_generators_is_usage_error(tmp_path, capsys):
+    src, out = tmp_path / "gens.json", tmp_path / "cls.json"
+    src.write_text(json.dumps({"generators": _model_generators()}))
+    assert main(["classify", "--in", str(src), "--exact", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "cuspbend: --exact needs bending data (n, b, mu), not generators\n")
 
 
 @pytest.mark.parametrize("data", [
@@ -482,10 +549,18 @@ def test_hilbert_pair_not_two_points_is_usage_error(tmp_path, capsys, pairs, mes
      "pairs[0] must be two points of dimension 1"),
     ("hilbert", {"domain": {"kind": "ball", "n": 1}, "pairs": {"00": 1}},
      "pairs must be a JSON list, not {'00': 1}"),
+    ("hilbert", {"domain": "ball", "pairs": []}, "domain must be a JSON object, not 'ball'"),
+    ("hilbert", {"domain": [{"kind": "ball", "n": 2}], "pairs": []},
+     "domain must be a JSON object, not [{'kind': 'ball', 'n': 2}]"),
+    ("hilbert", {"domain": None, "pairs": []}, "domain must be a JSON object, not None"),
+    ("bend", {"rep": {"n": 2, "generators": [[[1.0, 0.0], [0.0, 1.0]]]}},
+     "rep.generators must be a JSON object, not [[[1.0, 0.0], [0.0, 1.0]]]"),
+    ("bend", {"rep": {"n": 2, "generators": 7}}, "rep.generators must be a JSON object, not 7"),
 ])
 def test_string_or_dict_for_a_list_is_usage_error(tmp_path, capsys, command, data, message):
     """A string or object where a list belongs was read digit by digit or key
-    by key, and often accepted."""
+    by key, and often accepted; a ``domain`` or ``rep.generators`` that is
+    not an object died with an ``AttributeError`` traceback."""
     src, out = tmp_path / "data.json", tmp_path / "out"
     src.write_text(json.dumps(data))
     assert main([command, "--in", str(src), "--out", str(out)]) == 2
@@ -503,3 +578,70 @@ def test_refused_input_keeps_its_message(tmp_path, capsys):
         assert main([case["command"], "--in", str(src), "--out", str(out)]) == 2, case
         assert capsys.readouterr().err == case["stderr"], case
         assert not out.exists()
+
+
+def _mutants(doc):
+    """Every structural mutant of a JSON document: each object member
+    dropped, and each member or list element replaced by a string, a number,
+    an object, null, itself nested in a list, or (a nonempty list) itself
+    without its last element; then the same inside each value."""
+    def inside(node, put):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield put({k: v for k, v in node.items() if k != key})
+                yield from replaced(value, lambda new, key=key: put({**node, key: new}))
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                yield from replaced(value, lambda new, i=i: put(node[:i] + [new] + node[i + 1:]))
+
+    def replaced(value, put):
+        shorter = [value[:-1]] if isinstance(value, list) and value else []
+        for new in ["x", 7, {"k": 1}, None, [value]] + shorter:
+            yield put(new)
+        yield from inside(value, put)
+
+    yield from inside(doc, lambda new: new)
+
+
+def _contract_inputs():
+    from cuspbend.cusp_models import CuspParameter, h_element
+    from cuspbend.projlin import matrix_to_json
+    psi = CuspParameter([1.5, 0.0])
+    data = RectangularCuspData(2, b=[1.0], s=[0.5])
+    return {
+        "classify-exact": ("classify", {"n": 3, "b": ["1", "3/2"], "mu": ["2", "1"]}),
+        "classify-float": ("classify", {"n": 3, "b": [1.2, 0.7], "s": [0.5, 0.0]}),
+        "classify-generators": ("classify", {"generators": [
+            matrix_to_json(h_element(psi, [d], []).matrix) for d in (2.0, 0.5)]}),
+        "hilbert-ball": ("hilbert", {"domain": {"kind": "ball", "n": 2},
+                                     "pairs": [[[0.1, 0.2], [-0.3, 0.4]]]}),
+        "hilbert-model": ("hilbert", {"domain": {"kind": "model", "psi": [1.0, 0.0, 0.0]},
+                                      "pairs": [[[1.0, 2.0, -0.3], [2.0, 0.5, 0.4]]]}),
+        "bend": ("bend", {"rep": cusp_fixture_rep(data).to_json(),
+                          "moves": [m.to_json() for m in cusp_bending_moves(data)]}),
+    }
+
+
+@pytest.mark.parametrize("name", ["classify-exact", "classify-float", "classify-generators",
+                                  "hilbert-ball", "hilbert-model", "bend"])
+def test_input_mutants_keep_the_exit_contract(tmp_path, capsys, name):
+    """The CLI input contract over every structural mutant of a valid input:
+    exit 0, or exit 2 with one ``cuspbend:`` line, or exit 1 with the
+    ``cuspbend:`` line and the ``residual:`` line; never a traceback."""
+    command, doc = _contract_inputs()[name]
+    src, out = tmp_path / "data.json", tmp_path / "out"
+    src.write_text(json.dumps(doc))
+    assert main([command, "--in", str(src), "--out", str(out)]) == 0
+    capsys.readouterr()
+    mutants = list(_mutants(doc))
+    assert len(mutants) >= 40
+    for mutant in mutants:
+        src.write_text(json.dumps(mutant))
+        code = main([command, "--in", str(src), "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code in (0, 1, 2), mutant
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("cuspbend: "), (mutant, lines)
+        elif code == 1:
+            assert len(lines) == 2 and lines[0].startswith("cuspbend: "), (mutant, lines)
+            assert lines[1].startswith("residual: "), (mutant, lines)

@@ -524,6 +524,67 @@ def test_classify_h_form_rejects_off_pattern_input():
         classify_h_form([ProjMap(nan_entry)])
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_classify_h_form_recovers_the_building_parameter(data):
+    """The psi that classify_h_form solves from matrix entries alone matches
+    the psi whose corner formula built the generators in h_element."""
+    n = data.draw(st.integers(2, 6), label="n")
+    t = data.draw(st.integers(0, n - 1), label="t")
+    vals = data.draw(st.lists(st.floats(0.1, 4.0), min_size=t, max_size=t), label="psi")
+    psi = CuspParameter(sorted(vals, reverse=True) + [0.0] * (n - t))
+    count = data.draw(st.integers(max(t, 1), t + 3), label="generators")
+    log_d = st.one_of(st.floats(-1.0, -0.05), st.floats(0.05, 1.0))
+    rows = st.lists(log_d, min_size=t, max_size=t)
+    logs = data.draw(st.lists(rows, min_size=count, max_size=count), label="log d")
+    assume(t == 0 or np.linalg.cond(np.array(logs)) < 100)
+    shifts = st.lists(st.floats(-2.0, 2.0), min_size=n - 1 - t, max_size=n - 1 - t)
+    gens = [h_element(psi, [math.exp(x) for x in row], data.draw(shifts, label="v")).matrix
+            for row in logs]
+    cls = classify_h_form(gens)
+    assert cls.type == t
+    assert 0.0 <= cls.residual <= 1e-12
+    scale = max(psi.psi)
+    assert all(abs(x - y) <= 1e-10 * scale for x, y in zip(cls.psi.psi, psi.psi))
+
+
+def test_classify_h_form_builds_no_fraction(monkeypatch):
+    """Exact generators are scored in floats, and the conjugator is an
+    integer permutation: no Fraction is made."""
+    import fractions
+    psi = CuspParameter([1.5, 0.5, 0.0])
+    gens = [ProjMap([[F(x) for x in row] for row in h_element(psi, d, []).matrix.entries])
+            for d in ([0.5, 2.0], [3.0, 0.25], [1.5, 1.5])]
+    made = []
+    new = fractions.Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+    cls = classify_h_form(gens)
+    monkeypatch.undo()
+    assert made == []
+    assert cls.type == 2 and cls.conjugator.exact
+
+
+@pytest.mark.parametrize("gens,message", [
+    ([], "need at least one generator"),
+    ([np.eye(3), np.eye(4)], "generators must share one dimension"),
+    ([np.eye(3), np.diag([1.0, math.inf, 1.0])], "generator entries must be finite"),
+    ([np.diag([1.0, 1.0, 0.0])], "generator has no usable normalization entry"),
+    ([np.diag([1.0, 1.0, 2.0, 1.0])], r"diagonal slots \[3\] are not the leading block"),
+    ([np.diag([1.0, -2.0, 1.0])], "nonpositive diagonal entry at slot 2"),
+    ([np.array([[1.0, 0.0, math.log(2.0)], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])],
+     "solved parameter has a negative entry"),
+])
+def test_classify_h_form_refusals_keep_their_messages(gens, message):
+    with pytest.raises(ValueError, match=message) as info:
+        classify_h_form([ProjMap(g) for g in gens])
+    assert not isinstance(info.value, PatternMismatch)
+
+
 def test_classified_cusp_json():
     cls = conjugate_and_match(RectangularCuspData(3, b=[F(1), F(1)], mu=[F(2), F(1)]))
     data = cls.to_json()

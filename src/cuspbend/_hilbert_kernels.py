@@ -20,11 +20,16 @@ march resolves.
   bisect at most ``MAX_BISECT`` times, stopping early at the float fixed
   point.  On the model domains a ray whose direction cannot make the leaf
   value fall is marked unbounded before the march.
+* A projectively moved built-in domain takes neither route on its own
+  chart: ``hilbert.transformed_oracle`` pulls its points back through g^-1
+  to the base domain's kernel here, so only oracles with no kernel march on
+  their ``value``.
 
 The march needs nothing but a value function that is negative inside, so
 it is also the reference route for the closed forms: ``verify``'s
 ``hilbert.klein-agreement`` compares the Klein formula against the march
-on the ball.
+on the ball, and ``hilbert.projective-naturality`` against the march on a
+moved ball's ``value``.
 """
 
 from __future__ import annotations

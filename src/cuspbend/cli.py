@@ -237,6 +237,28 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _points(points) -> np.ndarray:
+    """Float rows of a list of points.  Numbers take numpy's conversion; only
+    when that fails are string coordinates read by ``parse_scalar``, as psi
+    is, so "1/2" reads like "0.5".  A string neither reads keeps numpy's
+    message."""
+    try:
+        return np.asarray(points, dtype=np.float64)
+    except ValueError:
+        return np.asarray(_read_strings(points), dtype=np.float64)
+
+
+def _read_strings(node):
+    if isinstance(node, list):
+        return [_read_strings(x) for x in node]
+    if isinstance(node, str):
+        try:
+            return float(parse_scalar(node))
+        except (ValueError, ZeroDivisionError):
+            pass
+    return node
+
+
 def _cmd_hilbert(args) -> int:
     spec = _load_json(args.input)
     dspec = require_json(spec["domain"], "domain", dict)
@@ -253,8 +275,7 @@ def _cmd_hilbert(args) -> int:
     for i, p in enumerate(pairs):
         if type(p) is list and len(p) != 2:
             raise ValueError(f"pairs[{i}] must be two points, got {len(p)}")
-    X = np.asarray([p[0] for p in pairs], dtype=np.float64)
-    Y = np.asarray([p[1] for p in pairs], dtype=np.float64)
+    X, Y = (_points([p[side] for p in pairs]) for side in (0, 1))
     dists = hilbert_distances(dom, X, Y)
     if X.ndim == 1:  # pairs of scalars, not of points (a string point parses as one)
         require_json(pairs, "pairs", list)

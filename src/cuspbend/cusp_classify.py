@@ -507,7 +507,9 @@ def classify_h_form(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL) -> Classi
     entry off the pattern must be exactly 0.  Least squares solves the
     corner equations sum_k psi_k log d_k = |v|^2 / 2 - corner for psi; each
     misfit over |log d| |psi| + |v|^2 / 2 + |corner| joins the residual.
-    The pattern, then the fit, must be within tol; then psi >= -sqrt(tol).
+    The pattern, then the fit, must be within tol; then a negative entry
+    psi_k may only be rounding: |log d_k| |psi_k| over the same scale is at
+    most tol on every generator, and such an entry reads as 0.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -545,10 +547,12 @@ def classify_h_form(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL) -> Classi
     rhs = half_sq - corner
     sol = np.linalg.lstsq(logs, rhs, rcond=None)[0] if t else np.zeros(0)
     scale = np.abs(logs) @ np.abs(sol) + half_sq + np.abs(corner)
-    misfit = np.abs(logs @ sol - rhs) / np.where(scale == 0, 1.0, scale)
+    scale = np.where(scale == 0, 1.0, scale)
+    misfit = np.abs(logs @ sol - rhs) / scale
     residuals = np.maximum(pattern, np.max(misfit))
     require_normal_form(residuals, tol)
-    if t and np.min(sol) < -math.sqrt(tol):
+    # a negative entry's share |log d_k| |psi_k| of the same scale must be rounding
+    if t and np.max(np.abs(logs) * np.maximum(-sol, 0.0) / scale[:, None]) > tol:
         raise ValueError(f"solved parameter has a negative entry: {sol}")
     psi, perm = _sorted_parameter({k: max(float(x), 0.0) for k, x in enumerate(sol)}, n)
     conjugator = ProjMap._from_exact(np.eye(n + 1, dtype=np.int64)[perm].astype(object), 1)

@@ -11,10 +11,16 @@ ball's quadric and the model domain's negated leaf coordinate.
 divides by the last homogeneous coordinate whatever its sign, as the
 projective ``classify`` does; a row on the pulled-back hyperplane at
 infinity is outside.  An oracle built from ``classify`` alone gets a row
-loop over it.  Chord ends come from one vectorized march on ``value``
-(exponential bracketing, then bisection; :mod:`cuspbend._hilbert_kernels`)
-for every pair at once; only the unmoved built-in domains take their closed
-forms and kernels instead.  A single pair is a batch of one row.
+loop over it.
+
+Distances: the built-in domains run their own kernels (closed forms on the
+quadrics, a column march on the other model domains), and a moved built-in
+pulls its points back through g^-1 to its base domain's kernel, since
+projective maps are Hilbert isometries.  Only a domain with no kernel, one
+known by ``classify`` or ``value`` alone or moved from one, takes its chord
+ends from one vectorized march on ``value`` (exponential bracketing, then
+bisection; :mod:`cuspbend._hilbert_kernels`) for every pair at once.  A
+single pair is a batch of one row.
 
 Everything here is float; the identities tested are metric, not algebraic.
 A chord that never leaves the affine chart at one end (the model cusp
@@ -72,9 +78,10 @@ class ConvexDomainOracle:
     negative inside and positive or ``inf`` elsewhere (``inf`` off the
     chart); it may leave floating-point warnings to its caller.  Left out, it
     is a row loop over ``classify``.  Convexity is an assumed contract.
-    ``distances(X, Y)``, set by the built-in constructors only, is the
-    domain's own batch distance kernel for row-paired interior chart points;
-    a domain without one has its chord ends marched on ``value``.
+    ``distances(X, Y)`` is the domain's own batch distance kernel for
+    row-paired interior chart points: the built-in constructors set it, and
+    ``transformed_oracle`` sets the base kernel behind its pull-back.  A
+    domain without one has its chord ends marched on ``value``.
     """
 
     n: int
@@ -125,19 +132,36 @@ def model_domain_oracle(psi: CuspParameter) -> ConvexDomainOracle:
 
 
 def transformed_oracle(dom: ConvexDomainOracle, g: ProjMap) -> ConvexDomainOracle:
-    """Oracle for the image g(domain); both oracles pull back through g."""
+    """Oracle for the image g(domain); every oracle pulls back through g.
+
+    A projective map is an isometry of the Hilbert metric, so distances in
+    g(domain) are the base domain's distances between the pulled-back
+    points: a base with a ``distances`` kernel lends it to the image (a
+    domain moved twice chains the pull-backs), and a base without one leaves
+    the image to the march on its ``value``.
+    """
     g_inv = inverse(g.to_float())
     # chart rows P pull back to the homogeneous rows P @ lin + shift
     lin, shift = g_inv.entries.T[:-1], g_inv.entries.T[-1]
+
+    def pull(P: np.ndarray):
+        """Base chart rows of the pulled-back rows, divided by their last
+        coordinate whatever its sign, and the rows where that is 0."""
+        H = P @ lin + shift
+        return H[:, :-1] / H[:, -1:], H[:, -1] == 0.0
 
     def classify(p: ProjPoint, tol: float = DEFAULT_TOL) -> str:
         return dom.classify(act(g_inv, p.to_float()), tol)
 
     def value(P: np.ndarray) -> np.ndarray:
-        H = P @ lin + shift
-        return np.where(H[:, -1] == 0.0, np.inf, dom.value(H[:, :-1] / H[:, -1:]))
+        B, at_infinity = pull(P)
+        return np.where(at_infinity, np.inf, dom.value(B))
 
-    return ConvexDomainOracle(dom.n, classify, value=value)
+    distances = None
+    if dom.distances is not None:
+        # interior rows: none is on the pulled-back hyperplane at infinity
+        distances = lambda X, Y: dom.distances(pull(X)[0], pull(Y)[0])
+    return ConvexDomainOracle(dom.n, classify, value=value, distances=distances)
 
 
 @dataclass(frozen=True)
@@ -258,12 +282,14 @@ def hilbert_distances(dom: ConvexDomainOracle, X, Y) -> np.ndarray:
     A domain with its own ``distances`` kernel runs it: the unit ball and
     the type-0 model domain are quadrics and take their chord ends in closed
     form; model domains of type t >= 1 march every row at once with their
-    own ray test (:mod:`cuspbend._hilbert_kernels`).  Every other domain,
-    moved built-ins and classify-only oracles included, runs the same march
+    own ray test (:mod:`cuspbend._hilbert_kernels`); a moved built-in runs
+    its base kernel on the points pulled back through g^-1.  Every other
+    domain, classify-only oracles and their images included, runs the march
     on its ``value`` function.  The march is also the independent route to
     the closed forms: ``verify`` checks the Klein formula against it on the
-    ball.  Bad input raises the ValueError of :func:`hilbert_distance`,
-    prefixed with the first offending row.
+    ball, and on a moved ball.  Interiority is checked on the domain's own
+    ``value`` first, so bad input raises the ValueError of
+    :func:`hilbert_distance`, prefixed with the first offending row.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))

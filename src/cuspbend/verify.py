@@ -8,11 +8,12 @@ CLI turns any failure into a nonzero exit code.  Residuals are folded with
 
 Routes: trial by trial, except as follows.  ``hilbert.klein-agreement``
 checks the row-wise :func:`hilbert.klein_distance` against the march on
-the ball's value function; the metric-axiom and geodesy properties score
-batches of :func:`hilbert.hilbert_distances`, the model points built in one
-``_hilbert_kernels._leaf_value`` pass.  ``classify.type-law`` scores one
-:func:`cusp_classify.conjugation_residuals` grid per n,
-``inverted-parameter-blowup`` one array of
+the ball's value function, and ``hilbert.projective-naturality`` the ball's
+closed form against the march on the moved ball's value; the metric-axiom
+and geodesy properties score batches of :func:`hilbert.hilbert_distances`,
+the model points built in one ``_hilbert_kernels._leaf_value`` pass.
+``classify.type-law`` scores one :func:`cusp_classify.conjugation_residuals`
+grid per n, ``inverted-parameter-blowup`` one array of
 :func:`cusp_classify.cusp_parameter_entry`, and
 ``exact-normal-form-identity`` runs ``conjugate_and_match`` on the integer
 route.
@@ -296,6 +297,9 @@ def metric_axioms_model(rng) -> PropertyResult:
 
 
 def projective_naturality(rng) -> PropertyResult:
+    """The closed form at x, y against the march on the moved domain's
+    value at gx, gy, not against the moved oracle's distances, which pull
+    gx, gy back to the same closed form."""
     worst = 0.0
     dom = hilbert.ball_oracle(2)
     for _ in range(50):
@@ -303,8 +307,9 @@ def projective_naturality(rng) -> PropertyResult:
         moved = hilbert.transformed_oracle(dom, g)
         x, y = (_ball_points(rng, 1, 2)[0] for _ in range(2))
         d0 = hilbert.hilbert_distance(dom, x, y)
-        gx, gy = (act(g, ProjPoint(list(p) + [1.0])) for p in (x, y))
-        worst = np.maximum(worst, abs(d0 - hilbert.hilbert_distance(moved, gx, gy)))
+        gx, gy = (hilbert._as_chart(act(g, ProjPoint(list(p) + [1.0])), 2)[None] for p in (x, y))
+        d1 = _hilbert_kernels.value_distances(moved.value, gx, gy)[0]
+        worst = np.maximum(worst, abs(d0 - d1))
     return _result("hilbert", "projective-naturality", 50, worst, 1e-9)
 
 

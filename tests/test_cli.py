@@ -413,6 +413,27 @@ def test_hilbert_non_finite_psi_is_usage_error(tmp_path, capsys, psi):
     assert "psi_1" in err and "not finite" in err and "Traceback" not in err
 
 
+def test_hilbert_reads_coordinate_strings_like_psi(tmp_path, capsys):
+    """A "p/q" coordinate reads as parse_scalar reads psi, a decimal string
+    as before, and both give the bytes of the same pairs written as numbers;
+    a string neither reads keeps numpy's message."""
+    src, out = tmp_path / "pairs.json", tmp_path / "dist.csv"
+    outputs = []
+    for pairs in ([[[0.5, 0], [0, -0.25]], [[0.1, 0.2], [-0.3, 0.4]]],
+                  [[["1/2", "0"], [0, "-1/4"]], [["0.1", 0.2], ["-3/10", "0.4"]]]):
+        src.write_text(json.dumps({"domain": {"kind": "ball", "n": 2}, "pairs": pairs}))
+        assert main(["hilbert", "--in", str(src), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    out.unlink()
+    for bad in ("abc", "1/0"):
+        src.write_text(json.dumps({"domain": {"kind": "ball", "n": 2},
+                                   "pairs": [[[0, 0], [0.5, 0]], [[bad, 0], [0, 0]]]}))
+        assert main(["hilbert", "--in", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"cuspbend: could not convert string to float: '{bad}'\n"
+        assert not out.exists()
+
+
 def test_main_keeps_no_state_between_calls(tmp_path):
     """The parser is built once per process; no parsed value may carry over."""
     first, second = tmp_path / "first.json", tmp_path / "second.json"

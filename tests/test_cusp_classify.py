@@ -585,6 +585,30 @@ def test_classify_h_form_refusals_keep_their_messages(gens, message):
     assert not isinstance(info.value, PatternMismatch)
 
 
+def test_classify_h_form_refuses_a_negative_entry_beyond_rounding():
+    """Generators diag(1, d, 1) whose corners solve psi = -1e-5 are refused,
+    since every d moved: the entry is half the scale of each corner equation.
+    A zero entry on a moved slot, solved to a rounding-level sign, is not."""
+    gens = []
+    for d in (2.0, 0.5, 3.0):
+        m = np.eye(3)
+        m[1, 1], m[0, 2] = d, 1e-5 * math.log(d)
+        gens.append(ProjMap(m))
+    with pytest.raises(ValueError, match="solved parameter has a negative entry") as info:
+        classify_h_form(gens)
+    assert not isinstance(info.value, PatternMismatch)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a, gens = rng.uniform(0.1, 3.0), []
+        for _ in range(int(rng.integers(2, 6))):
+            m = np.eye(4)
+            m[1, 1], m[2, 2] = np.exp(rng.uniform(-1.0, 1.0, 2))
+            m[0, 3] = -a * math.log(m[1, 1])
+            gens.append(ProjMap(m))
+        cls = classify_h_form(gens)
+        assert abs(float(cls.psi.psi[0]) - a) <= 1e-12 * a
+
+
 def test_classified_cusp_json():
     cls = conjugate_and_match(RectangularCuspData(3, b=[F(1), F(1)], mu=[F(2), F(1)]))
     data = cls.to_json()

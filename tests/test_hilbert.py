@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspbend import verify
+from cuspbend._hilbert_kernels import value_distances
 from cuspbend.cusp_models import CuspParameter, INTERIOR, BOUNDARY, EXTERIOR
 from cuspbend.hilbert import (
     ConvexDomainOracle,
@@ -353,6 +355,10 @@ def test_transformed_oracle_naturality():
     gy = act(g, ProjPoint([*y, 1.0]))
     assert abs(hilbert_distance(dom, x, y)
                - hilbert_distance(moved, gx, gy)) <= 1e-9
+    # the march on the moved value, which the pull-back kernel no longer runs
+    march = value_distances(moved.value, np.array([gx.chart()], dtype=float),
+                            np.array([gy.chart()], dtype=float))
+    assert abs(hilbert_distance(dom, x, y) - march[0]) <= 1e-9
 
 
 def _moved(G, P):
@@ -390,6 +396,8 @@ def test_moved_domains_match_closed_forms(sign):
     got = hilbert_distances(moved, _moved(G, X), _moved(G, Y))
     want = [klein_distance(x, y) for x, y in zip(X, Y)]
     assert np.max(np.abs(got - want)) <= 1e-9
+    march = value_distances(moved.value, _moved(G, X), _moved(G, Y))
+    assert np.max(np.abs(march - want)) <= 1e-9
 
     # c1 x1 + c2 x2 + 1 > 0 on the model domain when c2 >= c1 psi_1
     a, c1 = 1.3, 0.2
@@ -403,6 +411,129 @@ def test_moved_domains_match_closed_forms(sign):
     got = hilbert_distances(moved, _moved(G, X), _moved(G, Y))
     want = np.array([_model_reference(psi, 1, x, y) for x, y in zip(X, Y)])
     assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, want))
+    march = value_distances(moved.value, _moved(G, X), _moved(G, Y))
+    assert np.all(np.abs(march - want) <= 1e-9 * np.maximum(1.0, want))
+
+
+def _in_chart_map(draw, kind, n, psi):
+    """A map G = I + a small perturbation whose image of the domain stays in
+    the affine chart: its last row is positive on the domain.  On the ball
+    that is 1 + c.x with |c| < 1; on a model domain 1 + a x_0 + sum b_k x_k
+    over the log coordinates with a >= 0 and b_k >= a psi_k, since x_0 is
+    above -sum psi_k log x_k and b x - a psi log x >= a psi (1 - log(a psi / b))."""
+    small = st.floats(-0.2, 0.2)
+    G = np.eye(n + 1)
+    G[:n] += np.array(draw(st.lists(small, min_size=n * (n + 1), max_size=n * (n + 1)))
+                      ).reshape(n, n + 1)
+    if kind == "ball":
+        G[n, :n] = draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))
+    else:
+        G[n, :n] = 0.0
+        G[n, 0] = draw(st.floats(0.0, 0.5))
+        G[n, 1:n] = [draw(st.floats(1.0, 2.0)) * G[n, 0] * p for p in psi[:n - 1]]
+    return G
+
+
+@pytest.mark.parametrize("kind,n,t", [("ball", 2, 0), ("ball", 3, 0), ("model", 3, 0),
+                                      ("model", 3, 1), ("model", 3, 2)])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_moved_kernel_matches_moved_march(kind, n, t, data):
+    """A moved built-in's distances, its base kernel at the pulled-back
+    points, equal the march on its own value within 1e-9 relative, for G
+    and -G (pulled-back rows with negative last coordinate) and for a
+    domain moved twice, when the image stays in the chart."""
+    if kind == "ball":
+        dom = ball_oracle(n)
+        point = lambda: _ball_point(data.draw, n)
+    else:
+        psi = np.array([2.0, 1.0, 0.0][:t] + [0.0] * (n - t))
+        dom = model_domain_oracle(CuspParameter(psi.tolist()))
+        point = lambda: _model_point(data.draw, psi, t, n)
+    m = data.draw(st.integers(1, 5))
+    X = np.array([point() for _ in range(m)])
+    Y = np.array([point() for _ in range(m)])
+    G = _in_chart_map(data.draw, kind, n, None if kind == "ball" else psi)
+    sign = data.draw(st.sampled_from([1.0, -1.0]))
+    moved = transformed_oracle(dom, ProjMap(sign * G))
+    # the second map moves the image again; its last row is positive on the first image
+    H = np.eye(n + 1) + 0.05 * np.array(data.draw(st.lists(
+        st.floats(-1.0, 1.0), min_size=(n + 1) ** 2, max_size=(n + 1) ** 2))).reshape(n + 1, n + 1)
+    H[n] = np.eye(n + 1)[n]
+    twice = transformed_oracle(moved, ProjMap(H))
+    for oracle, M in ((moved, G), (twice, H @ G)):
+        P, Q = _moved(M, X), _moved(M, Y)
+        got = hilbert_distances(oracle, P, Q)
+        want = value_distances(oracle.value, P, Q)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, want)), (got, want)
+
+
+def test_cut_chart_distances_are_projective():
+    """When the moved chart's hyperplane at infinity cuts g(ball), the chord
+    through two image points may pass through infinity; the distance is
+    still the Klein distance of the preimages on every row, which the
+    affine march misses."""
+    rng = np.random.default_rng(14)
+    G = np.eye(4) + rng.uniform(-0.2, 0.2, (4, 4))
+    G[3] = [0.8, 0.0, 0.0, -0.3]
+    moved = transformed_oracle(ball_oracle(3), ProjMap(G))
+    B = rng.uniform(-1.0, 1.0, (6000, 3))
+    last = np.hstack([B, np.ones((len(B), 1))]) @ G[3]
+    keep = (np.sum(B * B, axis=1) < 0.95) & (np.abs(last) > 0.05)
+    B, last, h = B[keep], last[keep], np.count_nonzero(keep) // 2
+    X, Y = B[:h], B[h:2 * h]
+    got = hilbert_distances(moved, _moved(G, X), _moved(G, Y))
+    want = klein_distance(X, Y)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, want))
+    # pairs on both sides of the cut, whose affine chord leaves the domain
+    assert np.any(last[:h] * last[h:2 * h] < 0.0)
+
+
+def _counting(dom):
+    calls = []
+    return dataclasses.replace(dom, value=lambda P: calls.append(len(P)) or dom.value(P)), calls
+
+
+def test_moved_builtin_calls_value_only_to_check_interiority():
+    """A moved built-in batch calls the moved value twice, once per side of
+    the interiority check; its distances run on the pulled-back points.  A
+    moved classify-only oracle has no kernel and still marches on value."""
+    G = np.eye(3) + 0.08 * np.array([[0.0, 1.0, -0.5], [0.3, 0.0, 0.2], [-0.2, 0.4, 0.0]])
+    X, Y = np.array([[0.2, -0.1], [0.0, 0.3]]), np.array([[-0.4, 0.3], [0.5, 0.1]])
+    # the type-1 model domain x_0 + log x_1 > 0 holds X and Y shifted by (1.5, 1)
+    for base, shift in ((ball_oracle(2), 0.0), (model_domain_oracle(CuspParameter([1.0, 0.0])),
+                                                 np.array([1.5, 1.0]))):
+        moved, calls = _counting(transformed_oracle(base, ProjMap(G)))
+        hilbert_distances(moved, _moved(G, X + shift), _moved(G, Y + shift))
+        assert calls == [2, 2]
+    interval = transformed_oracle(interval_oracle(), ProjMap(np.array([[1.2, 0.3], [0.2, 1.0]])))
+    assert interval.distances is None
+    moved, calls = _counting(interval)
+    hilbert_distances(moved, [[0.3]], [[0.5]])
+    assert len(calls) > 10
+
+
+def test_projective_naturality_compares_two_routes(monkeypatch):
+    """verify's projective-naturality scores the march on the moved value:
+    corrupting that march fails it, and corrupting the moved oracle's
+    pull-back kernel leaves its residual as it was."""
+    base = verify.projective_naturality(np.random.default_rng(0))
+    assert base.passed
+    real = transformed_oracle
+
+    def corrupt_kernel(dom, g):
+        moved = real(dom, g)
+        return dataclasses.replace(moved, distances=lambda X, Y: moved.distances(X, Y) + 1.0)
+
+    monkeypatch.setattr(verify.hilbert, "transformed_oracle", corrupt_kernel)
+    assert verify.projective_naturality(np.random.default_rng(0)).max_residual == base.max_residual
+
+    def corrupt_march(dom, g):
+        moved = real(dom, g)
+        return dataclasses.replace(moved, value=lambda P: moved.value(P) + 1e-3)
+
+    monkeypatch.setattr(verify.hilbert, "transformed_oracle", corrupt_march)
+    assert not verify.projective_naturality(np.random.default_rng(0)).passed
 
 
 @pytest.mark.parametrize("base", ["ball", "model"])

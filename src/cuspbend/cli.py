@@ -19,6 +19,12 @@ exp(s) overflowing, or a nonzero s below ``MIN_BEND_FLOAT``).
 
 ``sweep`` classifies its whole grid with one call to the float kernel
 :func:`conjugation_residuals`.
+
+Every output file goes through :func:`_write_text`, which rewrites an
+existing file in place and cuts it to length after the write rather than
+truncating it to zero first; ``/dev/null``, FIFOs and ``-`` (standard output)
+are written but not cut.  Nothing calls ``fsync``: after a crash soon after a
+rewrite, a file may hold its old bytes or a mix of old and new.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -54,11 +62,17 @@ def _fmt(x) -> str:
 
 
 def _write_text(path, text: str) -> None:
+    """The one way the CLI writes an output (see the module docstring).  Not
+    truncating to zero first matters on ext4: a close after truncate-to-zero
+    starts writeback, and the next truncate of the same path waits for it."""
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
 
 
 def _load_json(path) -> dict:
@@ -140,8 +154,9 @@ def _cmd_sweep(args) -> int:
     header = [f"{col}_{i}" for col in ("s", "a", "ainv") for i in range(2, n + 1)] + ["type"]
     types = np.count_nonzero(mu_rows != 1, axis=1).tolist()
     table = np.hstack([s_rows, a_vals, ainv]).tolist()
-    lines = [",".join(header)] + [",".join(map(_fmt, row)) + f",{t}"
-                                  for row, t in zip(table, types)]
+    # one % per row: "%.17g" prints exactly what _fmt prints, inf included
+    row_fmt = ",".join(["%.17g"] * (len(header) - 1)) + ",%d"
+    lines = [",".join(header)] + [row_fmt % (*row, t) for row, t in zip(table, types)]
     _write_text(args.out, "\n".join(lines) + "\n")
 
     if args.svg:
@@ -254,7 +269,7 @@ def _read_strings(node):
     if isinstance(node, str):
         try:
             return float(parse_scalar(node))
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             pass
     return node
 

@@ -59,9 +59,14 @@ def _is_exact_type(cls) -> bool:
 
 
 def parse_scalar(s):
-    """JSON scalar decoding: strings "p/q" are exact, ints exact, floats float."""
+    """JSON scalar decoding: strings "p/q" are exact, ints exact, floats float.
+    A string with a zero denominator is a ``ValueError``, as any other string
+    that is not a number is."""
     if isinstance(s, str):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {s!r}") from None
     if isinstance(s, bool):
         raise ValueError(f"not a scalar: {s!r}")
     if isinstance(s, int):

@@ -1,8 +1,12 @@
+import ast
 import json
 import math
+import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -666,3 +670,210 @@ def test_input_mutants_keep_the_exit_contract(tmp_path, capsys, name):
         elif code == 1:
             assert len(lines) == 2 and lines[0].startswith("cuspbend: "), (mutant, lines)
             assert lines[1].startswith("residual: "), (mutant, lines)
+
+
+@pytest.mark.parametrize("command,data,message", [
+    ("classify", {"n": 3, "b": ["1/0", "1"], "mu": ["2", "1"]},
+     "zero denominator in scalar '1/0'"),
+    ("classify", {"n": 3, "b": ["1", "1"], "mu": ["2", "3/0"]},
+     "zero denominator in scalar '3/0'"),
+    ("hilbert", {"domain": {"kind": "model", "psi": ["1/0"]}, "pairs": []},
+     "zero denominator in scalar '1/0'"),
+])
+def test_zero_denominator_is_usage_error(tmp_path, capsys, command, data, message):
+    """A "p/0" scalar died with a ``ZeroDivisionError`` traceback and exit 1."""
+    src, out = tmp_path / "data.json", tmp_path / "out"
+    src.write_text(json.dumps(data))
+    assert main([command, "--in", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"cuspbend: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# the write path: every output goes through cli._write_text
+
+
+def _writers(tmp_path):
+    """For each way the CLI writes a file, the argv that writes it to a given
+    path.  ``sweep-svg`` sends the CSV to a side file and the chart to the
+    path."""
+    data = RectangularCuspData(3, b=[1.0, 1.0], s=[0.5, 0.0])
+    inputs = {
+        "classify": {"n": 3, "b": ["1", "3/2"], "mu": ["2", "1"]},
+        "bend": {"rep": cusp_fixture_rep(data).to_json(),
+                 "moves": [m.to_json() for m in cusp_bending_moves(data)]},
+        "hilbert": {"domain": {"kind": "ball", "n": 2},
+                    "pairs": [[[0.1, 0.2], [-0.3, 0.4]], [[0.0, 0.0], [0.5, 0.0]]]},
+    }
+    argv = {}
+    for command, doc in inputs.items():
+        src = tmp_path / f"{command}-in.json"
+        src.write_text(json.dumps(doc))
+        argv[command] = lambda out, command=command, src=src: [
+            command, "--in", str(src), "--out", str(out)]
+    sweep = ["sweep", "--n", "3", "--grid", "0:1.5:4"]
+    argv["sweep"] = lambda out: sweep + ["--out", str(out), "--svg", str(tmp_path / "side.svg")]
+    argv["sweep-svg"] = lambda out: sweep + ["--out", str(tmp_path / "side.csv"), "--svg", str(out)]
+    argv["verify"] = lambda out: ["verify", "--suite", "projlin", "--out", str(out)]
+    return argv
+
+
+WRITERS = ["classify", "bend", "sweep", "sweep-svg", "hilbert", "verify"]
+
+
+def _written(tmp_path, name):
+    """The argv maker of ``name`` and the bytes it writes to a new file."""
+    argv = _writers(tmp_path)[name]
+    fresh = tmp_path / "fresh.out"
+    assert main(argv(fresh)) == 0
+    return argv, fresh.read_bytes()
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_output_replaces_longer_and_shorter_files(tmp_path, name):
+    argv, want = _written(tmp_path, name)
+    out = tmp_path / "out"
+    for old in (want + b"#" * 4096, b"#\n", want[::-1]):
+        out.write_bytes(old)
+        assert main(argv(out)) == 0
+        assert out.read_bytes() == want
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_output_to_dev_null(tmp_path, name):
+    assert main(_writers(tmp_path)[name](os.devnull)) == 0
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_output_to_fifo_is_read_whole(tmp_path, name):
+    argv, want = _written(tmp_path, name)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main(argv(fifo)) == 0
+    finally:
+        reader.join(timeout=30)
+        if reader.is_alive():  # the CLI never opened the FIFO: release the reader
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+    assert not reader.is_alive() and got == [want]
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_output_file_modes(tmp_path, name):
+    """An existing file keeps its mode; a new one gets 0o666 less the umask."""
+    argv, want = _written(tmp_path, name)
+    old = tmp_path / "old"
+    old.write_bytes(want + b"\n" * 100)
+    old.chmod(0o604)
+    assert main(argv(old)) == 0
+    assert stat.S_IMODE(old.stat().st_mode) == 0o604
+    assert old.read_bytes() == want
+    mask = os.umask(0o037)
+    try:
+        assert main(argv(tmp_path / "new")) == 0
+    finally:
+        os.umask(mask)
+    assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_output_through_symlink(tmp_path, name):
+    argv, want = _written(tmp_path, name)
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"#" * (len(want) + 10))
+    link.symlink_to(target)
+    assert main(argv(link)) == 0
+    assert link.is_symlink() and target.read_bytes() == want
+    dangling, absent = tmp_path / "dangling", tmp_path / "absent"
+    dangling.symlink_to(absent)
+    assert main(argv(dangling)) == 0
+    assert absent.read_bytes() == want
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_output_path_errors_keep_their_message(tmp_path, capsys, name):
+    """A directory or a missing parent exits 2 with the ``OSError`` text that
+    ``open(path, "w")`` gives."""
+    argv = _writers(tmp_path)[name]
+    capsys.readouterr()
+    for path in (tmp_path, tmp_path / "missing" / "out"):
+        with pytest.raises(OSError) as exc:
+            open(path, "w")
+        assert main(argv(path)) == 2
+        assert capsys.readouterr().err == f"cuspbend: i/o error: {exc.value}\n"
+
+
+_WRITE_FUNCS = {"write_text", "write_bytes", "savetxt", "fdopen"}
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+
+
+def _write_calls(source, filename):
+    """(line, what) of each call in ``source`` that can write a file, other
+    than in ``cli._write_text``: ``open`` with a mode that is not a constant
+    read mode, ``os.open`` with a write flag, ``write_text``/``write_bytes``,
+    ``savetxt`` and ``fdopen``."""
+    found = []
+
+    def visit(node, allowed):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            allowed = filename == "cli.py" and node.name == "_write_text"
+        if isinstance(node, ast.Call) and not allowed:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
+            if name == "open" and owner == "os":
+                flags = {n.attr for arg in node.args[1:2] for n in ast.walk(arg)
+                         if isinstance(n, ast.Attribute)}
+                if flags & _WRITE_FLAGS or not node.args[1:2]:
+                    found.append((node.lineno, "os.open"))
+            elif name == "open":
+                at = 0 if owner not in (None, "io", "builtins") else 1  # Path.open(mode)
+                mode = node.args[at] if len(node.args) > at else next(
+                    (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and not set(mode.value) & set("wax+")):
+                    found.append((node.lineno, "open"))
+            elif name in _WRITE_FUNCS:
+                found.append((node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, allowed)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_every_output_goes_through_write_text():
+    """No module writes a file but ``cli._write_text``, so every output takes
+    its in-place route."""
+    sources = sorted((Path(__file__).parent.parent / "src" / "cuspbend").glob("*.py"))
+    assert any(path.name == "cli.py" for path in sources)
+    found = {path.name: _write_calls(path.read_text(), path.name) for path in sources}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+@pytest.mark.parametrize("source,filename", [
+    ("def f(p):\n    open(p, 'w')\n", "cli.py"),
+    ("def f(p):\n    open(p, mode='a')\n", "projlin.py"),
+    ("def f(p, m):\n    open(p, m)\n", "cli.py"),
+    ("def f(p):\n    p.open('r+')\n", "cli.py"),
+    ("def f(p):\n    io.open(p, 'wb')\n", "cli.py"),
+    ("def f(p):\n    os.open(p, os.O_WRONLY | os.O_CREAT)\n", "cli.py"),
+    ("def f(p):\n    p.write_text('x')\n", "cli.py"),
+    ("def f(p):\n    Path(p).write_bytes(b'x')\n", "hilbert.py"),
+    ("def f(p, a):\n    np.savetxt(p, a)\n", "cli.py"),
+    ("def f(fd):\n    os.fdopen(fd, 'w')\n", "cli.py"),
+    ("def _write_text(p):\n    open(p, 'w')\n", "projlin.py"),
+])
+def test_write_call_guard_sees_writes(source, filename):
+    assert _write_calls(source, filename)
+
+
+def test_write_call_guard_passes_reads_and_write_text():
+    source = ("def f(p):\n    open(p)\n    open(p, 'r')\n    open(p, mode='rb')\n    p.open()\n"
+              "    os.open(p, os.O_RDONLY)\n"
+              "def _write_text(p):\n    os.open(p, os.O_WRONLY | os.O_CREAT)\n    open(p, 'w')\n")
+    assert _write_calls(source, "cli.py") == []

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction as F
 
@@ -260,6 +261,12 @@ def test_scalar_json():
     assert parse_scalar("3/2") == F(3, 2)
     assert parse_scalar(7) == F(7)
     assert parse_scalar(0.25) == 0.25
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
+def test_parse_scalar_zero_denominator_is_value_error(text):
+    with pytest.raises(ValueError, match=re.escape(f"zero denominator in scalar {text!r}")):
+        parse_scalar(text)
 
 
 small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=5)

@@ -16,10 +16,15 @@ march resolves.
 * Every other domain, the model domains of type t >= 1 and any oracle's
   ``value`` function among them, takes its ends from one bracket-then-bisect
   march over all rays at once.  Double the line parameter outward until the
-  domain is exited (past ``U_CAP`` the chord never leaves the chart), then
-  bisect at most ``MAX_BISECT`` times, stopping early at the float fixed
-  point.  On the model domains a ray whose direction cannot make the leaf
-  value fall is marked unbounded before the march.
+  domain is exited (past ``U_CAP`` the chord never leaves the chart), up
+  to about 60 doubling tests, then halve the bracket exactly ``HALVINGS``
+  = 52 times on every row, with no mask.  The bracket [2^j, 2^(j+1)] is
+  one binade, so its first 52 midpoints are exact and the 52nd halving
+  leaves it one ulp wide, at the float fixed point.  A bisection that
+  stops each row there evaluates the same midpoints and makes the same
+  choices, so the ends and distances keep their bits.  On the model
+  domains a ray whose direction cannot make the leaf value fall is marked
+  unbounded before the march.
 * A projectively moved built-in domain takes neither route on its own
   chart: ``hilbert.transformed_oracle`` pulls its points back through g^-1
   to the base domain's kernel here, so only oracles with no kernel march on
@@ -37,7 +42,8 @@ from __future__ import annotations
 import numpy as np
 
 U_CAP = 1e18
-MAX_BISECT = 200
+# float64 significand bits: halvings that take a binade to one ulp
+HALVINGS = 52
 
 
 def _ball_value_np(P):
@@ -54,13 +60,17 @@ def _model_value_np(P, psi, t):
 
 
 def _leaf_value(cols, psi, t):
-    """Leaf coordinate from the chart coordinate columns: positive inside the
-    model domain; a nonpositive log coordinate makes it -inf or nan."""
+    """Leaf coordinate from the (n, rows) array of chart coordinate columns:
+    positive inside the model domain; a nonpositive log coordinate makes it
+    -inf or nan.  One log over the t log rows and one product for the free
+    squares, (0.5 x) x as 0.5 * x * x evaluates, summed in column order."""
     c = cols[0]
+    logs = np.log(cols[1:1 + t])
     for k in range(t):
-        c = c + psi[k] * np.log(cols[1 + k])
-    for x in cols[1 + t:]:
-        c = c - 0.5 * x * x
+        c = c + psi[k] * logs[k]
+    free = cols[1 + t:]
+    for sq in (0.5 * free) * free:
+        c = c - sq
     return c
 
 
@@ -114,7 +124,13 @@ def _march_np(inside, unbounded):
     width of its final bracket.
 
     ``inside(u)`` tells which rays are inside the domain at parameter u; its
-    floating-point warnings (rows off the domain or the chart) are silenced."""
+    floating-point warnings (rows off the domain or the chart) are silenced.
+    Up to about 60 doubling tests leave each bounded ray the bracket
+    [2^j, 2^(j+1)] and each unbounded one the width 0.  Then every row is
+    halved ``HALVINGS`` times with no mask: ``lo + w`` is the exact
+    midpoint 0.5 (lo + hi), so the march evaluates the midpoints that a
+    bisection stopping each row at the float fixed point evaluates, and
+    ends with its u and widths, one ulp of u each."""
     lo = np.ones(unbounded.shape[0])
     hi = np.full(unbounded.shape[0], 2.0)
     unbounded = unbounded.copy()
@@ -126,15 +142,12 @@ def _march_np(inside, unbounded):
             lo[step] = hi[step]
             hi[step] *= 2.0
             unbounded |= hi > U_CAP
-        hi[unbounded] = lo[unbounded]
-        for _ in range(MAX_BISECT):
-            mid = 0.5 * (lo + hi)
-            step = (mid != lo) & (mid != hi)
-            if not step.any():
-                break
-            ins = inside(mid)
-            np.copyto(lo, mid, where=step & ins)
-            np.copyto(hi, mid, where=step & ~ins)
+        w = np.where(unbounded, 0.0, hi - lo)
+        for _ in range(HALVINGS):
+            w *= 0.5
+            mid = lo + w
+            np.copyto(lo, mid, where=inside(mid))
+    hi = lo + w
     u = 0.5 * (lo + hi)
     u[unbounded] = np.nan
     return u, hi - lo
@@ -159,9 +172,11 @@ def _march_distances(ends):
 
 
 def _model_inside(P, E, psi, t):
-    """Which rays P + u E are inside the model domain, column by column."""
-    cols = [(P[:, j].copy(), E[:, j].copy()) for j in range(P.shape[1])]
-    return lambda u: _leaf_value([p + u * e for p, e in cols], psi, t) > 0.0
+    """Which rays P + u E are inside the model domain: all chart columns as
+    one contiguous (n, rows) array u E^T + P^T per test, each entry the
+    p + u e of its column."""
+    PT, ET = np.ascontiguousarray(P.T), np.ascontiguousarray(E.T)
+    return lambda u: _leaf_value(u * ET + PT, psi, t) > 0.0
 
 
 def _model_ray_stays(E, t):

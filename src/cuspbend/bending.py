@@ -53,6 +53,7 @@ from .projlin import (
     matrix_from_json,
     matrix_to_json,
     proj_equiv_rows,
+    require_int,
     require_json,
 )
 
@@ -164,7 +165,7 @@ class MarkedRep:
     def from_json(cls, data: dict) -> "MarkedRep":
         gens = {name: matrix_from_json(rows)
                 for name, rows in require_json(data["generators"], "rep.generators", dict).items()}
-        return cls(int(data["n"]), gens, data.get("relators"))
+        return cls(require_int(data["n"], "rep.n"), gens, data.get("relators"))
 
 
 @dataclass(frozen=True)

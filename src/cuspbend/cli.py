@@ -13,7 +13,9 @@ relative residual misses the normal form: it goes to standard error, and
 errors include Hilbert points that are not finite and strictly interior, a
 Hilbert pair that is not two points, a JSON string or object where a list
 belongs, a ``domain`` or ``rep.generators`` that is not an object,
-``classify --exact`` on generators, and bending data that
+``classify --exact`` on generators, an integer field (``classify`` n,
+``hilbert`` ball n, ``bend`` rep.n) that is a bool, a string or not a whole
+number, a ball n below 1, and bending data that
 :class:`RectangularCuspData` or the float guard refuses (not finite,
 exp(s) overflowing, or a nonzero s below ``MIN_BEND_FLOAT``).
 
@@ -52,8 +54,8 @@ from .cusp_classify import (
 )
 from .cusp_models import CuspParameter
 from .hilbert import ball_oracle, hilbert_distances, model_domain_oracle
-from .projlin import (DEFAULT_TOL, is_exact, matrix_from_json, parse_scalar, require_json,
-                      scalar_to_json)
+from .projlin import (DEFAULT_TOL, is_exact, matrix_from_json, parse_scalar, require_int,
+                      require_json, scalar_to_json)
 
 
 def _fmt(x) -> str:
@@ -238,7 +240,7 @@ def _cmd_classify(args) -> int:
         gens = [matrix_from_json(rows) for rows in data["generators"]]
         cls = classify_h_form(gens, tol=args.tol)
     else:
-        n = int(data["n"])
+        n = require_int(data["n"], "n")
         b = [parse_scalar(x) for x in data["b"]]
         s = [parse_scalar(x) for x in data["s"]] if "s" in data else None
         mu = [parse_scalar(x) for x in data["mu"]] if "mu" in data else None
@@ -279,7 +281,7 @@ def _cmd_hilbert(args) -> int:
     dspec = require_json(spec["domain"], "domain", dict)
     kind = dspec.get("kind")
     if kind == "ball":
-        dom = ball_oracle(int(dspec["n"]))
+        dom = ball_oracle(require_int(dspec["n"], "n", least=1))
     elif kind == "model":
         psi = CuspParameter([float(parse_scalar(x)) for x in dspec["psi"]])
         dom = model_domain_oracle(psi)

@@ -86,6 +86,21 @@ def require_json(value, what: str, kind: type):
     return value
 
 
+def require_int(value, what: str, least: int | None = None) -> int:
+    """``int(value)`` for a JSON integer field.  A bool, a string, or a float
+    that is not a whole number (inf and nan among them) is a ``ValueError``
+    naming the field, and so is a value below ``least``; any other value
+    keeps ``int``'s own error, as a string that is no integer does."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} must be a JSON integer, not {value!r}")
+    n = int(value)
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{what} must be a JSON integer, not {value!r}")
+    if least is not None and n < least:
+        raise ValueError(f"{what} must be at least {least}, got {n}")
+    return n
+
+
 def scalar_to_json(x):
     """JSON scalar encoding: exact as "p/q" strings, floats as numbers."""
     if is_exact(x):

@@ -290,7 +290,7 @@ def metric_axioms_model(rng) -> PropertyResult:
         lo = np.array([0.05] + [0.3] * t + [-1.5] * (2 - t))
         hi = np.array([2.5] * (1 + t) + [1.5] * (2 - t))
         pts = lo + (hi - lo) * rng.random((3000, 3))
-        pts[:, 0] = -_hilbert_kernels._leaf_value([-pts[:, 0], *pts.T[1:]], psi.psi, t)
+        pts[:, 0] = -_hilbert_kernels._leaf_value(np.vstack([-pts[:, 0], pts.T[1:]]), psi.psi, t)
         worst = np.maximum(worst, _metric_axioms_residual(
             hilbert.model_domain_oracle(psi), pts[:1000], pts[1000:2000], pts[2000:]))
     return _result("hilbert", "metric-axioms-model", 3000, worst, 1e-9)

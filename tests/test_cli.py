@@ -406,6 +406,22 @@ def test_hilbert_csv_matches_per_value_format(tmp_path):
     assert out.read_text() == "\n".join(lines) + "\n"
 
 
+def test_hilbert_output_matches_fixture(tmp_path):
+    """Byte-identical ``hilbert`` CSV for the ball in n = 2, 3 and the model
+    domains psi = (0, 0, 0), (a, 0, 0), (a, b, 0) and (a, b, 0, 0), about 40
+    seeded pairs each: generic and near-coincident pairs (|y - x| down to
+    1e-15), x = y, and on the model domains chords with one or both ends at
+    infinity.  Recorded with the masked bisection march."""
+    fixture = Path(__file__).parent / "fixtures" / "hilbert_csv.json"
+    cases = json.loads(fixture.read_text())["cases"]
+    assert len(cases) == 6 and all(len(case["input"]["pairs"]) >= 40 for case in cases)
+    src, out = tmp_path / "pairs.json", tmp_path / "dist.csv"
+    for case in cases:
+        src.write_text(json.dumps(case["input"]))
+        assert main(["hilbert", "--in", str(src), "--out", str(out)]) == 0, case["name"]
+        assert out.read_text() == case["csv"], case["name"]
+
+
 @pytest.mark.parametrize("psi", [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0]])
 def test_hilbert_non_finite_psi_is_usage_error(tmp_path, capsys, psi):
     src, out = tmp_path / "pairs.json", tmp_path / "dist.csv"
@@ -603,6 +619,62 @@ def test_refused_input_keeps_its_message(tmp_path, capsys):
         assert main([case["command"], "--in", str(src), "--out", str(out)]) == 2, case
         assert capsys.readouterr().err == case["stderr"], case
         assert not out.exists()
+
+
+def _integer_field_docs():
+    """For each integer field, the command and a valid document with the
+    field set to a given value."""
+    data = RectangularCuspData(3, b=[1.0, 1.0], s=[0.5, 0.0])
+    bend = {"rep": cusp_fixture_rep(data).to_json(),
+            "moves": [m.to_json() for m in cusp_bending_moves(data)]}
+    return {
+        "classify": lambda n: ("classify", {"n": n, "b": [1.0, 1.0], "s": [0.5, 0.0]}),
+        "ball": lambda n: ("hilbert", {"domain": {"kind": "ball", "n": n},
+                                       "pairs": [[[0.1, 0.2], [-0.3, 0.4]]]}),
+        "bend": lambda n: ("bend", {**bend, "rep": {**bend["rep"], "n": n}}),
+    }
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("classify", 3.7, "n must be a JSON integer, not 3.7"),
+    ("classify", "3", "n must be a JSON integer, not '3'"),
+    ("classify", True, "n must be a JSON integer, not True"),
+    ("classify", math.inf, "n must be a JSON integer, not inf"),
+    ("classify", math.nan, "n must be a JSON integer, not nan"),
+    ("ball", 2.5, "n must be a JSON integer, not 2.5"),
+    ("ball", True, "n must be a JSON integer, not True"),
+    ("ball", "2", "n must be a JSON integer, not '2'"),
+    ("ball", -math.inf, "n must be a JSON integer, not -inf"),
+    ("ball", 0, "n must be at least 1, got 0"),
+    ("ball", -1, "n must be at least 1, got -1"),
+    ("bend", 3.5, "rep.n must be a JSON integer, not 3.5"),
+    ("bend", "3", "rep.n must be a JSON integer, not '3'"),
+])
+def test_loose_integer_field_is_usage_error(tmp_path, capsys, field, value, message):
+    """``classify`` n, ``hilbert`` ball n and ``bend`` rep.n were read with
+    a bare ``int``: 3.7 read as 3, "3" and true were accepted, an infinity
+    died with an ``OverflowError`` traceback, nan met ``int``'s message and
+    a ball n below 1 a shape or numpy error.  Each is refused by the
+    field's name."""
+    command, doc = _integer_field_docs()[field](value)
+    src, out = tmp_path / "data.json", tmp_path / "out"
+    src.write_text(json.dumps(doc))
+    assert main([command, "--in", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"cuspbend: {message}\n"
+
+
+@pytest.mark.parametrize("field,value", [("classify", 3), ("ball", 2), ("bend", 3)])
+def test_integral_float_reads_as_its_integer(tmp_path, field, value):
+    """A whole float, 3.0 for 3, gives the bytes of the integer."""
+    src, out = tmp_path / "data.json", tmp_path / "out"
+    outputs = []
+    for n in (value, float(value)):
+        command, doc = _integer_field_docs()[field](n)
+        src.write_text(json.dumps(doc))
+        assert main([command, "--in", str(src), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def _mutants(doc):

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+from cuspbend import _hilbert_kernels as _kernels
 from cuspbend import verify
 from cuspbend._hilbert_kernels import value_distances
 from cuspbend.cusp_models import CuspParameter, INTERIOR, BOUNDARY, EXTERIOR
@@ -24,6 +25,8 @@ from cuspbend.hilbert import (
     transformed_oracle,
 )
 from cuspbend.projlin import ProjMap, ProjPoint, act
+from march_reference import (ref_march, ref_model_inside, ref_model_value,
+                             ref_value_march)
 
 HALF_LOG_3 = 0.5 * math.log(3.0)          # = artanh(1/2)
 
@@ -195,16 +198,17 @@ def test_klein_distance_rows_match_pairs():
 
 
 def test_single_pair_checks_interiority_once():
-    """hilbert_distance evaluates the domain's value once per point: its own
-    check, then the shared body, with no second check by hilbert_distances."""
+    """hilbert_distance evaluates the domain's value once per point, in one
+    call on both points stacked: its own check, then the shared body, with
+    no second check by hilbert_distances."""
     ball = ball_oracle(2)
     rows = []
     dom = dataclasses.replace(ball, value=lambda P: rows.append(len(P)) or ball.value(P))
     assert hilbert_distance(dom, [0.0, 0.0], [0.5, 0.0]) == pytest.approx(HALF_LOG_3, abs=1e-14)
-    assert rows == [1, 1]
+    assert rows == [2]
     rows.clear()
     hilbert_distances(dom, np.zeros((3, 2)), np.full((3, 2), 0.5))
-    assert rows == [3, 3]
+    assert rows == [6]
 
 
 def test_hilbert_matches_klein_in_ball():
@@ -495,9 +499,10 @@ def _counting(dom):
 
 
 def test_moved_builtin_calls_value_only_to_check_interiority():
-    """A moved built-in batch calls the moved value twice, once per side of
-    the interiority check; its distances run on the pulled-back points.  A
-    moved classify-only oracle has no kernel and still marches on value."""
+    """A moved built-in batch calls the moved value once, on both sides of
+    the interiority check stacked; its distances run on the pulled-back
+    points.  A moved classify-only oracle has no kernel and still marches
+    on value."""
     G = np.eye(3) + 0.08 * np.array([[0.0, 1.0, -0.5], [0.3, 0.0, 0.2], [-0.2, 0.4, 0.0]])
     X, Y = np.array([[0.2, -0.1], [0.0, 0.3]]), np.array([[-0.4, 0.3], [0.5, 0.1]])
     # the type-1 model domain x_0 + log x_1 > 0 holds X and Y shifted by (1.5, 1)
@@ -505,7 +510,7 @@ def test_moved_builtin_calls_value_only_to_check_interiority():
                                                  np.array([1.5, 1.0]))):
         moved, calls = _counting(transformed_oracle(base, ProjMap(G)))
         hilbert_distances(moved, _moved(G, X + shift), _moved(G, Y + shift))
-        assert calls == [2, 2]
+        assert calls == [4]
     interval = transformed_oracle(interval_oracle(), ProjMap(np.array([[1.2, 0.3], [0.2, 1.0]])))
     assert interval.distances is None
     moved, calls = _counting(interval)
@@ -606,3 +611,99 @@ def test_convexity_scan():
     broken = ConvexDomainOracle(2, two_balls)
     with pytest.raises(ConvexityViolation):
         convexity_scan(broken, [-2.0, 0.0], [2.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# the fixed-count march against the masked bisection it replaced
+
+MARCH_KINDS = [("model", 3, 1), ("model", 3, 2), ("model", 4, 1), ("model", 4, 2),
+               ("model", 4, 3), ("model-value", 3, 1), ("model-value", 4, 2),
+               ("ball-value", 2, 0), ("ball-value", 3, 0),
+               ("moved-ball-value", 2, 0), ("moved-ball-value", 3, 0)]
+
+
+@st.composite
+def _march_case(draw, kind, n, t):
+    """Row-paired points (X, Y) of one domain, with the domain's psi and map.
+    Rows: two interior points; a near-coincident pair, |y - x| from 1e-4
+    down to 1e-15; x = y; on the model domains a chord along which the leaf
+    value cannot fall, and one whose end lies at a drawn parameter 2^e,
+    e in [40, 62], on both sides of ``U_CAP``; on the ball a step of 2^-e."""
+    psi = np.sort(np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=t, max_size=t))))[::-1]
+    ball = kind.endswith("ball-value")
+    point = (lambda: _ball_point(draw, n)) if ball else (lambda: _model_point(draw, psi, t, n))
+    unit = lambda: np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    kinds = ["pair", "near", "same", "far"] + ([] if ball else ["stays"])
+    X, Y = [], []
+    for row in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6)):
+        x = point()
+        if row == "pair":
+            y = point()
+        elif row == "near":
+            y = x + 10.0 ** -draw(st.floats(4.0, 15.0)) * unit()
+        elif row == "same":
+            y = x.copy()
+        elif row == "stays":
+            y = x + np.array([draw(st.floats(0.0, 2.0))]
+                             + draw(st.lists(st.floats(0.0, 2.0), min_size=t, max_size=t))
+                             + [0.0] * (n - 1 - t))
+        elif ball:
+            x = 0.5 * x
+            y = x + 2.0 ** -draw(st.floats(40.0, 62.0)) * unit()
+        else:
+            # x_0 = 0 and leaf value c at x, so c - u delta at x + u d, d = -delta e_0,
+            # which ends at u = c / delta = 2^e
+            c = draw(st.floats(0.01, 2.0))
+            x = np.array([0.0, math.exp(c / psi[0])] + [1.0] * (t - 1) + [0.0] * (n - 1 - t))
+            y = x.copy()
+            y[0] = -c * 2.0 ** -draw(st.one_of(st.floats(40.0, 62.0),
+                                               st.integers(58, 61).map(float)))
+        X.append(x)
+        Y.append(y)
+    X, Y = np.array(X), np.array(Y)
+    G = _in_chart_map(draw, "ball", n, None) if kind == "moved-ball-value" else None
+    if G is not None:
+        X, Y = _moved(G, X), _moved(G, Y)
+    return kind, psi, t, G, X, Y
+
+
+def _both_marches(case):
+    """(u, widths) of the program's march and of the masked reference."""
+    kind, psi, t, G, X, Y = case
+    if kind == "model":
+        P, E = _kernels._rays(X, Y)
+        stays = _kernels._model_ray_stays(E, t)
+        return (_kernels._march_np(_kernels._model_inside(P, E, psi, t), stays),
+                ref_march(ref_model_inside(P, E, psi, t), stays))
+    if kind == "model-value":
+        return (_kernels.value_march(lambda P: _kernels._model_value_np(P, psi, t), X, Y),
+                ref_value_march(lambda P: ref_model_value(P, psi, t), X, Y))
+    value = _kernels._ball_value_np
+    if G is not None:
+        value = transformed_oracle(ball_oracle(X.shape[1]), ProjMap(G)).value
+    return _kernels.value_march(value, X, Y), ref_value_march(value, X, Y)
+
+
+def _same_bytes(marches):
+    (u, w), (ref_u, ref_w) = marches
+    return u.tobytes() == ref_u.tobytes() and w.tobytes() == ref_w.tobytes()
+
+
+@pytest.mark.parametrize("kind,n,t", MARCH_KINDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fixed_halvings_match_masked_bisection(kind, n, t, data):
+    """``HALVINGS`` unmasked halvings give the bytes of the masked bisection
+    to the float fixed point: the same end parameters (nan where unbounded)
+    and final bracket widths, on the model domains' column ray test and on
+    value functions (model, ball and moved ball)."""
+    assert _same_bytes(_both_marches(data.draw(_march_case(kind, n, t))))
+
+
+def test_51_halvings_fail_the_march_reference(monkeypatch):
+    """Negative control: one halving short of the float fixed point, the
+    property finds a differing case for every kind of ray."""
+    monkeypatch.setattr(_kernels, "HALVINGS", 51)
+    for kind, n, t in MARCH_KINDS:
+        find(_march_case(kind, n, t), lambda case: not _same_bytes(_both_marches(case)),
+             settings=settings(max_examples=50, database=None, phases=[Phase.generate]))

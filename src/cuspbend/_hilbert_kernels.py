@@ -25,16 +25,15 @@ march resolves.
   choices, so the ends and distances keep their bits.  On the model
   domains a ray whose direction cannot make the leaf value fall is marked
   unbounded before the march.
-* A projectively moved built-in domain takes neither route on its own
-  chart: ``hilbert.transformed_oracle`` pulls its points back through g^-1
-  to the base domain's kernel here, so only oracles with no kernel march on
-  their ``value``.
+* A projectively moved domain takes neither route on its own chart: its
+  points are pulled back through g^-1 (``hilbert.transformed_oracle``) and
+  run the base domain's kernel here, or the march on the base's ``value``.
 
 The march needs nothing but a value function that is negative inside, so
 it is also the reference route for the closed forms: ``verify``'s
 ``hilbert.klein-agreement`` compares the Klein formula against the march
 on the ball, and ``hilbert.projective-naturality`` against the march on a
-moved ball's ``value``.
+moved ball's own ``value``.
 """
 
 from __future__ import annotations

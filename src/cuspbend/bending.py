@@ -73,10 +73,12 @@ class NonCommutingMoves(ValueError):
 Word = tuple[tuple[str, int], ...]
 
 
-def parse_word(tokens: Sequence) -> Word:
-    """Words are sequences like ["a", "b^-1"]; pairs (name, exp) also accepted."""
+def parse_word(tokens: Sequence, where: str = "word") -> Word:
+    """Words are sequences like ["a", "b^-1"]; pairs (name, exp) also
+    accepted, whose exp must be a JSON integer: its error names the letter
+    as ``where[i]``."""
     out = []
-    for tok in tokens:
+    for i, tok in enumerate(tokens):
         if isinstance(tok, str):
             if "^" in tok:
                 name, _, exp = tok.partition("^")
@@ -85,7 +87,7 @@ def parse_word(tokens: Sequence) -> Word:
                 out.append((tok, 1))
         else:
             name, exp = tok
-            out.append((str(name), int(exp)))
+            out.append((str(name), require_int(exp, f"{where}[{i}] exponent")))
     return tuple(out)
 
 
@@ -111,7 +113,7 @@ class MarkedRep:
                 raise TypeError(f"generator {name!r} is not a ProjMap")
             if g.n != n:
                 raise ValueError(f"generator {name!r} has dimension {g.n}, expected {n}")
-        rels = tuple(parse_word(w) for w in (relators or ()))
+        rels = tuple(parse_word(w, f"relators[{i}]") for i, w in enumerate(relators or ()))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", rels)
@@ -187,7 +189,8 @@ class Decomposition:
         object.__setattr__(self, "side1", tuple(self.side1))
         object.__setattr__(self, "side2", tuple(self.side2))
         object.__setattr__(self, "base", tuple(self.base))
-        object.__setattr__(self, "edge_words", tuple(parse_word(w) for w in self.edge_words))
+        object.__setattr__(self, "edge_words", tuple(parse_word(w, f"edge_words[{i}]")
+                                                     for i, w in enumerate(self.edge_words)))
         if self.kind == "amalgam":
             overlap = set(self.side1) & set(self.side2)
             if overlap:

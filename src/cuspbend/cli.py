@@ -14,8 +14,9 @@ errors include Hilbert points that are not finite and strictly interior, a
 Hilbert pair that is not two points, a JSON string or object where a list
 belongs, a ``domain`` or ``rep.generators`` that is not an object,
 ``classify --exact`` on generators, an integer field (``classify`` n,
-``hilbert`` ball n, ``bend`` rep.n) that is a bool, a string or not a whole
-number, a ball n below 1, and bending data that
+``hilbert`` ball n, ``bend`` rep.n, a ``bend`` word exponent in pair form)
+that is a bool, a string or not a whole number, a ball n below 1, and
+bending data that
 :class:`RectangularCuspData` or the float guard refuses (not finite,
 exp(s) overflowing, or a nonzero s below ``MIN_BEND_FLOAT``).
 

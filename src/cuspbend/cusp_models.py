@@ -32,6 +32,7 @@ from .projlin import (
     ProjPoint,
     is_exact,
     parse_scalar,
+    require_int,
     scalar_to_json,
 )
 
@@ -79,7 +80,7 @@ class CuspParameter:
     @classmethod
     def from_json(cls, data: dict) -> "CuspParameter":
         psi = [parse_scalar(x) for x in data["psi"]]
-        if int(data["n"]) != len(psi):
+        if require_int(data["n"], "n") != len(psi):
             raise ValueError("declared n does not match psi length")
         return cls(psi)
 

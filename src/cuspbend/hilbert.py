@@ -3,24 +3,24 @@
 The distance between two interior points is half the log of the cross ratio
 of the four collinear points (boundary, x, y, boundary) on their chord.
 
-A domain answers two questions: ``classify`` places one projective point,
-and ``value`` takes chart rows of shape (m, n) and is negative exactly on
-the rows inside.  The built-in oracles supply ``value`` in numpy: the unit
-ball's quadric and the model domain's negated leaf coordinate.
-``transformed_oracle`` pulls all rows back through g^-1 with one matmul and
-divides by the last homogeneous coordinate whatever its sign, as the
-projective ``classify`` does; a row on the pulled-back hyperplane at
-infinity is outside.  An oracle built from ``classify`` alone gets a row
-loop over it.
+A domain is its ``value``, a function of chart rows of shape (m, n) that is
+negative exactly on the rows inside, and an optional ``distances`` kernel.
+The built-in oracles supply both in numpy: the unit ball's quadric and the
+model domain's negated leaf coordinate, with their own kernels (closed
+forms on the quadrics, a column march on the other model domains).  A
+domain with no kernel takes its chord ends from one vectorized march on
+``value`` (exponential bracketing, then 52 exact halvings;
+:mod:`cuspbend._hilbert_kernels`) for every pair at once.  A single pair
+is a batch of one row.
 
-Distances: the built-in domains run their own kernels (closed forms on the
-quadrics, a column march on the other model domains), and a moved built-in
-pulls its points back through g^-1 to its base domain's kernel, since
-projective maps are Hilbert isometries.  Only a domain with no kernel, one
-known by ``classify`` or ``value`` alone or moved from one, takes its chord
-ends from one vectorized march on ``value`` (exponential bracketing, then 52
-exact halvings; :mod:`cuspbend._hilbert_kernels`) for every pair at once.  A
-single pair is a batch of one row.
+A domain moved by ``transformed_oracle`` answers every question on its
+base, since projective maps are Hilbert isometries: distances, chord ends
+and the convexity scan pull the points back through g^-1 with one matmul
+(a domain moved twice pulls back through the composite), divide by the
+last homogeneous coordinate whatever its sign, and run the base's kernel or
+march.  Chord ends are pushed forward through g as homogeneous points.  The
+moved domain's own ``value`` does the same pull-back, and a row on the
+pulled-back hyperplane at infinity is outside.
 
 Everything here is float; the identities tested are metric, not algebraic.
 A chord that never leaves the affine chart at one end (the model cusp
@@ -34,22 +34,14 @@ contract: a point that is not finite and strictly interior is a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import _hilbert_kernels as _kernels
-from .cusp_models import (
-    BOUNDARY,
-    EXTERIOR,
-    INTERIOR,
-    OUTSIDE_CHART,
-    CuspParameter,
-    ModelDomain,
-    leaf_coordinate,
-)
-from .projlin import DEFAULT_TOL, ProjMap, ProjPoint, act, inverse
+from .cusp_models import CuspParameter, ModelDomain
+from .projlin import DEFAULT_TOL, ProjMap, ProjPoint, act, compose, inverse
 
 
 class ConvexityViolation(RuntimeError):
@@ -57,111 +49,93 @@ class ConvexityViolation(RuntimeError):
 
 
 @dataclass(frozen=True)
-class _ClassifyRows:
-    """``value`` of an oracle known only by ``classify``: one call per row at
-    tol 0, -1 inside and +1 elsewhere (non-finite rows included)."""
-
-    classify: Callable[..., str]
-
-    def __call__(self, P: np.ndarray) -> np.ndarray:
-        return np.array([-1.0 if np.all(np.isfinite(x))
-                         and self.classify(_chart_point(x), 0.0) == INTERIOR else 1.0
-                         for x in P])
-
-
-@dataclass(frozen=True)
 class ConvexDomainOracle:
     """Properly convex domain known through oracles.
 
-    ``classify(point, tol)`` returns one of interior / boundary / exterior /
-    outside-chart.  ``value(P)`` maps chart rows of shape (m, n) to m floats,
-    negative inside and positive or ``inf`` elsewhere (``inf`` off the
-    chart); it may leave floating-point warnings to its caller.  Left out, it
-    is a row loop over ``classify``.  Convexity is an assumed contract.
+    ``value(P)`` maps chart rows of shape (m, n) to m floats, negative inside
+    and positive or ``inf`` elsewhere (``inf`` off the chart); it may leave
+    floating-point warnings to its caller.  Convexity is an assumed contract.
     ``distances(X, Y)`` is the domain's own batch distance kernel for
-    row-paired interior chart points: the built-in constructors set it, and
-    ``transformed_oracle`` sets the base kernel behind its pull-back.  A
+    row-paired interior chart points: the built-in constructors set it.  A
     domain without one has its chord ends marched on ``value``.
+    ``classify`` is read by no route; it is kept, None by default, only as
+    a slot that outside tracers replace.
     """
 
     n: int
-    classify: Callable[..., str]
-    value: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    value: Callable[[np.ndarray], np.ndarray]
     distances: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    classify: Optional[Callable] = None
 
-    def __post_init__(self):
-        # a replaced classify replaces the row loop built from the old one
-        if self.value is None or isinstance(self.value, _ClassifyRows):
-            object.__setattr__(self, "value", _ClassifyRows(self.classify))
+    def on_base(self, X: np.ndarray, Y: np.ndarray):
+        """The domain that answers for this one, and the chart rows X and Y
+        in its chart: here the domain itself and the rows as given."""
+        return self, X, Y
+
+    def push(self, z: np.ndarray) -> ProjPoint:
+        """The point of this domain's space at base chart coordinates z."""
+        return ProjPoint(np.append(z, 1.0))
+
+
+@dataclass(frozen=True)
+class MovedOracle(ConvexDomainOracle):
+    """The image g(base) of a domain under a float projective map, with its
+    rows pulled back to ``base`` through ``g_inv`` (see
+    :func:`transformed_oracle`).  Its own ``distances`` is not read."""
+
+    base: ConvexDomainOracle = field(kw_only=True)
+    g: ProjMap = field(kw_only=True)
+    g_inv: ProjMap = field(kw_only=True)
+
+    def on_base(self, X: np.ndarray, Y: np.ndarray):
+        return self.base, _pull(self.g_inv, X)[0], _pull(self.g_inv, Y)[0]
+
+    def push(self, z: np.ndarray) -> ProjPoint:
+        return act(self.g, ProjPoint(np.append(z, 1.0)))
+
+
+def _pull(g_inv: ProjMap, P: np.ndarray):
+    """Base chart rows of the chart rows P pulled back through g_inv, divided
+    by their last homogeneous coordinate whatever its sign, and the rows
+    where that is 0."""
+    M = g_inv.entries
+    H = P @ M.T[:-1] + M.T[-1]
+    return H[:, :-1] / H[:, -1:], H[:, -1] == 0.0
 
 
 def ball_oracle(n: int) -> ConvexDomainOracle:
     """The open unit ball in the chart x_{n+1} = 1 (Klein model)."""
-
-    def classify(p: ProjPoint, tol: float = DEFAULT_TOL) -> str:
-        coords = np.asarray(p.to_float().coords, dtype=np.float64)
-        if abs(coords[-1]) <= tol * np.max(np.abs(coords)):
-            return OUTSIDE_CHART
-        x = coords[:-1] / coords[-1]
-        val = float(np.dot(x, x)) - 1.0
-        if abs(val) <= tol:
-            return BOUNDARY
-        return INTERIOR if val < 0 else EXTERIOR
-
-    return ConvexDomainOracle(n, classify, value=_kernels._ball_value_np,
-                              distances=_kernels.ball_distances)
+    return ConvexDomainOracle(n, _kernels._ball_value_np, _kernels.ball_distances)
 
 
 def model_domain_oracle(psi: CuspParameter) -> ConvexDomainOracle:
     """Oracle for the model cusp domain of a type t < n parameter."""
-    dom = ModelDomain(psi)
-
-    def classify(p: ProjPoint, tol: float = DEFAULT_TOL) -> str:
-        try:
-            _, tag = leaf_coordinate(dom, p, tol)
-        except ValueError:
-            # nonpositive log-coordinate: outside the in-chart closure
-            return EXTERIOR
-        return tag
-
-    t = psi.type
+    t = ModelDomain(psi).psi.type
     psi_t = np.array([float(x) for x in psi.psi[:t]], dtype=np.float64)
-    return ConvexDomainOracle(psi.n, classify,
-                              value=lambda P: _kernels._model_value_np(P, psi_t, t),
-                              distances=lambda X, Y: _kernels.model_distances(X, Y, psi_t, t))
+    return ConvexDomainOracle(psi.n, lambda P: _kernels._model_value_np(P, psi_t, t),
+                              lambda X, Y: _kernels.model_distances(X, Y, psi_t, t))
 
 
-def transformed_oracle(dom: ConvexDomainOracle, g: ProjMap) -> ConvexDomainOracle:
-    """Oracle for the image g(domain); every oracle pulls back through g.
+def transformed_oracle(dom: ConvexDomainOracle, g: ProjMap) -> MovedOracle:
+    """Oracle for the image g(domain), answered on the domain.
 
-    A projective map is an isometry of the Hilbert metric, so distances in
-    g(domain) are the base domain's distances between the pulled-back
-    points: a base with a ``distances`` kernel lends it to the image (a
-    domain moved twice chains the pull-backs), and a base without one leaves
-    the image to the march on its ``value``.
+    A projective map is an isometry of the Hilbert metric, so every route
+    (:func:`hilbert_distances`, :func:`chord_boundary`,
+    :func:`convexity_scan`) pulls its points back through g^-1 and runs on
+    the base domain: its kernel, or the march on its ``value``.  The image's
+    own ``value`` pulls back the same way.  Moving a moved domain moves its
+    base by the composite map, so every pull-back is one matmul.
     """
-    g_inv = inverse(g.to_float())
-    # chart rows P pull back to the homogeneous rows P @ lin + shift
-    lin, shift = g_inv.entries.T[:-1], g_inv.entries.T[-1]
-
-    def pull(P: np.ndarray):
-        """Base chart rows of the pulled-back rows, divided by their last
-        coordinate whatever its sign, and the rows where that is 0."""
-        H = P @ lin + shift
-        return H[:, :-1] / H[:, -1:], H[:, -1] == 0.0
-
-    def classify(p: ProjPoint, tol: float = DEFAULT_TOL) -> str:
-        return dom.classify(act(g_inv, p.to_float()), tol)
+    g = g.to_float()
+    if isinstance(dom, MovedOracle):
+        dom, g = dom.base, compose(g, dom.g)
+    g_inv = inverse(g)
 
     def value(P: np.ndarray) -> np.ndarray:
-        B, at_infinity = pull(P)
+        B, at_infinity = _pull(g_inv, P)
         return np.where(at_infinity, np.inf, dom.value(B))
 
-    distances = None
-    if dom.distances is not None:
-        # interior rows: none is on the pulled-back hyperplane at infinity
-        distances = lambda X, Y: dom.distances(pull(X)[0], pull(Y)[0])
-    return ConvexDomainOracle(dom.n, classify, value=value, distances=distances)
+    return MovedOracle(dom.n, value, base=dom, g=g, g_inv=g_inv)
 
 
 @dataclass(frozen=True)
@@ -169,9 +143,10 @@ class ChordIntersection:
     """Boundary crossings of the chord through x and y, ordered z1, x, y, z2.
 
     ``unbounded`` names the ends ("z1", "z2", "both") whose march left the
-    chart without exiting the domain; those crossings are None.  Such an end
-    meets the boundary at the chord's point at infinity; when both ends are
-    unbounded they meet it at the same point.
+    chart without exiting the domain (the base domain's chart, for a moved
+    one); those crossings are None.  Such an end meets the boundary at the
+    chord's point at infinity in that chart; when both ends are unbounded
+    they meet it at the same point.
     """
 
     z1: Optional[ProjPoint]
@@ -194,10 +169,6 @@ def _as_chart(p, n: int) -> np.ndarray:
     return arr
 
 
-def _chart_point(x: np.ndarray) -> ProjPoint:
-    return ProjPoint(np.append(x, 1.0))
-
-
 def _require_interior_rows(dom: ConvexDomainOracle, X: np.ndarray, Y: np.ndarray,
                            batch: bool) -> None:
     """The input contract: every point finite and strictly interior.  A
@@ -214,26 +185,30 @@ def _require_interior_rows(dom: ConvexDomainOracle, X: np.ndarray, Y: np.ndarray
 def chord_boundary(dom: ConvexDomainOracle, x, y) -> ChordIntersection:
     """Locate the two boundary points of the chord through interior x, y.
 
-    The march runs on ``dom.value``: up to about 60 doubling tests, then
-    52 exact halvings to the float fixed point of bisection.  ``residual``
-    is the wider final bracket of the two bounded ends in chart units, one
-    ulp of u times |d|.
+    The march runs on the base domain's ``value`` at the pulled-back points:
+    up to about 60 doubling tests, then 52 exact halvings to the float fixed
+    point of bisection.  The bounded ends are pushed forward to homogeneous
+    points, which on a moved domain may lie on its chart's hyperplane at
+    infinity.  ``residual`` is the wider final bracket of the two bounded
+    ends in base chart units, one ulp of u times |d|.
     """
     xc = _as_chart(x, dom.n)
     yc = _as_chart(y, dom.n)
     if np.array_equal(xc, yc):
         raise ValueError("chord needs two distinct points")
     _require_interior_rows(dom, xc[None], yc[None], batch=False)
+    base, X, Y = dom.on_base(xc[None], yc[None])
     # ray from x along d ends at z2 = x + u d, ray from y along -d at z1 = y - s d
-    (u, s), widths = _kernels.value_march(dom.value, xc[None], yc[None])
-    d = yc - xc
+    (u, s), widths = _kernels.value_march(base.value, X, Y)
+    xb, yb = X[0], Y[0]
+    d = yb - xb
     bounded = ~np.isnan([u, s])
     residual = (float(np.max(widths[bounded])) * float(np.linalg.norm(d))
                 if bounded.any() else math.nan)
     unbounded = {(True, True): None, (False, False): "both",
                  (False, True): "z2", (True, False): "z1"}[tuple(bounded)]
-    z1 = _chart_point(yc - s * d) if bounded[1] else None
-    z2 = _chart_point(xc + u * d) if bounded[0] else None
+    z1 = dom.push(yb - s * d) if bounded[1] else None
+    z2 = dom.push(xb + u * d) if bounded[0] else None
     return ChordIntersection(z1, z2, residual, unbounded)
 
 
@@ -283,14 +258,14 @@ def hilbert_distances(dom: ConvexDomainOracle, X, Y) -> np.ndarray:
     A domain with its own ``distances`` kernel runs it: the unit ball and
     the type-0 model domain are quadrics and take their chord ends in closed
     form; model domains of type t >= 1 march every row at once with their
-    own ray test (:mod:`cuspbend._hilbert_kernels`); a moved built-in runs
-    its base kernel on the points pulled back through g^-1.  Every other
-    domain, classify-only oracles and their images included, runs the march
-    on its ``value`` function.  The march is also the independent route to
-    the closed forms: ``verify`` checks the Klein formula against it on the
-    ball, and on a moved ball.  Interiority is checked on the domain's own
-    ``value`` first, so bad input raises the ValueError of
-    :func:`hilbert_distance`, prefixed with the first offending row.
+    own ray test (:mod:`cuspbend._hilbert_kernels`).  Every other domain
+    runs the march on its ``value`` function, and a moved domain runs its
+    base's route on the points pulled back through g^-1.  The march is also
+    the independent route to the closed forms: ``verify`` checks the Klein
+    formula against it on the ball, and on a moved ball's own ``value``.
+    Interiority is checked on the domain's own ``value`` first, so bad input
+    raises the ValueError of :func:`hilbert_distance`, prefixed with the
+    first offending row.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
@@ -301,10 +276,12 @@ def hilbert_distances(dom: ConvexDomainOracle, X, Y) -> np.ndarray:
 
 
 def _distances(dom: ConvexDomainOracle, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The body of both distance functions, on rows already checked."""
-    if dom.distances is not None:
-        return dom.distances(X, Y)
-    return _kernels.value_distances(dom.value, X, Y)
+    """The body of both distance functions, on rows already checked: the
+    base domain's kernel or march at the pulled-back rows."""
+    base, X, Y = dom.on_base(X, Y)
+    if base.distances is not None:
+        return base.distances(X, Y)
+    return _kernels.value_distances(base.value, X, Y)
 
 
 def klein_distance(x, y):
@@ -327,11 +304,12 @@ def klein_distance(x, y):
 
 def convexity_scan(dom: ConvexDomainOracle, x, y, samples: int = 64) -> None:
     """Diagnostic: the open chord between two interior points must meet the
-    interior in a single interval.  Raises ConvexityViolation otherwise."""
-    xc = _as_chart(x, dom.n)
-    yc = _as_chart(y, dom.n)
+    interior in a single interval; on a moved domain, the chord between the
+    pulled-back points in the base chart.  Raises ConvexityViolation
+    otherwise."""
+    base, X, Y = dom.on_base(_as_chart(x, dom.n)[None], _as_chart(y, dom.n)[None])
     ts = np.linspace(0.0, 1.0, samples)[:, None]
-    inside = _kernels.interior(dom.value, xc + ts * (yc - xc))
+    inside = _kernels.interior(base.value, X + ts * (Y - X))
     runs = int(inside[0]) + int(np.count_nonzero(inside[1:] & ~inside[:-1]))
     if runs > 1:
         raise ConvexityViolation(f"interior met in {runs} intervals along tested chord")

@@ -1,4 +1,5 @@
 import ast
+import copy
 import json
 import math
 import os
@@ -714,9 +715,30 @@ def _contract_inputs():
                                      "pairs": [[[0.1, 0.2], [-0.3, 0.4]]]}),
         "hilbert-model": ("hilbert", {"domain": {"kind": "model", "psi": [1.0, 0.0, 0.0]},
                                       "pairs": [[[1.0, 2.0, -0.3], [2.0, 0.5, 0.4]]]}),
-        "bend": ("bend", {"rep": cusp_fixture_rep(data).to_json(),
-                          "moves": [m.to_json() for m in cusp_bending_moves(data)]}),
+        "bend": ("bend", _with_words({"rep": cusp_fixture_rep(data).to_json(),
+                                      "moves": [m.to_json() for m in cusp_bending_moves(data)]})),
     }
+
+
+def _with_words(bend):
+    """A bend document with the relator and the edge word g2 g2^-1, which
+    map to the identity."""
+    bend["rep"]["relators"] = [["g2", "g2^-1"]]
+    bend["moves"][0]["edge_words"] = [["g2", "g2^-1"]]
+    return bend
+
+
+def _exponent_mutants(doc):
+    """The texts of a bend document with one letter of a relator or an edge
+    word in pair form whose exponent is a float, a bool, a string or 1e400
+    (read as inf)."""
+    for words in (lambda d: d["rep"]["relators"]), (lambda d: d["moves"][0]["edge_words"]):
+        for w, word in enumerate(words(doc)):
+            for i, letter in enumerate(word):
+                for exp in (1.5, True, "1", math.inf):
+                    mutant = copy.deepcopy(doc)
+                    words(mutant)[w][i] = [letter.partition("^")[0], exp]
+                    yield json.dumps(mutant).replace("Infinity", "1e400")
 
 
 @pytest.mark.parametrize("name", ["classify-exact", "classify-float", "classify-generators",
@@ -724,7 +746,8 @@ def _contract_inputs():
 def test_input_mutants_keep_the_exit_contract(tmp_path, capsys, name):
     """The CLI input contract over every structural mutant of a valid input:
     exit 0, or exit 2 with one ``cuspbend:`` line, or exit 1 with the
-    ``cuspbend:`` line and the ``residual:`` line; never a traceback."""
+    ``cuspbend:`` line and the ``residual:`` line; never a traceback.  A
+    word exponent that is not a JSON integer exits 2."""
     command, doc = _contract_inputs()[name]
     src, out = tmp_path / "data.json", tmp_path / "out"
     src.write_text(json.dumps(doc))
@@ -742,6 +765,14 @@ def test_input_mutants_keep_the_exit_contract(tmp_path, capsys, name):
         elif code == 1:
             assert len(lines) == 2 and lines[0].startswith("cuspbend: "), (mutant, lines)
             assert lines[1].startswith("residual: "), (mutant, lines)
+    texts = list(_exponent_mutants(doc)) if command == "bend" else []
+    assert len(texts) == (16 if command == "bend" else 0)
+    for text in texts:
+        src.write_text(text)
+        assert main([command, "--in", str(src), "--out", str(out)]) == 2, text
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cuspbend: "), (text, lines)
+        assert "exponent must be a JSON integer, not " in lines[0], (text, lines)
 
 
 @pytest.mark.parametrize("command,data,message", [

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -51,6 +52,15 @@ def test_cusp_parameter_rejects_non_finite(psi):
 def test_cusp_parameter_json_roundtrip():
     psi = CuspParameter([F(3, 2), F(1), F(0)])
     assert CuspParameter.from_json(psi.to_json()) == psi
+
+
+@pytest.mark.parametrize("n,message", [(3.5, "n must be a JSON integer, not 3.5"),
+                                       (True, "n must be a JSON integer, not True")])
+def test_cusp_parameter_json_n_is_an_integer(n, message):
+    """n = 3.5 with three psi entries was read as 3 and accepted, and n = true
+    met "declared n does not match psi length"."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CuspParameter.from_json({"n": n, "psi": ["1", "0", "0"]})
 
 
 def test_h_element_identity():

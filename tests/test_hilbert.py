@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cuspbend import _hilbert_kernels as _kernels
 from cuspbend import verify
 from cuspbend._hilbert_kernels import value_distances
-from cuspbend.cusp_models import CuspParameter, INTERIOR, BOUNDARY, EXTERIOR
+from cuspbend.cusp_models import CuspParameter, INTERIOR, ModelDomain, leaf_coordinate
 from cuspbend.hilbert import (
     ConvexDomainOracle,
     ConvexityViolation,
@@ -24,7 +24,7 @@ from cuspbend.hilbert import (
     model_domain_oracle,
     transformed_oracle,
 )
-from cuspbend.projlin import ProjMap, ProjPoint, act
+from cuspbend.projlin import ProjMap, ProjPoint, act, inverse
 from march_reference import (ref_march, ref_model_inside, ref_model_value,
                              ref_value_march)
 
@@ -32,19 +32,9 @@ HALF_LOG_3 = 0.5 * math.log(3.0)          # = artanh(1/2)
 
 
 def interval_oracle():
-    """The open interval (-1, 1) on the projective line."""
-
-    def classify(p: ProjPoint, tol: float = 1e-9) -> str:
-        coords = np.asarray(p.to_float().coords)
-        if abs(coords[-1]) <= tol * np.max(np.abs(coords)):
-            return "outside-chart"
-        x = coords[0] / coords[-1]
-        val = x * x - 1.0
-        if abs(val) <= tol:
-            return BOUNDARY
-        return INTERIOR if val < 0 else EXTERIOR
-
-    return ConvexDomainOracle(1, classify)
+    """The open interval (-1, 1) on the projective line, by its value x^2 - 1
+    alone."""
+    return ConvexDomainOracle(1, lambda P: P[:, 0] * P[:, 0] - 1.0)
 
 
 def test_chord_boundary_interval():
@@ -69,7 +59,6 @@ def test_chord_boundary_model_domain_leaf_root():
     chord = chord_boundary(dom, x, y)
     assert chord.residual <= 1e-12
     # both crossings sit on the zero set of the leaf coordinate
-    from cuspbend.cusp_models import ModelDomain, leaf_coordinate
     md = ModelDomain(psi)
     for z in (chord.z1, chord.z2):
         c, _ = leaf_coordinate(md, z)
@@ -91,7 +80,6 @@ def test_unbounded_chord_end_at_infinity_gives_finite_distance():
     chord = chord_boundary(dom, [1.0, 0.0], [2.0, 0.0])
     assert chord.unbounded == "z2"
     assert chord.z1 is not None
-    from cuspbend.cusp_models import ModelDomain, leaf_coordinate
     c, _ = leaf_coordinate(ModelDomain(psi), chord.z1)
     assert abs(c) <= 1e-10
     assert chord.residual <= 1e-12
@@ -472,25 +460,66 @@ def test_moved_kernel_matches_moved_march(kind, n, t, data):
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, want)), (got, want)
 
 
+def _cut_chart_map():
+    """The seed-14 map whose last row 0.8 x_0 - 0.3 changes sign on the unit
+    ball, so the moved chart's hyperplane at infinity cuts g(ball); and the
+    generator after drawing it."""
+    rng = np.random.default_rng(14)
+    G = np.eye(4) + rng.uniform(-0.2, 0.2, (4, 4))
+    G[3] = [0.8, 0.0, 0.0, -0.3]
+    return G, rng
+
+
+def _value_only_ball(n):
+    """The unit ball known by its value alone, with no kernel."""
+    return ConvexDomainOracle(n, ball_oracle(n).value)
+
+
 def test_cut_chart_distances_are_projective():
     """When the moved chart's hyperplane at infinity cuts g(ball), the chord
     through two image points may pass through infinity; the distance is
     still the Klein distance of the preimages on every row, which the
-    affine march misses."""
-    rng = np.random.default_rng(14)
-    G = np.eye(4) + rng.uniform(-0.2, 0.2, (4, 4))
-    G[3] = [0.8, 0.0, 0.0, -0.3]
-    moved = transformed_oracle(ball_oracle(3), ProjMap(G))
+    affine march misses, for the ball's kernel and for the march on a
+    value-only ball."""
+    G, rng = _cut_chart_map()
     B = rng.uniform(-1.0, 1.0, (6000, 3))
     last = np.hstack([B, np.ones((len(B), 1))]) @ G[3]
     keep = (np.sum(B * B, axis=1) < 0.95) & (np.abs(last) > 0.05)
     B, last, h = B[keep], last[keep], np.count_nonzero(keep) // 2
     X, Y = B[:h], B[h:2 * h]
-    got = hilbert_distances(moved, _moved(G, X), _moved(G, Y))
     want = klein_distance(X, Y)
-    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, want))
+    for base in (ball_oracle(3), _value_only_ball(3)):
+        got = hilbert_distances(transformed_oracle(base, ProjMap(G)), _moved(G, X), _moved(G, Y))
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, want))
     # pairs on both sides of the cut, whose affine chord leaves the domain
     assert np.any(last[:h] * last[h:2 * h] < 0.0)
+
+
+def test_cut_chart_routes_answer_on_the_base():
+    """The preimages (0, 0.1, 0) and (0.6, 0, 0.1) lie on both sides of the
+    cut, so the chord through their images passes through the moved chart's
+    hyperplane at infinity.  On g(ball) and on H(g(ball)), for the ball and
+    a value-only ball: the cross ratio of the chord ends gives the Klein
+    distance of the preimages, the convexity scan passes, and so do the
+    distances."""
+    G, _ = _cut_chart_map()
+    p, q = np.array([[0.0, 0.1, 0.0]]), np.array([[0.6, 0.0, 0.1]])
+    assert (G[3] @ [*p[0], 1.0]) * (G[3] @ [*q[0], 1.0]) < 0.0
+    want = klein_distance(p[0], q[0])
+    assert abs(want - 0.714407) <= 1e-6
+    H = np.eye(4) + 0.1 * np.array([[0.0, 1.0, -0.5, 0.3], [0.4, 0.0, 0.2, -0.2],
+                                    [-0.3, 0.5, 0.0, 0.1], [0.0, 0.0, 0.0, 0.0]])
+    for base in (ball_oracle(3), _value_only_ball(3)):
+        moved = transformed_oracle(base, ProjMap(G))
+        for dom, M in ((moved, G), (transformed_oracle(moved, ProjMap(H)), H @ G)):
+            x, y = _moved(M, p)[0], _moved(M, q)[0]
+            chord = chord_boundary(dom, x, y)
+            assert chord.unbounded is None
+            ratio = cross_ratio(chord.z1, [*x, 1.0], [*y, 1.0], chord.z2)
+            assert abs(0.5 * math.log(ratio) - want) <= 1e-9
+            convexity_scan(dom, x, y)
+            assert abs(hilbert_distance(dom, x, y) - want) <= 1e-9
+            assert abs(hilbert_distances(dom, [x], [y])[0] - want) <= 1e-9
 
 
 def _counting(dom):
@@ -501,8 +530,8 @@ def _counting(dom):
 def test_moved_builtin_calls_value_only_to_check_interiority():
     """A moved built-in batch calls the moved value once, on both sides of
     the interiority check stacked; its distances run on the pulled-back
-    points.  A moved classify-only oracle has no kernel and still marches
-    on value."""
+    points.  A moved value-only oracle has no kernel: after the same one
+    check it marches on its base's value at the pulled-back points."""
     G = np.eye(3) + 0.08 * np.array([[0.0, 1.0, -0.5], [0.3, 0.0, 0.2], [-0.2, 0.4, 0.0]])
     X, Y = np.array([[0.2, -0.1], [0.0, 0.3]]), np.array([[-0.4, 0.3], [0.5, 0.1]])
     # the type-1 model domain x_0 + log x_1 > 0 holds X and Y shifted by (1.5, 1)
@@ -511,11 +540,12 @@ def test_moved_builtin_calls_value_only_to_check_interiority():
         moved, calls = _counting(transformed_oracle(base, ProjMap(G)))
         hilbert_distances(moved, _moved(G, X + shift), _moved(G, Y + shift))
         assert calls == [4]
-    interval = transformed_oracle(interval_oracle(), ProjMap(np.array([[1.2, 0.3], [0.2, 1.0]])))
-    assert interval.distances is None
-    moved, calls = _counting(interval)
+    base, base_calls = _counting(interval_oracle())
+    moved, calls = _counting(transformed_oracle(base, ProjMap(np.array([[1.2, 0.3], [0.2, 1.0]]))))
     hilbert_distances(moved, [[0.3]], [[0.5]])
-    assert len(calls) > 10
+    assert calls == [2]
+    # the check's call reaches the base, then every march test is a base call
+    assert base_calls[0] == 2 and len(base_calls) > 10
 
 
 def test_projective_naturality_compares_two_routes(monkeypatch):
@@ -527,9 +557,12 @@ def test_projective_naturality_compares_two_routes(monkeypatch):
     real = transformed_oracle
 
     def corrupt_kernel(dom, g):
-        moved = real(dom, g)
-        return dataclasses.replace(moved, distances=lambda X, Y: moved.distances(X, Y) + 1.0)
+        return real(dataclasses.replace(dom, distances=lambda X, Y: dom.distances(X, Y) + 1.0), g)
 
+    # the corrupted kernel is the one a moved ball's distances run
+    corrupted = corrupt_kernel(ball_oracle(2), ProjMap(np.eye(3)))
+    assert hilbert_distance(corrupted, [0.0, 0.0], [0.5, 0.0]) == pytest.approx(
+        HALF_LOG_3 + 1.0, abs=1e-12)
     monkeypatch.setattr(verify.hilbert, "transformed_oracle", corrupt_kernel)
     assert verify.projective_naturality(np.random.default_rng(0)).max_residual == base.max_residual
 
@@ -542,16 +575,27 @@ def test_projective_naturality_compares_two_routes(monkeypatch):
 
 
 @pytest.mark.parametrize("base", ["ball", "model"])
-def test_value_agrees_with_classify(base):
-    """A moved domain's value is negative exactly where its classify says
-    interior.  The moved chart's hyperplane at infinity cuts the base
-    domain, so interior rows pull back with either sign of last coordinate."""
+def test_moved_value_agrees_with_pointwise_route(base):
+    """A moved domain's value is negative exactly where a per-point route
+    that shares no code with it puts the point inside: ``act`` of g^-1 on
+    the homogeneous point, then |x|^2 < 1 on the ball or a positive
+    ``leaf_coordinate`` on the model domain.  The moved chart's hyperplane
+    at infinity cuts the base domain, so interior rows pull back with either
+    sign of last coordinate."""
     rng = np.random.default_rng(14)
     if base == "ball":
         dom, B = ball_oracle(3), rng.uniform(-1.2, 1.2, (400, 3))
+        inside_at = lambda q: float(np.dot(q.chart(), q.chart())) - 1.0 < 0.0
     else:
-        dom = model_domain_oracle(CuspParameter([1.1, 0.0, 0.0]))
+        psi = CuspParameter([1.1, 0.0, 0.0])
+        dom = model_domain_oracle(psi)
         B = rng.uniform([-1.0, -0.5, -2.0], [3.0, 3.0, 2.0], (400, 3))
+
+        def inside_at(q):
+            try:
+                return leaf_coordinate(ModelDomain(psi), q, 0.0)[1] == INTERIOR
+            except ValueError:      # a nonpositive log coordinate
+                return False
     G = np.eye(4) + rng.uniform(-0.2, 0.2, (4, 4))
     G[3] = [0.8, 0.0, 0.0, -0.3]
     moved = transformed_oracle(dom, ProjMap(G))
@@ -559,16 +603,18 @@ def test_value_agrees_with_classify(base):
     # the pull-back of P is (B, 1) / last
     last = np.hstack([B, np.ones((len(B), 1))]) @ G[3]
     inside = moved.value(P) < 0.0
-    tags = np.array([moved.classify(ProjPoint([*p, 1.0]), 0.0) == INTERIOR for p in P])
-    assert np.array_equal(inside, tags)
+    g_inv = inverse(ProjMap(G))
+    pointwise = np.array([inside_at(act(g_inv, ProjPoint([*p, 1.0]))) for p in P])
+    assert np.array_equal(inside, pointwise)
     assert inside[last < 0].any() and inside[last > 0].any()
-    # the built-in value against the row loop over the same classify
-    assert np.array_equal(dom.value(B) < 0.0, ConvexDomainOracle(3, dom.classify).value(B) < 0.0)
+    # the built-in value against the same per-point route on the base
+    assert np.array_equal(dom.value(B) < 0.0,
+                          [inside_at(ProjPoint([*b, 1.0])) for b in B])
 
 
-def test_classify_only_oracles_keep_working():
-    """An oracle built from classify alone, and a moved one, give the same
-    distance, chord ends and bad-input errors through the value row loop."""
+def test_value_only_oracles_keep_working():
+    """An oracle known by its value alone, and a moved one, give the same
+    distance, chord ends and bad-input errors through the march."""
     g = ProjMap(np.array([[1.2, 0.3], [0.2, 1.0]]))
     gmap = lambda t: (1.2 * t + 0.3) / (0.2 * t + 1.0)
     for dom, f in ((interval_oracle(), lambda t: t),
@@ -600,13 +646,9 @@ def test_geodesy_on_segments():
 def test_convexity_scan():
     convexity_scan(ball_oracle(2), [0.0, 0.0], [0.5, 0.3])
 
-    def two_balls(p: ProjPoint, tol: float = 1e-9) -> str:
-        x = np.asarray(p.to_float().chart())
-        inside = min(np.dot(x - c, x - c) for c in
-                     (np.array([-2.0, 0.0]), np.array([2.0, 0.0]))) - 1.0
-        if abs(inside) <= tol:
-            return BOUNDARY
-        return INTERIOR if inside < 0 else EXTERIOR
+    def two_balls(P):
+        """min over the centers c = (-2, 0), (2, 0) of |x - c|^2 - 1"""
+        return np.minimum(*(np.sum((P - c) ** 2, axis=1) for c in ([-2.0, 0.0], [2.0, 0.0]))) - 1.0
 
     broken = ConvexDomainOracle(2, two_balls)
     with pytest.raises(ConvexityViolation):

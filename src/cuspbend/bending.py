@@ -26,15 +26,10 @@ every check is decided in one stacked pass (words compiled once to letter
 indices, the words' products formed as stacked matmuls and compared by one
 row-wise :func:`~cuspbend.projlin.proj_equiv_rows`), and the first check
 that fails, in the order above, raises.  The stacking touches only
-pass/fail, never the generators a bend returns.  Inverses are cached by map
-value, and a representation's cache holds inverses of its own generators
-only.  The checks of one call start from a copy of it and add what they
-invert on the way (centralizers, intermediate generators); when the call
-succeeds, the representation it read and the one it returns each take the
-inverses of their own generators.  So within a call, and from a
-representation to the ones bent from it, each distinct map is inverted
-once, and no cache outgrows its representation's generators however often
-one representation is bent.
+pass/fail, never the values of the generators a bend returns.  A map keeps
+its own inverse (:func:`~cuspbend.projlin.inverse`), so an inverse lives as
+long as its map.  The checks invert, and a bend keeps, the first map of
+each value they meet, so maps of equal value share one inversion.
 """
 
 from __future__ import annotations
@@ -72,22 +67,27 @@ class NonCommutingMoves(ValueError):
 
 Word = tuple[tuple[str, int], ...]
 
+# a word is multiplied out letter by letter, so |exponent| bounds the work of one letter
+MAX_WORD_EXPONENT = 1000
+
 
 def parse_word(tokens: Sequence, where: str = "word") -> Word:
     """Words are sequences like ["a", "b^-1"]; pairs (name, exp) also
-    accepted, whose exp must be a JSON integer: its error names the letter
-    as ``where[i]``."""
+    accepted, whose exp must be a JSON integer.  An exponent beyond
+    ``MAX_WORD_EXPONENT`` either way is refused; errors name the letter as
+    ``where[i]``."""
     out = []
     for i, tok in enumerate(tokens):
         if isinstance(tok, str):
-            if "^" in tok:
-                name, _, exp = tok.partition("^")
-                out.append((name, int(exp)))
-            else:
-                out.append((tok, 1))
+            name, caret, exp = tok.partition("^")
+            exp = int(exp) if caret else 1
         else:
             name, exp = tok
-            out.append((str(name), require_int(exp, f"{where}[{i}] exponent")))
+            name, exp = str(name), require_int(exp, f"{where}[{i}] exponent")
+        if abs(exp) > MAX_WORD_EXPONENT:
+            raise ValueError(f"{where}[{i}] exponent must be at most {MAX_WORD_EXPONENT} "
+                             f"in absolute value, not {exp}")
+        out.append((name, exp))
     return tuple(out)
 
 
@@ -118,8 +118,6 @@ class MarkedRep:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", rels)
         object.__setattr__(self, "tol", tol)
-        # map value -> inverse, for generators of this rep only
-        object.__setattr__(self, "_inverses", {})
         if check:
             self.check_relators()
 
@@ -136,7 +134,7 @@ class MarkedRep:
             if name not in self.generators:
                 raise KeyError(f"unknown generator {name!r}")
             if exp < 0:
-                g = _cached_inverse(self._inverses, self.generators[name])
+                g = inverse(self.generators[name])
                 exp = -exp
             else:
                 g = self.generators[name]
@@ -152,9 +150,8 @@ class MarkedRep:
     def check_relators(self) -> None:
         """Raise RelatorViolation for the first relator whose image is not
         the identity (all relators are decided in one stacked pass)."""
-        checks = _Checks.of(self)
+        checks = _Checks(self.n, self.generators)
         checks.run(_require_relators, checks, self, self.generators)
-        checks.keep_inverses(self)
 
     def to_json(self) -> dict:
         return {
@@ -253,15 +250,6 @@ def _key(m: ProjMap):
     return (m.den, *m.num.flat) if m.exact else m.entries.tobytes()
 
 
-def _cached_inverse(cache: dict, m: ProjMap) -> ProjMap:
-    """``inverse(m)``, computed once per map value in cache."""
-    key = _key(m)
-    inv = cache.get(key)
-    if inv is None:
-        inv = cache[key] = inverse(m)
-    return inv
-
-
 class _Checks:
     """Pass/fail checks, collected in the order the code reaches them and
     decided together.
@@ -275,34 +263,18 @@ class _Checks:
     dimension is float, that dimension's letters are stacked as floats.  A
     check that repeats an earlier one (same letters, same tol) is dropped: it
     has the earlier one's verdict.  Maps of equal value share one letter, so
-    a generator that two orders of the moves build alike is checked once.
-    Inverses come from one value-keyed cache of the checks' own; :meth:`of`
-    starts it from a copy of the representation's, and :meth:`keep_inverses`
-    hands a representation back the inverses of its generators.
+    a generator that two orders of the moves build alike is checked, and
+    inverted, once (:meth:`first`).
     """
 
-    def __init__(self, n: int, names=(), inverses: Optional[dict] = None):
+    def __init__(self, n: int, names=()):
         self.n = n
         self._slot = {name: i for i, name in enumerate(names)}
         self._letters = {}      # _key(map) -> index in the table of its dimension
         self._tables = {}       # dimension -> letter maps
         self._identity = None   # letter index of the identity of dimension n
-        self._inverses = {} if inverses is None else inverses   # _key(map) -> inverse
         self._codes = {}        # Word -> (letter codes, unknown name or None)
         self._checks = {}       # (dimension, lhs, rhs, tol) -> failure
-
-    @classmethod
-    def of(cls, rep: MarkedRep) -> _Checks:
-        """Checks over the generators of rep, starting from its inverses."""
-        return cls(rep.n, rep.generators, dict(rep._inverses))
-
-    def keep_inverses(self, rep: MarkedRep) -> None:
-        """Store in rep's cache the inverses found here of rep's generators."""
-        for g in rep.generators.values():
-            key = _key(g)
-            inv = self._inverses.get(key)
-            if inv is not None:
-                rep._inverses[key] = inv
 
     def letter(self, m: ProjMap) -> int:
         """The letter index of m, added to its dimension's table if new."""
@@ -313,6 +285,11 @@ class _Checks:
             idx = self._letters[key] = len(table)
             table.append(m)
         return idx
+
+    def first(self, m: ProjMap) -> ProjMap:
+        """The first map met here of m's value, which stands for every map of
+        that value: it is the one inverted, and the one a bend keeps."""
+        return self._tables[m.n][self.letter(m)]
 
     def state(self, gens: dict) -> tuple:
         """A generator set (one map per name, in the order of ``names``) and
@@ -335,7 +312,7 @@ class _Checks:
         if None in out:
             for i, c in enumerate(codes):
                 if table[c] is None:
-                    table[c] = self.letter(_cached_inverse(self._inverses, maps[c - len(maps)]))
+                    table[c] = self.letter(inverse(self.first(maps[c - len(maps)])))
                 out[i] = table[c]
         if unknown is not None:
             raise KeyError(f"unknown generator {unknown!r}")
@@ -468,14 +445,12 @@ def commute_check(c: ProjMap, d: ProjMap, tol: float = DEFAULT_TOL) -> bool:
 def centralizes_check(c: ProjMap, subgroup_words, rep: MarkedRep,
                       tol: float = DEFAULT_TOL) -> bool:
     """True iff c commutes with the image of every listed word."""
-    checks = _Checks.of(rep)
+    checks = _Checks(rep.n, rep.generators)
     try:
         checks.run(_require_centralizes, checks, c, map(parse_word, subgroup_words),
                    checks.state(rep.generators), tol, CentralizerCheckFailed())
     except CentralizerCheckFailed:
         return False
-    finally:
-        checks.keep_inverses(rep)
     return True
 
 
@@ -493,11 +468,11 @@ def _bend_step(checks: _Checks, rep: MarkedRep, gens: dict, move: BendingMove,
                              "centralizer does not commute with the edge subgroup image"))
     gens = dict(gens)
     if dec.kind == "amalgam":
-        c_inv = _cached_inverse(checks._inverses, c)
+        c_inv = inverse(checks.first(c))
         for name in dec.side2:
-            gens[name] = compose(compose(c, gens[name]), c_inv)
+            gens[name] = checks.first(compose(compose(c, gens[name]), c_inv))
     else:
-        gens[dec.stable] = compose(c, gens[dec.stable])
+        gens[dec.stable] = checks.first(compose(c, gens[dec.stable]))
     _require_relators(checks, rep, gens)
     return gens
 
@@ -531,23 +506,15 @@ def _iterated_steps(checks: _Checks, rep: MarkedRep, moves: list, tol: float,
     return gens
 
 
-def _bent_rep(checks: _Checks, rep: MarkedRep, gens: dict) -> MarkedRep:
-    """The representation with generators gens, which passed every check of
-    checks; it and rep keep the inverses found there of their generators."""
-    out = MarkedRep(rep.n, gens, rep.relators, rep.tol, check=False)
-    checks.keep_inverses(rep)
-    checks.keep_inverses(out)
-    return out
-
-
 def bend(rep: MarkedRep, move: BendingMove, tol: float = DEFAULT_TOL) -> MarkedRep:
     """One bending move: conjugate the second amalgam side by the
     centralizer, or left-multiply the stable letter.  Checks, in this order:
     the decomposition covers the generators, the centralizer's dimension, the
     centralizer commutes with each edge word, and each relator of the result
     maps to the identity."""
-    checks = _Checks.of(rep)
-    return _bent_rep(checks, rep, checks.run(_bend_step, checks, rep, rep.generators, move, tol))
+    checks = _Checks(rep.n, rep.generators)
+    gens = checks.run(_bend_step, checks, rep, rep.generators, move, tol)
+    return MarkedRep(rep.n, gens, rep.relators, rep.tol, check=False)
 
 
 def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
@@ -569,6 +536,6 @@ def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
     moves = list(moves)
     if not moves:
         return rep
-    checks = _Checks.of(rep)
+    checks = _Checks(rep.n, rep.generators)
     gens = checks.run(_iterated_steps, checks, rep, moves, tol, verify_order, rng)
-    return _bent_rep(checks, rep, gens)
+    return MarkedRep(rep.n, gens, rep.relators, rep.tol, check=False)

@@ -54,6 +54,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bending import require_pairwise_commuting
 from .cusp_models import CuspParameter, ModelDomain, leaf_coordinate, leaf_point
 from .projlin import (
     DEFAULT_TOL,
@@ -507,9 +508,12 @@ def classify_h_form(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL) -> Classi
     entry off the pattern must be exactly 0.  Least squares solves the
     corner equations sum_k psi_k log d_k = |v|^2 / 2 - corner for psi; each
     misfit over |log d| |psi| + |v|^2 / 2 + |corner| joins the residual.
-    The pattern, then the fit, must be within tol; then a negative entry
-    psi_k may only be rounding: |log d_k| |psi_k| over the same scale is at
-    most tol on every generator, and such an entry reads as 0.
+    The pattern, then the fit, must be within tol.  The type is t, the
+    number of moved slots, so each psi_k must be positive: its share
+    |log d_k| psi_k of the same scale must not fall below -tol on any
+    generator (a negative entry, ``ValueError``), and must exceed tol on
+    some generator (else :class:`PatternMismatch`, with that share as the
+    residual).
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -551,12 +555,18 @@ def classify_h_form(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL) -> Classi
     misfit = np.abs(logs @ sol - rhs) / scale
     residuals = np.maximum(pattern, np.max(misfit))
     require_normal_form(residuals, tol)
-    # a negative entry's share |log d_k| |psi_k| of the same scale must be rounding
-    if t and np.max(np.abs(logs) * np.maximum(-sol, 0.0) / scale[:, None]) > tol:
+    share = np.abs(logs) * sol / scale[:, None]
+    if np.max(-share, initial=0.0) > tol:
         raise ValueError(f"solved parameter has a negative entry: {sol}")
-    psi, perm = _sorted_parameter({k: max(float(x), 0.0) for k, x in enumerate(sol)}, n)
+    best = np.max(share, axis=0)
+    low = np.flatnonzero(~(best > tol))
+    if low.size:
+        k = int(low[0])
+        raise PatternMismatch(f"moved slot {k + 2} solves to no positive parameter entry "
+                              f"({sol[k]:.3e}, share {best[k]:.3e} <= {tol:.1e})", float(best[k]))
+    psi, perm = _sorted_parameter(dict(enumerate(sol.tolist())), n)
     conjugator = ProjMap._from_exact(np.eye(n + 1, dtype=np.int64)[perm].astype(object), 1)
-    return ClassifiedCusp(psi, psi.type, conjugator, float(residuals[0]))
+    return ClassifiedCusp(psi, t, conjugator, float(residuals[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +727,6 @@ def diagonalize_commuting(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL,
     Returns (conjugator, residual) or (None, best_residual) when no basis
     was found after the retries.
     """
-    from .bending import require_pairwise_commuting  # local import to avoid a cycle
-
     if not gens:
         raise ValueError("need at least one generator")
     require_pairwise_commuting([g.to_float() for g in gens], max(tol, 1e-9),

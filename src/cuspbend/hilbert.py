@@ -80,15 +80,18 @@ class ConvexDomainOracle:
 @dataclass(frozen=True)
 class MovedOracle(ConvexDomainOracle):
     """The image g(base) of a domain under a float projective map, with its
-    rows pulled back to ``base`` through ``g_inv`` (see
-    :func:`transformed_oracle`).  Its own ``distances`` is not read."""
+    rows pulled back to ``base`` through ``inverse(g)``, which g keeps (see
+    :func:`transformed_oracle`).  Its distances are its base's, so
+    ``distances`` is None and cannot be set, not even by
+    :func:`dataclasses.replace`."""
 
+    distances: None = field(default=None, init=False)
     base: ConvexDomainOracle = field(kw_only=True)
     g: ProjMap = field(kw_only=True)
-    g_inv: ProjMap = field(kw_only=True)
 
     def on_base(self, X: np.ndarray, Y: np.ndarray):
-        return self.base, _pull(self.g_inv, X)[0], _pull(self.g_inv, Y)[0]
+        g_inv = inverse(self.g)
+        return self.base, _pull(g_inv, X)[0], _pull(g_inv, Y)[0]
 
     def push(self, z: np.ndarray) -> ProjPoint:
         return act(self.g, ProjPoint(np.append(z, 1.0)))
@@ -124,7 +127,8 @@ def transformed_oracle(dom: ConvexDomainOracle, g: ProjMap) -> MovedOracle:
     :func:`convexity_scan`) pulls its points back through g^-1 and runs on
     the base domain: its kernel, or the march on its ``value``.  The image's
     own ``value`` pulls back the same way.  Moving a moved domain moves its
-    base by the composite map, so every pull-back is one matmul.
+    base by the composite map, so every pull-back is one matmul.  g^-1 is
+    computed here, once, and kept on the float g.
     """
     g = g.to_float()
     if isinstance(dom, MovedOracle):
@@ -135,7 +139,7 @@ def transformed_oracle(dom: ConvexDomainOracle, g: ProjMap) -> MovedOracle:
         B, at_infinity = _pull(g_inv, P)
         return np.where(at_infinity, np.inf, dom.value(B))
 
-    return MovedOracle(dom.n, value, base=dom, g=g, g_inv=g_inv)
+    return MovedOracle(dom.n, value, base=dom, g=g)
 
 
 @dataclass(frozen=True)

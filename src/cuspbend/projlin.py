@@ -18,8 +18,11 @@ even that and is read straight into ``float64``.  Float maps store
 in numpy arrays -- ``object`` dtype of ``Fraction`` for exact points,
 ``float64`` for floats.
 
-Everything here is a value: construction copies, arrays are frozen, and all
-operations are pure, so instances are safe to share across threads.
+Everything here is a value: construction copies, arrays are frozen, and
+operations return new values.  A map computes its inverse once per instance
+and keeps it, as it keeps its exact ``entries`` view (:func:`inverse`); two
+threads that ask at once compute equal values, so instances are safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -188,10 +191,11 @@ class ProjMap:
 
     An exact map holds its value as ``num / den`` (see the module notes) and
     ``entries`` is its ``Fraction`` view; a float map holds ``entries`` as
-    ``float64`` and has ``num = den = None``.  Instances are immutable.
+    ``float64`` and has ``num = den = None``.  Instances are immutable, but
+    for the inverse that :func:`inverse` keeps on one.
     """
 
-    __slots__ = ("n", "num", "den", "_entries")
+    __slots__ = ("n", "num", "den", "_entries", "_inverse")
 
     def __init__(self, entries):
         if isinstance(entries, np.ndarray) and entries.dtype == np.float64:
@@ -216,6 +220,7 @@ class ProjMap:
         setattr_(self, "num", num)
         setattr_(self, "den", den)
         setattr_(self, "_entries", entries)
+        setattr_(self, "_inverse", None)
 
     @classmethod
     def _from_exact(cls, num: np.ndarray, den: int) -> "ProjMap":
@@ -369,6 +374,17 @@ def det(a: ProjMap):
 
 
 def inverse(a: ProjMap) -> ProjMap:
+    """The inverse map, computed on the first call for this instance and
+    kept on it; the inverse keeps no link back, so inverting it again
+    computes."""
+    inv = a._inverse
+    if inv is None:
+        inv = _invert(a)
+        object.__setattr__(a, "_inverse", inv)
+    return inv
+
+
+def _invert(a: ProjMap) -> ProjMap:
     if a.exact:
         # (N/d)^-1 = d adj(N) / det(N); elimination of [N | I] leaves
         # [D I | D N^-1] with D = +-det(N)

@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from cuspbend.bending import (
 )
 from cuspbend.cusp_classify import RectangularCuspData, bent_cusp_generators, standard_cusp_generators
 from cuspbend.cusp_models import hyperplane_centralizer_element
+from cuspbend import projlin
 from cuspbend.projlin import ProjMap, compose, inverse, proj_equiv
 from cuspbend.verify import cusp_bending_moves, cusp_fixture_rep
 
@@ -96,41 +99,44 @@ def test_failing_relator_still_raises(exact):
             MarkedRep(3, gens, [relator])
 
 
+def _computed_inversions(monkeypatch) -> list:
+    """The maps whose inverse is computed from now on, in order; an inverse a
+    map already keeps is not computed again."""
+    computed = []
+    invert = projlin._invert
+
+    def counting(a):
+        computed.append(a)
+        return invert(a)
+
+    monkeypatch.setattr(projlin, "_invert", counting)
+    return computed
+
+
 def test_marked_rep_inverts_each_generator_once(monkeypatch):
-    import cuspbend.bending as bending_mod
-    calls = []
-
-    def counting_inverse(g):
-        calls.append(g)
-        return inverse(g)
-
-    monkeypatch.setattr(bending_mod, "inverse", counting_inverse)
+    computed = _computed_inversions(monkeypatch)
     rep = fixture_rep()                   # checks three commutator relators
-    assert len(calls) == 3
-    assert proj_equiv(rep.evaluate(["g2^-1", "g4^-2"]),
-                      inverse(compose(rep.generators["g4"],
-                                      compose(rep.generators["g4"], rep.generators["g2"]))),
+    assert len(computed) == 3
+    got = rep.evaluate(["g2^-1", "g4^-2"])
+    assert len(computed) == 3
+    assert {id(g) for g in computed} == {id(rep.generators[name]) for name in ("g2", "g3", "g4")}
+    assert proj_equiv(got, inverse(compose(rep.generators["g4"],
+                                           compose(rep.generators["g4"], rep.generators["g2"]))),
                       1e-12)
-    assert len(calls) == 3
-    assert {id(g) for g in calls} == {id(rep.generators[name]) for name in ("g2", "g3", "g4")}
 
 
 @pytest.mark.parametrize("name", ["n4-amalgam-exact-seed1", "n6-amalgam-float-seed2",
                                   "n6-hnn-exact-seed1", "n5-hnn-float-seed2"])
 def test_cli_shaped_bend_inverts_each_value_once(name, monkeypatch):
     """Reading a rep, bending it with ``verify_order`` and evaluating words
-    in the result inverts each distinct map value once: the root rep, the
-    checks and the bent rep share one inverse cache."""
+    in the result inverts each distinct map value once: every map keeps its
+    inverse, and the checks invert, and the bent rep keeps, the first map of
+    each value.  The n4 exact case bends g4 by the identity, which builds a
+    new map of g4's value."""
     import cuspbend.bending as bending_mod
     fixture = Path(__file__).parent / "fixtures" / "bend.json"
     case = next(c for c in json.loads(fixture.read_text())["cases"] if c["name"] == name)
-    calls = []
-
-    def counting_inverse(g):
-        calls.append(bending_mod._key(g))
-        return inverse(g)
-
-    monkeypatch.setattr(bending_mod, "inverse", counting_inverse)
+    computed = _computed_inversions(monkeypatch)
     rep = MarkedRep.from_json(case["input"]["rep"])
     moves = [BendingMove.from_json(m) for m in case["input"]["moves"]]
     bent = iterated_bend(rep, moves, verify_order=True,
@@ -140,36 +146,48 @@ def test_cli_shaped_bend_inverts_each_value_once(name, monkeypatch):
         bent.evaluate(word)
     for word in rep.relators:
         rep.evaluate(word)
-    assert calls and len(calls) == len(set(calls))
-    keys = {bending_mod._key(g) for g in (*rep.generators.values(), *bent.generators.values())}
-    assert keys <= set(calls)
+    keys = [bending_mod._key(g) for g in computed]
+    assert keys and len(keys) == len(set(keys))
+    assert {bending_mod._key(g) for g in (*rep.generators.values(),
+                                          *bent.generators.values())} <= set(keys)
 
 
-def test_inverse_caches_stay_bounded_under_repeated_bending():
-    """One long-lived rep bent many times with fresh moves: its cache keeps
-    at most one inverse per generator of its own, and so does every rep a
-    bend returns, whatever the checks inverted on the way."""
-    import cuspbend.bending as bending_mod
+def test_inverse_caches_stay_bounded_under_repeated_bending(monkeypatch):
+    """One long-lived rep bent 200 times with fresh moves: the memory still
+    held after each round, the root rep with its generators and the
+    inverses they keep, does not grow with the number of bends, whatever
+    the checks inverted on the way; and the root's inverses are computed
+    once."""
     rng = np.random.default_rng(7)
     b = [1.0, 0.8, 1.3, 0.6, 1.1]
     root = cusp_fixture_rep(RectangularCuspData(6, b=b, s=[0.0] * 5))
 
-    def own_keys(rep):
-        return {bending_mod._key(g) for g in rep.generators.values()}
-
-    for _ in range(200):
+    def bend_root():
         s = [0.0] * 5
         for k in rng.choice(5, size=2, replace=False):
             s[k] = float(rng.uniform(0.05, 1.5))
         moves = cusp_bending_moves(RectangularCuspData(6, b=b, s=s))
         bent = iterated_bend(root, moves, verify_order=True, rng=rng)
         again = bend(bent, moves[0])
-        for rep in (bent, again):
-            rep.evaluate([f"{name}^-1" for name in rep.names()])
         for rep in (root, bent, again):
-            assert set(rep._inverses) <= own_keys(rep)
-            assert len(rep._inverses) <= len(rep.generators)
-    assert len(root._inverses) == len(root.generators)
+            rep.evaluate([f"{name}^-1" for name in rep.names()])
+
+    held = []
+    tracemalloc.start()
+    try:
+        for k in range(200):
+            bend_root()
+            if k in (19, 199):
+                gc.collect()
+                held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    # one 7x7 float map and its inverse take about 1 KB: 180 bends that each
+    # kept their maps' inverses alive would hold hundreds of KB more
+    assert held[1] - held[0] < 32_000
+    computed = _computed_inversions(monkeypatch)
+    root.evaluate([f"{name}^-1" for name in root.names()])
+    assert computed == []
 
 
 def test_centralizes_check_examples():

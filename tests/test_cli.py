@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cuspbend.bending import MAX_WORD_EXPONENT
 from cuspbend.cli import main
 from cuspbend.cusp_classify import RectangularCuspData, bent_cusp_generators
 from cuspbend.hilbert import klein_distance
@@ -246,6 +247,28 @@ def test_classify_generators_output_matches_fixture(tmp_path):
         text = out.read_text()
         assert _without_residual(text) == _without_residual(case["output"]), case["name"]
         assert 0.0 <= json.loads(text)["residual"] <= 1e-14, case["name"]
+
+
+def test_generators_in_model_form_for_no_type_exit_1(tmp_path, capsys):
+    """Three n = 3 generators diag(1, d1, d2, 1) with corner -a log d1 move
+    both slots but solve psi = (a, 0): 400 such sets read type 1 or type 2
+    by the rounding sign of the zero entry, with exit 0, until the type was
+    the number of moved slots.  Every set now exits 1."""
+    rng = np.random.default_rng(17)
+    src, out = tmp_path / "gens.json", tmp_path / "cls.json"
+    for _ in range(400):
+        a, gens = rng.uniform(0.1, 3.0), []
+        for _ in range(3):
+            m = np.eye(4)
+            m[1, 1], m[2, 2] = np.exp(rng.uniform(-1.0, 1.0, 2))
+            m[0, 3] = -a * math.log(m[1, 1])
+            gens.append(m.tolist())
+        src.write_text(json.dumps({"generators": gens}))
+        assert main(["classify", "--in", str(src), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("cuspbend: moved slot 3 solves to no positive parameter")
+        assert abs(float(lines[1].removeprefix("residual: "))) <= 1e-12
+    assert not out.exists()
 
 
 def _model_generators():
@@ -731,14 +754,22 @@ def _with_words(bend):
 def _exponent_mutants(doc):
     """The texts of a bend document with one letter of a relator or an edge
     word in pair form whose exponent is a float, a bool, a string or 1e400
-    (read as inf)."""
-    for words in (lambda d: d["rep"]["relators"]), (lambda d: d["moves"][0]["edge_words"]):
+    (read as inf), or one past the bound in pair or string form; each with
+    the words its one error line must hold."""
+    past = MAX_WORD_EXPONENT + 1
+    bound = f"at most {MAX_WORD_EXPONENT} in absolute value, not "
+    for key, words in (("relators", lambda d: d["rep"]["relators"]),
+                       ("edge_words", lambda d: d["moves"][0]["edge_words"])):
         for w, word in enumerate(words(doc)):
             for i, letter in enumerate(word):
-                for exp in (1.5, True, "1", math.inf):
+                name = letter.partition("^")[0]
+                cases = [([name, exp], "a JSON integer, not ") for exp in (1.5, True, "1", math.inf)]
+                cases += [([name, past], f"{bound}{past}"), (f"{name}^-{past}", f"{bound}-{past}")]
+                for new, why in cases:
                     mutant = copy.deepcopy(doc)
-                    words(mutant)[w][i] = [letter.partition("^")[0], exp]
-                    yield json.dumps(mutant).replace("Infinity", "1e400")
+                    words(mutant)[w][i] = new
+                    yield (json.dumps(mutant).replace("Infinity", "1e400"),
+                           f"{key}[{w}][{i}] exponent must be {why}")
 
 
 @pytest.mark.parametrize("name", ["classify-exact", "classify-float", "classify-generators",
@@ -766,13 +797,13 @@ def test_input_mutants_keep_the_exit_contract(tmp_path, capsys, name):
             assert len(lines) == 2 and lines[0].startswith("cuspbend: "), (mutant, lines)
             assert lines[1].startswith("residual: "), (mutant, lines)
     texts = list(_exponent_mutants(doc)) if command == "bend" else []
-    assert len(texts) == (16 if command == "bend" else 0)
-    for text in texts:
+    assert len(texts) == (24 if command == "bend" else 0)
+    for text, why in texts:
         src.write_text(text)
         assert main([command, "--in", str(src), "--out", str(out)]) == 2, text
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("cuspbend: "), (text, lines)
-        assert "exponent must be a JSON integer, not " in lines[0], (text, lines)
+        assert why in lines[0], (text, lines)
 
 
 @pytest.mark.parametrize("command,data,message", [

@@ -588,7 +588,9 @@ def test_classify_h_form_refusals_keep_their_messages(gens, message):
 def test_classify_h_form_refuses_a_negative_entry_beyond_rounding():
     """Generators diag(1, d, 1) whose corners solve psi = -1e-5 are refused,
     since every d moved: the entry is half the scale of each corner equation.
-    A zero entry on a moved slot, solved to a rounding-level sign, is not."""
+    A zero entry on a moved slot, solved to a rounding-level sign, is a
+    pattern mismatch instead: the set is in model form for no type, so its
+    type is not read off that sign."""
     gens = []
     for d in (2.0, 0.5, 3.0):
         m = np.eye(3)
@@ -605,8 +607,32 @@ def test_classify_h_form_refuses_a_negative_entry_beyond_rounding():
             m[1, 1], m[2, 2] = np.exp(rng.uniform(-1.0, 1.0, 2))
             m[0, 3] = -a * math.log(m[1, 1])
             gens.append(ProjMap(m))
-        cls = classify_h_form(gens)
-        assert abs(float(cls.psi.psi[0]) - a) <= 1e-12 * a
+        with pytest.raises(PatternMismatch, match="moved slot 3 solves to no positive") as info:
+            classify_h_form(gens)
+        assert abs(info.value.residual) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_classify_h_form_type_is_the_number_of_moved_slots(data):
+    """Generators from h_element with t positive psi entries, where each of
+    the t slots moves on some generator but may stay at d = 1 on others,
+    classify as type t with the building psi."""
+    n = data.draw(st.integers(2, 6), label="n")
+    t = data.draw(st.integers(1, n - 1), label="t")
+    vals = data.draw(st.lists(st.floats(0.1, 4.0), min_size=t, max_size=t), label="psi")
+    psi = CuspParameter(sorted(vals, reverse=True) + [0.0] * (n - t))
+    count = data.draw(st.integers(t, t + 3), label="generators")
+    log_d = st.one_of(st.just(0.0), st.floats(-1.0, -0.05), st.floats(0.05, 1.0))
+    rows = st.lists(log_d, min_size=t, max_size=t)
+    logs = data.draw(st.lists(rows, min_size=count, max_size=count), label="log d")
+    assume(np.linalg.cond(np.array(logs)) < 100)
+    shifts = st.lists(st.floats(-2.0, 2.0), min_size=n - 1 - t, max_size=n - 1 - t)
+    gens = [h_element(psi, [math.exp(x) for x in row], data.draw(shifts, label="v")).matrix
+            for row in logs]
+    cls = classify_h_form(gens)
+    assert cls.type == cls.psi.type == t
+    assert all(abs(x - y) <= 1e-10 * max(psi.psi) for x, y in zip(cls.psi.psi, psi.psi))
 
 
 def test_classified_cusp_json():

@@ -14,6 +14,7 @@ from cuspbend.cusp_models import CuspParameter, INTERIOR, ModelDomain, leaf_coor
 from cuspbend.hilbert import (
     ConvexDomainOracle,
     ConvexityViolation,
+    MovedOracle,
     ball_oracle,
     chord_boundary,
     convexity_scan,
@@ -572,6 +573,22 @@ def test_projective_naturality_compares_two_routes(monkeypatch):
 
     monkeypatch.setattr(verify.hilbert, "transformed_oracle", corrupt_march)
     assert not verify.projective_naturality(np.random.default_rng(0)).passed
+
+
+def test_moved_oracle_refuses_a_kernel_it_would_not_read():
+    """A moved domain's distances are its base's, so setting its own
+    ``distances`` is refused rather than ignored; replacing ``classify``,
+    the tracing hook, still works, and so does every other field."""
+    moved = transformed_oracle(ball_oracle(2), ProjMap(np.diag([1.0, 2.0, 1.0])))
+    assert moved.distances is None
+    with pytest.raises(ValueError, match="distances"):
+        dataclasses.replace(moved, distances=lambda X, Y: np.zeros(len(X)))
+    with pytest.raises(TypeError, match="distances"):
+        MovedOracle(2, moved.value, distances=lambda X, Y: X, base=moved.base, g=moved.g)
+    hook = dataclasses.replace(moved, classify=abs)
+    assert hook.classify is abs and hook.g is moved.g and hook.base is moved.base
+    assert hilbert_distance(hook, [0.0, 0.0], [0.0, 0.5]) == hilbert_distance(
+        ball_oracle(2), [0.0, 0.0], [0.0, 0.25])
 
 
 @pytest.mark.parametrize("base", ["ball", "model"])

@@ -1,0 +1,73 @@
+"""The package's import layout: every import of one ``cuspbend`` module by
+another sits at module level, and the module import graph has no cycle."""
+
+import ast
+import graphlib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cuspbend"
+
+
+def _imports(tree: ast.Module):
+    """(package module or name imported, node) for each import from the
+    package in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "cuspbend":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                yield parts[0], node
+            else:
+                for alias in node.names:
+                    yield alias.name, node
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "cuspbend":
+                    yield (parts[1] if len(parts) > 1 else "__init__"), node
+
+
+def layout_faults(sources: dict) -> list:
+    """The faults of a package given as {module name: source}: imports of
+    package modules inside a function, and an import cycle."""
+    faults, graph = [], {}
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        in_functions = {id(node) for fn in ast.walk(tree)
+                        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                        for node in ast.walk(fn)}
+        graph[name] = set()
+        for target, node in _imports(tree):
+            if id(node) in in_functions:
+                faults.append(f"{name}:{node.lineno} imports {target} inside a function")
+            if target in sources and target != name:
+                graph[name].add(target)
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        faults.append(f"import cycle {exc.args[1]}")
+    return faults
+
+
+def test_package_imports_at_module_level_without_cycles():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert {"__init__", "projlin", "bending", "cusp_classify", "cli"} <= set(sources)
+    assert layout_faults(sources) == []
+
+
+@pytest.mark.parametrize("sources,fault", [
+    ({"a": "def f():\n    from .b import g\n", "b": ""}, "a:2 imports b inside a function"),
+    ({"a": "def f():\n    import cuspbend.b\n", "b": ""}, "a:2 imports b inside a function"),
+    ({"a": "from . import b\n", "b": "from .a import f\n"}, "import cycle"),
+    ({"a": "from .b import g\n", "b": "from .c import h\n", "c": "import cuspbend.a\n"},
+     "import cycle"),
+])
+def test_layout_faults_are_found(sources, fault):
+    """The check itself: an import inside a function and a cycle are found."""
+    faults = layout_faults(sources)
+    assert len(faults) == 1 and faults[0].startswith(fault), faults

@@ -75,6 +75,32 @@ def test_inverse_singular_float_condition():
         inverse(ProjMap([[1.0, 1.0], [1.0, 1.0 + 1e-16]]))
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_inverse_is_kept_on_its_map(exact):
+    """A map computes its inverse once and keeps it.  The inverse keeps no
+    link back, so inverting it again computes: a float map's double inverse
+    has the bytes of two fresh inversions.  An equal map of its own computes
+    its own, and a singular map keeps nothing and raises every time."""
+    rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    m = ProjMap([[F(x) for x in row] for row in rows] if exact else np.array(rows, float))
+    inv = inverse(m)
+    assert inverse(m) is inv
+    twice = inverse(inv)
+    assert twice is not m and inverse(inv) is twice
+    if exact:
+        assert twice.den == m.den and np.array_equal(twice.num, m.num)
+    else:
+        fresh = np.linalg.inv(np.linalg.inv(np.array(rows, float)))
+        assert twice.entries.tobytes() == fresh.tobytes()
+    equal = ProjMap(m.entries)
+    assert inverse(equal) is not inv
+    assert np.array_equal(inverse(equal).entries, inv.entries)
+    singular = ProjMap([[F(1), F(2)], [F(2), F(4)]] if exact else [[1.0, 2.0], [2.0, 4.0]])
+    for _ in range(2):
+        with pytest.raises(SingularMatrix):
+            inverse(singular)
+
+
 def test_act_identity_and_diagonal():
     p = ProjPoint([1, 1])
     assert proj_equiv(act(ProjMap.identity(1), p), p)

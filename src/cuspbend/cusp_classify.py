@@ -513,7 +513,10 @@ def classify_h_form(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL) -> Classi
     |log d_k| psi_k of the same scale must not fall below -tol on any
     generator (a negative entry, ``ValueError``), and must exceed tol on
     some generator (else :class:`PatternMismatch`, with that share as the
-    residual).
+    residual).  When every generator is exact, the pattern must then hold
+    on the integer numerators: each entry that W sets to 0 or 1 equals 0 or
+    num[n, n], and the two copies of v are equal (else
+    :class:`PatternMismatch`, the exact deviation as the residual).
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -544,6 +547,15 @@ def classify_h_form(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL) -> Classi
     normal[:, 0, tail] = v
     pattern = _intertwining_residuals(m[None], np.eye(n + 1)[None], normal[None])
     require_normal_form(pattern, tol)
+    if all(g.exact for g in gens):
+        for i, g in enumerate(gens):
+            want = np.where(own, g.num, g.num[n, n] * np.eye(n + 1, dtype=object))
+            want[0, tail] = g.num[tail, n]
+            dev = max(np.abs(g.num - want).flat)
+            if dev:
+                dev = Fraction(dev, abs(g.num[n, n]))
+                raise PatternMismatch(f"exact generator {i} misses the model pattern by "
+                                      f"{float(dev):.3e}", dev)
 
     # math.log per entry and a dot per contiguous row round like a per-generator solve
     logs = np.array([math.log(x) for x in d.ravel().tolist()]).reshape(d.shape)

@@ -15,6 +15,10 @@ quantity sigma = 1/2 |v|^2 - sum_j psi_j log(d_j).
 Index convention: the coefficient psi_k multiplies the log of coordinate
 x_{k+1} (a type-t parameter has exactly t log terms, on coordinates
 2..t+1).  See README for why this pairing is a documented choice.
+
+Each matrix is written into an identity array, of exact scalars when every
+input is exact and ``float64`` otherwise; :class:`ProjMap` keeps an exact
+one as integers over one denominator, so no ``Fraction`` matrix is built.
 """
 
 from __future__ import annotations
@@ -94,10 +98,8 @@ def cusp_type(psi: CuspParameter) -> int:
     return t
 
 
-def _log_value(x, log_x=None):
-    """log of a scalar: exact 1 -> exact 0, supplied value wins, else math.log."""
-    if log_x is not None:
-        return log_x
+def _log_value(x):
+    """log of a scalar: exact 1 -> exact 0, else math.log."""
     if is_exact(x) and x == 1:
         return Fraction(0)
     return math.log(float(x))
@@ -120,8 +122,7 @@ class CuspGroupElement:
         return self.psi.n
 
     def inverse(self) -> "CuspGroupElement":
-        d_inv = tuple(1 / x if isinstance(x, Fraction) else 1.0 / x for x in self.d)
-        return h_element(self.psi, d_inv, [-x for x in self.v],
+        return h_element(self.psi, [1 / x for x in self.d], [-x for x in self.v],
                          log_d=[-l for l in self.log_d])
 
     def to_json(self) -> dict:
@@ -172,22 +173,12 @@ def h_element(psi: CuspParameter, d, v, log_d=None, sigma=None) -> CuspGroupElem
         for coeff, l in zip(psi.psi, logs):
             sigma = sigma - coeff * l
 
-    size = n + 1
-    exact = (all(is_exact(x) for x in d + v + logs + tuple(psi.psi))
-             and is_exact(sigma))
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-    rows = [[zero] * size for _ in range(size)]
-    rows[0][0] = one
-    for j, x in enumerate(v):
-        rows[0][t + 1 + j] = x
-    rows[0][size - 1] = sigma
-    for k, x in enumerate(d):
-        rows[1 + k][1 + k] = x
-    for j, x in enumerate(v):
-        rows[t + 1 + j][t + 1 + j] = one
-        rows[t + 1 + j][size - 1] = x
-    rows[size - 1][size - 1] = one
-    return CuspGroupElement(psi, d, v, logs, sigma, ProjMap(rows))
+    exact = all(map(is_exact, d + v + logs + tuple(psi.psi) + (sigma,)))
+    m = np.eye(n + 1, dtype=object if exact else np.float64)
+    m[range(1, t + 1), range(1, t + 1)] = d
+    m[0, t + 1:n] = m[t + 1:n, n] = v
+    m[0, n] = sigma
+    return CuspGroupElement(psi, d, v, logs, sigma, ProjMap(m))
 
 
 def h_product(a: CuspGroupElement, b: CuspGroupElement) -> CuspGroupElement:
@@ -270,8 +261,7 @@ def leaf_point(dom: ModelDomain, c, x) -> ProjPoint:
         first = first - dom.psi.psi[k] * _log_value(xs[k])
     for y in xs[t:]:
         first = first + y * y / 2
-    one = Fraction(1) if (is_exact(first) and all(is_exact(y) for y in xs)) else 1.0
-    return ProjPoint([first] + xs + [one])
+    return ProjPoint([first] + xs + [1])
 
 
 @dataclass(frozen=True)
@@ -287,13 +277,10 @@ class ParaboloidModel:
 
     @property
     def form(self) -> ProjMap:
-        size = self.n + 1
-        rows = [[Fraction(0)] * size for _ in range(size)]
-        for i in range(1, size - 1):
-            rows[i][i] = Fraction(1)
-        rows[0][size - 1] = Fraction(-1)
-        rows[size - 1][0] = Fraction(-1)
-        return ProjMap(rows)
+        q = np.eye(self.n + 1, dtype=object)
+        q[0, 0] = q[self.n, self.n] = 0
+        q[0, self.n] = q[self.n, 0] = -1
+        return ProjMap(q)
 
 
 class FormValue(NamedTuple):
@@ -346,9 +333,7 @@ def hyperplane_centralizer_element(i: int, tparam=None, n: int = None,
     entry = mu if mu is not None else math.exp(float(tparam))
     if entry <= 0:
         raise ValueError("diagonal entry must be positive")
-    exact = is_exact(entry)
-    one = Fraction(1) if exact else 1.0
-    diag = [one] * (n + 1)
+    diag = [1] * (n + 1)
     diag[i - 1] = entry
     return ProjMap.diagonal(diag)
 
@@ -359,11 +344,7 @@ def zprime_element(lam, k, n: int) -> ProjMap:
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     exact = is_exact(lam) and is_exact(k)
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-    size = n + 1
-    rows = [[zero] * size for _ in range(size)]
-    for i in range(size):
-        rows[i][i] = one
-    rows[0][0] = lam if exact else float(lam)
-    rows[size - 1][0] = k * (lam - one)
-    return ProjMap(rows)
+    m = np.eye(n + 1, dtype=object if exact else np.float64)
+    m[0, 0] = lam
+    m[n, 0] = k * (lam - 1) if exact else k * (lam - 1.0)
+    return ProjMap(m)

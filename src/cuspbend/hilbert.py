@@ -58,14 +58,14 @@ class ConvexDomainOracle:
     ``distances(X, Y)`` is the domain's own batch distance kernel for
     row-paired interior chart points: the built-in constructors set it.  A
     domain without one has its chord ends marched on ``value``.
-    ``classify`` is read by no route; it is kept, None by default, only as
-    a slot that outside tracers replace.
+    ``classify`` is read by no route; it is kept, None by default and set
+    by keyword only, as a slot that outside tracers replace.
     """
 
     n: int
     value: Callable[[np.ndarray], np.ndarray]
     distances: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    classify: Optional[Callable] = None
+    classify: Optional[Callable] = field(default=None, kw_only=True)
 
     def on_base(self, X: np.ndarray, Y: np.ndarray):
         """The domain that answers for this one, and the chart rows X and Y

@@ -26,8 +26,9 @@ def ref_equiv_vectors(va: np.ndarray, vb: np.ndarray, tol: float) -> bool:
         return bool(np.max(np.abs(fa)) == 0)
     if abs(fb[idx]) < tol * max_b:
         return False
-    # a zero a against a nonzero b divides 0 by 0 here, and reads False
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero a against a nonzero b divides 0 by 0 here, and a subnormal pivot
+    # of b overflows; both read False
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return bool(np.max(np.abs(fa / fa[idx] - fb / fb[idx])) <= tol)
 
 

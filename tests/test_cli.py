@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,26 @@ def test_classify_generators_off_normal_form_is_property_failure(tmp_path, capsy
     assert float(second.removeprefix("residual: ")) > 1e-9
 
 
+@pytest.mark.parametrize("at,entry", [((2, 2), "1"), ((2, 3), "1/2"), ((0, 2), "1/2")])
+def test_exact_generators_meet_the_pattern_on_integers(tmp_path, capsys, at, entry):
+    """An exact type-0 generator whose unit entry or one copy of v is moved
+    by 10^-30 reads as the unmoved one in floats, and exited 0 with type 0.
+    It now exits 1 with that exact deviation as the residual."""
+    gen = [["1", "0", "1/2", "1/8"], ["0", "1", "0", "0"], ["0", "0", "1", "1/2"],
+           ["0", "0", "0", "1"]]
+    src, out = tmp_path / "gens.json", tmp_path / "cls.json"
+    src.write_text(json.dumps({"generators": [gen]}))
+    assert main(["classify", "--in", str(src), "--out", str(out)]) == 0
+    gen[at[0]][at[1]] = str(Fraction(entry) + Fraction(1, 10 ** 30))
+    src.write_text(json.dumps({"generators": [gen]}))
+    out.unlink()
+    assert main(["classify", "--in", str(src), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "cuspbend: exact generator 0 misses the model pattern by 1.000e-30\n"
+        f"residual: 1/{10 ** 30}\n")
+
+
 def test_classify_exact_flag_on_generators_is_usage_error(tmp_path, capsys):
     src, out = tmp_path / "gens.json", tmp_path / "cls.json"
     src.write_text(json.dumps({"generators": _model_generators()}))
@@ -558,14 +579,41 @@ def test_bend_failure_contract(tmp_path, capsys):
         assert not out.exists(), case["name"]
 
 
-def test_verify_output_matches_fixture(tmp_path):
+def test_verify_output_matches_fixture(tmp_path, monkeypatch):
     """``verify --seed 0 --out`` is byte-identical to the report recorded when
     every suite scored its trials one at a time: same properties, trials,
-    tolerances, notes and residuals."""
+    tolerances, notes and residuals.  It reads every exact map by its
+    integers, so it builds no ``Fraction`` view (702 when the exact
+    properties compared ``entries``)."""
+    from cuspbend.projlin import ProjMap
+    entries, views = ProjMap.entries, []
+
+    def counting(m):
+        if m.exact and m._entries is None:
+            views.append(m)
+        return entries.fget(m)
+
+    monkeypatch.setattr(ProjMap, "entries", property(counting))
     fixture = Path(__file__).parent / "fixtures" / "verify_seed0.json"
     out = tmp_path / "report.json"
     assert main(["verify", "--seed", "0", "--out", str(out)]) == 0
     assert out.read_bytes() == fixture.read_bytes()
+    assert views == []
+
+
+def test_exact_equality_refuses_a_float_map():
+    """``verify``'s exact equality compares ``(den, num)``, which are
+    ``None`` on a float map: two float maps must raise, not compare equal."""
+    from cuspbend.projlin import ProjMap
+    from cuspbend.verify import _same
+    exact, half = ProjMap.identity(2), ProjMap([[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert _same(exact, ProjMap([[2, 0, 0], [0, 2, 0], [0, 0, 2]])) is False
+    assert _same(half, ProjMap([[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])) is True
+    assert _same(exact, half) is False
+    for a, b in [(exact.to_float(), exact.to_float()), (exact, exact.to_float()),
+                 (exact.to_float(), exact)]:
+        with pytest.raises(ValueError, match="two exact maps"):
+            _same(a, b)
 
 
 def test_verify_type_law_fails_on_nan_residual(monkeypatch, capsys):

@@ -1,10 +1,12 @@
+import fractions
+import json
 import math
 import re
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspbend.cusp_models import (
@@ -26,7 +28,11 @@ from cuspbend.cusp_models import (
     parabolic_element,
     zprime_element,
 )
-from cuspbend.projlin import ProjMap, ProjPoint, act, compose, proj_equiv
+from cuspbend.projlin import (ProjMap, ProjPoint, act, compose, is_exact, matrix_to_json,
+                              proj_equiv, scalar_to_json)
+from cuspbend.verify import run_suites
+from model_reference import (ref_form, ref_h_matrix, ref_hyperplane_centralizer, ref_inverse_d,
+                             ref_leaf_point, ref_zprime)
 
 
 def test_cusp_type():
@@ -278,3 +284,90 @@ def test_group_element_json_recomputes_sigma():
     e = h_element(psi, [], [3.0, 4.0])
     back = CuspGroupElement.from_json(psi, e.to_json())
     assert abs(back.sigma - 12.5) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the array builders against the nested-row reference (tests/model_reference.py)
+
+
+def _scalar(draw, exact: bool, positive: bool = False):
+    if exact:
+        lo = F(1, 9) if positive else -5
+        return draw(st.one_of(st.integers(1 if positive else -5, 5),
+                              st.fractions(min_value=lo, max_value=5, max_denominator=9),
+                              st.fractions(min_value=lo, max_value=5, max_denominator=10 ** 20)))
+    return draw(st.floats(0.1 if positive else -5.0, 5.0))
+
+
+def _same_build(got, want):
+    assert got.exact == want.exact
+    assert json.dumps(matrix_to_json(got)) == json.dumps(matrix_to_json(want))
+
+
+@st.composite
+def model_inputs(draw):
+    """n, psi, d, v, log_d, a leaf point (c, x), a centralizer entry and Z'
+    parameters.  Every scalar is exact (int or Fraction) or every one is
+    float, or each input is exact, float or mixed scalar by scalar."""
+    mode = draw(st.sampled_from(["exact", "float", "mixed"]))
+
+    def scalars(count, positive=False):
+        role = draw(st.sampled_from(["exact", "float", "mixed"])) if mode == "mixed" else mode
+        return [_scalar(draw, role == "exact" or (role == "mixed" and draw(st.booleans())),
+                        positive) for _ in range(count)]
+
+    n = draw(st.integers(2, 6))
+    t = draw(st.integers(0, n - 1))
+    psi = sorted(scalars(t, True), reverse=True) + [0 * x for x in scalars(n - t)]
+    d = [draw(st.sampled_from([1, F(1), x])) for x in scalars(t, True)]
+    log_d = None
+    if draw(st.booleans()) or any(is_exact(x) and x != 1 for x in d):
+        log_d = scalars(t)
+    v = scalars(n - 1 - t)
+    leaf = (abs(scalars(1)[0]), scalars(t, True) + scalars(n - 1 - t))
+    lam, k = scalars(1, True)[0] * draw(st.sampled_from([1, -1])), scalars(1)[0]
+    return n, psi, d, v, log_d, leaf, lam, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_inputs())
+# float zeros in psi make exact v a float map; 1 + 1/(3e17) - 1.0 reads 0.0 in floats
+@example((2, [0.0, 0.0], [], [F(1, 2)], None, (F(1), [F(1, 3)]), 1 + F(1, 3 * 10 ** 17), 0.5))
+def test_builders_match_the_row_reference(inputs):
+    """Every model builder gives the exactness and the JSON bytes of the
+    nested-row builders it replaced, on exact, float and mixed inputs."""
+    n, psi, d, v, log_d, (c, xs), lam, k = inputs
+    el = h_element(CuspParameter(psi), d, v, log_d=log_d)
+    _same_build(el.matrix, ref_h_matrix(psi, d, v, log_d))
+    _same_build(el.inverse().matrix, ref_h_matrix(psi, ref_inverse_d(d), [-x for x in v],
+                                                  [-x for x in el.log_d]))
+    got, want = leaf_point(ModelDomain(CuspParameter(psi)), c, xs), ref_leaf_point(psi, c, xs)
+    assert got.exact == want.exact
+    assert [scalar_to_json(x) for x in got.coords] == [scalar_to_json(x) for x in want.coords]
+    model = ParaboloidModel(n)
+    _same_build(model.form, ref_form(n))
+    _same_build(parabolic_element(model, v + d), ref_h_matrix([F(0)] * n, [], v + d))
+    for i in range(2, n + 1):
+        _same_build(hyperplane_centralizer_element(i, mu=abs(lam), n=n),
+                    ref_hyperplane_centralizer(i, abs(lam), n))
+    _same_build(hyperplane_centralizer_element(n, tparam=k, n=n),
+                ref_hyperplane_centralizer(n, math.exp(float(k)), n))
+    _same_build(zprime_element(lam, k, n), ref_zprime(lam, k, n))
+
+
+def test_cusp_models_suite_builds_few_fractions(monkeypatch):
+    """The seed-0 ``cusp_models`` verify suite built 88,695 ``Fraction``s
+    when the model matrices were ``Fraction`` rows read back through
+    ``entries``; integer maps leave about 11,000, in exact scalars."""
+    made = []
+    new = fractions.Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(None)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+    results = run_suites(["cusp_models"], 0)
+    monkeypatch.undo()
+    assert all(r.passed for r in results)
+    assert len(made) < 20_000

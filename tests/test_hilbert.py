@@ -577,18 +577,25 @@ def test_projective_naturality_compares_two_routes(monkeypatch):
 
 def test_moved_oracle_refuses_a_kernel_it_would_not_read():
     """A moved domain's distances are its base's, so setting its own
-    ``distances`` is refused rather than ignored; replacing ``classify``,
-    the tracing hook, still works, and so does every other field."""
+    ``distances`` is refused rather than ignored, by keyword or as the third
+    positional argument (which was once stored as ``classify``); replacing
+    ``classify``, the keyword-only tracing hook, still works, and so does
+    every other field."""
     moved = transformed_oracle(ball_oracle(2), ProjMap(np.diag([1.0, 2.0, 1.0])))
     assert moved.distances is None
     with pytest.raises(ValueError, match="distances"):
         dataclasses.replace(moved, distances=lambda X, Y: np.zeros(len(X)))
     with pytest.raises(TypeError, match="distances"):
         MovedOracle(2, moved.value, distances=lambda X, Y: X, base=moved.base, g=moved.g)
+    with pytest.raises(TypeError, match="positional"):
+        MovedOracle(2, moved.value, lambda X, Y: X, base=moved.base, g=moved.g)
+    with pytest.raises(TypeError, match="positional"):
+        ConvexDomainOracle(2, moved.value, None, abs)
     hook = dataclasses.replace(moved, classify=abs)
     assert hook.classify is abs and hook.g is moved.g and hook.base is moved.base
     assert hilbert_distance(hook, [0.0, 0.0], [0.0, 0.5]) == hilbert_distance(
         ball_oracle(2), [0.0, 0.0], [0.0, 0.25])
+
 
 
 @pytest.mark.parametrize("base", ["ball", "model"])

@@ -470,6 +470,9 @@ def equiv_rows(draw):
 # a subnormal pivot once overflowed the division (a RuntimeWarning)
 @example(pair=(np.array([[5e-324, 0.0]]), np.array([[5e-324, 1e-12]])), tol=1e-9,
          per_row_tol=False)
+# a zero row of a against a subnormal pivot of b once overflowed the reference's division
+@example(pair=(np.zeros((3, 7)), np.vstack([[2.22507386e-313] + [0.0] * 5 + [1.0],
+                                            np.zeros((2, 7))])), tol=0.0, per_row_tol=False)
 def test_proj_equiv_rows_matches_reference_rule(pair, tol, per_row_tol):
     a, b = pair
     tols = np.full(len(a), tol) if per_row_tol else tol

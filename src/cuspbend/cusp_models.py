@@ -298,7 +298,7 @@ def paraboloid_eval(m: ParaboloidModel, p: ProjPoint,
     if p.n != m.n:
         raise ValueError(f"point dimension {p.n} != model dimension {m.n}")
     x = p.coords
-    q = m.form.entries
+    q = m.form.num              # integer entries: den is 1
     val = x @ q @ x
     if is_exact(val):
         tag = BOUNDARY if val == 0 else (INTERIOR if val < 0 else EXTERIOR)

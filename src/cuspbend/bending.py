@@ -12,16 +12,18 @@ Iterated bending applies several moves whose centralizers pairwise commute;
 commutativity makes the outcome independent of the order of the moves, and
 this module refuses move lists that do not satisfy the hypothesis.
 
-Checks.  :func:`iterated_bend` checks, in this order: the centralizers
-commute pairwise; each move's centralizer commutes with its edge words in
-the given representation; then, move by move, the decomposition covers the
+Checks.  :func:`iterated_bend` checks, in this order: every centralizer
+has the representation's dimension; the centralizers commute pairwise;
+each move's centralizer commutes with its edge words in the given
+representation; then, move by move, the decomposition covers the
 generators, the centralizer has the right dimension, it commutes with the
 edge words in the state the move is applied to, and every relator maps to
 the identity in the new state; with ``verify_order``, the same for the
 moves in a random order, and both results agree on every generator.
-:func:`bend` is the one-move case, and a :class:`MarkedRep` checks its
-relators on construction.  The generator sets are built first, with the
-same :func:`compose` calls in the same order as one move at a time; then
+:func:`bend` is the one-move case.  A bend makes every check at its own
+``tol``; a :class:`MarkedRep` checks its relators on construction, at
+``DEFAULT_TOL``.  The generator sets are built first, with the same
+:func:`compose` calls in the same order as one move at a time; then
 every check is decided in one stacked pass (words compiled once to letter
 indices, the words' products formed as stacked matmuls and compared by one
 row-wise :func:`~cuspbend.projlin.proj_equiv_rows`), and the first check
@@ -98,15 +100,14 @@ def word_to_json(word: Word) -> list:
 @dataclass(frozen=True)
 class MarkedRep:
     """Finite generating set of named projective maps, with optional relators
-    (checked projectively on construction when supplied)."""
+    (checked projectively, at ``DEFAULT_TOL``, on construction when
+    supplied)."""
 
     n: int
     generators: dict
     relators: tuple = ()
-    tol: float = DEFAULT_TOL
 
-    def __init__(self, n: int, generators: dict, relators=None,
-                 tol: float = DEFAULT_TOL, check: bool = True):
+    def __init__(self, n: int, generators: dict, relators=None, check: bool = True):
         gens = dict(generators)
         for name, g in gens.items():
             if not isinstance(g, ProjMap):
@@ -117,7 +118,6 @@ class MarkedRep:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", rels)
-        object.__setattr__(self, "tol", tol)
         if check:
             self.check_relators()
 
@@ -149,9 +149,10 @@ class MarkedRep:
 
     def check_relators(self) -> None:
         """Raise RelatorViolation for the first relator whose image is not
-        the identity (all relators are decided in one stacked pass)."""
+        the identity at ``DEFAULT_TOL`` (all relators are decided in one
+        stacked pass)."""
         checks = _Checks(self.n, self.generators)
-        checks.run(_require_relators, checks, self, self.generators)
+        checks.run(_require_relators, checks, self, self.generators, DEFAULT_TOL)
 
     def to_json(self) -> dict:
         return {
@@ -255,41 +256,41 @@ class _Checks:
     decided together.
 
     A check asks whether the images of two words in a table of letters (maps,
-    and the inverses that words need) are projectively equal.  Every word is
-    multiplied out left to right as one stacked matmul per letter position,
-    and the pairs are compared by one :func:`proj_equiv_rows`.  Exact letters
-    are stacked as integer numerators (a word's product is then its image up
-    to a positive scale, which proportionality ignores); if any letter of a
-    dimension is float, that dimension's letters are stacked as floats.  A
-    check that repeats an earlier one (same letters, same tol) is dropped: it
-    has the earlier one's verdict.  Maps of equal value share one letter, so
-    a generator that two orders of the moves build alike is checked, and
-    inverted, once (:meth:`first`).
+    and the inverses that words need) are projectively equal.  Every letter
+    has dimension n: callers check a map's dimension before its first check
+    is queued.  Every word is multiplied out left to right as one stacked
+    matmul per letter position, and the pairs are compared by one
+    :func:`proj_equiv_rows`.  Exact letters are stacked as integer
+    numerators (a word's product is then its image up to a positive scale,
+    which proportionality ignores); if any letter is float, all letters are
+    stacked as floats.  A check that repeats an earlier one (same letters,
+    same tol) is dropped: it has the earlier one's verdict.  Maps of equal
+    value share one letter, so a generator that two orders of the moves
+    build alike is checked, and inverted, once (:meth:`first`).
     """
 
     def __init__(self, n: int, names=()):
         self.n = n
         self._slot = {name: i for i, name in enumerate(names)}
-        self._letters = {}      # _key(map) -> index in the table of its dimension
-        self._tables = {}       # dimension -> letter maps
-        self._identity = None   # letter index of the identity of dimension n
+        self._letters = {}      # _key(map) -> index in the table
+        self._table = []        # letter maps
+        self._identity = None   # letter index of the identity
         self._codes = {}        # Word -> (letter codes, unknown name or None)
-        self._checks = {}       # (dimension, lhs, rhs, tol) -> failure
+        self._checks = {}       # (lhs, rhs, tol) -> failure
 
     def letter(self, m: ProjMap) -> int:
-        """The letter index of m, added to its dimension's table if new."""
+        """The letter index of m, added to the table if new."""
         key = _key(m)
         idx = self._letters.get(key)
         if idx is None:
-            table = self._tables.setdefault(m.n, [])
-            idx = self._letters[key] = len(table)
-            table.append(m)
+            idx = self._letters[key] = len(self._table)
+            self._table.append(m)
         return idx
 
     def first(self, m: ProjMap) -> ProjMap:
         """The first map met here of m's value, which stands for every map of
         that value: it is the one inverted, and the one a bend keeps."""
-        return self._tables[m.n][self.letter(m)]
+        return self._table[self.letter(m)]
 
     def state(self, gens: dict) -> tuple:
         """A generator set (one map per name, in the order of ``names``) and
@@ -333,10 +334,10 @@ class _Checks:
             codes += [slot if exp > 0 else slot + len(self._slot)] * abs(exp)
         return tuple(codes), None
 
-    def require(self, n: int, lhs: tuple, rhs: tuple, tol: float, failure) -> None:
-        """Check that two words of n-dimensional letters have proportional
-        images; ``failure`` is the exception for when they do not."""
-        self._checks.setdefault((n, lhs, rhs, tol), failure)
+    def require(self, lhs: tuple, rhs: tuple, tol: float, failure) -> None:
+        """Check that two words have proportional images; ``failure`` is the
+        exception for when they do not."""
+        self._checks.setdefault((lhs, rhs, tol), failure)
 
     def run(self, build, *args):
         """Call ``build(*args)``, which adds checks and raises where the code
@@ -358,20 +359,15 @@ class _Checks:
     def _verdicts(self) -> np.ndarray:
         """One bool per distinct check, in the order they were added."""
         keys = list(self._checks)
-        ok = np.ones(len(keys), dtype=bool)
-        for n, table in self._tables.items():
-            sel = [k for k, key in enumerate(keys) if key[0] == n]
-            if not sel:
-                continue
-            if all(m.exact for m in table):
-                letters = np.array([m.num for m in table], dtype=object)
-            else:
-                letters = np.array([m.to_float().entries for m in table])
-            words = [w for k in sel for w in keys[k][1:3]]
-            prod = _products(letters, words).reshape(len(sel), 2, -1)
-            tols = np.array([keys[k][3] for k in sel])
-            ok[sel] = proj_equiv_rows(prod[:, 0], prod[:, 1], tols)
-        return ok
+        if not keys:
+            return np.ones(0, dtype=bool)
+        if all(m.exact for m in self._table):
+            letters = np.array([m.num for m in self._table], dtype=object)
+        else:
+            letters = np.array([m.to_float().entries for m in self._table])
+        words = [w for key in keys for w in key[:2]]
+        prod = _products(letters, words).reshape(len(keys), 2, -1)
+        return proj_equiv_rows(prod[:, 0], prod[:, 1], np.array([key[2] for key in keys]))
 
 
 def _products(letters: np.ndarray, words: list) -> np.ndarray:
@@ -398,11 +394,8 @@ def _require_commuting(checks: _Checks, maps: Sequence[ProjMap], tol: float,
     ``failure(i, j)`` is the exception for a pair that does not commute."""
     for i, c in enumerate(maps):
         for j in range(i + 1, len(maps)):
-            d = maps[j]
-            if c.n != d.n:
-                raise ValueError(f"dimension mismatch: {c.n} vs {d.n}")
-            a, b = checks.letter(c), checks.letter(d)
-            checks.require(c.n, (a, b), (b, a), tol, failure(i, j))
+            a, b = checks.letter(c), checks.letter(maps[j])
+            checks.require((a, b), (b, a), tol, failure(i, j))
 
 
 def _require_centralizes(checks: _Checks, c: ProjMap, words, state: tuple,
@@ -411,25 +404,34 @@ def _require_centralizes(checks: _Checks, c: ProjMap, words, state: tuple,
     lc = checks.letter(c)
     for word in words:
         w = checks.word(state, word)
-        if c.n != checks.n:
-            raise ValueError(f"dimension mismatch: {c.n} vs {checks.n}")
-        checks.require(c.n, (lc, *w), (*w, lc), tol, failure)
+        checks.require((lc, *w), (*w, lc), tol, failure)
 
 
-def _require_relators(checks: _Checks, rep: MarkedRep, gens: dict) -> None:
+def _require_relators(checks: _Checks, rep: MarkedRep, gens: dict, tol: float) -> None:
     """Every relator of rep maps to the identity under gens."""
     state = checks.state(gens)
     ident = checks.word(state, ())
     for word in rep.relators:
-        checks.require(rep.n, checks.word(state, word), ident, rep.tol, RelatorViolation(
+        checks.require(checks.word(state, word), ident, tol, RelatorViolation(
             f"relator {word_to_json(word)} does not map to the identity"))
+
+
+def _require_dimension(maps: Sequence[ProjMap], n: int) -> None:
+    """Raise ValueError, naming both dimensions, for the first map not of
+    dimension n."""
+    for m in maps:
+        if m.n != n:
+            raise ValueError(f"dimension mismatch: {m.n} vs {n}")
 
 
 def require_pairwise_commuting(maps: Sequence[ProjMap], tol: float, failure) -> None:
     """Raise ``failure(i, j)`` for the first pair i < j of maps, in
     lexicographic order, that do not commute projectively; maps of different
-    dimensions raise ValueError where their pair is reached."""
-    checks = _Checks(maps[0].n if maps else 0)
+    dimensions raise ValueError first."""
+    if not maps:
+        return
+    _require_dimension(maps, maps[0].n)
+    checks = _Checks(maps[0].n)
     checks.run(_require_commuting, checks, maps, tol, failure)
 
 
@@ -444,7 +446,9 @@ def commute_check(c: ProjMap, d: ProjMap, tol: float = DEFAULT_TOL) -> bool:
 
 def centralizes_check(c: ProjMap, subgroup_words, rep: MarkedRep,
                       tol: float = DEFAULT_TOL) -> bool:
-    """True iff c commutes with the image of every listed word."""
+    """True iff c commutes with the image of every listed word; a c of
+    another dimension than rep raises ValueError."""
+    _require_dimension([c], rep.n)
     checks = _Checks(rep.n, rep.generators)
     try:
         checks.run(_require_centralizes, checks, c, map(parse_word, subgroup_words),
@@ -473,7 +477,7 @@ def _bend_step(checks: _Checks, rep: MarkedRep, gens: dict, move: BendingMove,
             gens[name] = checks.first(compose(compose(c, gens[name]), c_inv))
     else:
         gens[dec.stable] = checks.first(compose(c, gens[dec.stable]))
-    _require_relators(checks, rep, gens)
+    _require_relators(checks, rep, gens, tol)
     return gens
 
 
@@ -485,7 +489,9 @@ def _iterated_steps(checks: _Checks, rep: MarkedRep, moves: list, tol: float,
         return NonCommutingMoves(f"centralizers of moves {i} and {j} do not commute; "
                                  "iterated bending needs pairwise commuting centralizers")
 
-    _require_commuting(checks, [m.centralizer for m in moves], tol, non_commuting)
+    centralizers = [m.centralizer for m in moves]
+    _require_dimension(centralizers, rep.n)
+    _require_commuting(checks, centralizers, tol, non_commuting)
     base = checks.state(rep.generators)
     for k, move in enumerate(moves):
         _require_centralizes(checks, move.centralizer, move.decomposition.edge_words, base, tol,
@@ -500,7 +506,7 @@ def _iterated_steps(checks: _Checks, rep: MarkedRep, moves: list, tol: float,
         for idx in rng.permutation(len(moves)):
             other = _bend_step(checks, rep, other, moves[idx], tol)
         for name, g in gens.items():
-            checks.require(rep.n, (checks.letter(g),), (checks.letter(other[name]),), tol,
+            checks.require((checks.letter(g),), (checks.letter(other[name]),), tol,
                            AssertionError(
                                f"order-permuted bending disagrees on generator {name!r}"))
     return gens
@@ -511,10 +517,10 @@ def bend(rep: MarkedRep, move: BendingMove, tol: float = DEFAULT_TOL) -> MarkedR
     centralizer, or left-multiply the stable letter.  Checks, in this order:
     the decomposition covers the generators, the centralizer's dimension, the
     centralizer commutes with each edge word, and each relator of the result
-    maps to the identity."""
+    maps to the identity, all at ``tol``."""
     checks = _Checks(rep.n, rep.generators)
     gens = checks.run(_bend_step, checks, rep, rep.generators, move, tol)
-    return MarkedRep(rep.n, gens, rep.relators, rep.tol, check=False)
+    return MarkedRep(rep.n, gens, rep.relators, check=False)
 
 
 def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
@@ -524,18 +530,18 @@ def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
     elements commute, which is the hypothesis making the result independent
     of the order in which the moves are applied.
 
-    Checks, in this order: the centralizers commute pairwise; each move's
-    centralizer commutes with its edge words in rep; then the :func:`bend`
-    checks of each move on the state it is applied to; with ``verify_order``
-    and two or more moves, the bend checks of the moves applied again in a
-    random order, and the two results agree on every generator.  Every
-    generator set is built first; then all checks are decided together, and
-    the first that fails raises, as if each had been checked where it was
-    reached.
+    Checks, in this order, each at ``tol``: every centralizer has rep's
+    dimension; the centralizers commute pairwise; each move's centralizer
+    commutes with its edge words in rep; then the :func:`bend` checks of
+    each move on the state it is applied to; with ``verify_order`` and two
+    or more moves, the bend checks of the moves applied again in a random
+    order, and the two results agree on every generator.  Every generator
+    set is built first; then all checks are decided together, and the first
+    that fails raises, as if each had been checked where it was reached.
     """
     moves = list(moves)
     if not moves:
         return rep
     checks = _Checks(rep.n, rep.generators)
     gens = checks.run(_iterated_steps, checks, rep, moves, tol, verify_order, rng)
-    return MarkedRep(rep.n, gens, rep.relators, rep.tol, check=False)
+    return MarkedRep(rep.n, gens, rep.relators, check=False)

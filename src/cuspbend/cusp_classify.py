@@ -70,6 +70,10 @@ from .projlin import (
 # smallest nonzero bending parameter classified in float mode; below this the
 # new eigenvector degenerates and callers should supply exact mu instead
 MIN_BEND_FLOAT = 1e-8
+# random leaf points tested by leaf_invariance_check
+LEAF_TRIALS = 200
+# random linear combinations tried by diagonalize_commuting
+DIAGONALIZE_TRIES = 10
 
 
 def _finite(x) -> bool:
@@ -448,11 +452,10 @@ class LeafInvarianceReport:
         return self.max_drift <= self.tol
 
 
-def leaf_invariance_check(data: RectangularCuspData, trials: int = 200,
-                          tol: float = DEFAULT_TOL,
+def leaf_invariance_check(data: RectangularCuspData, tol: float = DEFAULT_TOL,
                           rng: Optional[np.random.Generator] = None) -> LeafInvarianceReport:
-    """Random leaf points stay on their leaf under every conjugated
-    generator; reports the maximum leaf-coordinate drift."""
+    """``LEAF_TRIALS`` random leaf points stay on their leaf under every
+    conjugated generator; reports the maximum leaf-coordinate drift."""
     rng = rng or np.random.default_rng(0)
     classified = conjugate_and_match(data, tol=max(tol, 1e-9))
     psi = CuspParameter([float(x) for x in classified.psi.psi])
@@ -463,7 +466,7 @@ def leaf_invariance_check(data: RectangularCuspData, trials: int = 200,
     gens = [compose(compose(conj, g.to_float()), conj_inv)
             for g in bent_cusp_generators(data)]
     drifts = []
-    for _ in range(trials):
+    for _ in range(LEAF_TRIALS):
         c = float(rng.uniform(0.0, 3.0))
         coords = [float(rng.uniform(0.2, 3.0)) for _ in range(t)] + \
                  [float(rng.uniform(-2.0, 2.0)) for _ in range(psi.n - 1 - t)]
@@ -472,7 +475,7 @@ def leaf_invariance_check(data: RectangularCuspData, trials: int = 200,
         c2, _ = leaf_coordinate(dom, act(g, p))
         drifts.append(abs(float(c2) - c))
     # np.max keeps a NaN drift, which then fails the report
-    return LeafInvarianceReport(trials, float(np.max(drifts, initial=0.0)), tol)
+    return LeafInvarianceReport(LEAF_TRIALS, float(np.max(drifts, initial=0.0)), tol)
 
 
 def equivalent_parameters(psi: CuspParameter, psi2: CuspParameter,
@@ -731,13 +734,12 @@ def upper_triangular_check(gens: Sequence[ProjMap],
 
 
 def diagonalize_commuting(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL,
-                          rng: Optional[np.random.Generator] = None,
-                          max_tries: int = 10):
+                          rng: Optional[np.random.Generator] = None):
     """Simultaneous eigenbasis of pairwise commuting generators via a random
     linear combination, verified by explicit conjugation.
 
     Returns (conjugator, residual) or (None, best_residual) when no basis
-    was found after the retries.
+    was found after ``DIAGONALIZE_TRIES`` combinations.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -748,7 +750,7 @@ def diagonalize_commuting(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL,
     mats = [mat / np.max(np.abs(mat)) for mat in mats]
     m = mats[0].shape[0]
     best = math.inf
-    for _ in range(max_tries):
+    for _ in range(DIAGONALIZE_TRIES):
         coeffs = rng.normal(size=len(mats))
         combo = sum(c * mat for c, mat in zip(coeffs, mats))
         vals, vecs = np.linalg.eig(combo)

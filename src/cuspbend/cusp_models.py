@@ -317,15 +317,12 @@ def parabolic_element(m: ParaboloidModel, v) -> ProjMap:
     return h_element(psi0, (), v).matrix
 
 
-def hyperplane_centralizer_element(i: int, tparam=None, n: int = None,
-                                   mu=None) -> ProjMap:
+def hyperplane_centralizer_element(i: int, tparam=None, *, n: int, mu=None) -> ProjMap:
     """One-parameter centralizer of the stabilizer of the i-th coordinate
     hyperplane: diagonal with exp(tparam) in position i, ones elsewhere.
 
     Pass mu = exp(tparam) directly for exact work.
     """
-    if n is None:
-        raise ValueError("dimension n is required")
     if not 2 <= i <= n:
         raise ValueError(f"hyperplane index must satisfy 2 <= i <= n, got {i}")
     if (tparam is None) == (mu is None):

@@ -1,34 +1,58 @@
 """Hilbert metric on properly convex domains presented by oracles.
 
 The distance between two interior points is half the log of the cross ratio
-of the four collinear points (boundary, x, y, boundary) on their chord.
+of the four collinear points (boundary, x, y, boundary) on their chord.  For
+x != y and d = y - x, the chord meets the boundary at z1 = x - v_x d and
+z2 = y + v_y d with v_x, v_y > 0, and the distance is
+1/2 (log1p(1/v_y) + log1p(1/v_x)).
 
 A domain is its ``value``, a function of chart rows of shape (m, n) that is
 negative exactly on the rows inside, and an optional ``distances`` kernel.
-The built-in oracles supply both in numpy: the unit ball's quadric and the
-model domain's negated leaf coordinate, with their own kernels (closed
-forms on the quadrics, a column march on the other model domains).  A
-domain with no kernel takes its chord ends from one vectorized march on
-``value`` (exponential bracketing, then 52 exact halvings;
-:mod:`cuspbend._hilbert_kernels`) for every pair at once.  A single pair
-is a batch of one row.
+The built-in oracles supply both, vectorized over rows:
+
+* The unit ball and the model domain of type t = 0 are quadrics, so each
+  end solves A v^2 + 2 B v - C = 0 with C > 0 (the point is interior) and
+  is that equation's positive root, in a cancellation-free closed form
+  (Klein model; Papadopoulos-Troyanov, *Handbook of Hilbert Geometry*, EMS
+  2014).
+* The model domains of type t >= 1 march with their own ray test on the
+  chart columns.  A ray whose direction cannot make the leaf value fall is
+  marked unbounded before the march.
+
+A domain with no kernel takes its chord ends from one march on ``value``
+over all rays at once; a single pair is a batch of one row.  The march
+doubles the line parameter outward until the domain is exited (past
+``U_CAP`` the chord never leaves the chart), up to about 60 doubling tests,
+then halves the bracket exactly ``HALVINGS`` = 52 times on every row, with
+no mask.  The bracket [2^j, 2^(j+1)] is one binade, so its first 52
+midpoints are exact and the 52nd halving leaves it one ulp wide, at the
+float fixed point.  A bisection that stops each row there evaluates the
+same midpoints and makes the same choices, so the ends and distances keep
+their bits.  The march needs nothing but a value function that is negative
+inside, so it is also the reference route for the closed forms:
+``verify``'s ``hilbert.klein-agreement`` compares the Klein formula against
+the march on the ball, and ``hilbert.projective-naturality`` against the
+march on a moved ball's own ``value``.
 
 A domain moved by ``transformed_oracle`` answers every question on its
-base, since projective maps are Hilbert isometries: distances, chord ends
-and the convexity scan pull the points back through g^-1 with one matmul
-(a domain moved twice pulls back through the composite), divide by the
-last homogeneous coordinate whatever its sign, and run the base's kernel or
-march.  Chord ends are pushed forward through g as homogeneous points.  The
-moved domain's own ``value`` does the same pull-back, and a row on the
-pulled-back hyperplane at infinity is outside.
+base, since projective maps are Hilbert isometries.  Its points are pulled
+back through g^-1 (a domain moved twice, through the composite), divided by
+the last homogeneous coordinate whatever its sign, and run through the
+base's kernel or march.  A distance or chord call pulls back three times:
+X and Y stacked for the interiority check on the moved domain's own
+``value``, then X and Y each for the base's route.  Chord ends are pushed
+forward through g as homogeneous points.  A row on the pulled-back
+hyperplane at infinity is outside.
 
 Everything here is float; the identities tested are metric, not algebraic.
-A chord that never leaves the affine chart at one end (the model cusp
-domains are unbounded in their chart) meets the boundary there at the
-chord's point at infinity, so its distance stays finite; ``chord_boundary``
-tags such an end as unbounded.  Single pairs and batches share one input
-contract: a point that is not finite and strictly interior is a
-``ValueError``.
+An end of a chord that never leaves the affine chart (the model cusp
+domains are unbounded in their chart) lies at the chord's point at
+infinity (v = inf) and drops its factor, so the distance stays finite;
+``chord_boundary`` tags such an end as unbounded.  When both ends do, they
+are that same point, the cross ratio is 1 and the distance 0: the chord
+lies in the domain, or x and y are closer than the march resolves.  Single
+pairs and batches share one input contract: a point that is not finite and
+strictly interior is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -39,9 +63,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _hilbert_kernels as _kernels
 from .cusp_models import CuspParameter, ModelDomain
 from .projlin import DEFAULT_TOL, ProjMap, ProjPoint, act, compose, inverse
+
+U_CAP = 1e18
+# float64 significand bits: halvings that take a binade to one ulp
+HALVINGS = 52
+# points tested along a chord by convexity_scan
+CONVEXITY_SAMPLES = 64
 
 
 class ConvexityViolation(RuntimeError):
@@ -108,27 +137,25 @@ def _pull(g_inv: ProjMap, P: np.ndarray):
 
 def ball_oracle(n: int) -> ConvexDomainOracle:
     """The open unit ball in the chart x_{n+1} = 1 (Klein model)."""
-    return ConvexDomainOracle(n, _kernels._ball_value_np, _kernels.ball_distances)
+    return ConvexDomainOracle(n, _ball_value, _ball_distances)
 
 
 def model_domain_oracle(psi: CuspParameter) -> ConvexDomainOracle:
     """Oracle for the model cusp domain of a type t < n parameter."""
     t = ModelDomain(psi).psi.type
     psi_t = np.array([float(x) for x in psi.psi[:t]], dtype=np.float64)
-    return ConvexDomainOracle(psi.n, lambda P: _kernels._model_value_np(P, psi_t, t),
-                              lambda X, Y: _kernels.model_distances(X, Y, psi_t, t))
+    return ConvexDomainOracle(psi.n, lambda P: _model_value(P, psi_t, t),
+                              lambda X, Y: _model_distances(X, Y, psi_t, t))
 
 
 def transformed_oracle(dom: ConvexDomainOracle, g: ProjMap) -> MovedOracle:
     """Oracle for the image g(domain), answered on the domain.
 
-    A projective map is an isometry of the Hilbert metric, so every route
-    (:func:`hilbert_distances`, :func:`chord_boundary`,
+    Every route (:func:`hilbert_distances`, :func:`chord_boundary`,
     :func:`convexity_scan`) pulls its points back through g^-1 and runs on
-    the base domain: its kernel, or the march on its ``value``.  The image's
-    own ``value`` pulls back the same way.  Moving a moved domain moves its
-    base by the composite map, so every pull-back is one matmul.  g^-1 is
-    computed here, once, and kept on the float g.
+    the base domain, and so does the image's own ``value``.  Moving a moved
+    domain moves its base by the composite map, so each pull-back is one
+    matmul.  g^-1 is computed here, once, and kept on the float g.
     """
     g = g.to_float()
     if isinstance(dom, MovedOracle):
@@ -178,7 +205,7 @@ def _require_interior_rows(dom: ConvexDomainOracle, X: np.ndarray, Y: np.ndarray
     """The input contract: every point finite and strictly interior.  A
     batch names the first offending row, a single pair only the point.  One
     ``value`` call tests X and Y stacked (one pull-back on a moved domain)."""
-    bad_x, bad_y = np.split(~_kernels.interior(dom.value, np.vstack([X, Y])), 2)
+    bad_x, bad_y = np.split(~_interior(dom.value, np.vstack([X, Y])), 2)
     rows = np.flatnonzero(bad_x | bad_y)
     if rows.size:
         i = int(rows[0])
@@ -189,9 +216,8 @@ def _require_interior_rows(dom: ConvexDomainOracle, X: np.ndarray, Y: np.ndarray
 def chord_boundary(dom: ConvexDomainOracle, x, y) -> ChordIntersection:
     """Locate the two boundary points of the chord through interior x, y.
 
-    The march runs on the base domain's ``value`` at the pulled-back points:
-    up to about 60 doubling tests, then 52 exact halvings to the float fixed
-    point of bisection.  The bounded ends are pushed forward to homogeneous
+    The march runs on the base domain's ``value`` at the pulled-back points.
+    The bounded ends are pushed forward to homogeneous
     points, which on a moved domain may lie on its chart's hyperplane at
     infinity.  ``residual`` is the wider final bracket of the two bounded
     ends in base chart units, one ulp of u times |d|.
@@ -203,7 +229,7 @@ def chord_boundary(dom: ConvexDomainOracle, x, y) -> ChordIntersection:
     _require_interior_rows(dom, xc[None], yc[None], batch=False)
     base, X, Y = dom.on_base(xc[None], yc[None])
     # ray from x along d ends at z2 = x + u d, ray from y along -d at z1 = y - s d
-    (u, s), widths = _kernels.value_march(base.value, X, Y)
+    (u, s), widths = value_march(base.value, X, Y)
     xb, yb = X[0], Y[0]
     d = yb - xb
     bounded = ~np.isnan([u, s])
@@ -245,10 +271,8 @@ def hilbert_distance(dom: ConvexDomainOracle, x, y) -> float:
     """Hilbert distance between interior points: :func:`hilbert_distances`
     on one row, with the bad-input message naming only the point.
 
-    An end of the chord that never leaves the chart meets the boundary at
-    the chord's point at infinity.  When both ends do, they meet it at the
-    same point, so the cross ratio is 1 and the distance 0 (use
-    chord_boundary directly for the diagnostic).
+    When both ends of the chord lie at its point at infinity, the distance
+    is 0 (use chord_boundary directly for the diagnostic).
     """
     X = _as_chart(x, dom.n)[None]
     Y = _as_chart(y, dom.n)[None]
@@ -257,16 +281,9 @@ def hilbert_distance(dom: ConvexDomainOracle, x, y) -> float:
 
 
 def hilbert_distances(dom: ConvexDomainOracle, X, Y) -> np.ndarray:
-    """Batch distances for row-paired chart points.
-
-    A domain with its own ``distances`` kernel runs it: the unit ball and
-    the type-0 model domain are quadrics and take their chord ends in closed
-    form; model domains of type t >= 1 march every row at once with their
-    own ray test (:mod:`cuspbend._hilbert_kernels`).  Every other domain
-    runs the march on its ``value`` function, and a moved domain runs its
-    base's route on the points pulled back through g^-1.  The march is also
-    the independent route to the closed forms: ``verify`` checks the Klein
-    formula against it on the ball, and on a moved ball's own ``value``.
+    """Batch distances for row-paired chart points: the domain's own
+    ``distances`` kernel, else the march on its ``value``; a moved domain
+    runs its base's route on the points pulled back through g^-1.
     Interiority is checked on the domain's own ``value`` first, so bad input
     raises the ValueError of :func:`hilbert_distance`, prefixed with the
     first offending row.
@@ -285,7 +302,7 @@ def _distances(dom: ConvexDomainOracle, X: np.ndarray, Y: np.ndarray) -> np.ndar
     base, X, Y = dom.on_base(X, Y)
     if base.distances is not None:
         return base.distances(X, Y)
-    return _kernels.value_distances(base.value, X, Y)
+    return value_distances(base.value, X, Y)
 
 
 def klein_distance(x, y):
@@ -306,14 +323,203 @@ def klein_distance(x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def convexity_scan(dom: ConvexDomainOracle, x, y, samples: int = 64) -> None:
-    """Diagnostic: the open chord between two interior points must meet the
-    interior in a single interval; on a moved domain, the chord between the
-    pulled-back points in the base chart.  Raises ConvexityViolation
-    otherwise."""
+def convexity_scan(dom: ConvexDomainOracle, x, y) -> None:
+    """Diagnostic: the open chord between two interior points, tested at
+    ``CONVEXITY_SAMPLES`` points, must meet the interior in a single
+    interval; on a moved domain, the chord between the pulled-back points
+    in the base chart.  Raises ConvexityViolation otherwise."""
     base, X, Y = dom.on_base(_as_chart(x, dom.n)[None], _as_chart(y, dom.n)[None])
-    ts = np.linspace(0.0, 1.0, samples)[:, None]
-    inside = _kernels.interior(base.value, X + ts * (Y - X))
+    ts = np.linspace(0.0, 1.0, CONVEXITY_SAMPLES)[:, None]
+    inside = _interior(base.value, X + ts * (Y - X))
     runs = int(inside[0]) + int(np.count_nonzero(inside[1:] & ~inside[:-1]))
     if runs > 1:
         raise ConvexityViolation(f"interior met in {runs} intervals along tested chord")
+
+
+# ---------------------------------------------------------------------------
+# value functions
+
+
+def _ball_value(P):
+    return np.sum(P * P, axis=1) - 1.0
+
+
+def _model_value(P, psi, t):
+    """Negated leaf coordinate of the rows of P: negative inside the model
+    domain, inf where a log coordinate is nonpositive."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        v = -_leaf_value(P.T, psi, t)
+    v[np.isnan(v)] = np.inf
+    return v
+
+
+def _leaf_value(cols, psi, t):
+    """Leaf coordinate from the (n, rows) array of chart coordinate columns:
+    positive inside the model domain; a nonpositive log coordinate makes it
+    -inf or nan.  One log over the t log rows and one product for the free
+    squares, (0.5 x) x as 0.5 * x * x evaluates, summed in column order."""
+    c = cols[0]
+    logs = np.log(cols[1:1 + t])
+    for k in range(t):
+        c = c + psi[k] * logs[k]
+    free = cols[1 + t:]
+    for sq in (0.5 * free) * free:
+        c = c - sq
+    return c
+
+
+# ---------------------------------------------------------------------------
+# closed form on the quadrics
+
+
+def _dot(P, Q):
+    return np.einsum("ij,ij->i", P, Q)
+
+
+def _quadric_root(A, B, C):
+    """Positive root of A v^2 + 2 B v - C = 0 for C > 0, cancellation-free;
+    inf when A = 0 and B < 0 (the ray never leaves the domain)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = np.sqrt(B * B + A * C)
+        return np.where(B > 0.0, C / (B + r), (r - B) / A)
+
+
+def _quadric_distances(end, X, Y):
+    """Distances from ``end(P, E)``, the end parameter w of the ray P + w E.
+
+    E is d scaled to largest entry 1, so no scale of d under- or overflows
+    the quadric's coefficients; the end parameter along d is v = w / m."""
+    D = Y - X
+    m = np.max(np.abs(D), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        E = D / m[:, None]
+        out = 0.5 * (np.log1p(m / end(Y, E)) + np.log1p(m / end(X, -E)))
+    out[m == 0.0] = 0.0
+    return out
+
+
+def _ball_end(P, E):
+    # |P + w E|^2 = 1
+    return _quadric_root(_dot(E, E), _dot(P, E), -_ball_value(P))
+
+
+def _model0_end(P, E):
+    # leaf value P_0 + w E_0 - 1/2 |P' + w E'|^2 = 0, doubled
+    Pf, Ef = P[:, 1:], E[:, 1:]
+    return _quadric_root(_dot(Ef, Ef), _dot(Pf, Ef) - E[:, 0], 2.0 * _leaf_value(P.T, (), 0))
+
+
+# ---------------------------------------------------------------------------
+# the march
+
+
+def _march(inside, unbounded):
+    """End parameter u >= 1 of every ray, nan where it is unbounded, and the
+    width of its final bracket.
+
+    ``inside(u)`` tells which rays are inside the domain at parameter u; its
+    floating-point warnings (rows off the domain or the chart) are silenced.
+    Up to about 60 doubling tests leave each bounded ray the bracket
+    [2^j, 2^(j+1)] and each unbounded one the width 0.  Then every row is
+    halved ``HALVINGS`` times with no mask: ``lo + w`` is the exact
+    midpoint 0.5 (lo + hi), so the march evaluates the midpoints that a
+    bisection stopping each row at the float fixed point evaluates, and
+    ends with its u and widths, one ulp of u each."""
+    lo = np.ones(unbounded.shape[0])
+    hi = np.full(unbounded.shape[0], 2.0)
+    unbounded = unbounded.copy()
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        while True:
+            step = inside(hi) & ~unbounded
+            if not step.any():
+                break
+            lo[step] = hi[step]
+            hi[step] *= 2.0
+            unbounded |= hi > U_CAP
+        w = np.where(unbounded, 0.0, hi - lo)
+        for _ in range(HALVINGS):
+            w *= 0.5
+            mid = lo + w
+            np.copyto(lo, mid, where=inside(mid))
+    hi = lo + w
+    u = 0.5 * (lo + hi)
+    u[unbounded] = np.nan
+    return u, hi - lo
+
+
+def _rays(X, Y):
+    """Both rays of every chord, stacked: from x along d, then from y along -d."""
+    D = Y - X
+    return np.vstack([X, Y]), np.vstack([D, -D])
+
+
+def _march_distances(ends):
+    """Distances from the end parameters of the rays of :func:`_rays`."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        u, s = np.split(ends, 2)
+        out = 0.5 * np.log(s * u / ((s - 1.0) * (u - 1.0)))
+        out = np.where(np.isnan(u), 0.5 * np.log(s / (s - 1.0)), out)
+        out = np.where(np.isnan(s), 0.5 * np.log(u / (u - 1.0)), out)
+    # both ends at the chord's one point at infinity (x = y among them): cross ratio 1
+    out[np.isnan(u) & np.isnan(s)] = 0.0
+    return out
+
+
+def _model_inside(P, E, psi, t):
+    """Which rays P + u E are inside the model domain: all chart columns as
+    one contiguous (n, rows) array u E^T + P^T per test, each entry the
+    p + u e of its column."""
+    PT, ET = np.ascontiguousarray(P.T), np.ascontiguousarray(E.T)
+    return lambda u: _leaf_value(u * ET + PT, psi, t) > 0.0
+
+
+def _model_ray_stays(E, t):
+    """Rays along which the leaf value cannot fall, psi_k > 0 for k < t: log
+    coordinates nondecreasing, free coordinates fixed, first one nondecreasing."""
+    return (np.all(E[:, 1:1 + t] >= 0.0, axis=1) & np.all(E[:, 1 + t:] == 0.0, axis=1)
+            & (E[:, 0] >= 0.0))
+
+
+# ---------------------------------------------------------------------------
+# interiority, the march on a value function, the built-in kernels
+
+
+def _interior(value_fn, P):
+    """Rows of P that are finite points strictly inside the domain of a value
+    function."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return np.all(np.isfinite(P), axis=1) & (value_fn(P) < 0.0)
+
+
+def value_march(value_fn, X, Y):
+    """End parameters and final bracket widths of both rays of every chord
+    (see :func:`_rays`), by the march on a value function of chart rows that
+    is negative inside."""
+    P, E = _rays(X, Y)
+    return _march(lambda u: value_fn(P + u[:, None] * E) < 0.0,
+                  np.zeros(P.shape[0], dtype=bool))
+
+
+def value_distances(value_fn, X, Y) -> np.ndarray:
+    """Hilbert distances by the march on a value function that is negative
+    inside."""
+    return _march_distances(value_march(value_fn, X, Y)[0])
+
+
+def _ball_distances(X, Y) -> np.ndarray:
+    """Hilbert distances between row-paired interior points of the unit ball."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
+    return _quadric_distances(_ball_end, X, Y)
+
+
+def _model_distances(X, Y, psi, t: int) -> np.ndarray:
+    """Hilbert distances between row-paired interior points of the model
+    cusp domain with parameter psi (type t)."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
+    if t == 0:
+        return _quadric_distances(_model0_end, X, Y)
+    psi = np.ascontiguousarray(psi, dtype=np.float64)
+    P, E = _rays(X, Y)
+    return _march_distances(_march(_model_inside(P, E, psi, t), _model_ray_stays(E, t))[0])

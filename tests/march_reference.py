@@ -5,7 +5,7 @@ Kept apart from the program as the tests' reference."""
 
 import numpy as np
 
-from cuspbend._hilbert_kernels import U_CAP
+from cuspbend.hilbert import U_CAP
 
 MAX_BISECT = 200
 

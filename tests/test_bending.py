@@ -23,6 +23,7 @@ from cuspbend.bending import (
     iterated_bend,
     parse_word,
 )
+from cuspbend.cli import main
 from cuspbend.cusp_classify import RectangularCuspData, bent_cusp_generators, standard_cusp_generators
 from cuspbend.cusp_models import hyperplane_centralizer_element
 from cuspbend import projlin
@@ -300,6 +301,56 @@ def test_iterated_bend_rejects_non_commuting_centralizers():
         iterated_bend(rep, [m1, m2])
 
 
+def _off_centralizer_case():
+    """n = 3, g2 (b = 1) and g3 (b = 0.8) with their commutator relator, and
+    one HNN move on g2 whose centralizer diag(1, e^0.5, 1, 1) is off by 1e-6
+    at entry [2][3]: it fails to commute with g3, and the bent relator fails,
+    by about 1e-6, far above the default tol and far below 1e-3."""
+    rep = cusp_fixture_rep(RectangularCuspData(3, b=[1.0, 0.8], s=[0.0, 0.0]))
+    c = np.diag([1.0, np.exp(0.5), 1.0, 1.0])
+    c[2, 3] += 1e-6
+    dec = Decomposition("hnn", base=["g3"], stable="g2", edge_words=[["g3"]])
+    return rep, BendingMove(dec, ProjMap(c))
+
+
+def test_bend_checks_relators_at_its_tol():
+    """A bend's tol governs its relator checks too, not only the centralizer
+    check: the move passes at 1e-3, and fails on its centralizer at the
+    default tol."""
+    rep, move = _off_centralizer_case()
+    assert rep.relators == ((("g2", 1), ("g3", 1), ("g2", -1), ("g3", -1)),)
+    out = iterated_bend(rep, [move], tol=1e-3)
+    assert proj_equiv(out.generators["g2"], compose(move.centralizer, rep.generators["g2"]),
+                      1e-14)
+    bend(rep, move, tol=1e-3)
+    with pytest.raises(CentralizerCheckFailed, match="move 0: centralizer does not commute"):
+        iterated_bend(rep, [move])
+
+
+def test_bend_tol_option_reaches_the_relators(tmp_path, capsys):
+    rep, move = _off_centralizer_case()
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps({"rep": rep.to_json(), "moves": [move.to_json()]}))
+    out = tmp_path / "bent.json"
+    assert main(["bend", "--in", str(bundle), "--out", str(out), "--tol", "1e-3"]) == 0
+    # the output's relators hold to 1e-3 only, so it is read without MarkedRep's check
+    assert sorted(json.loads(out.read_text())["generators"]) == ["g2", "g3"]
+    assert main(["bend", "--in", str(bundle), "--out", str(out)]) == 2
+    assert "move 0: centralizer does not commute" in capsys.readouterr().err
+
+
+def test_wrong_dimension_centralizer_names_both_dimensions():
+    rep = fixture_rep()                                # n = 4
+    c = ProjMap.identity(3, exact=False)
+    dec = Decomposition("hnn", base=["g3", "g4"], stable="g2", edge_words=[["g3"]])
+    with pytest.raises(ValueError, match="3 vs 4"):
+        iterated_bend(rep, [BendingMove(dec, c)])
+    with pytest.raises(ValueError, match="3 vs 4"):
+        centralizes_check(c, [["g3"]], rep)
+    with pytest.raises(ValueError, match="3 != representation dimension 4"):
+        bend(rep, BendingMove(dec, c))
+
+
 def test_relators_survive_bending():
     data = RectangularCuspData(5, b=[1.0, 0.8, 1.3, 0.6], s=[0.7, 0.0, 0.3, 1.2])
     rep = cusp_fixture_rep(data)
@@ -396,7 +447,7 @@ def test_stacked_verdicts_match_per_word_evaluation(mode, data):
     cases = []                         # (key, reference verdict)
 
     def add(lhs, rhs, want):
-        key = (n, lhs, rhs, tol)
+        key = (lhs, rhs, tol)
         checks.require(*key, len(cases))
         cases.append((key, want))
 

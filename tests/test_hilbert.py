@@ -7,9 +7,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from cuspbend import _hilbert_kernels as _kernels
-from cuspbend import verify
-from cuspbend._hilbert_kernels import value_distances
+from cuspbend import hilbert, verify
 from cuspbend.cusp_models import CuspParameter, INTERIOR, ModelDomain, leaf_coordinate
 from cuspbend.hilbert import (
     ConvexDomainOracle,
@@ -24,6 +22,7 @@ from cuspbend.hilbert import (
     klein_distance,
     model_domain_oracle,
     transformed_oracle,
+    value_distances,
 )
 from cuspbend.projlin import ProjMap, ProjPoint, act, inverse
 from march_reference import (ref_march, ref_model_inside, ref_model_value,
@@ -737,17 +736,17 @@ def _both_marches(case):
     """(u, widths) of the program's march and of the masked reference."""
     kind, psi, t, G, X, Y = case
     if kind == "model":
-        P, E = _kernels._rays(X, Y)
-        stays = _kernels._model_ray_stays(E, t)
-        return (_kernels._march_np(_kernels._model_inside(P, E, psi, t), stays),
+        P, E = hilbert._rays(X, Y)
+        stays = hilbert._model_ray_stays(E, t)
+        return (hilbert._march(hilbert._model_inside(P, E, psi, t), stays),
                 ref_march(ref_model_inside(P, E, psi, t), stays))
     if kind == "model-value":
-        return (_kernels.value_march(lambda P: _kernels._model_value_np(P, psi, t), X, Y),
+        return (hilbert.value_march(lambda P: hilbert._model_value(P, psi, t), X, Y),
                 ref_value_march(lambda P: ref_model_value(P, psi, t), X, Y))
-    value = _kernels._ball_value_np
+    value = hilbert._ball_value
     if G is not None:
         value = transformed_oracle(ball_oracle(X.shape[1]), ProjMap(G)).value
-    return _kernels.value_march(value, X, Y), ref_value_march(value, X, Y)
+    return hilbert.value_march(value, X, Y), ref_value_march(value, X, Y)
 
 
 def _same_bytes(marches):
@@ -769,7 +768,7 @@ def test_fixed_halvings_match_masked_bisection(kind, n, t, data):
 def test_51_halvings_fail_the_march_reference(monkeypatch):
     """Negative control: one halving short of the float fixed point, the
     property finds a differing case for every kind of ray."""
-    monkeypatch.setattr(_kernels, "HALVINGS", 51)
+    monkeypatch.setattr(hilbert, "HALVINGS", 51)
     for kind, n, t in MARCH_KINDS:
         find(_march_case(kind, n, t), lambda case: not _same_bytes(_both_marches(case)),
              settings=settings(max_examples=50, database=None, phases=[Phase.generate]))

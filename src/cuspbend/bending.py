@@ -22,8 +22,9 @@ the identity in the new state; with ``verify_order``, the same for the
 moves in a random order, and both results agree on every generator.
 :func:`bend` is the one-move case.  A bend makes every check at its own
 ``tol``; a :class:`MarkedRep` checks its relators on construction, at
-``DEFAULT_TOL``.  The generator sets are built first, with the same
-:func:`compose` calls in the same order as one move at a time; then
+``DEFAULT_TOL``, and when read by ``from_json``, at its ``tol`` (the
+``bend --tol`` of the CLI).  The generator sets are built first, with the
+same :func:`compose` calls in the same order as one move at a time; then
 every check is decided in one stacked pass (words compiled once to letter
 indices, the words' products formed as stacked matmuls and compared by one
 row-wise :func:`~cuspbend.projlin.proj_equiv_rows`), and the first check
@@ -100,8 +101,8 @@ def word_to_json(word: Word) -> list:
 @dataclass(frozen=True)
 class MarkedRep:
     """Finite generating set of named projective maps, with optional relators
-    (checked projectively, at ``DEFAULT_TOL``, on construction when
-    supplied)."""
+    (checked projectively when supplied: at ``DEFAULT_TOL`` on construction,
+    at the given tol by :meth:`from_json`)."""
 
     n: int
     generators: dict
@@ -151,8 +152,7 @@ class MarkedRep:
         """Raise RelatorViolation for the first relator whose image is not
         the identity at ``DEFAULT_TOL`` (all relators are decided in one
         stacked pass)."""
-        checks = _Checks(self.n, self.generators)
-        checks.run(_require_relators, checks, self, self.generators, DEFAULT_TOL)
+        _check_relators(self, DEFAULT_TOL)
 
     def to_json(self) -> dict:
         return {
@@ -162,10 +162,13 @@ class MarkedRep:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "MarkedRep":
+    def from_json(cls, data: dict, tol: float = DEFAULT_TOL) -> "MarkedRep":
+        """The representation of ``data``, its relators checked at ``tol``."""
         gens = {name: matrix_from_json(rows)
                 for name, rows in require_json(data["generators"], "rep.generators", dict).items()}
-        return cls(require_int(data["n"], "rep.n"), gens, data.get("relators"))
+        rep = cls(require_int(data["n"], "rep.n"), gens, data.get("relators"), check=False)
+        _check_relators(rep, tol)
+        return rep
 
 
 @dataclass(frozen=True)
@@ -422,6 +425,11 @@ def _require_dimension(maps: Sequence[ProjMap], n: int) -> None:
     for m in maps:
         if m.n != n:
             raise ValueError(f"dimension mismatch: {m.n} vs {n}")
+
+
+def _check_relators(rep: MarkedRep, tol: float) -> None:
+    checks = _Checks(rep.n, rep.generators)
+    checks.run(_require_relators, checks, rep, rep.generators, tol)
 
 
 def require_pairwise_commuting(maps: Sequence[ProjMap], tol: float, failure) -> None:

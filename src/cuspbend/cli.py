@@ -224,7 +224,7 @@ def _write_svg(path, xs, series, title, xlabel, ylabel) -> None:
 
 def _cmd_bend(args) -> int:
     bundle = _load_json(args.input)
-    rep = MarkedRep.from_json(bundle["rep"])
+    rep = MarkedRep.from_json(bundle["rep"], tol=args.tol)
     moves = [BendingMove.from_json(m) for m in bundle.get("moves", [])]
     result = iterated_bend(rep, moves, tol=args.tol,
                            verify_order=args.verify_order,

@@ -21,15 +21,24 @@ The built-in oracles supply both, vectorized over rows:
 
 A domain with no kernel takes its chord ends from one march on ``value``
 over all rays at once; a single pair is a batch of one row.  The march
-doubles the line parameter outward until the domain is exited (past
-``U_CAP`` the chord never leaves the chart), up to about 60 doubling tests,
-then halves the bracket exactly ``HALVINGS`` = 52 times on every row, with
-no mask.  The bracket [2^j, 2^(j+1)] is one binade, so its first 52
-midpoints are exact and the 52nd halving leaves it one ulp wide, at the
-float fixed point.  A bisection that stops each row there evaluates the
-same midpoints and makes the same choices, so the ends and distances keep
-their bits.  The march needs nothing but a value function that is negative
-inside, so it is also the reference route for the closed forms:
+tests the rays through an ``inside`` function of an (m, rows) array of line
+parameters, m per ray.  It doubles the parameter outward until the domain
+is exited (past ``U_CAP`` the chord never leaves the chart), up to about 60
+doubling tests of one parameter per ray, then halves the bracket exactly
+``HALVINGS`` = 52 times on every row, with no mask, k levels of the
+bisection tree per test.  A test takes the 2^k - 1 points lo + i w/2^k of
+every row, and each row keeps the point that k one-level halvings keep:
+its count of leading Trues when its column is monotone, else the levels
+walked one by one.  k follows from the row count alone: the largest with
+(2^k - 1) rows <= ``LEVEL_POINTS`` = 256, at least 1 (5 at 8 rays, 7 at 2,
+1 from 86 rays on, where a test is one midpoint per ray), and a shorter
+last step takes the rest of the 52.  The bracket [2^j, 2^(j+1)] is one
+binade, so its first 52 midpoints are exact and the 52nd halving leaves it
+one ulp wide, at the float fixed point.  A bisection that stops each row
+there evaluates the same midpoints and makes the same choices, so the ends
+and distances keep their bits.  The march needs nothing but a value
+function that is negative inside, so it is also the reference route for
+the closed forms:
 ``verify``'s ``hilbert.klein-agreement`` compares the Klein formula against
 the march on the ball, and ``hilbert.projective-naturality`` against the
 march on a moved ball's own ``value``.
@@ -69,6 +78,8 @@ from .projlin import DEFAULT_TOL, ProjMap, ProjPoint, act, compose, inverse
 U_CAP = 1e18
 # float64 significand bits: halvings that take a binade to one ulp
 HALVINGS = 52
+# most points, over all rays, that one test of the march's halvings takes
+LEVEL_POINTS = 256
 # points tested along a chord by convexity_scan
 CONVEXITY_SAMPLES = 64
 
@@ -417,34 +428,69 @@ def _march(inside, unbounded):
     """End parameter u >= 1 of every ray, nan where it is unbounded, and the
     width of its final bracket.
 
-    ``inside(u)`` tells which rays are inside the domain at parameter u; its
-    floating-point warnings (rows off the domain or the chart) are silenced.
-    Up to about 60 doubling tests leave each bounded ray the bracket
-    [2^j, 2^(j+1)] and each unbounded one the width 0.  Then every row is
-    halved ``HALVINGS`` times with no mask: ``lo + w`` is the exact
-    midpoint 0.5 (lo + hi), so the march evaluates the midpoints that a
-    bisection stopping each row at the float fixed point evaluates, and
-    ends with its u and widths, one ulp of u each."""
+    ``inside(U)`` tells which rays are inside the domain at the parameters
+    U, an (m, rows) array with one column per ray; its floating-point
+    warnings (rows off the domain or the chart) are silenced.  Up to about
+    60 doubling tests leave each bounded ray the bracket [2^j, 2^(j+1)] and
+    each unbounded one the width 0.  Then every row is halved ``HALVINGS``
+    times with no mask, k levels per ``inside`` call (see
+    :func:`_halving_steps`): with w the bracket width divided by 2^k, one
+    call tests the 2^k - 1 points lo + i w, and :func:`_bisection_path`
+    takes the point that k one-level halvings keep; at k = 1 the call tests
+    the one midpoint lo + w.  Within the binade every such point is exact,
+    so the march evaluates the midpoints that a bisection stopping each row
+    at the float fixed point evaluates, and ends with its u and widths, one
+    ulp of u each."""
     lo = np.ones(unbounded.shape[0])
     hi = np.full(unbounded.shape[0], 2.0)
     unbounded = unbounded.copy()
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         while True:
-            step = inside(hi) & ~unbounded
+            step = inside(hi[None])[0] & ~unbounded
             if not step.any():
                 break
             lo[step] = hi[step]
             hi[step] *= 2.0
             unbounded |= hi > U_CAP
         w = np.where(unbounded, 0.0, hi - lo)
-        for _ in range(HALVINGS):
-            w *= 0.5
-            mid = lo + w
-            np.copyto(lo, mid, where=inside(mid))
+        steps = _halving_steps(unbounded.shape[0])
+        offsets = {k: np.arange(1.0, 2 ** k)[:, None] for k in set(steps)}
+        for k in steps:
+            w *= 0.5 ** k
+            if k == 1:
+                mid = lo + w
+                np.copyto(lo, mid, where=inside(mid[None])[0])
+            else:
+                lo += _bisection_path(inside(lo + offsets[k] * w)) * w
     hi = lo + w
     u = 0.5 * (lo + hi)
     u[unbounded] = np.nan
     return u, hi - lo
+
+
+def _halving_steps(rows):
+    """Levels per ``inside`` call of the march's ``HALVINGS`` halvings on
+    ``rows`` rays: k, the largest with (2^k - 1) rows <= ``LEVEL_POINTS``
+    (at least 1), and a shorter last step for the remainder."""
+    k = max(1, (LEVEL_POINTS // max(rows, 1) + 1).bit_length() - 1)
+    return [k] * (HALVINGS // k) + [HALVINGS % k] * (HALVINGS % k > 0)
+
+
+def _bisection_path(B):
+    """Offsets i in 0 .. m of the points that k one-level halvings keep,
+    from B[i - 1] = inside at lo + i w, an (m, rows) array, m = 2^k - 1.
+    A monotone column (no False before a True) keeps its count of Trues;
+    any other is walked level by level, testing offset i + 2^(k-1-level)."""
+    kept = B.sum(axis=0)
+    rises = B[1:] > B[:-1]
+    if np.count_nonzero(rises):
+        odd = np.flatnonzero(rises.any(axis=0))
+        kept[odd] = 0
+        s = (B.shape[0] + 1) // 2
+        while s:
+            kept[odd] += s * B[kept[odd] + s - 1, odd]
+            s //= 2
+    return kept
 
 
 def _rays(X, Y):
@@ -466,11 +512,11 @@ def _march_distances(ends):
 
 
 def _model_inside(P, E, psi, t):
-    """Which rays P + u E are inside the model domain: all chart columns as
-    one contiguous (n, rows) array u E^T + P^T per test, each entry the
-    p + u e of its column."""
-    PT, ET = np.ascontiguousarray(P.T), np.ascontiguousarray(E.T)
-    return lambda u: _leaf_value(u * ET + PT, psi, t) > 0.0
+    """Which rays P + u E are inside the model domain, at the (m, rows)
+    parameters U: all chart columns as one contiguous (n, m, rows) array
+    U E^T + P^T per test, each entry the p + u e of its column."""
+    PT, ET = np.ascontiguousarray(P.T)[:, None], np.ascontiguousarray(E.T)[:, None]
+    return lambda U: _leaf_value(U * ET + PT, psi, t) > 0.0
 
 
 def _model_ray_stays(E, t):
@@ -494,10 +540,14 @@ def _interior(value_fn, P):
 def value_march(value_fn, X, Y):
     """End parameters and final bracket widths of both rays of every chord
     (see :func:`_rays`), by the march on a value function of chart rows that
-    is negative inside."""
+    is negative inside: the (m, rows) parameters U of one test are m stacked
+    copies of the rays, one ``value_fn`` call on m * rows chart rows."""
     P, E = _rays(X, Y)
-    return _march(lambda u: value_fn(P + u[:, None] * E) < 0.0,
-                  np.zeros(P.shape[0], dtype=bool))
+
+    def inside(U):
+        return (value_fn((P + U[:, :, None] * E).reshape(-1, P.shape[1])) < 0.0).reshape(U.shape)
+
+    return _march(inside, np.zeros(P.shape[0], dtype=bool))
 
 
 def value_distances(value_fn, X, Y) -> np.ndarray:

@@ -335,6 +335,14 @@ def test_bend_tol_option_reaches_the_relators(tmp_path, capsys):
     assert main(["bend", "--in", str(bundle), "--out", str(out), "--tol", "1e-3"]) == 0
     # the output's relators hold to 1e-3 only, so it is read without MarkedRep's check
     assert sorted(json.loads(out.read_text())["generators"]) == ["g2", "g3"]
+    # fed back with no moves, the output is read with its relators checked at --tol
+    again = tmp_path / "again.json"
+    again.write_text(json.dumps({"rep": json.loads(out.read_text()), "moves": []}))
+    assert main(["bend", "--in", str(again), "--out", str(tmp_path / "same.json"),
+                 "--tol", "1e-3"]) == 0
+    assert (tmp_path / "same.json").read_text() == out.read_text()
+    assert main(["bend", "--in", str(again), "--out", str(tmp_path / "same.json")]) == 2
+    assert "does not map to the identity" in capsys.readouterr().err
     assert main(["bend", "--in", str(bundle), "--out", str(out)]) == 2
     assert "move 0: centralizer does not commute" in capsys.readouterr().err
 

@@ -772,3 +772,80 @@ def test_51_halvings_fail_the_march_reference(monkeypatch):
     for kind, n, t in MARCH_KINDS:
         find(_march_case(kind, n, t), lambda case: not _same_bytes(_both_marches(case)),
              settings=settings(max_examples=50, database=None, phases=[Phase.generate]))
+
+
+# ---------------------------------------------------------------------------
+# k bisection levels per inside call
+
+
+def _levels(monkeypatch, rows, k):
+    """Make a march over ``rows`` rays test k levels per ``inside`` call."""
+    monkeypatch.setattr(hilbert, "LEVEL_POINTS", (2 ** k - 1) * rows)
+    assert hilbert._halving_steps(rows) == [k] * (52 // k) + [52 % k] * (52 % k > 0)
+
+
+def _scrambled_inside(U):
+    """Inside below u = 2^5 where a hash of the bits of u and of the ray's
+    column has a zero bit: along a ray, True and False alternate with no
+    order, so the columns of a k-level test are seldom monotone."""
+    bits = np.ascontiguousarray(U).view(np.uint64) ^ np.arange(U.shape[-1], dtype=np.uint64)
+    return (U < 32.0) & ((bits * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(61) < 4)
+
+
+_SCRAMBLED_STAYS = np.array([False, True, False, False, False, False])
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_march_follows_the_one_level_path(monkeypatch, k):
+    """On an ``inside`` that is not monotone along its rays, a march of k
+    levels per call keeps the point that one-level halvings keep: the bytes
+    of the masked reference bisection, at every level count."""
+    _levels(monkeypatch, 6, k)
+    got = hilbert._march(_scrambled_inside, _SCRAMBLED_STAYS)
+    assert _same_bytes((got, ref_march(_scrambled_inside, _SCRAMBLED_STAYS)))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_leading_trues_alone_fail_the_path(monkeypatch, k):
+    """Negative control: a march that keeps each column's count of leading
+    Trues, with no walk of the columns that are not monotone, leaves the
+    reference at every level count above 1."""
+    _levels(monkeypatch, 6, k)
+    monkeypatch.setattr(hilbert, "_bisection_path",
+                        lambda B: np.logical_and.accumulate(B).sum(axis=0))
+    got = hilbert._march(_scrambled_inside, _SCRAMBLED_STAYS)
+    assert not _same_bytes((got, ref_march(_scrambled_inside, _SCRAMBLED_STAYS)))
+
+
+@pytest.mark.parametrize("pairs,halvings", [(4, [(31, 8)] * 10 + [(3, 8)]),
+                                            (1000, [(1, 2000)] * 52)], ids=["8-rays", "2000-rays"])
+def test_march_inside_calls(pairs, halvings):
+    """The mechanism as a count: after its doublings, a type-1 march over 8
+    rays makes ceil(52 / 5) = 11 ``inside`` calls of 31 points per ray (the
+    last of 3), and one over 2000 rays makes 52 calls of one point per ray."""
+    rng = np.random.default_rng(20)
+    psi = np.array([1.3])
+    X, Y = (np.column_stack([rng.uniform(0.1, 2.0, pairs), rng.uniform(0.5, 3.0, pairs),
+                             rng.uniform(-1.0, 1.0, pairs)]) for _ in range(2))
+    for P in (X, Y):
+        P[:, 0] += 0.5 * P[:, 2] ** 2 - psi[0] * np.log(P[:, 1])
+    P, E = hilbert._rays(X, Y)
+    inside, shapes = hilbert._model_inside(P, E, psi, 1), []
+    u, _ = hilbert._march(lambda U: shapes.append(U.shape) or inside(U),
+                          hilbert._model_ray_stays(E, 1))
+    doublings = int(np.max(np.floor(np.log2(u)))) + 1
+    assert shapes == [(1, 2 * pairs)] * doublings + halvings
+
+
+def test_empty_batches_give_empty_results():
+    """Rows of shape (0, n) give an empty float array on every route: the
+    ball, the model domains of type 0 and 1, the march on a value function
+    and a moved domain."""
+    none = np.zeros((0, 3))
+    model1 = model_domain_oracle(CuspParameter([1.0, 0.0, 0.0]))
+    for dom in (ball_oracle(3), model_domain_oracle(CuspParameter([0.0, 0.0, 0.0])), model1,
+                _value_only_ball(3), transformed_oracle(model1, ProjMap(np.diag([1.0, 2.0, 1.0, 1.0])))):
+        out = hilbert_distances(dom, none, none)
+        assert out.shape == (0,) and out.dtype == np.float64
+    for out in hilbert.value_march(hilbert._ball_value, none, none):
+        assert out.shape == (0,) and out.dtype == np.float64

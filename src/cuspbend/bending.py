@@ -162,7 +162,7 @@ class MarkedRep:
         }
 
     @classmethod
-    def from_json(cls, data: dict, tol: float = DEFAULT_TOL) -> "MarkedRep":
+    def from_json(cls, data: dict, *, tol: float) -> "MarkedRep":
         """The representation of ``data``, its relators checked at ``tol``."""
         gens = {name: matrix_from_json(rows)
                 for name, rows in require_json(data["generators"], "rep.generators", dict).items()}

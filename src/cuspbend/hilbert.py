@@ -436,11 +436,11 @@ def _march(inside, unbounded):
     times with no mask, k levels per ``inside`` call (see
     :func:`_halving_steps`): with w the bracket width divided by 2^k, one
     call tests the 2^k - 1 points lo + i w, and :func:`_bisection_path`
-    takes the point that k one-level halvings keep; at k = 1 the call tests
-    the one midpoint lo + w.  Within the binade every such point is exact,
-    so the march evaluates the midpoints that a bisection stopping each row
-    at the float fixed point evaluates, and ends with its u and widths, one
-    ulp of u each."""
+    takes the point that k one-level halvings keep (at k = 1, the midpoint
+    lo + w or lo itself).  Within the binade every such point is exact, so
+    the march evaluates the midpoints that a bisection stopping each row at
+    the float fixed point evaluates, and ends with its u and widths, one ulp
+    of u each."""
     lo = np.ones(unbounded.shape[0])
     hi = np.full(unbounded.shape[0], 2.0)
     unbounded = unbounded.copy()
@@ -457,11 +457,7 @@ def _march(inside, unbounded):
         offsets = {k: np.arange(1.0, 2 ** k)[:, None] for k in set(steps)}
         for k in steps:
             w *= 0.5 ** k
-            if k == 1:
-                mid = lo + w
-                np.copyto(lo, mid, where=inside(mid[None])[0])
-            else:
-                lo += _bisection_path(inside(lo + offsets[k] * w)) * w
+            lo += _bisection_path(inside(lo + offsets[k] * w)) * w
     hi = lo + w
     u = 0.5 * (lo + hi)
     u[unbounded] = np.nan

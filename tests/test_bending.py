@@ -27,7 +27,7 @@ from cuspbend.cli import main
 from cuspbend.cusp_classify import RectangularCuspData, bent_cusp_generators, standard_cusp_generators
 from cuspbend.cusp_models import hyperplane_centralizer_element
 from cuspbend import projlin
-from cuspbend.projlin import ProjMap, compose, inverse, proj_equiv
+from cuspbend.projlin import DEFAULT_TOL, ProjMap, compose, inverse, proj_equiv
 from cuspbend.verify import cusp_bending_moves, cusp_fixture_rep
 
 from equiv_reference import ref_equiv_maps
@@ -138,7 +138,7 @@ def test_cli_shaped_bend_inverts_each_value_once(name, monkeypatch):
     fixture = Path(__file__).parent / "fixtures" / "bend.json"
     case = next(c for c in json.loads(fixture.read_text())["cases"] if c["name"] == name)
     computed = _computed_inversions(monkeypatch)
-    rep = MarkedRep.from_json(case["input"]["rep"])
+    rep = MarkedRep.from_json(case["input"]["rep"], tol=DEFAULT_TOL)
     moves = [BendingMove.from_json(m) for m in case["input"]["moves"]]
     bent = iterated_bend(rep, moves, verify_order=True,
                          rng=np.random.default_rng(int(case["argv"][1])))
@@ -385,7 +385,7 @@ def test_composition_in_parameter_exact():
 def test_rep_and_move_json_roundtrip():
     data = RectangularCuspData(3, b=[1.0, 1.0], s=[0.4, 0.0])
     rep = cusp_fixture_rep(data)
-    back = MarkedRep.from_json(rep.to_json())
+    back = MarkedRep.from_json(rep.to_json(), tol=DEFAULT_TOL)
     for name in rep.names():
         assert np.array_equal(back.generators[name].entries,
                               rep.generators[name].entries)

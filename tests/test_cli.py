@@ -18,7 +18,7 @@ from cuspbend.bending import MAX_WORD_EXPONENT
 from cuspbend.cli import main
 from cuspbend.cusp_classify import RectangularCuspData, bent_cusp_generators
 from cuspbend.hilbert import klein_distance
-from cuspbend.projlin import matrix_from_json, proj_equiv
+from cuspbend.projlin import DEFAULT_TOL, matrix_from_json, proj_equiv
 from cuspbend.verify import cusp_bending_moves, cusp_fixture_rep
 
 
@@ -564,7 +564,7 @@ def test_bend_failure_contract(tmp_path, capsys):
     for case in cases:
         bundle = case["input"]
         with pytest.raises(Exception) as info:
-            rep = MarkedRep.from_json(bundle["rep"])
+            rep = MarkedRep.from_json(bundle["rep"], tol=DEFAULT_TOL)
             moves = [BendingMove.from_json(m) for m in bundle["moves"]]
             iterated_bend(rep, moves, verify_order="--verify-order" in case["argv"],
                           rng=np.random.default_rng(int(case["argv"][1])))

@@ -25,7 +25,6 @@ from .cusp_models import (
     hyperplane_centralizer_element,
     leaf_coordinate,
     leaf_point,
-    paraboloid_eval,
     parabolic_element,
     zprime_element,
 )
@@ -45,8 +44,6 @@ from .bending import (
     Decomposition,
     MarkedRep,
     bend,
-    centralizes_check,
-    commute_check,
     iterated_bend,
 )
 from .cusp_classify import (
@@ -54,10 +51,7 @@ from .cusp_classify import (
     RectangularCuspData,
     bent_cusp_generators,
     conjugate_and_match,
-    diagonalizable_check,
     equivalent_parameters,
-    leaf_invariance_check,
-    normalizing_matrix,
     standard_cusp_generators,
     upper_triangular_check,
 )

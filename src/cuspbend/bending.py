@@ -125,29 +125,6 @@ class MarkedRep:
     def names(self) -> list[str]:
         return list(self.generators)
 
-    def evaluate(self, word) -> ProjMap:
-        """Image of a word in the generators; the empty word gives the
-        identity.  The product starts from the first letter, not from the
-        identity."""
-        word = parse_word(word)
-        result = None
-        for name, exp in word:
-            if name not in self.generators:
-                raise KeyError(f"unknown generator {name!r}")
-            if exp < 0:
-                g = inverse(self.generators[name])
-                exp = -exp
-            else:
-                g = self.generators[name]
-            for _ in range(exp):
-                result = g if result is None else compose(result, g)
-        if result is None:
-            return ProjMap.identity(self.n, exact=self._exact())
-        return result
-
-    def _exact(self) -> bool:
-        return all(g.exact for g in self.generators.values())
-
     def check_relators(self) -> None:
         """Raise RelatorViolation for the first relator whose image is not
         the identity at ``DEFAULT_TOL`` (all relators are decided in one
@@ -304,9 +281,9 @@ class _Checks:
 
     def word(self, state: tuple, word: Word) -> tuple:
         """Letter indices of the image of a word in a state; the empty word
-        is the identity.  Raises where :meth:`MarkedRep.evaluate` would: an
-        inverse is taken when its letter is reached, before an unknown name
-        further on."""
+        is the identity.  Raises where multiplying the word out letter by
+        letter would: an inverse is taken when its letter is reached, before
+        an unknown name further on."""
         compiled = self._codes.get(word)
         if compiled is None:
             compiled = self._codes[word] = self._compile(word)
@@ -441,29 +418,6 @@ def require_pairwise_commuting(maps: Sequence[ProjMap], tol: float, failure) -> 
     _require_dimension(maps, maps[0].n)
     checks = _Checks(maps[0].n)
     checks.run(_require_commuting, checks, maps, tol, failure)
-
-
-def commute_check(c: ProjMap, d: ProjMap, tol: float = DEFAULT_TOL) -> bool:
-    """True iff cd = dc projectively."""
-    try:
-        require_pairwise_commuting([c, d], tol, lambda i, j: NonCommutingMoves())
-    except NonCommutingMoves:
-        return False
-    return True
-
-
-def centralizes_check(c: ProjMap, subgroup_words, rep: MarkedRep,
-                      tol: float = DEFAULT_TOL) -> bool:
-    """True iff c commutes with the image of every listed word; a c of
-    another dimension than rep raises ValueError."""
-    _require_dimension([c], rep.n)
-    checks = _Checks(rep.n, rep.generators)
-    try:
-        checks.run(_require_centralizes, checks, c, map(parse_word, subgroup_words),
-                   checks.state(rep.generators), tol, CentralizerCheckFailed())
-    except CentralizerCheckFailed:
-        return False
-    return True
 
 
 def _bend_step(checks: _Checks, rep: MarkedRep, gens: dict, move: BendingMove,

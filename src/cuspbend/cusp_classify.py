@@ -55,13 +55,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bending import require_pairwise_commuting
-from .cusp_models import CuspParameter, ModelDomain, leaf_coordinate, leaf_point
+from .cusp_models import CuspParameter
 from .projlin import (
     DEFAULT_TOL,
     ProjMap,
-    act,
-    compose,
-    inverse,
     is_exact,
     matrix_to_json,
     scalar_to_json,
@@ -70,8 +67,6 @@ from .projlin import (
 # smallest nonzero bending parameter classified in float mode; below this the
 # new eigenvector degenerates and callers should supply exact mu instead
 MIN_BEND_FLOAT = 1e-8
-# random leaf points tested by leaf_invariance_check
-LEAF_TRIALS = 200
 # random linear combinations tried by diagonalize_commuting
 DIAGONALIZE_TRIES = 10
 
@@ -165,8 +160,9 @@ class ClassifiedCusp:
     form: ``Fraction(0)`` from exact bending data, and otherwise the largest
     |A g - W A|_ij / (|A||g| + |W||A|)_ij over all generators (0/0 read as
     0, NaN kept), about eps on valid data.  Model-form generators
-    (:func:`classify_h_form`) are scored at A = I, with the relative misfit
-    of their corner equations folded in."""
+    (:func:`classify_h_form`) are scored against their own form, an entry
+    off the block pattern against the generator's largest entry, with the
+    relative misfit of their corner equations folded in."""
 
     psi: CuspParameter
     type: int
@@ -331,14 +327,6 @@ def bent_cusp_generators(data: RectangularCuspData) -> list[ProjMap]:
     return _row_maps(gens)
 
 
-def normalizing_matrix(data: RectangularCuspData) -> ProjMap:
-    """Change of basis fixing e_1 that carries each bent generator's new
-    eigenvector to its own basis vector (and dually); identity on unbent
-    coordinates."""
-    _, a_mat, _ = _cusp_arrays(data.b, [data.s], [data.mu])
-    return _row_maps(a_mat)[0]
-
-
 def _intertwining_residuals(gens: np.ndarray, a_mat: np.ndarray,
                             normal: np.ndarray) -> np.ndarray:
     """Scaled residual of A g = W A for every row of float :func:`_cusp_arrays`
@@ -441,43 +429,6 @@ def conjugate_and_match(data: RectangularCuspData,
     return ClassifiedCusp(psi, len(bent), conjugator, residual)
 
 
-@dataclass(frozen=True)
-class LeafInvarianceReport:
-    trials: int
-    max_drift: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_drift <= self.tol
-
-
-def leaf_invariance_check(data: RectangularCuspData, tol: float = DEFAULT_TOL,
-                          rng: Optional[np.random.Generator] = None) -> LeafInvarianceReport:
-    """``LEAF_TRIALS`` random leaf points stay on their leaf under every
-    conjugated generator; reports the maximum leaf-coordinate drift."""
-    rng = rng or np.random.default_rng(0)
-    classified = conjugate_and_match(data, tol=max(tol, 1e-9))
-    psi = CuspParameter([float(x) for x in classified.psi.psi])
-    dom = ModelDomain(psi)
-    t = psi.type
-    conj = classified.conjugator.to_float()
-    conj_inv = inverse(conj)
-    gens = [compose(compose(conj, g.to_float()), conj_inv)
-            for g in bent_cusp_generators(data)]
-    drifts = []
-    for _ in range(LEAF_TRIALS):
-        c = float(rng.uniform(0.0, 3.0))
-        coords = [float(rng.uniform(0.2, 3.0)) for _ in range(t)] + \
-                 [float(rng.uniform(-2.0, 2.0)) for _ in range(psi.n - 1 - t)]
-        p = leaf_point(dom, c, coords)
-        g = gens[rng.integers(len(gens))]
-        c2, _ = leaf_coordinate(dom, act(g, p))
-        drifts.append(abs(float(c2) - c))
-    # np.max keeps a NaN drift, which then fails the report
-    return LeafInvarianceReport(LEAF_TRIALS, float(np.max(drifts, initial=0.0)), tol)
-
-
 def equivalent_parameters(psi: CuspParameter, psi2: CuspParameter,
                           tol: float = DEFAULT_TOL) -> bool:
     """True iff the parameters differ by a positive scalar."""
@@ -506,9 +457,12 @@ def classify_h_form(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL) -> Classi
 
     Each generator m, normalized by its last entry, is scored against the
     form W built from its own slots (d on the leading t diagonal entries, v
-    in the last column and row 0, the corner; the identity elsewhere) by
-    :func:`_intertwining_residuals` at A = I: |m - W| / (|m| + |W|), so an
-    entry off the pattern must be exactly 0.  Least squares solves the
+    in the last column and row 0, the corner; the identity elsewhere): an
+    entry of the pattern (a slot, the copy of v in row 0, the unit
+    diagonal) by |m - W| / (|m| + |W|), and an entry off it, where W is 0,
+    by |m_ij| / max|m|, against the generator's scale.  Rounding noise left
+    off the pattern by a float conjugation then reads at rounding level
+    instead of 1.  Least squares solves the
     corner equations sum_k psi_k log d_k = |v|^2 / 2 - corner for psi; each
     misfit over |log d| |psi| + |v|^2 / 2 + |corner| joins the residual.
     The pattern, then the fit, must be within tol.  The type is t, the
@@ -548,7 +502,11 @@ def classify_h_form(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL) -> Classi
     own[lead, lead] = own[tail, n] = own[0, n] = True
     normal = np.where(own, m, np.eye(n + 1))
     normal[:, 0, tail] = v
-    pattern = _intertwining_residuals(m[None], np.eye(n + 1)[None], normal[None])
+    on = own | np.eye(n + 1, dtype=bool)
+    on[0, tail] = True
+    largest = np.max(np.abs(m), axis=(1, 2), keepdims=True)
+    bound = np.where(on, np.abs(m) + np.abs(normal), largest)
+    pattern = np.max(np.abs(m - normal) / np.where(bound == 0, 1.0, bound)).reshape(1)
     require_normal_form(pattern, tol)
     if all(g.exact for g in gens):
         for i, g in enumerate(gens):
@@ -771,11 +729,3 @@ def diagonalize_commuting(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL,
                 vecs = vecs.real
             return ProjMap(np.linalg.inv(vecs)), residual
     return None, best
-
-
-def diagonalizable_check(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL,
-                         rng: Optional[np.random.Generator] = None) -> bool:
-    """True iff a simultaneous eigenbasis makes every generator diagonal to
-    tol (generators must pairwise commute)."""
-    conj, _ = diagonalize_commuting(gens, tol, rng)
-    return conj is not None

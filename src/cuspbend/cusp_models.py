@@ -30,15 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .projlin import (
-    DEFAULT_TOL,
-    ProjMap,
-    ProjPoint,
-    is_exact,
-    parse_scalar,
-    require_int,
-    scalar_to_json,
-)
+from .projlin import DEFAULT_TOL, ProjMap, ProjPoint, is_exact
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -78,16 +70,6 @@ class CuspParameter:
             raise ValueError("scale factor must be positive")
         return CuspParameter([r * x for x in self.psi])
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "psi": [scalar_to_json(x) for x in self.psi]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CuspParameter":
-        psi = [parse_scalar(x) for x in data["psi"]]
-        if require_int(data["n"], "n") != len(psi):
-            raise ValueError("declared n does not match psi length")
-        return cls(psi)
-
 
 def cusp_type(psi: CuspParameter) -> int:
     """Greatest index with a positive entry (0 when psi = 0)."""
@@ -120,21 +102,6 @@ class CuspGroupElement:
     @property
     def n(self) -> int:
         return self.psi.n
-
-    def inverse(self) -> "CuspGroupElement":
-        return h_element(self.psi, [1 / x for x in self.d], [-x for x in self.v],
-                         log_d=[-l for l in self.log_d])
-
-    def to_json(self) -> dict:
-        return {"d": [scalar_to_json(x) for x in self.d],
-                "v": [scalar_to_json(x) for x in self.v]}
-
-    @classmethod
-    def from_json(cls, psi: CuspParameter, data: dict) -> "CuspGroupElement":
-        # sigma is always recomputed, never trusted from input
-        return h_element(psi,
-                         [parse_scalar(x) for x in data["d"]],
-                         [parse_scalar(x) for x in data["v"]])
 
 
 def h_element(psi: CuspParameter, d, v, log_d=None, sigma=None) -> CuspGroupElement:
@@ -281,33 +248,6 @@ class ParaboloidModel:
         q[0, 0] = q[self.n, self.n] = 0
         q[0, self.n] = q[self.n, 0] = -1
         return ProjMap(q)
-
-
-class FormValue(NamedTuple):
-    value: object
-    tag: str
-
-
-def paraboloid_eval(m: ParaboloidModel, p: ProjPoint,
-                    tol: float = DEFAULT_TOL) -> FormValue:
-    """Evaluate the quadratic form on a point and classify its sign.
-
-    The raw value is returned; classification normalizes by |x|^2 in float
-    mode so the tag is scale-free.
-    """
-    if p.n != m.n:
-        raise ValueError(f"point dimension {p.n} != model dimension {m.n}")
-    x = p.coords
-    q = m.form.num              # integer entries: den is 1
-    val = x @ q @ x
-    if is_exact(val):
-        tag = BOUNDARY if val == 0 else (INTERIOR if val < 0 else EXTERIOR)
-        return FormValue(val, tag)
-    val = float(val)
-    norm = float(np.dot(np.asarray(x, dtype=np.float64), np.asarray(x, dtype=np.float64)))
-    scaled = val / norm
-    tag = BOUNDARY if abs(scaled) <= tol else (INTERIOR if scaled < 0 else EXTERIOR)
-    return FormValue(val, tag)
 
 
 def parabolic_element(m: ParaboloidModel, v) -> ProjMap:

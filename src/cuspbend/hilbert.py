@@ -60,8 +60,10 @@ infinity (v = inf) and drops its factor, so the distance stays finite;
 ``chord_boundary`` tags such an end as unbounded.  When both ends do, they
 are that same point, the cross ratio is 1 and the distance 0: the chord
 lies in the domain, or x and y are closer than the march resolves.  Single
-pairs and batches share one input contract: a point that is not finite and
-strictly interior is a ``ValueError``.
+pairs and batches share one input contract: a point is a chart n-vector, a
+row of a batch, and anything else (a homogeneous vector or a
+:class:`ProjPoint` among them) is the ``ValueError`` "expected ... shape";
+a point that is not finite and strictly interior is a ``ValueError`` too.
 """
 
 from __future__ import annotations
@@ -98,8 +100,10 @@ class ConvexDomainOracle:
     ``distances(X, Y)`` is the domain's own batch distance kernel for
     row-paired interior chart points: the built-in constructors set it.  A
     domain without one has its chord ends marched on ``value``.
-    ``classify`` is read by no route; it is kept, None by default and set
-    by keyword only, as a slot that outside tracers replace.
+    ``classify`` is read by no route.  It stays, None by default and set by
+    keyword only, because it is the slot that the benchmark's layer tracer
+    fills with :func:`dataclasses.replace` to count oracle calls; it can go
+    once the benchmark no longer binds it.
     """
 
     n: int
@@ -197,17 +201,21 @@ class ChordIntersection:
     unbounded: Optional[str] = None
 
 
+def _float_array(p, expected: str) -> np.ndarray:
+    """p as a float64 array; anything that does not read as numbers (a
+    :class:`ProjPoint` among them) is the ValueError ``expected``."""
+    try:
+        return np.asarray(p, dtype=np.float64)
+    except TypeError:
+        raise ValueError(expected) from None
+
+
 def _as_chart(p, n: int) -> np.ndarray:
-    if isinstance(p, ProjPoint):
-        arr = np.asarray(p.to_float().chart(), dtype=np.float64)
-    else:
-        arr = np.asarray(p, dtype=np.float64)
-        if arr.shape == (n + 1,):
-            if arr[-1] == 0:
-                raise ValueError("point is outside the affine chart")
-            arr = arr[:-1] / arr[-1]
+    """One point as a chart n-vector, the form of a row of a batch."""
+    expected = f"expected a point of shape ({n},)"
+    arr = _float_array(p, expected)
     if arr.shape != (n,):
-        raise ValueError(f"expected a point of dimension {n}, got shape {arr.shape}")
+        raise ValueError(expected)
     return arr
 
 
@@ -225,7 +233,8 @@ def _require_interior_rows(dom: ConvexDomainOracle, X: np.ndarray, Y: np.ndarray
 
 
 def chord_boundary(dom: ConvexDomainOracle, x, y) -> ChordIntersection:
-    """Locate the two boundary points of the chord through interior x, y.
+    """Locate the two boundary points of the chord through interior x, y,
+    two chart n-vectors.
 
     The march runs on the base domain's ``value`` at the pulled-back points.
     The bounded ends are pushed forward to homogeneous
@@ -279,8 +288,9 @@ def cross_ratio(z1, x, y, z2, tol: float = DEFAULT_TOL) -> float:
 
 
 def hilbert_distance(dom: ConvexDomainOracle, x, y) -> float:
-    """Hilbert distance between interior points: :func:`hilbert_distances`
-    on one row, with the bad-input message naming only the point.
+    """Hilbert distance between interior points x, y, two chart
+    n-vectors: :func:`hilbert_distances` on one row, with the bad-input
+    message naming only the point.
 
     When both ends of the chord lie at its point at infinity, the distance
     is 0 (use chord_boundary directly for the diagnostic).
@@ -299,10 +309,10 @@ def hilbert_distances(dom: ConvexDomainOracle, X, Y) -> np.ndarray:
     raises the ValueError of :func:`hilbert_distance`, prefixed with the
     first offending row.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    expected = f"expected paired arrays of shape (m, {dom.n})"
+    X, Y = (np.atleast_2d(_float_array(P, expected)) for P in (X, Y))
     if X.shape != Y.shape or X.shape[1] != dom.n:
-        raise ValueError(f"expected paired arrays of shape (m, {dom.n})")
+        raise ValueError(expected)
     _require_interior_rows(dom, X, Y, batch=True)
     return _distances(dom, X, Y)
 

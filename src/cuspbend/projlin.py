@@ -7,10 +7,10 @@ An exact :class:`ProjMap` stores its exact value as an integer numerator
 matrix ``num`` (a numpy ``object`` array of Python ints) over one positive
 int denominator ``den``, with ``gcd(den, *num) == 1``, so every rational
 matrix has exactly one stored form.  Composition is an integer matmul plus
-one gcd reduction; inverse and determinant use fraction-free Bareiss
-elimination (Bareiss 1968, *Math. Comp.* 22), and :func:`matrix_to_json`
-prints each entry from ``num`` and ``den`` with one gcd.  On the way from
-JSON to map to JSON, ``Fraction`` appears only where scalars are parsed
+one gcd reduction; inversion uses fraction-free Bareiss elimination
+(Bareiss 1968, *Math. Comp.* 22), and :func:`matrix_to_json` prints each
+entry from ``num`` and ``den`` with one gcd.  On the way from JSON to map
+to JSON, ``Fraction`` appears only where scalars are parsed
 (:func:`parse_scalar`) and in ``entries`` of an exact map, a read-only view
 built on first access and cached; a square JSON list of float rows skips
 even that and is read straight into ``float64``.  Float maps store
@@ -286,13 +286,6 @@ class ProjMap:
             return self
         return ProjMap._from_float((self.num / self.den).astype(np.float64))
 
-    def __matmul__(self, other):
-        if isinstance(other, ProjMap):
-            return compose(self, other)
-        if isinstance(other, ProjPoint):
-            return act(self, other)
-        return NotImplemented
-
     def __repr__(self):
         return f"ProjMap(n={self.n}, exact={self.exact})"
 
@@ -344,16 +337,15 @@ def _bareiss(rows: list, size: int):
     integer rows whose first ``size`` columns are square.
 
     Every division is exact.  On return that block is ``pivot * I`` with
-    ``pivot = sign * det(block)``; ``pivot`` is 0 when the block is singular.
+    ``pivot = +-det(block)``; the pivot returned is 0 when the block is
+    singular.
     """
-    prev, sign = 1, 1
+    prev = 1
     for k in range(size):
         pivot_row = next((r for r in range(k, size) if rows[r][k] != 0), None)
         if pivot_row is None:
-            return 0, sign
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
+            return 0
+        rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
         row_k = rows[k]
         p = row_k[k]
         for i in range(size):
@@ -361,16 +353,7 @@ def _bareiss(rows: list, size: int):
                 f = rows[i][k]
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], row_k)]
         prev = p
-    return prev, sign
-
-
-def det(a: ProjMap):
-    """Determinant in the matrix's own arithmetic."""
-    if not a.exact:
-        return float(np.linalg.det(a.entries))
-    size = a.n + 1
-    pivot, sign = _bareiss(a.num.tolist(), size)
-    return Fraction(sign * pivot, a.den ** size)
+    return prev
 
 
 def inverse(a: ProjMap) -> ProjMap:
@@ -391,7 +374,7 @@ def _invert(a: ProjMap) -> ProjMap:
         size = a.n + 1
         rows = [row + [int(i == j) for j in range(size)]
                 for i, row in enumerate(a.num.tolist())]
-        pivot, _ = _bareiss(rows, size)
+        pivot = _bareiss(rows, size)
         if pivot == 0:
             raise SingularMatrix("matrix is singular (exact determinant zero)")
         adj = np.array([row[size:] for row in rows], dtype=object)

@@ -314,7 +314,7 @@ def projective_naturality(rng) -> PropertyResult:
         moved = hilbert.transformed_oracle(dom, g)
         x, y = (_ball_points(rng, 1, 2)[0] for _ in range(2))
         d0 = hilbert.hilbert_distance(dom, x, y)
-        gx, gy = (hilbert._as_chart(act(g, ProjPoint(list(p) + [1.0])), 2)[None] for p in (x, y))
+        gx, gy = (act(g, ProjPoint(list(p) + [1.0])).chart()[None] for p in (x, y))
         d1 = hilbert.value_distances(moved.value, gx, gy)[0]
         worst = np.maximum(worst, abs(d0 - d1))
     return _result("hilbert", "projective-naturality", 50, worst, 1e-9)

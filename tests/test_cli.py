@@ -250,6 +250,29 @@ def test_classify_generators_output_matches_fixture(tmp_path):
         assert 0.0 <= json.loads(text)["residual"] <= 1e-14, case["name"]
 
 
+def test_classify_generators_conjugated_in_floats(tmp_path):
+    """The bent generator of n = 2, b = 1, s = 1.9, conjugated by the float
+    conjugator of the bending route and normalized: its entry [0, 1] is
+    rounding noise, -5.55e-17 against a largest entry of 6.69, and it exited
+    1 as a miss of the normal form by 1.0.  It exits 0 with the bending
+    route's type and psi."""
+    from cuspbend.cusp_classify import conjugate_and_match
+    from cuspbend.projlin import compose, inverse
+    data = RectangularCuspData(2, b=[1.0], s=[1.9])
+    cls = conjugate_and_match(data)
+    conj = cls.conjugator.to_float()
+    m = compose(compose(conj, bent_cusp_generators(data)[0].to_float()), inverse(conj)).entries
+    m = m / m[-1, -1]
+    assert 0.0 < abs(m[0, 1]) <= 1e-16 and np.max(np.abs(m)) > 6.0
+    src, out = tmp_path / "gens.json", tmp_path / "cls.json"
+    src.write_text(json.dumps({"generators": [m.tolist()]}))
+    assert main(["classify", "--in", str(src), "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    assert got["type"] == cls.type == 1
+    assert got["psi"] == pytest.approx(list(cls.psi.psi), rel=1e-12)
+    assert 0.0 <= got["residual"] <= 1e-15
+
+
 def test_generators_in_model_form_for_no_type_exit_1(tmp_path, capsys):
     """Three n = 3 generators diag(1, d1, d2, 1) with corner -a log d1 move
     both slots but solve psi = (a, 0): 400 such sets read type 1 or type 2

@@ -108,6 +108,22 @@ def test_bad_points_rejected_by_single_batch_and_cli(tmp_path, capsys, y):
         hilbert_distance(dom, y, y)
 
 
+@pytest.mark.parametrize("point", [[0.0, 0.0, 1.0], ProjPoint([0.0, 0.0, 1.0])],
+                         ids=["homogeneous", "ProjPoint"])
+def test_points_are_chart_vectors_on_every_route(point):
+    """A point is a chart n-vector on every route, as a row of a batch is:
+    a homogeneous 3-vector or a ProjPoint on the 2-ball, as either point of
+    the pair, is the ValueError that names the expected shape, from the
+    single-pair routes and from hilbert_distances alike."""
+    dom, x = ball_oracle(2), [0.1, 0.2]
+    for pair in ((point, x), (x, point)):
+        for route in (hilbert_distance, chord_boundary, convexity_scan):
+            with pytest.raises(ValueError, match=r"^expected a point of shape \(2,\)$"):
+                route(dom, *pair)
+        with pytest.raises(ValueError, match=r"^expected paired arrays of shape \(m, 2\)$"):
+            hilbert_distances(dom, [pair[0]], [pair[1]])
+
+
 def test_cross_ratio_real_line():
     pts = [ProjPoint([t, 1.0]) for t in (0.0, 1.0, 2.0, 3.0)]
     assert abs(cross_ratio(*pts) - 4.0) <= 1e-12
@@ -343,13 +359,11 @@ def test_transformed_oracle_naturality():
                                              [-0.2, 0.4, 0.0]]))
     moved = transformed_oracle(dom, g)
     x, y = np.array([0.2, -0.1]), np.array([-0.4, 0.3])
-    gx = act(g, ProjPoint([*x, 1.0]))
-    gy = act(g, ProjPoint([*y, 1.0]))
+    gx, gy = (act(g, ProjPoint([*p, 1.0])).chart() for p in (x, y))
     assert abs(hilbert_distance(dom, x, y)
                - hilbert_distance(moved, gx, gy)) <= 1e-9
     # the march on the moved value, which the pull-back kernel no longer runs
-    march = value_distances(moved.value, np.array([gx.chart()], dtype=float),
-                            np.array([gy.chart()], dtype=float))
+    march = value_distances(moved.value, gx[None], gy[None])
     assert abs(hilbert_distance(dom, x, y) - march[0]) <= 1e-9
 
 
@@ -835,6 +849,18 @@ def test_march_inside_calls(pairs, halvings):
                           hilbert._model_ray_stays(E, 1))
     doublings = int(np.max(np.floor(np.log2(u)))) + 1
     assert shapes == [(1, 2 * pairs)] * doublings + halvings
+
+
+def test_chord_end_below_the_cap_is_bounded():
+    """From x = 0 along d = 2e-18, the chord of the interval (-1, 1) ends at
+    u = 5e17, under the cap of 1e18 past which a chord is taken to never
+    leave the chart: the march reads that finite end, where a cap of 1e17
+    would read it as unbounded (nan)."""
+    (u, s), widths = hilbert.value_march(interval_oracle().value, np.array([[0.0]]),
+                                         np.array([[2e-18]]))
+    assert u == pytest.approx(5e17, rel=1e-15)
+    assert s == pytest.approx(5e17 + 1.0, rel=1e-15)
+    assert np.all(widths <= 1e-15 * 5e17)
 
 
 def test_empty_batches_give_empty_results():

@@ -12,32 +12,38 @@ Iterated bending applies several moves whose centralizers pairwise commute;
 commutativity makes the outcome independent of the order of the moves, and
 this module refuses move lists that do not satisfy the hypothesis.
 
-Checks.  :func:`iterated_bend` checks, in this order: every centralizer
-has the representation's dimension; the centralizers commute pairwise;
-each move's centralizer commutes with its edge words in the given
-representation; then, move by move, the decomposition covers the
-generators, the centralizer has the right dimension, it commutes with the
-edge words in the state the move is applied to, and every relator maps to
-the identity in the new state; with ``verify_order``, the same for the
-moves in a random order, and both results agree on every generator.
-:func:`bend` is the one-move case.  A bend makes every check at its own
-``tol``; a :class:`MarkedRep` checks its relators on construction, at
-``DEFAULT_TOL``, and when read by ``from_json``, at its ``tol`` (the
-``bend --tol`` of the CLI).  The generator sets are built first, with the
-same :func:`compose` calls in the same order as one move at a time; then
-every check is decided in one stacked pass (words compiled once to letter
-indices, the words' products formed as stacked matmuls and compared by one
-row-wise :func:`~cuspbend.projlin.proj_equiv_rows`), and the first check
-that fails, in the order above, raises.  The stacking touches only
-pass/fail, never the values of the generators a bend returns.  A map keeps
-its own inverse (:func:`~cuspbend.projlin.inverse`), so an inverse lives as
-long as its map.  The checks invert, and a bend keeps, the first map of
-each value they meet, so maps of equal value share one inversion.
+Checks.  :func:`iterated_bend` checks, in this order: every relator of
+the given representation maps to the identity; every centralizer has the
+representation's dimension; the centralizers commute pairwise; each move's
+centralizer commutes with its edge words in the given representation;
+then, move by move, the decomposition covers the generators, the
+centralizer has the right dimension, it commutes with the edge words in
+the state the move is applied to, and every relator maps to the identity
+in the new state; with ``verify_order``, the same for the moves in a
+random order, and both results agree on every generator.  :func:`bend` is
+the one-move case, without the first check.  A bend makes every check at
+its own ``tol``; a :class:`MarkedRep` checks its relators on construction,
+at ``DEFAULT_TOL``, while ``from_json`` leaves them to the pass of
+:func:`iterated_bend` (at the ``bend --tol`` of the CLI).  The generator
+sets are built first, with the same :func:`compose` calls in the same
+order as one move at a time; then the inverses the words need are taken in
+one :func:`~cuspbend.projlin.keep_inverses` call (one stacked inversion of
+the float maps), and every check is decided in one stacked pass (words
+compiled once to letter indices, the words' products formed as stacked
+matmuls and compared by one row-wise
+:func:`~cuspbend.projlin.proj_equiv_rows`); the first check that fails, in
+the order above, raises.  A map refused an inverse raises as if inverted
+where a word first needed it: after the checks queued before that.  The
+stacking touches only pass/fail, never the values of the generators a bend
+returns.  A map keeps its own inverse, so an inverse lives as long as its
+map.  The checks invert, and a bend keeps, the first map of each value
+they meet, so maps of equal value share one inversion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import zip_longest
 from typing import Optional, Sequence
 
@@ -48,6 +54,7 @@ from .projlin import (
     ProjMap,
     compose,
     inverse,
+    keep_inverses,
     matrix_from_json,
     matrix_to_json,
     proj_equiv_rows,
@@ -101,8 +108,8 @@ def word_to_json(word: Word) -> list:
 @dataclass(frozen=True)
 class MarkedRep:
     """Finite generating set of named projective maps, with optional relators
-    (checked projectively when supplied: at ``DEFAULT_TOL`` on construction,
-    at the given tol by :meth:`from_json`)."""
+    (checked projectively at ``DEFAULT_TOL`` on construction, unless
+    ``check`` is false, as :meth:`from_json` leaves them)."""
 
     n: int
     generators: dict
@@ -129,7 +136,8 @@ class MarkedRep:
         """Raise RelatorViolation for the first relator whose image is not
         the identity at ``DEFAULT_TOL`` (all relators are decided in one
         stacked pass)."""
-        _check_relators(self, DEFAULT_TOL)
+        checks = _Checks(self.n, self.generators)
+        checks.run(_require_relators, checks, self, self.generators, DEFAULT_TOL)
 
     def to_json(self) -> dict:
         return {
@@ -139,13 +147,12 @@ class MarkedRep:
         }
 
     @classmethod
-    def from_json(cls, data: dict, *, tol: float) -> "MarkedRep":
-        """The representation of ``data``, its relators checked at ``tol``."""
+    def from_json(cls, data: dict) -> "MarkedRep":
+        """The representation of ``data``, its relators read but not checked:
+        :func:`iterated_bend` decides them first in its own pass, at its tol."""
         gens = {name: matrix_from_json(rows)
                 for name, rows in require_json(data["generators"], "rep.generators", dict).items()}
-        rep = cls(require_int(data["n"], "rep.n"), gens, data.get("relators"), check=False)
-        _check_relators(rep, tol)
-        return rep
+        return cls(require_int(data["n"], "rep.n"), gens, data.get("relators"), check=False)
 
 
 @dataclass(frozen=True)
@@ -246,7 +253,8 @@ class _Checks:
     stacked as floats.  A check that repeats an earlier one (same letters,
     same tol) is dropped: it has the earlier one's verdict.  Maps of equal
     value share one letter, so a generator that two orders of the moves
-    build alike is checked, and inverted, once (:meth:`first`).
+    build alike is checked, and inverted, once (:meth:`first`).  An inverse
+    that a word needs is a pending letter until :meth:`_verdicts`.
     """
 
     def __init__(self, n: int, names=()):
@@ -257,6 +265,7 @@ class _Checks:
         self._identity = None   # letter index of the identity
         self._codes = {}        # Word -> (letter codes, unknown name or None)
         self._checks = {}       # (lhs, rhs, tol) -> failure
+        self._pending = {}      # letter -> (its inverse's letter, checks queued before)
 
     def letter(self, m: ProjMap) -> int:
         """The letter index of m, added to the table if new."""
@@ -281,9 +290,8 @@ class _Checks:
 
     def word(self, state: tuple, word: Word) -> tuple:
         """Letter indices of the image of a word in a state; the empty word
-        is the identity.  Raises where multiplying the word out letter by
-        letter would: an inverse is taken when its letter is reached, before
-        an unknown name further on."""
+        is the identity.  Raises KeyError for an unknown name, after the
+        inverses needed before it are pending."""
         compiled = self._codes.get(word)
         if compiled is None:
             compiled = self._codes[word] = self._compile(word)
@@ -293,7 +301,7 @@ class _Checks:
         if None in out:
             for i, c in enumerate(codes):
                 if table[c] is None:
-                    table[c] = self.letter(inverse(self.first(maps[c - len(maps)])))
+                    table[c] = self._inverse_letter(maps[c - len(maps)])
                 out[i] = table[c]
         if unknown is not None:
             raise KeyError(f"unknown generator {unknown!r}")
@@ -302,6 +310,15 @@ class _Checks:
                 self._identity = self.letter(ProjMap.identity(self.n))
             out.append(self._identity)
         return tuple(out)
+
+    def _inverse_letter(self, m: ProjMap) -> int:
+        """The letter of the inverse of m's value, pending until
+        :meth:`_verdicts` inverts the map :meth:`first` gives for m."""
+        idx = self.letter(m)
+        if idx not in self._pending:
+            self._pending[idx] = (len(self._table), len(self._checks))
+            self._table.append(None)
+        return self._pending[idx][0]
 
     def _compile(self, word: Word):
         """A word as letter codes (slot i for a generator, size + i for its
@@ -315,39 +332,52 @@ class _Checks:
         return tuple(codes), None
 
     def require(self, lhs: tuple, rhs: tuple, tol: float, failure) -> None:
-        """Check that two words have proportional images; ``failure`` is the
-        exception for when they do not."""
+        """Check that two words have proportional images; ``failure()``
+        builds the exception for when they do not."""
         self._checks.setdefault((lhs, rhs, tol), failure)
 
     def run(self, build, *args):
         """Call ``build(*args)``, which adds checks and raises where the code
-        it mirrors would raise.  Then decide every check, and raise the
-        failure of the first that does not hold, else build's exception,
-        else return build's result."""
+        it mirrors would raise.  Then decide the checks (:meth:`_verdicts`),
+        and raise the failure of the first that does not hold, else a refused
+        inverse's error, else build's exception, else return build's result."""
         result, error = None, None
         try:
             result = build(*args)
         except (ValueError, KeyError) as exc:
             error = exc
-        ok = self._verdicts()
+        ok, refusal = self._verdicts()
         if not ok.all():
-            raise list(self._checks.values())[int(np.argmin(ok))]
+            raise list(self._checks.values())[int(np.argmin(ok))]()
+        if refusal is not None:
+            raise refusal
         if error is not None:
             raise error
         return result
 
-    def _verdicts(self) -> np.ndarray:
-        """One bool per distinct check, in the order they were added."""
-        keys = list(self._checks)
+    def _verdicts(self) -> tuple:
+        """Invert every pending map in one :func:`keep_inverses` call, then
+        return one bool per distinct check, in the order they were added, and
+        None; or, if a pending map is refused, the bools of the checks queued
+        before its inverse was first needed, and its error."""
+        count, size, refusal = len(self._checks), len(self._table), None
+        maps = [self._table[idx] for idx in self._pending]
+        for (inv_idx, queued), inv in zip(self._pending.values(), keep_inverses(maps)):
+            if not isinstance(inv, ProjMap):
+                count, size, refusal = queued, inv_idx, inv
+                break
+            self._table[inv_idx] = inv
+        keys = list(self._checks)[:count]
         if not keys:
-            return np.ones(0, dtype=bool)
-        if all(m.exact for m in self._table):
-            letters = np.array([m.num for m in self._table], dtype=object)
+            return np.ones(0, dtype=bool), refusal
+        table = self._table[:size]
+        if all(m.exact for m in table):
+            letters = np.array([m.num for m in table], dtype=object)
         else:
-            letters = np.array([m.to_float().entries for m in self._table])
+            letters = np.array([m.to_float().entries for m in table])
         words = [w for key in keys for w in key[:2]]
         prod = _products(letters, words).reshape(len(keys), 2, -1)
-        return proj_equiv_rows(prod[:, 0], prod[:, 1], np.array([key[2] for key in keys]))
+        return proj_equiv_rows(prod[:, 0], prod[:, 1], np.array([key[2] for key in keys])), refusal
 
 
 def _products(letters: np.ndarray, words: list) -> np.ndarray:
@@ -371,16 +401,17 @@ def _products(letters: np.ndarray, words: list) -> np.ndarray:
 def _require_commuting(checks: _Checks, maps: Sequence[ProjMap], tol: float,
                        failure) -> None:
     """Pairwise commutation of maps, pairs i < j in lexicographic order;
-    ``failure(i, j)`` is the exception for a pair that does not commute."""
+    ``failure(i, j)`` builds the exception for a pair that does not commute."""
     for i, c in enumerate(maps):
         for j in range(i + 1, len(maps)):
             a, b = checks.letter(c), checks.letter(maps[j])
-            checks.require((a, b), (b, a), tol, failure(i, j))
+            checks.require((a, b), (b, a), tol, partial(failure, i, j))
 
 
 def _require_centralizes(checks: _Checks, c: ProjMap, words, state: tuple,
                          tol: float, failure) -> None:
-    """c commutes with the image of every word in a state."""
+    """c commutes with the image of every word in a state; ``failure()``
+    builds the exception for a word it does not commute with."""
     lc = checks.letter(c)
     for word in words:
         w = checks.word(state, word)
@@ -392,7 +423,7 @@ def _require_relators(checks: _Checks, rep: MarkedRep, gens: dict, tol: float) -
     state = checks.state(gens)
     ident = checks.word(state, ())
     for word in rep.relators:
-        checks.require(checks.word(state, word), ident, tol, RelatorViolation(
+        checks.require(checks.word(state, word), ident, tol, lambda word=word: RelatorViolation(
             f"relator {word_to_json(word)} does not map to the identity"))
 
 
@@ -402,11 +433,6 @@ def _require_dimension(maps: Sequence[ProjMap], n: int) -> None:
     for m in maps:
         if m.n != n:
             raise ValueError(f"dimension mismatch: {m.n} vs {n}")
-
-
-def _check_relators(rep: MarkedRep, tol: float) -> None:
-    checks = _Checks(rep.n, rep.generators)
-    checks.run(_require_relators, checks, rep, rep.generators, tol)
 
 
 def require_pairwise_commuting(maps: Sequence[ProjMap], tol: float, failure) -> None:
@@ -430,8 +456,8 @@ def _bend_step(checks: _Checks, rep: MarkedRep, gens: dict, move: BendingMove,
     if c.n != rep.n:
         raise ValueError(f"centralizer dimension {c.n} != representation dimension {rep.n}")
     _require_centralizes(checks, c, dec.edge_words, checks.state(gens), tol,
-                         CentralizerCheckFailed(
-                             "centralizer does not commute with the edge subgroup image"))
+                         partial(CentralizerCheckFailed,
+                                 "centralizer does not commute with the edge subgroup image"))
     gens = dict(gens)
     if dec.kind == "amalgam":
         c_inv = inverse(checks.first(c))
@@ -451,14 +477,16 @@ def _iterated_steps(checks: _Checks, rep: MarkedRep, moves: list, tol: float,
         return NonCommutingMoves(f"centralizers of moves {i} and {j} do not commute; "
                                  "iterated bending needs pairwise commuting centralizers")
 
+    _require_relators(checks, rep, rep.generators, tol)
     centralizers = [m.centralizer for m in moves]
     _require_dimension(centralizers, rep.n)
     _require_commuting(checks, centralizers, tol, non_commuting)
     base = checks.state(rep.generators)
     for k, move in enumerate(moves):
         _require_centralizes(checks, move.centralizer, move.decomposition.edge_words, base, tol,
-                             CentralizerCheckFailed(f"move {k}: centralizer does not commute "
-                                                    "with its edge subgroup image"))
+                             lambda k=k: CentralizerCheckFailed(
+                                 f"move {k}: centralizer does not commute "
+                                 "with its edge subgroup image"))
     gens = rep.generators
     for move in moves:
         gens = _bend_step(checks, rep, gens, move, tol)
@@ -469,7 +497,7 @@ def _iterated_steps(checks: _Checks, rep: MarkedRep, moves: list, tol: float,
             other = _bend_step(checks, rep, other, moves[idx], tol)
         for name, g in gens.items():
             checks.require((checks.letter(g),), (checks.letter(other[name]),), tol,
-                           AssertionError(
+                           lambda name=name: AssertionError(
                                f"order-permuted bending disagrees on generator {name!r}"))
     return gens
 
@@ -492,7 +520,8 @@ def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
     elements commute, which is the hypothesis making the result independent
     of the order in which the moves are applied.
 
-    Checks, in this order, each at ``tol``: every centralizer has rep's
+    Checks, in this order, each at ``tol``: every relator of rep maps to
+    the identity, also when ``moves`` is empty; every centralizer has rep's
     dimension; the centralizers commute pairwise; each move's centralizer
     commutes with its edge words in rep; then the :func:`bend` checks of
     each move on the state it is applied to; with ``verify_order`` and two
@@ -502,8 +531,6 @@ def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
     that fails raises, as if each had been checked where it was reached.
     """
     moves = list(moves)
-    if not moves:
-        return rep
     checks = _Checks(rep.n, rep.generators)
     gens = checks.run(_iterated_steps, checks, rep, moves, tol, verify_order, rng)
-    return MarkedRep(rep.n, gens, rep.relators, check=False)
+    return MarkedRep(rep.n, gens, rep.relators, check=False) if moves else rep

@@ -15,13 +15,15 @@ Hilbert pair that is not two points, a JSON string or object where a list
 belongs, a ``domain`` or ``rep.generators`` that is not an object,
 ``classify --exact`` on generators, an integer field (``classify`` n,
 ``hilbert`` ball n, ``bend`` rep.n, a ``bend`` word exponent in pair form)
-that is a bool, a string or not a whole number, a ball n below 1, and
-bending data that
+that is a bool, a string or not a whole number, a ball n below 1, an
+empty ``sweep --b`` entry, and bending data that
 :class:`RectangularCuspData` or the float guard refuses (not finite,
 exp(s) overflowing, or a nonzero s below ``MIN_BEND_FLOAT``).
 
-``sweep`` classifies its whole grid with one call to the float kernel
-:func:`conjugation_residuals`.
+``sweep`` builds the s and mu rows of its whole grid as arrays, checks n
+and b once and refuses the first row :class:`RectangularCuspData` would
+refuse with that class's message, then classifies every row with one call
+to the float kernel :func:`conjugation_residuals`.
 
 Every output file goes through :func:`_write_text`, which rewrites an
 existing file in place and cuts it to length after the write rather than
@@ -126,10 +128,20 @@ def _parse_grid(spec: str):
     return np.linspace(start, stop, steps)
 
 
+def _exp_or_inf(s: float) -> float:
+    """math.exp (np.exp differs in the last bit), inf where it overflows."""
+    try:
+        return math.exp(s)
+    except OverflowError:
+        return math.inf
+
+
 def _cmd_sweep(args) -> int:
     n = args.n
     grid = _parse_grid(args.grid)
-    b_raw = [part for part in str(args.b).split(",") if part]
+    b_raw = args.b.split(",")
+    if "" in b_raw:
+        raise ValueError(f"--b has an empty entry: {args.b!r}")
     if len(b_raw) == 1:
         b_vals = [float(b_raw[0])] * (n - 1)
     elif len(b_raw) == n - 1:
@@ -143,10 +155,13 @@ def _cmd_sweep(args) -> int:
     else:
         slots = list(range(2, n + 1))
 
-    cusps = [RectangularCuspData(n, b=b_vals, s=[
-        float(s) if (i in slots and s != 0) else 0.0 for i in range(2, n + 1)]) for s in grid]
-    s_rows = np.array([data.s for data in cusps])
-    mu_rows = np.array([data.mu for data in cusps], dtype=np.float64)
+    RectangularCuspData(n, b=b_vals, s=[0.0] * (n - 1))  # n and b, checked once
+    s_rows = np.where(np.isin(np.arange(2, n + 1), slots) & (grid[:, None] != 0),
+                      grid[:, None], 0.0)
+    mu_rows = np.where(s_rows != 0, [[_exp_or_inf(s)] for s in grid.tolist()], 1.0)
+    bad = np.flatnonzero(~(np.isfinite(mu_rows) & (s_rows >= 0)).all(axis=1))
+    if bad.size:  # the first row RectangularCuspData refuses, with its message
+        RectangularCuspData(n, b=b_vals, s=s_rows[bad[0]].tolist())
     residuals = conjugation_residuals(b_vals, s_rows, mu_rows)
     require_normal_form(residuals, DEFAULT_TOL)
     bent = s_rows != 0
@@ -224,8 +239,12 @@ def _write_svg(path, xs, series, title, xlabel, ylabel) -> None:
 
 def _cmd_bend(args) -> int:
     bundle = _load_json(args.input)
-    rep = MarkedRep.from_json(bundle["rep"], tol=args.tol)
-    moves = [BendingMove.from_json(m) for m in bundle.get("moves", [])]
+    rep = MarkedRep.from_json(bundle["rep"])
+    try:
+        moves = [BendingMove.from_json(m) for m in bundle.get("moves", [])]
+    except (ValueError, KeyError, TypeError):
+        iterated_bend(rep, [], tol=args.tol)  # a failing input relator is reported first
+        raise
     result = iterated_bend(rep, moves, tol=args.tol,
                            verify_order=args.verify_order,
                            rng=np.random.default_rng(args.seed))

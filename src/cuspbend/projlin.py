@@ -359,31 +359,61 @@ def _bareiss(rows: list, size: int):
 def inverse(a: ProjMap) -> ProjMap:
     """The inverse map, computed on the first call for this instance and
     kept on it; the inverse keeps no link back, so inverting it again
-    computes."""
-    inv = a._inverse
-    if inv is None:
-        inv = _invert(a)
-        object.__setattr__(a, "_inverse", inv)
+    computes.  The one-map case of :func:`keep_inverses`."""
+    (inv,) = keep_inverses([a])
+    if not isinstance(inv, ProjMap):
+        raise inv
     return inv
 
 
-def _invert(a: ProjMap) -> ProjMap:
-    if a.exact:
-        # (N/d)^-1 = d adj(N) / det(N); elimination of [N | I] leaves
-        # [D I | D N^-1] with D = +-det(N)
-        size = a.n + 1
-        rows = [row + [int(i == j) for j in range(size)]
-                for i, row in enumerate(a.num.tolist())]
-        pivot = _bareiss(rows, size)
-        if pivot == 0:
-            raise SingularMatrix("matrix is singular (exact determinant zero)")
-        adj = np.array([row[size:] for row in rows], dtype=object)
-        return ProjMap._from_exact(adj * a.den, pivot)
-    cond = np.linalg.cond(a.entries)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrix(
-            f"matrix is numerically singular (condition estimate {cond:.3e})")
-    return ProjMap._from_float(np.linalg.inv(a.entries))
+def keep_inverses(maps) -> list:
+    """Per map, its inverse, kept on it as :func:`inverse` keeps it, or the
+    error that refuses it (a SingularMatrix).  Exact maps are inverted one
+    at a time; the float maps that keep no inverse yet, all of one
+    dimension, together by :func:`_invert_floats`."""
+    floats = [a for a in maps if a._inverse is None and not a.exact]
+    found = dict(zip(map(id, floats), _invert_floats(floats) if floats else ()))
+    out = []
+    for a in maps:
+        inv = a._inverse
+        if inv is None:
+            inv = found[id(a)] if id(a) in found else _invert_exact(a)
+            if isinstance(inv, ProjMap):
+                object.__setattr__(a, "_inverse", inv)
+        out.append(inv)
+    return out
+
+
+def _invert_exact(a: ProjMap):
+    """The inverse of an exact map, or its SingularMatrix."""
+    # (N/d)^-1 = d adj(N) / det(N); elimination of [N | I] leaves
+    # [D I | D N^-1] with D = +-det(N)
+    size = a.n + 1
+    rows = [row + [int(i == j) for j in range(size)]
+            for i, row in enumerate(a.num.tolist())]
+    pivot = _bareiss(rows, size)
+    if pivot == 0:
+        return SingularMatrix("matrix is singular (exact determinant zero)")
+    adj = np.array([row[size:] for row in rows], dtype=object)
+    return ProjMap._from_exact(adj * a.den, pivot)
+
+
+def _invert_floats(maps: list) -> list:
+    """Per float map, its inverse or the SingularMatrix refusing it, from
+    one stacked ``np.linalg.cond`` and one stacked ``np.linalg.inv``: each
+    matrix of a stack gets the same bits as alone.  A condition estimate
+    that is not finite or above ``COND_LIMIT`` refuses a map."""
+    stack = np.array([a.entries for a in maps])
+    try:
+        cond = np.linalg.cond(stack)
+        ok = np.isfinite(cond) & (cond <= COND_LIMIT)
+        inv = iter(np.linalg.inv(stack[ok]))
+    except np.linalg.LinAlgError as exc:
+        # numpy refuses the whole stack (nan entries): one map at a time
+        return [exc] if len(maps) == 1 else [x for a in maps for x in _invert_floats([a])]
+    return [ProjMap._from_float(next(inv).copy()) if good else SingularMatrix(
+        f"matrix is numerically singular (condition estimate {c:.3e})")
+        for c, good in zip(cond, ok)]
 
 
 def act(a: ProjMap, p: ProjPoint) -> ProjPoint:

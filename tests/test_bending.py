@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -25,7 +26,7 @@ from cuspbend.cli import main
 from cuspbend.cusp_classify import RectangularCuspData, bent_cusp_generators, standard_cusp_generators
 from cuspbend.cusp_models import hyperplane_centralizer_element
 from cuspbend import projlin
-from cuspbend.projlin import DEFAULT_TOL, ProjMap, compose, inverse, proj_equiv
+from cuspbend.projlin import ProjMap, SingularMatrix, compose, inverse, proj_equiv
 from cuspbend.verify import cusp_bending_moves, cusp_fixture_rep
 
 from equiv_reference import ref_equiv_maps
@@ -111,17 +112,60 @@ def test_failing_relator_still_raises(exact):
             MarkedRep(3, gens, [relator])
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("relators, g2_holds, want", [
+    ([["g2"], ["g3^-1", "g3"]], False, "relator"),
+    ([["g2"], ["g3^-1", "g3"]], True, "singular"),
+    ([["g3^-1", "g3"], ["g2"]], False, "singular"),
+])
+def test_singular_inverse_raises_where_first_needed(exact, relators, g2_holds, want):
+    """g3 is singular and only the relator g3^-1 g3 needs its inverse: a
+    relator queued before that need and failing is reported, else g3's
+    SingularMatrix, whatever fails after the need.  The same through the
+    construction check and through iterated_bend with an identity move."""
+    one = 1 if exact else 1.0
+    gens = {"g2": ProjMap.diagonal([one, one if g2_holds else 2 * one, one]),
+            "g3": ProjMap.diagonal([one, one, 0 * one])}
+    move = BendingMove(Decomposition("hnn", base=["g3"], stable="g2"), ProjMap.identity(2))
+    message = ("matrix is singular (exact determinant zero)" if exact
+               else "matrix is numerically singular (condition estimate inf)")
+    exc, match = ((RelatorViolation, r"^relator \['g2'\] does not map to the identity$")
+                  if want == "relator" else (SingularMatrix, f"^{re.escape(message)}$"))
+    with pytest.raises(exc, match=match):
+        MarkedRep(2, gens, relators)
+    with pytest.raises(exc, match=match):
+        iterated_bend(MarkedRep(2, gens, relators, check=False), [move])
+
+
+def test_iterated_bend_checks_input_relators_without_moves():
+    """The relators of the input rep are the first checks of the pass, also
+    with no moves: a rep read by ``from_json`` is checked there, at tol."""
+    rep = fixture_rep()
+    data = rep.to_json()
+    data["relators"].append(["g2"])
+    unchecked = MarkedRep.from_json(data)
+    with pytest.raises(RelatorViolation, match=r"^relator \['g2'\] does not map"):
+        iterated_bend(unchecked, [])
+    assert iterated_bend(rep, []) is rep
+
+
 def _computed_inversions(monkeypatch) -> list:
-    """The maps whose inverse is computed from now on, in order; an inverse a
-    map already keeps is not computed again."""
+    """The maps whose inverse is computed from now on, in order, one at a
+    time (exact) or in a stack (float); an inverse a map already keeps is not
+    computed again."""
     computed = []
-    invert = projlin._invert
+    invert_exact, invert_floats = projlin._invert_exact, projlin._invert_floats
 
-    def counting(a):
+    def counting_exact(a):
         computed.append(a)
-        return invert(a)
+        return invert_exact(a)
 
-    monkeypatch.setattr(projlin, "_invert", counting)
+    def counting_floats(maps):
+        computed.extend(maps)
+        return invert_floats(maps)
+
+    monkeypatch.setattr(projlin, "_invert_exact", counting_exact)
+    monkeypatch.setattr(projlin, "_invert_floats", counting_floats)
     return computed
 
 
@@ -149,7 +193,7 @@ def test_cli_shaped_bend_inverts_each_value_once(name, monkeypatch):
     fixture = Path(__file__).parent / "fixtures" / "bend.json"
     case = next(c for c in json.loads(fixture.read_text())["cases"] if c["name"] == name)
     computed = _computed_inversions(monkeypatch)
-    rep = MarkedRep.from_json(case["input"]["rep"], tol=DEFAULT_TOL)
+    rep = MarkedRep.from_json(case["input"]["rep"])
     moves = [BendingMove.from_json(m) for m in case["input"]["moves"]]
     bent = iterated_bend(rep, moves, verify_order=True,
                          rng=np.random.default_rng(int(case["argv"][1])))
@@ -374,7 +418,7 @@ def test_composition_in_parameter_exact():
 def test_rep_and_move_json_roundtrip():
     data = RectangularCuspData(3, b=[1.0, 1.0], s=[0.4, 0.0])
     rep = cusp_fixture_rep(data)
-    back = MarkedRep.from_json(rep.to_json(), tol=DEFAULT_TOL)
+    back = MarkedRep.from_json(rep.to_json())
     for name in rep.names():
         assert np.array_equal(back.generators[name].entries,
                               rep.generators[name].entries)
@@ -476,6 +520,6 @@ def test_stacked_verdicts_match_per_word_evaluation(mode, data):
             h = draw(st.sampled_from([g, compose(g, gens["p"]), gens["c"]]))
             add((checks.letter(g),), (checks.letter(h),), ref_equiv_maps(g, h, tol))
 
-    verdicts = dict(zip(checks._checks.values(), checks._verdicts().tolist()))
+    verdicts = dict(zip(checks._checks.values(), checks._verdicts()[0].tolist()))
     for key, want in cases:
         assert verdicts[checks._checks[key]] == want

@@ -18,7 +18,7 @@ from cuspbend.bending import MAX_WORD_EXPONENT
 from cuspbend.cli import main
 from cuspbend.cusp_classify import RectangularCuspData, bent_cusp_generators
 from cuspbend.hilbert import klein_distance
-from cuspbend.projlin import DEFAULT_TOL, matrix_from_json, proj_equiv
+from cuspbend.projlin import matrix_from_json, proj_equiv
 from cuspbend.verify import cusp_bending_moves, cusp_fixture_rep
 
 
@@ -376,21 +376,35 @@ def test_classify_bad_bending_data_is_usage_error(tmp_path, capsys, data):
     assert "Traceback" not in capsys.readouterr().err
 
 
+SMALL_S = ("bending parameter s_{} = {} is below 1e-08; float classification is "
+           "ill-conditioned there, supply exact mu instead")
+
+
 @pytest.mark.parametrize("args", [
-    ["--n", "3", "--b", "nan", "--grid", "0:1:3"],
-    ["--n", "3", "--b", "1,inf", "--grid", "0:1:3"],
-    ["--n", "3", "--grid", "0:inf:2"],
-    ["--n", "3", "--grid", "nan:1:2"],
-    ["--n", "3", "--grid", "0:1e-17:2"],
-    ["--n", "3", "--grid", "1e-9:1:3", "--slots", "3"],
-    ["--n", "3", "--grid", "0:710:2"],
-    ["--n", "3", "--grid", "-1:1:3"],
+    (["--n", "3", "--b", "nan", "--grid", "0:1:3"], "shape constants must be finite"),
+    (["--n", "3", "--b", "1,inf", "--grid", "0:1:3"], "shape constants must be finite"),
+    (["--n", "3", "--grid", "0:inf:2"], "grid bounds must be finite"),
+    (["--n", "3", "--grid", "nan:1:2"], "grid bounds must be finite"),
+    (["--n", "3", "--grid", "0:1e-17:2"], "row 1: " + SMALL_S.format(2, "1e-17")),
+    (["--n", "3", "--grid", "1e-9:1:3", "--slots", "3"], "row 0: " + SMALL_S.format(3, "1e-09")),
+    (["--n", "3", "--grid", "0:710:2"], "bending parameter 710.0 is too large: exp(s) overflows"),
+    # argparse reads -1:1:3 as an option, so this one stops before the data
+    (["--n", "3", "--grid", "-1:1:3"], "argument --grid: expected one argument"),
+    (["--n", "3", "--grid=-1:1:3"], "bending parameters must be nonnegative"),
+    (["--n", "3", "--b", "1,,2", "--grid", "0:1:3"], "--b has an empty entry: '1,,2'"),
+    (["--n", "3", "--b", "1,2,", "--grid", "0:1:3"], "--b has an empty entry: '1,2,'"),
+    # the first row refused decides the message
+    (["--n", "3", "--grid=710:-1:2"], "bending parameter 710.0 is too large: exp(s) overflows"),
+    (["--n", "3", "--grid=-1:710:2"], "bending parameters must be nonnegative"),
 ])
 def test_sweep_bad_bending_data_is_usage_error(tmp_path, capsys, args):
+    argv, message = args
     out = tmp_path / "sweep.csv"
-    assert main(["sweep"] + args + ["--out", str(out)]) == 2
+    assert main(["sweep"] + argv + ["--out", str(out)]) == 2
     assert not out.exists()
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] in (f"cuspbend: {message}", f"cuspbend sweep: error: {message}")
 
 
 def test_sweep_small_bending_beside_unbent_slots_matches(tmp_path):
@@ -587,7 +601,7 @@ def test_bend_failure_contract(tmp_path, capsys):
     for case in cases:
         bundle = case["input"]
         with pytest.raises(Exception) as info:
-            rep = MarkedRep.from_json(bundle["rep"], tol=DEFAULT_TOL)
+            rep = MarkedRep.from_json(bundle["rep"])
             moves = [BendingMove.from_json(m) for m in bundle["moves"]]
             iterated_bend(rep, moves, verify_order="--verify-order" in case["argv"],
                           rng=np.random.default_rng(int(case["argv"][1])))
@@ -600,6 +614,22 @@ def test_bend_failure_contract(tmp_path, capsys):
         assert code == case["exit"], case["name"]
         assert capsys.readouterr().err == case["stderr"], case["name"]
         assert not out.exists(), case["name"]
+
+
+@pytest.mark.parametrize("relator_holds", [False, True])
+def test_bend_input_relator_is_decided_before_a_bad_move(tmp_path, capsys, relator_holds):
+    """A failing relator of the input rep is reported before a move that
+    cannot be read, as when the rep was checked on reading; a rep whose
+    relators hold reports the move."""
+    rep = cusp_fixture_rep(RectangularCuspData(3, b=[1.0, 2.0], s=[0.0, 0.0])).to_json()
+    rep["relators"] = [["g2", "g3", "g2^-1", "g3^-1"]] + ([] if relator_holds else [["g2"]])
+    src, out = tmp_path / "bundle.json", tmp_path / "bent.json"
+    src.write_text(json.dumps({"rep": rep, "moves": [{"kind": "hnn"}]}))
+    assert main(["bend", "--in", str(src), "--out", str(out)]) == 2
+    want = ("hnn decomposition needs a stable letter" if relator_holds
+            else "relator ['g2'] does not map to the identity")
+    assert capsys.readouterr().err == f"cuspbend: {want}\n"
+    assert not out.exists()
 
 
 def test_verify_output_matches_fixture(tmp_path, monkeypatch):

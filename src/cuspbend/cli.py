@@ -125,7 +125,9 @@ def _parse_grid(spec: str):
         raise ValueError("grid bounds must be finite")
     if steps < 1:
         raise ValueError("grid needs at least one step")
-    return np.linspace(start, stop, steps)
+    # stop - start may overflow; the rows that are not finite are refused later
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linspace(start, stop, steps)
 
 
 def _exp_or_inf(s: float) -> float:

@@ -36,8 +36,8 @@ integer numerators over one denominator d and every g_k and W_k over one
 shared e, the check runs every slot at once as stacked object-integer
 matmuls and must match with residual exactly 0, and the conjugator is a
 reduced integer :class:`ProjMap` that ``matrix_to_json`` prints from its
-numerators.  ``Fraction`` appears only where the input is parsed, in the
-residual, and in the ``entries`` view of a map that a caller asks for.
+numerators.  ``Fraction`` appears only where the input is parsed and in
+the residual.
 Float data goes through :func:`conjugation_residuals`, which checks the
 generators of G grid rows in stacked matmuls and scales each entry of
 |A g - W A| by its componentwise rounding bound |A||g| + |W||A|;
@@ -429,9 +429,9 @@ def conjugate_and_match(data: RectangularCuspData,
     return ClassifiedCusp(psi, len(bent), conjugator, residual)
 
 
-def equivalent_parameters(psi: CuspParameter, psi2: CuspParameter,
-                          tol: float = DEFAULT_TOL) -> bool:
-    """True iff the parameters differ by a positive scalar."""
+def equivalent_parameters(psi: CuspParameter, psi2: CuspParameter) -> bool:
+    """True iff the parameters differ by a positive scalar: exactly when all
+    entries are exact, else in floats within ``DEFAULT_TOL``."""
     if psi.n != psi2.n:
         raise ValueError(f"dimension mismatch: {psi.n} vs {psi2.n}")
     a, b = psi.psi, psi2.psi
@@ -448,7 +448,7 @@ def equivalent_parameters(psi: CuspParameter, psi2: CuspParameter,
     na, nb = fa.max(initial=0.0), fb.max(initial=0.0)
     if na == 0.0 or nb == 0.0:
         return bool(na == nb)
-    return bool(np.max(np.abs(fa / na - fb / nb)) <= tol)
+    return bool(np.max(np.abs(fa / na - fb / nb)) <= DEFAULT_TOL)
 
 
 def classify_h_form(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL) -> ClassifiedCusp:
@@ -643,8 +643,7 @@ def _common_eigenvector(mats: list[np.ndarray], tol: float):
     return (None if best is None else best[1]), borderline
 
 
-def upper_triangular_check(gens: Sequence[ProjMap],
-                           tol: float = DEFAULT_TOL) -> TriangularizationResult:
+def upper_triangular_check(gens: Sequence[ProjMap]) -> TriangularizationResult:
     """Greedy common-flag search: find a common eigenvector, quotient,
     recurse.  Ambiguity (shaky numerical rank decisions, or a conjugator
     that verifies only loosely) is a first-class result, never a guess."""
@@ -658,7 +657,7 @@ def upper_triangular_check(gens: Sequence[ProjMap],
     borderline_any = False
     for level in range(m - 1):
         size = m - level
-        vec, borderline = _common_eigenvector(current, tol)
+        vec, borderline = _common_eigenvector(current, DEFAULT_TOL)
         borderline_any |= borderline
         if vec is None:
             status = "ambiguous" if borderline else "false"
@@ -681,9 +680,9 @@ def upper_triangular_check(gens: Sequence[ProjMap],
         tri = conj @ mat @ basis_total
         lower = np.tril(tri, -1)
         residual = max(residual, float(np.max(np.abs(lower)) / np.max(np.abs(tri))))
-    if residual <= tol:
+    if residual <= DEFAULT_TOL:
         status = "true"
-    elif residual <= math.sqrt(tol) or borderline_any:
+    elif residual <= math.sqrt(DEFAULT_TOL) or borderline_any:
         status = "ambiguous"
     else:
         status = "false"
@@ -691,7 +690,7 @@ def upper_triangular_check(gens: Sequence[ProjMap],
                                    "verified by explicit conjugation")
 
 
-def diagonalize_commuting(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL,
+def diagonalize_commuting(gens: Sequence[ProjMap],
                           rng: Optional[np.random.Generator] = None):
     """Simultaneous eigenbasis of pairwise commuting generators via a random
     linear combination, verified by explicit conjugation.
@@ -701,7 +700,7 @@ def diagonalize_commuting(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL,
     """
     if not gens:
         raise ValueError("need at least one generator")
-    require_pairwise_commuting([g.to_float() for g in gens], max(tol, 1e-9),
+    require_pairwise_commuting([g.to_float() for g in gens], DEFAULT_TOL,
                                lambda i, j: ValueError(f"generators {i} and {j} do not commute"))
     rng = rng or np.random.default_rng(0)
     mats = [np.asarray(g.to_float().entries, dtype=np.float64) for g in gens]
@@ -724,8 +723,8 @@ def diagonalize_commuting(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL,
             off = w - np.diag(np.diag(w))
             residual = max(residual, float(np.max(np.abs(off)) / np.max(np.abs(w))))
         best = min(best, residual)
-        if residual <= tol:
-            if np.max(np.abs(vecs.imag)) <= tol * np.max(np.abs(vecs.real)):
+        if residual <= DEFAULT_TOL:
+            if np.max(np.abs(vecs.imag)) <= DEFAULT_TOL * np.max(np.abs(vecs.real)):
                 vecs = vecs.real
             return ProjMap(np.linalg.inv(vecs)), residual
     return None, best

@@ -19,6 +19,7 @@ x_{k+1} (a type-t parameter has exactly t log terms, on coordinates
 Each matrix is written into an identity array, of exact scalars when every
 input is exact and ``float64`` otherwise; :class:`ProjMap` keeps an exact
 one as integers over one denominator, so no ``Fraction`` matrix is built.
+Points are ``float64``, so a leaf coordinate is a float.
 """
 
 from __future__ import annotations
@@ -185,17 +186,18 @@ def leaf_coordinate(dom: ModelDomain, p: ProjPoint,
                     tol: float = DEFAULT_TOL) -> LeafLocation:
     """Leaf coordinate of a point, with its location tag.
 
-    Points on the hyperplane at infinity of the chart are tagged
-    outside-chart (value None).  Nonpositive log-coordinates are a domain
-    error: such points lie outside the closure within this chart.
+    Points on the hyperplane at infinity of the chart, to within ``tol``
+    times their largest coordinate, are tagged outside-chart (value None).
+    Nonpositive log-coordinates are a domain error: such points lie outside
+    the closure within this chart.
     """
     if p.n != dom.n:
         raise ValueError(f"point dimension {p.n} != domain dimension {dom.n}")
     t = dom.psi.type
     last = p.coords[-1]
-    if last == 0 or (not p.exact and abs(float(last)) <= tol * float(np.max(np.abs(np.asarray(p.coords, dtype=np.float64))))):
+    if abs(last) <= tol * np.max(np.abs(p.coords)):
         return LeafLocation(None, OUTSIDE_CHART)
-    xs = [c / last for c in p.coords[:-1]]
+    xs = p.coords[:-1] / last
     c = xs[0]
     for k in range(t):
         x = xs[1 + k]
@@ -205,11 +207,8 @@ def leaf_coordinate(dom: ModelDomain, p: ProjPoint,
         c = c + dom.psi.psi[k] * _log_value(x)
     for x in xs[1 + t:]:
         c = c - x * x / 2
-    if is_exact(c):
-        tag = BOUNDARY if c == 0 else (INTERIOR if c > 0 else EXTERIOR)
-    else:
-        c = float(c)
-        tag = BOUNDARY if abs(c) <= tol else (INTERIOR if c > 0 else EXTERIOR)
+    c = float(c)
+    tag = BOUNDARY if abs(c) <= tol else (INTERIOR if c > 0 else EXTERIOR)
     return LeafLocation(c, tag)
 
 

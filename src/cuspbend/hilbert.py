@@ -262,12 +262,12 @@ def chord_boundary(dom: ConvexDomainOracle, x, y) -> ChordIntersection:
     return ChordIntersection(z1, z2, residual, unbounded)
 
 
-def cross_ratio(z1, x, y, z2, tol: float = DEFAULT_TOL) -> float:
+def cross_ratio(z1, x, y, z2) -> float:
     """Cross ratio |z1-y||x-z2| / (|z1-x||y-z2|) of four collinear points,
     computed in an arbitrary affine chart of their common line."""
     pts = []
     for p in (z1, x, y, z2):
-        v = np.asarray(p.to_float().coords if isinstance(p, ProjPoint) else p,
+        v = np.asarray(p.coords if isinstance(p, ProjPoint) else p,
                        dtype=np.float64)
         norm = np.linalg.norm(v)
         if norm == 0:
@@ -275,7 +275,7 @@ def cross_ratio(z1, x, y, z2, tol: float = DEFAULT_TOL) -> float:
         pts.append(v / norm)
     P = np.stack(pts)
     _, svals, vt = np.linalg.svd(P)
-    if len(svals) > 2 and svals[2] > tol * svals[0]:
+    if len(svals) > 2 and svals[2] > DEFAULT_TOL * svals[0]:
         raise ValueError(f"points are not collinear (planarity residual {svals[2] / svals[0]:.2e})")
     ab = P @ vt[:2].T
     def two_det(i: int, j: int) -> float:

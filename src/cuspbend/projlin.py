@@ -6,23 +6,20 @@ exact mode, ``float`` in float mode.  The mode tag is the type itself.
 An exact :class:`ProjMap` stores its exact value as an integer numerator
 matrix ``num`` (a numpy ``object`` array of Python ints) over one positive
 int denominator ``den``, with ``gcd(den, *num) == 1``, so every rational
-matrix has exactly one stored form.  Composition is an integer matmul plus
-one gcd reduction; inversion uses fraction-free Bareiss elimination
-(Bareiss 1968, *Math. Comp.* 22), and :func:`matrix_to_json` prints each
-entry from ``num`` and ``den`` with one gcd.  On the way from JSON to map
-to JSON, ``Fraction`` appears only where scalars are parsed
-(:func:`parse_scalar`) and in ``entries`` of an exact map, a read-only view
-built on first access and cached; a square JSON list of float rows skips
-even that and is read straight into ``float64``.  Float maps store
-``entries`` as a frozen ``float64`` array.  Points keep their coordinates
-in numpy arrays -- ``object`` dtype of ``Fraction`` for exact points,
-``float64`` for floats.
+matrix has exactly one stored form, and no other.  Composition is an
+integer matmul plus one gcd reduction; inversion uses fraction-free Bareiss
+elimination (Bareiss 1968, *Math. Comp.* 22), and :func:`matrix_to_json`
+prints each entry from ``num`` and ``den`` with one gcd.  ``Fraction``
+appears only where scalars are parsed (:func:`parse_scalar`) or printed; a
+square JSON list of float rows is read straight into ``float64``.  Float
+maps store ``entries`` as a frozen ``float64`` array, and points are
+``float64`` only.  An exact operand that meets a float one is read through
+:meth:`ProjMap.to_float`, so mixed products and actions run in floats.
 
 Everything here is a value: construction copies, arrays are frozen, and
 operations return new values.  A map computes its inverse once per instance
-and keeps it, as it keeps its exact ``entries`` view (:func:`inverse`); two
-threads that ask at once compute equal values, so instances are safe to
-share across threads.
+and keeps it (:func:`inverse`); two threads that ask at once compute equal
+values, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -111,19 +108,10 @@ def scalar_to_json(x):
     return float(x)
 
 
-def _coerce_vector(coords) -> np.ndarray:
-    arr = list(coords)
-    if all(is_exact(x) for x in arr):
-        out = np.array([Fraction(x) for x in arr], dtype=object)
-    else:
-        out = np.array([float(x) for x in arr], dtype=np.float64)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class ProjPoint:
-    """Point of projective n-space: n+1 homogeneous coordinates, not all zero.
+    """Point of projective n-space: n+1 homogeneous ``float64`` coordinates,
+    not all zero (exact scalars are rounded to float).
 
     Two points are equal iff their coordinate vectors are proportional by a
     nonzero scalar; use :func:`proj_equiv`, not ``==``.
@@ -132,26 +120,17 @@ class ProjPoint:
     coords: np.ndarray
 
     def __init__(self, coords):
-        if isinstance(coords, np.ndarray) and coords.dtype == np.float64 and coords.ndim == 1:
-            vec = coords.copy()
-            vec.setflags(write=False)
-            zero = not vec.any()
-        else:
-            vec = _coerce_vector(coords)
-            zero = all(x == 0 for x in vec)
-        if vec.shape[0] < 2:
+        vec = np.array(coords, dtype=np.float64)
+        if vec.ndim != 1 or vec.shape[0] < 2:
             raise ValueError("projective point needs at least 2 coordinates")
-        if zero:
+        if not vec.any():
             raise ValueError("projective point cannot be the zero vector")
+        vec.setflags(write=False)
         object.__setattr__(self, "coords", vec)
 
     @property
     def n(self) -> int:
         return self.coords.shape[0] - 1
-
-    @property
-    def exact(self) -> bool:
-        return self.coords.dtype == object
 
     def chart(self) -> np.ndarray:
         """Affine-chart coordinates (divide by last entry), length n.
@@ -161,13 +140,7 @@ class ProjPoint:
         last = self.coords[-1]
         if last == 0:
             raise ValueError("point is outside the affine chart (last coordinate zero)")
-        return np.array([c / last for c in self.coords[:-1]],
-                        dtype=object if self.exact else np.float64)
-
-    def to_float(self) -> "ProjPoint":
-        if not self.exact:
-            return self
-        return ProjPoint([float(c) for c in self.coords])
+        return self.coords[:-1] / last
 
     def __repr__(self):
         return f"ProjPoint({list(self.coords)})"
@@ -190,12 +163,12 @@ class ProjMap:
     """Invertible (n+1)x(n+1) matrix regarded up to nonzero global scale.
 
     An exact map holds its value as ``num / den`` (see the module notes) and
-    ``entries`` is its ``Fraction`` view; a float map holds ``entries`` as
-    ``float64`` and has ``num = den = None``.  Instances are immutable, but
-    for the inverse that :func:`inverse` keeps on one.
+    has ``entries = None``; a float map holds ``entries`` as ``float64`` and
+    has ``num = den = None``.  Instances are immutable, but for the inverse
+    that :func:`inverse` keeps on one.
     """
 
-    __slots__ = ("n", "num", "den", "_entries", "_inverse")
+    __slots__ = ("n", "num", "den", "entries", "_inverse")
 
     def __init__(self, entries):
         if isinstance(entries, np.ndarray) and entries.dtype == np.float64:
@@ -219,7 +192,7 @@ class ProjMap:
         setattr_(self, "n", held.shape[0] - 1)
         setattr_(self, "num", num)
         setattr_(self, "den", den)
-        setattr_(self, "_entries", entries)
+        setattr_(self, "entries", entries)
         setattr_(self, "_inverse", None)
 
     @classmethod
@@ -248,17 +221,9 @@ class ProjMap:
         raise AttributeError(f"ProjMap is immutable (cannot delete {name!r})")
 
     def __reduce__(self):
+        if self.exact:
+            return ProjMap._from_exact, (self.num, self.den)
         return ProjMap, (self.entries,)
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The matrix: ``float64``, or a cached ``Fraction`` view when exact."""
-        if self._entries is None:
-            view = np.array([Fraction(x, self.den) for x in self.num.flat], dtype=object)
-            view = view.reshape(self.num.shape)
-            view.setflags(write=False)
-            object.__setattr__(self, "_entries", view)
-        return self._entries
 
     @classmethod
     def identity(cls, n: int, exact: bool = True) -> "ProjMap":
@@ -299,7 +264,7 @@ def _ratio_to_json(p: int, q: int) -> str:
 def matrix_to_json(m: ProjMap) -> list:
     """Row-major nested lists; floats as numbers, exact entries as the strings
     of ``scalar_to_json`` ("p", or "p/q" in lowest terms), written from
-    ``num`` and ``den`` without building the ``entries`` view."""
+    ``num`` and ``den``."""
     if not m.exact:
         return m.entries.tolist()
     den = m.den
@@ -321,15 +286,13 @@ def matrix_from_json(rows) -> ProjMap:
 
 
 def compose(a: ProjMap, b: ProjMap) -> ProjMap:
-    """Matrix product a.b; acts as 'apply b, then a'."""
+    """Matrix product a.b; acts as 'apply b, then a'.  Exact when both are,
+    else in floats."""
     if a.n != b.n:
         raise DimensionMismatch(f"cannot compose maps of dimension {a.n} and {b.n}")
     if a.exact and b.exact:
         return ProjMap._from_exact(a.num @ b.num, a.den * b.den)
-    if not (a.exact or b.exact):
-        return ProjMap._from_float(a.entries @ b.entries)
-    # one exact, one float: Fraction * float rounds the Fraction to float first
-    return ProjMap(a.entries @ b.entries)
+    return ProjMap._from_float(a.to_float().entries @ b.to_float().entries)
 
 
 def _bareiss(rows: list, size: int):
@@ -417,45 +380,34 @@ def _invert_floats(maps: list) -> list:
 
 
 def act(a: ProjMap, p: ProjPoint) -> ProjPoint:
-    """Apply the map to a point; float results are renormalized by their
-    largest-magnitude entry for stability."""
+    """Apply the map, in floats, to a point; the result is renormalized by
+    its largest-magnitude entry for stability."""
     if a.n != p.n:
         raise DimensionMismatch(f"map dimension {a.n} != point dimension {p.n}")
-    vec = a.entries @ p.coords
-    if a.exact and p.exact:
-        if all(x == 0 for x in vec):
-            raise SingularMatrix("map sent a point to zero; matrix not invertible")
-        return ProjPoint(vec)
-    vec = np.asarray(vec, dtype=np.float64)
+    vec = a.to_float().entries @ p.coords
     scale = np.max(np.abs(vec))
     if scale == 0 or not np.isfinite(scale):
         raise SingularMatrix("map sent a point to zero or overflowed")
     return ProjPoint(vec / scale)
 
 
-def _flatten(x) -> np.ndarray:
-    if isinstance(x, ProjMap):
-        return x.num.ravel() if x.exact else x.entries.ravel()
-    if isinstance(x, ProjPoint):
-        return x.coords
-    raise TypeError(f"expected ProjMap or ProjPoint, got {type(x).__name__}")
-
-
 def proj_equiv(a, b, tol: float = DEFAULT_TOL) -> bool:
     """True iff a and b are proportional by a nonzero scalar.
 
-    The one-row case of :func:`proj_equiv_rows`: two exact inputs are
-    compared exactly (maps by their integer numerators), anything else by
-    float values.
+    The one-row case of :func:`proj_equiv_rows`: two exact maps are
+    compared exactly by their integer numerators, anything else by float
+    values.
     """
-    if type(a) is not type(b):
+    if type(a) is not type(b) or not isinstance(a, (ProjMap, ProjPoint)):
         raise TypeError("proj_equiv compares two maps or two points")
-    va, vb = _flatten(a), _flatten(b)
+    if isinstance(a, ProjPoint):
+        va, vb = a.coords, b.coords
+    elif a.exact and b.exact:
+        va, vb = a.num.ravel(), b.num.ravel()
+    else:
+        va, vb = a.to_float().entries.ravel(), b.to_float().entries.ravel()
     if va.shape != vb.shape:
         raise DimensionMismatch("shapes differ")
-    if isinstance(a, ProjMap) and (va.dtype == object) != (vb.dtype == object):
-        # one exact map, one float: compare the float values
-        va, vb = a.entries.ravel(), b.entries.ravel()
     return bool(proj_equiv_rows(va[None], vb[None], tol)[0])
 
 
@@ -498,7 +450,7 @@ class EigenPair:
     residual: float             # ||A v - lambda v||_2
 
 
-def eigen(a: ProjMap, tol: float = DEFAULT_TOL) -> list[EigenPair]:
+def eigen(a: ProjMap) -> list[EigenPair]:
     """Eigenvalues (|.|-descending) with eigenvectors and residuals.
 
     Float mode only: exact eigenvalues of the matrices treated here are read
@@ -519,7 +471,7 @@ def eigen(a: ProjMap, tol: float = DEFAULT_TOL) -> list[EigenPair]:
     scale = max(np.max(np.abs(values)), 1.0)
     mults = []
     for lam in values:
-        mults.append(int(np.sum(np.abs(values - lam) <= tol * scale)))
+        mults.append(int(np.sum(np.abs(values - lam) <= DEFAULT_TOL * scale)))
     out = []
     for k, lam in enumerate(values):
         v = vectors[:, k]

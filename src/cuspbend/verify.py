@@ -16,8 +16,8 @@ the model points built in one ``hilbert._leaf_value`` pass.
 grid per n, ``inverted-parameter-blowup`` one array of
 :func:`cusp_classify.cusp_parameter_entry`, and
 ``exact-normal-form-identity`` runs ``conjugate_and_match`` on the integer
-route.  Exact properties compare maps by their reduced ``(den, num)``, so
-no ``Fraction`` view of an exact map is built.
+route.  Exact properties compare maps by their reduced ``(den, num)``, the
+only form an exact map has.
 """
 
 from __future__ import annotations

@@ -1,9 +1,19 @@
 """The projective-equality rule of ``proj_equiv`` as it was written before the
-row-wise form, kept apart from the program as the tests' reference."""
+row-wise form, and the ``Fraction`` matrix of an exact map, kept apart from
+the program as the tests' reference."""
+
+from fractions import Fraction
 
 import numpy as np
 
 from cuspbend.projlin import ProjMap
+
+
+def fraction_matrix(m: ProjMap) -> np.ndarray:
+    """The matrix of an exact map as an ``object`` array of ``Fraction``s,
+    read from its integer numerators over its denominator."""
+    assert m.exact, "fraction_matrix() reads exact maps only"
+    return np.array([[Fraction(x, m.den) for x in row] for row in m.num.tolist()], dtype=object)
 
 
 def ref_equiv_vectors(va: np.ndarray, vb: np.ndarray, tol: float) -> bool:
@@ -37,4 +47,4 @@ def ref_equiv_maps(a: ProjMap, b: ProjMap, tol: float) -> bool:
     their float values."""
     if a.exact and b.exact:
         return ref_equiv_vectors(a.num.ravel(), b.num.ravel(), tol)
-    return ref_equiv_vectors(a.entries.ravel(), b.entries.ravel(), tol)
+    return ref_equiv_vectors(a.to_float().entries.ravel(), b.to_float().entries.ravel(), tol)

@@ -151,9 +151,10 @@ def test_classify_subcommand_exact(tmp_path):
 
 def test_classify_exact_builds_no_fraction_matrix(tmp_path, monkeypatch):
     """From the parsed b and mu to the written JSON, ``classify --exact``
-    stays on integer arrays: no Fraction-matrix split, no ``entries`` view,
-    and a number of Fractions linear in n (the parsed input, the residual and
-    its string), far below the (n+1)^2 entries of one matrix."""
+    stays on integer arrays: no Fraction-matrix split, every exact map it
+    meets holds no ``entries``, and a number of Fractions linear in n (the
+    parsed input, the residual and its string), far below the (n+1)^2
+    entries of one matrix."""
     import fractions
 
     import cuspbend.cusp_classify as cusp_classify
@@ -164,7 +165,7 @@ def test_classify_exact_builds_no_fraction_matrix(tmp_path, monkeypatch):
 
     for module in (projlin, cusp_classify):
         monkeypatch.setattr(module, "_exact_parts", refuse, raising=False)
-    monkeypatch.setattr(projlin.ProjMap, "entries", property(refuse))
+    met = _record_maps(monkeypatch)
     made = []
     new = fractions.Fraction.__new__
 
@@ -183,6 +184,21 @@ def test_classify_exact_builds_no_fraction_matrix(tmp_path, monkeypatch):
     assert cls["residual"] == "0" and cls["type"] == 5
     assert len(cls["conjugator"]) == n + 1
     assert len(made) <= 2 * (n - 1) + 4 < (n + 1) ** 2
+    exact = [m for m in met if m.exact]
+    assert exact and all(m.entries is None for m in exact)
+
+
+def _record_maps(monkeypatch) -> list:
+    """Every ``ProjMap`` built from here on, in the list returned."""
+    from cuspbend.projlin import ProjMap
+    met, set_ = [], ProjMap._set
+
+    def recording_set(self, num, den, entries):
+        set_(self, num, den, entries)
+        met.append(self)
+
+    monkeypatch.setattr(ProjMap, "_set", recording_set)
+    return met
 
 
 def test_classify_subcommand_generators(tmp_path):
@@ -396,6 +412,8 @@ SMALL_S = ("bending parameter s_{} = {} is below 1e-08; float classification is 
     # the first row refused decides the message
     (["--n", "3", "--grid=710:-1:2"], "bending parameter 710.0 is too large: exp(s) overflows"),
     (["--n", "3", "--grid=-1:710:2"], "bending parameters must be nonnegative"),
+    # stop - start overflows: the first row is nan
+    (["--n", "3", "--grid=-1.7e308:1.7e308:3"], "bending parameters must be finite"),
 ])
 def test_sweep_bad_bending_data_is_usage_error(tmp_path, capsys, args):
     argv, message = args
@@ -636,22 +654,16 @@ def test_verify_output_matches_fixture(tmp_path, monkeypatch):
     """``verify --seed 0 --out`` is byte-identical to the report recorded when
     every suite scored its trials one at a time: same properties, trials,
     tolerances, notes and residuals.  It reads every exact map by its
-    integers, so it builds no ``Fraction`` view (702 when the exact
-    properties compared ``entries``)."""
-    from cuspbend.projlin import ProjMap
-    entries, views = ProjMap.entries, []
-
-    def counting(m):
-        if m.exact and m._entries is None:
-            views.append(m)
-        return entries.fget(m)
-
-    monkeypatch.setattr(ProjMap, "entries", property(counting))
+    integers: every exact map it meets holds no ``entries`` (702
+    ``Fraction`` views were built when the exact properties compared
+    ``entries``)."""
+    met = _record_maps(monkeypatch)
     fixture = Path(__file__).parent / "fixtures" / "verify_seed0.json"
     out = tmp_path / "report.json"
     assert main(["verify", "--seed", "0", "--out", str(out)]) == 0
     assert out.read_bytes() == fixture.read_bytes()
-    assert views == []
+    exact = [m for m in met if m.exact]
+    assert exact and all(m.entries is None for m in exact)
 
 
 def test_exact_equality_refuses_a_float_map():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import warnings
 from fractions import Fraction as F
@@ -26,12 +28,12 @@ from cuspbend.projlin import (
     scalar_to_json,
 )
 
-from equiv_reference import ref_equiv_vectors
+from equiv_reference import fraction_matrix, ref_equiv_vectors
 
 
 def test_compose_identity():
     m = ProjMap([[1, 2], [3, 5]])
-    assert np.array_equal(compose(ProjMap.identity(1), m).entries, m.entries)
+    assert np.array_equal(fraction_matrix(compose(ProjMap.identity(1), m)), fraction_matrix(m))
 
 
 def test_compose_inverse_is_identity_up_to_scale():
@@ -41,7 +43,7 @@ def test_compose_inverse_is_identity_up_to_scale():
 
 def test_compose_diagonals():
     got = compose(ProjMap.diagonal([1, 2, 1]), ProjMap.diagonal([1, 3, 1]))
-    assert np.array_equal(got.entries, ProjMap.diagonal([F(1), F(6), F(1)]).entries)
+    assert np.array_equal(fraction_matrix(got), fraction_matrix(ProjMap.diagonal([F(1), F(6), F(1)])))
 
 
 def test_compose_dimension_mismatch():
@@ -50,8 +52,8 @@ def test_compose_dimension_mismatch():
 
 
 def test_inverse_identity_and_diagonal():
-    assert np.array_equal(inverse(ProjMap.identity(2)).entries,
-                          ProjMap.identity(2).entries)
+    assert np.array_equal(fraction_matrix(inverse(ProjMap.identity(2))),
+                          fraction_matrix(ProjMap.identity(2)))
     inv = inverse(ProjMap.diagonal([F(1), F(2), F(4)]))
     assert proj_equiv(inv, ProjMap.diagonal([F(1), F(1, 2), F(1, 4)]))
 
@@ -65,8 +67,8 @@ def test_inverse_of_bent_generator_multiplies_back_exactly():
     from cuspbend.cusp_classify import RectangularCuspData, bent_cusp_generators
     data = RectangularCuspData(3, b=[F(1), F(2)], mu=[F(2), F(1)])
     for g in bent_cusp_generators(data):
-        assert np.array_equal(compose(inverse(g), g).entries,
-                              ProjMap.identity(3).entries)
+        assert np.array_equal(fraction_matrix(compose(inverse(g), g)),
+                              fraction_matrix(ProjMap.identity(3)))
 
 
 def test_inverse_singular_float_condition():
@@ -82,6 +84,7 @@ def test_inverse_is_kept_on_its_map(exact):
     its own, and a singular map keeps nothing and raises every time."""
     rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
     m = ProjMap([[F(x) for x in row] for row in rows] if exact else np.array(rows, float))
+    value = fraction_matrix if exact else (lambda a: a.entries)
     inv = inverse(m)
     assert inverse(m) is inv
     twice = inverse(inv)
@@ -91,9 +94,9 @@ def test_inverse_is_kept_on_its_map(exact):
     else:
         fresh = np.linalg.inv(np.linalg.inv(np.array(rows, float)))
         assert twice.entries.tobytes() == fresh.tobytes()
-    equal = ProjMap(m.entries)
+    equal = ProjMap(value(m))
     assert inverse(equal) is not inv
-    assert np.array_equal(inverse(equal).entries, inv.entries)
+    assert np.array_equal(value(inverse(equal)), value(inv))
     singular = ProjMap([[F(1), F(2)], [F(2), F(4)]] if exact else [[1.0, 2.0], [2.0, 4.0]])
     for _ in range(2):
         with pytest.raises(SingularMatrix):
@@ -142,8 +145,7 @@ def test_point_from_float_array_is_a_frozen_copy():
     p = ProjPoint(arr)
     arr[0] = 7.0
     assert p.coords.tolist() == [0.5, -2.0, 1.0]
-    assert not p.coords.flags.writeable and not p.exact
-    assert p.to_float() is p
+    assert not p.coords.flags.writeable and p.coords.dtype == np.float64
     # the array fast path and the list path build the same point
     assert ProjPoint([0.5, -2.0, 1.0]).coords.tolist() == p.coords.tolist()
     assert np.isnan(ProjPoint(np.array([math.nan, 1.0])).coords[0])
@@ -153,8 +155,7 @@ def test_point_from_float_array_is_a_frozen_copy():
         ProjPoint(np.array([-0.0, 0.0]))
     with pytest.raises(ValueError, match="at least 2"):
         ProjPoint(np.array([1.0]))
-    exact = ProjPoint([F(1, 2), 1])
-    assert exact.exact and exact.to_float().coords.tolist() == [0.5, 1.0]
+    assert ProjPoint([F(1, 2), 1]).coords.tolist() == [0.5, 1.0]
 
 
 def test_eigen_diagonal():
@@ -197,7 +198,7 @@ def test_matrix_json_roundtrip():
     data = matrix_to_json(m)
     assert data == [["1/2", "3"], ["0", "1"]]
     back = matrix_from_json(data)
-    assert np.array_equal(back.entries, m.entries)
+    assert np.array_equal(fraction_matrix(back), fraction_matrix(m))
     mf = ProjMap([[0.5, 3.0], [0.0, 1.0]])
     assert matrix_from_json(matrix_to_json(mf)).entries.dtype == np.float64
 
@@ -271,7 +272,7 @@ def test_matrix_to_json_exact_matches_fraction_strings(rows):
     m = ProjMap(rows)
     want = [[str(F(x)) for x in row] for row in rows]
     assert matrix_to_json(m) == want
-    assert matrix_to_json(m) == [[str(F(x)) for x in row] for row in m.entries]
+    assert matrix_to_json(m) == [[str(F(x)) for x in row] for row in fraction_matrix(m)]
 
 
 def test_matrix_to_json_exact_edge_entries():
@@ -307,13 +308,13 @@ def exact_matrix(size):
 def test_compose_associative_exact(a, b, c):
     lhs = compose(compose(a, b), c)
     rhs = compose(a, compose(b, c))
-    assert np.array_equal(lhs.entries, rhs.entries)
+    assert np.array_equal(fraction_matrix(lhs), fraction_matrix(rhs))
 
 
 @settings(max_examples=50, deadline=None)
 @given(exact_matrix(3), small_fraction.filter(lambda x: x != 0))
 def test_proj_equiv_scale_invariance_exact(m, scale):
-    scaled = ProjMap([[x * scale for x in row] for row in m.entries])
+    scaled = ProjMap([[x * scale for x in row] for row in fraction_matrix(m)])
     assert proj_equiv(m, scaled)
 
 
@@ -325,6 +326,66 @@ def test_act_composition_random():
         b = ProjMap(rng.uniform(-1, 1, (n + 1, n + 1)))
         p = ProjPoint(rng.uniform(0.5, 1.5, n + 1))
         assert proj_equiv(act(compose(a, b), p), act(a, act(b, p)), 1e-10)
+
+
+def _rational_map(rng, size):
+    """A map of small rationals with mixed denominators."""
+    return ProjMap([[F(int(rng.integers(-9, 10)), int(rng.integers(1, 8))) for _ in range(size)]
+                    for _ in range(size)])
+
+
+def _exact_and_float_maps(rng, count):
+    """(exact map, float map, float point) triples of one size each."""
+    for _ in range(count):
+        size = int(rng.integers(2, 6))
+        yield (_rational_map(rng, size), ProjMap(rng.uniform(-2, 2, (size, size))),
+               ProjPoint(rng.uniform(0.5, 1.5, size)))
+
+
+def test_exact_meets_float_in_floats():
+    """An exact map that meets a float operand is read through to_float():
+    compose (on either side) and act give the bytes of the float route, and
+    proj_equiv the verdict of the float comparison."""
+    rng = np.random.default_rng(11)
+    for e, f, p in _exact_and_float_maps(rng, 300):
+        ef = e.to_float()
+        for got, want in [(compose(e, f), compose(ef, f)), (compose(f, e), compose(f, ef))]:
+            assert not got.exact and got.entries.tobytes() == want.entries.tobytes()
+        assert act(e, p).coords.tobytes() == act(ef, p).coords.tobytes()
+        for other in (f, ProjMap(3.0 * ef.entries)):
+            assert proj_equiv(e, other) == proj_equiv(ef, other) == proj_equiv(other, e)
+        assert proj_equiv(e, ProjMap(-2.0 * ef.entries))
+
+
+def test_exact_compose_stays_exact():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        size = int(rng.integers(2, 6))
+        e1, e2 = _rational_map(rng, size), _rational_map(rng, size)
+        got = compose(e1, e2)
+        assert got.exact and got.entries is None
+        assert fraction_matrix(got).tolist() == (fraction_matrix(e1) @ fraction_matrix(e2)).tolist()
+
+
+def test_point_of_exact_scalars_is_float():
+    p = ProjPoint([F(1, 3), 1])
+    assert p.coords.dtype == np.float64 and not p.coords.flags.writeable
+    assert p.coords.tolist() == [1 / 3, 1.0]
+    assert p.chart().tolist() == [1 / 3]
+
+
+def test_maps_survive_pickle_and_deepcopy():
+    exact = ProjMap([[F(1, 2), F(-3)], [F(0), F(5, 4)]])
+    flt = ProjMap([[0.5, -3.0], [0.0, 1.25]])
+    for m in (exact, flt):
+        inverse(m)              # the kept inverse is not part of the stored form
+    for copy_of in (lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy):
+        e, f = copy_of(exact), copy_of(flt)
+        assert e.exact and e.entries is None and e.den == exact.den == 4
+        assert np.array_equal(e.num, exact.num) and not e.num.flags.writeable
+        assert not f.exact and f.num is None and f.den is None
+        assert f.entries.tobytes() == flt.entries.tobytes() and not f.entries.flags.writeable
+        assert fraction_matrix(inverse(e)).tolist() == fraction_matrix(inverse(exact)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +463,15 @@ def test_exact_ops_match_fraction_reference(pair):
     a, b = ProjMap(a_rows), ProjMap(b_rows)
     # the stored integer form: one positive denominator, nothing left to cancel
     assert a.den > 0 and math.gcd(a.den, *a.num.ravel().tolist()) == 1
-    assert not (a.num.flags.writeable or a.entries.flags.writeable)
-    assert a.entries.tolist() == a_rows
-    assert compose(a, b).entries.tolist() == ref_matmul(a_rows, b_rows)
+    assert not a.num.flags.writeable and a.entries is None
+    assert fraction_matrix(a).tolist() == a_rows
+    assert fraction_matrix(compose(a, b)).tolist() == ref_matmul(a_rows, b_rows)
     inv = ref_inverse(a_rows)
     if inv is None:
         with pytest.raises(SingularMatrix):
             inverse(a)
     else:
-        assert inverse(a).entries.tolist() == inv
+        assert fraction_matrix(inverse(a)).tolist() == inv
     assert proj_equiv(a, b) == ref_proportional(a_rows, b_rows)
     assert a.to_float().entries.tolist() == [[float(x) for x in row] for row in a_rows]
 

@@ -23,22 +23,17 @@ cli.main.argv
 cusp_classify.RectangularCuspData.__init__.s
 cusp_classify.RectangularCuspData.__init__.mu
 cusp_classify.conjugate_and_match.tol
-cusp_classify.equivalent_parameters.tol
 cusp_classify.classify_h_form.tol
-cusp_classify.upper_triangular_check.tol
-cusp_classify.diagonalize_commuting.tol
 cusp_classify.diagonalize_commuting.rng
 cusp_models.h_element.log_d
 cusp_models.h_element.sigma
 cusp_models.leaf_coordinate.tol
 cusp_models.hyperplane_centralizer_element.tparam
 cusp_models.hyperplane_centralizer_element.mu
-hilbert.cross_ratio.tol
 projlin.require_int.least
 projlin.ProjMap.identity.exact
 projlin.proj_equiv.tol
 projlin.proj_equiv_rows.tol
-projlin.eigen.tol
 verify.run_suites.names
 verify.run_suites.seed
 verify.run_suites.perturb
@@ -75,7 +70,7 @@ def test_settings_are_the_listed_ones():
     found = [s for path in sorted(PACKAGE.glob("*.py"))
              for s in settings(path.stem, path.read_text())]
     assert sorted(found) == sorted(SETTINGS)
-    assert len(SETTINGS) == len(set(SETTINGS)) == 31
+    assert len(SETTINGS) == len(set(SETTINGS)) == 26
 
 
 @pytest.mark.parametrize("source,found", [

@@ -19,10 +19,12 @@ centralizer commutes with its edge words in the given representation;
 then, move by move, the decomposition covers the generators, the
 centralizer has the right dimension, it commutes with the edge words in
 the state the move is applied to, and every relator maps to the identity
-in the new state; with ``verify_order``, the same for the moves in a
-random order, and both results agree on every generator.  :func:`bend` is
-the one-move case, without the first check.  A bend makes every check at
-its own ``tol``; a :class:`MarkedRep` checks its relators on construction,
+in the new state; with ``verify_order``, the same for the moves in the
+order ``random.Random(seed)`` draws (the stdlib generator, which numpy
+imports anyway, so a bend never loads ``numpy.random``), and both results
+agree on every generator.  :func:`bend` is the one-move case, without the
+first check.  A bend makes every check at its own ``tol``; a
+:class:`MarkedRep` checks its relators on construction,
 at ``DEFAULT_TOL``, while ``from_json`` leaves them to the pass of
 :func:`iterated_bend` (at the ``bend --tol`` of the CLI).  The generator
 sets are built first, with the same :func:`compose` calls in the same
@@ -42,6 +44,7 @@ they meet, so maps of equal value share one inversion.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
@@ -470,7 +473,7 @@ def _bend_step(checks: _Checks, rep: MarkedRep, gens: dict, move: BendingMove,
 
 
 def _iterated_steps(checks: _Checks, rep: MarkedRep, moves: list, tol: float,
-                    verify_order: bool, rng) -> dict:
+                    verify_order: bool, seed: int) -> dict:
     """The generator sets and checks of :func:`iterated_bend`, in its order;
     returns the generators after every move."""
     def non_commuting(i, j):
@@ -491,9 +494,8 @@ def _iterated_steps(checks: _Checks, rep: MarkedRep, moves: list, tol: float,
     for move in moves:
         gens = _bend_step(checks, rep, gens, move, tol)
     if verify_order and len(moves) > 1:
-        rng = rng or np.random.default_rng(0)
         other = rep.generators
-        for idx in rng.permutation(len(moves)):
+        for idx in random.Random(seed).sample(range(len(moves)), len(moves)):
             other = _bend_step(checks, rep, other, moves[idx], tol)
         for name, g in gens.items():
             checks.require((checks.letter(g),), (checks.letter(other[name]),), tol,
@@ -515,7 +517,7 @@ def bend(rep: MarkedRep, move: BendingMove, tol: float = DEFAULT_TOL) -> MarkedR
 
 def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
                   tol: float = DEFAULT_TOL, verify_order: bool = False,
-                  rng: Optional[np.random.Generator] = None) -> MarkedRep:
+                  seed: int = 0) -> MarkedRep:
     """Apply several bending moves; refuses unless all pairs of centralizing
     elements commute, which is the hypothesis making the result independent
     of the order in which the moves are applied.
@@ -525,12 +527,16 @@ def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
     dimension; the centralizers commute pairwise; each move's centralizer
     commutes with its edge words in rep; then the :func:`bend` checks of
     each move on the state it is applied to; with ``verify_order`` and two
-    or more moves, the bend checks of the moves applied again in a random
-    order, and the two results agree on every generator.  Every generator
-    set is built first; then all checks are decided together, and the first
-    that fails raises, as if each had been checked where it was reached.
+    or more moves, the bend checks of the moves applied again in the order
+    ``random.Random(seed).sample`` draws, and the two results agree on every
+    generator.  Every generator set is built first; then all checks are
+    decided together, and the first that fails raises, as if each had been
+    checked where it was reached.  A negative ``seed`` is a ``ValueError``
+    before any check, with or without ``verify_order``.
     """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
     moves = list(moves)
     checks = _Checks(rep.n, rep.generators)
-    gens = checks.run(_iterated_steps, checks, rep, moves, tol, verify_order, rng)
+    gens = checks.run(_iterated_steps, checks, rep, moves, tol, verify_order, seed)
     return MarkedRep(rep.n, gens, rep.relators, check=False) if moves else rep

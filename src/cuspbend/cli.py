@@ -248,8 +248,7 @@ def _cmd_bend(args) -> int:
         iterated_bend(rep, [], tol=args.tol)  # a failing input relator is reported first
         raise
     result = iterated_bend(rep, moves, tol=args.tol,
-                           verify_order=args.verify_order,
-                           rng=np.random.default_rng(args.seed))
+                           verify_order=args.verify_order, seed=args.seed)
     _write_text(args.out, json.dumps(result.to_json(), sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -359,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help='JSON {"rep":…, "moves":[…]}')
     p.add_argument("--out", default="-")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the --verify-order re-run's move order, non-negative")
     p.add_argument("--verify-order", action="store_true",
                    help="re-run the moves in a random order and compare")
     p.set_defaults(func=_cmd_bend)

@@ -198,9 +198,12 @@ def expected_corner(b, mu):
 
 def cusp_parameter_entry(b, mu, s):
     """Cusp-parameter values contributed by bent slots, -corner / s, in
-    floats: elementwise over arrays (broadcast), or one slot's value."""
+    floats: elementwise over arrays (broadcast), or one slot's value.  A
+    value that overflows, or a mu that rounds to 1, reads inf or NaN without
+    a warning: callers refuse values that are not finite."""
     b, mu, s = (np.asarray(x, dtype=np.float64) for x in (b, mu, s))
-    return expected_corner(b, mu) / -s
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return expected_corner(b, mu) / -s
 
 
 def _cusp_arrays(b, s, mu):
@@ -234,30 +237,32 @@ def _cusp_arrays(b, s, mu):
     s, mu = (np.asarray(x, dtype=np.float64) for x in (s, mu))
     _guard_small_bending(s, mu)
     b = np.broadcast_to(np.asarray(b, dtype=np.float64), mu.shape)
-    rows, m = mu.shape
-    n = m + 1
-    eye = np.eye(n + 1)
-    slot = np.arange(m)
-    coord = slot + 1
-    r_bent, k_bent = np.nonzero(mu != 1)
+    # entries that overflow read inf, and the residual of their row NaN
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rows, m = mu.shape
+        n = m + 1
+        eye = np.eye(n + 1)
+        slot = np.arange(m)
+        coord = slot + 1
+        r_bent, k_bent = np.nonzero(mu != 1)
 
-    gens = np.tile(eye, (rows, m, 1, 1))
-    gens[:, slot, 0, coord] = b
-    gens[:, slot, coord, n] = b
-    gens[:, slot, 0, n] = b * b / 2
-    gens[:, slot, coord, :] *= mu[:, :, None]
+        gens = np.tile(eye, (rows, m, 1, 1))
+        gens[:, slot, 0, coord] = b
+        gens[:, slot, coord, n] = b
+        gens[:, slot, 0, n] = b * b / 2
+        gens[:, slot, coord, :] *= mu[:, :, None]
 
-    b_bent, mu_bent = b[r_bent, k_bent], mu[r_bent, k_bent]
-    denom = mu_bent - 1
-    a_mat = np.repeat(eye[None], rows, axis=0)
-    a_mat[r_bent, 0, k_bent + 1] = -b_bent / denom
-    a_mat[r_bent, k_bent + 1, n] = mu_bent * b_bent / denom
+        b_bent, mu_bent = b[r_bent, k_bent], mu[r_bent, k_bent]
+        denom = mu_bent - 1
+        a_mat = np.repeat(eye[None], rows, axis=0)
+        a_mat[r_bent, 0, k_bent + 1] = -b_bent / denom
+        a_mat[r_bent, k_bent + 1, n] = mu_bent * b_bent / denom
 
-    normal = gens.copy()
-    normal[r_bent, k_bent, 0, k_bent + 1] = 0
-    normal[r_bent, k_bent, k_bent + 1, n] = 0
-    normal[r_bent, k_bent, 0, n] = expected_corner(b_bent, mu_bent)
-    return gens, a_mat, normal
+        normal = gens.copy()
+        normal[r_bent, k_bent, 0, k_bent + 1] = 0
+        normal[r_bent, k_bent, k_bent + 1, n] = 0
+        normal[r_bent, k_bent, 0, n] = expected_corner(b_bent, mu_bent)
+        return gens, a_mat, normal
 
 
 def _exact_cusp_arrays(b, mu):
@@ -339,10 +344,11 @@ def _intertwining_residuals(gens: np.ndarray, a_mat: np.ndarray,
     entry whose bound is 0 has error 0 and reads 0; a NaN anywhere in a row
     makes its residual NaN."""
     a = a_mat[:, None]
-    err = np.abs(np.matmul(a, gens) - np.matmul(normal, a))
-    abs_a = np.abs(a)
-    bound = np.matmul(abs_a, np.abs(gens)) + np.matmul(np.abs(normal), abs_a)
-    return np.max(err / np.where(bound == 0, 1.0, bound), axis=(1, 2, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.abs(np.matmul(a, gens) - np.matmul(normal, a))
+        abs_a = np.abs(a)
+        bound = np.matmul(abs_a, np.abs(gens)) + np.matmul(np.abs(normal), abs_a)
+        return np.max(err / np.where(bound == 0, 1.0, bound), axis=(1, 2, 3))
 
 
 def conjugation_residuals(b, s, mu) -> np.ndarray:

@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import re
 import tracemalloc
 from fractions import Fraction as F
@@ -196,8 +197,7 @@ def test_cli_shaped_bend_inverts_each_value_once(name, monkeypatch):
     computed = _computed_inversions(monkeypatch)
     rep = MarkedRep.from_json(case["input"]["rep"])
     moves = [BendingMove.from_json(m) for m in case["input"]["moves"]]
-    bent = iterated_bend(rep, moves, verify_order=True,
-                         rng=np.random.default_rng(int(case["argv"][1])))
+    bent = iterated_bend(rep, moves, verify_order=True, seed=int(case["argv"][1]))
     words = [[f"{g}^-1"] for g in bent.names()] + [[f"{g}^-2" for g in rep.names()]]
     for word in words + words:
         evaluate(bent, word)
@@ -224,7 +224,7 @@ def test_inverse_caches_stay_bounded_under_repeated_bending(monkeypatch):
         for k in rng.choice(5, size=2, replace=False):
             s[k] = float(rng.uniform(0.05, 1.5))
         moves = cusp_bending_moves(RectangularCuspData(6, b=b, s=s))
-        bent = iterated_bend(root, moves, verify_order=True, rng=rng)
+        bent = iterated_bend(root, moves, verify_order=True, seed=int(rng.integers(2**32)))
         again = bend(bent, moves[0])
         for rep in (root, bent, again):
             evaluate(rep, [f"{name}^-1" for name in rep.names()])
@@ -318,11 +318,40 @@ def test_iterated_bend_order_swap():
     data = RectangularCuspData(4, b=[1.0, 0.8, 1.3], s=[0.7, 0.3, 0.0])
     rep = cusp_fixture_rep(data)
     moves = cusp_bending_moves(data)
-    fwd = iterated_bend(rep, moves, verify_order=True,
-                        rng=np.random.default_rng(0))
+    fwd = iterated_bend(rep, moves, verify_order=True, seed=0)
     rev = iterated_bend(rep, moves[::-1])
     for name in rep.names():
         assert proj_equiv(fwd.generators[name], rev.generators[name], 1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_verify_order_reruns_in_the_seeded_order(monkeypatch, n):
+    """With ``verify_order``, the moves run forward and then in the order
+    ``random.Random(seed).sample`` draws; some seed draws an order other
+    than the forward one."""
+    import cuspbend.bending as bending_mod
+    data = RectangularCuspData(n, b=[1.0, 0.8, 1.3, 0.6][:n - 1],
+                               s=[0.7, 0.3, 0.5, 0.9][:n - 1])
+    rep = cusp_fixture_rep(data)
+    moves = cusp_bending_moves(data)
+    assert len(moves) == n - 1
+    applied = []
+    real = bending_mod._bend_step
+
+    def record(checks, rep, gens, move, tol):
+        applied.append(next(k for k, m in enumerate(moves) if m is move))
+        return real(checks, rep, gens, move, tol)
+
+    monkeypatch.setattr(bending_mod, "_bend_step", record)
+    forward = list(range(len(moves)))
+    reruns = []
+    for seed in range(6):
+        applied.clear()
+        iterated_bend(rep, moves, verify_order=True, seed=seed)
+        want = random.Random(seed).sample(forward, len(moves))
+        assert applied == forward + want, seed
+        reruns.append(applied[len(moves):])
+    assert any(order != forward for order in reruns)
 
 
 def test_iterated_bend_rejects_non_commuting_centralizers():

@@ -466,6 +466,33 @@ def test_classify_pattern_mismatch_is_property_failure(tmp_path, capsys):
     assert main(["classify", "--in", str(src)]) == 0
 
 
+@pytest.mark.parametrize("command,data,code,message", [
+    # b * b / 2 overflows; the residual is NaN
+    (["classify"], {"n": 3, "b": [1e200, 1.0], "s": [0.5, 0.0]}, 1,
+     "cuspbend: conjugated generators miss the normal form by nan > 1.0e-09\nresidual: nan\n"),
+    (["sweep", "--n", "3", "--grid", "0:1:3", "--b", "1e160"], None, 1,
+     "cuspbend: row 0: conjugated generators miss the normal form by nan > 1.0e-09\n"
+     "residual: nan\n"),
+    # mu - 1 rounds to 0 in floats, so psi_1 reads inf
+    (["classify", "--exact"], {"n": 3, "b": ["1", "1"],
+                               "mu": ["1000000000000000000000000000001/"
+                                      "1000000000000000000000000000000", "1"]}, 2,
+     "cuspbend: psi_1 = inf is not finite\n"),
+], ids=["classify", "sweep", "classify-exact"])
+def test_overflowing_construction_keeps_the_exit_contract(tmp_path, capsys, command, data,
+                                                          code, message):
+    """Float values of the construction that overflow end in the documented
+    exit and message, with no numpy warning (an error under the test
+    suite's warning filter)."""
+    src, out = tmp_path / "data.json", tmp_path / "out"
+    if data is not None:
+        src.write_text(json.dumps(data))
+        command = command + ["--in", str(src)]
+    assert main(command + ["--out", str(out)]) == code
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_classify_exact_flag_rejects_floats(tmp_path):
     src = tmp_path / "data.json"
     src.write_text(json.dumps({"n": 3, "b": [1.0, 1.0], "s": [0.5, 0.0]}))
@@ -622,7 +649,7 @@ def test_bend_failure_contract(tmp_path, capsys):
             rep = MarkedRep.from_json(bundle["rep"])
             moves = [BendingMove.from_json(m) for m in bundle["moves"]]
             iterated_bend(rep, moves, verify_order="--verify-order" in case["argv"],
-                          rng=np.random.default_rng(int(case["argv"][1])))
+                          seed=int(case["argv"][1]))
         assert type(info.value).__name__ == case["exception"], case["name"]
         assert str(info.value) == case["message"], case["name"]
         out = tmp_path / f"{case['name']}.json"
@@ -632,6 +659,23 @@ def test_bend_failure_contract(tmp_path, capsys):
         assert code == case["exit"], case["name"]
         assert capsys.readouterr().err == case["stderr"], case["name"]
         assert not out.exists(), case["name"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bend", "--seed", "-1"],
+    ["bend", "--seed", "-1", "--verify-order"],
+    ["verify", "--suite", "projlin", "--seed", "-1"],
+])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    """A negative seed exits 2 with one message and writes nothing, whether
+    or not the bend re-runs its moves."""
+    fixture = Path(__file__).parent / "fixtures" / "bend.json"
+    src, out = tmp_path / "bundle.json", tmp_path / "out.json"
+    src.write_text(json.dumps(json.loads(fixture.read_text())["cases"][0]["input"]))
+    extra = ["--in", str(src)] if argv[0] == "bend" else []
+    assert main(argv + extra + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "cuspbend: expected non-negative integer\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("relator_holds", [False, True])

@@ -1,13 +1,19 @@
 """The package's import layout: every import of one ``cuspbend`` module by
-another sits at module level, and the module import graph has no cycle."""
+another sits at module level, and the module import graph has no cycle; and
+the CLI commands other than ``verify`` do not load ``numpy.random``."""
 
 import ast
 import graphlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cuspbend"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def _imports(tree: ast.Module):
@@ -71,3 +77,39 @@ def test_layout_faults_are_found(sources, fault):
     """The check itself: an import inside a function and a cycle are found."""
     faults = layout_faults(sources)
     assert len(faults) == 1 and faults[0].startswith(fault), faults
+
+
+COLD_START = """
+import json, sys
+from cuspbend.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    assert "numpy.random" not in sys.modules, f"{argv[0]} loaded numpy.random"
+"""
+
+
+def test_commands_but_verify_leave_numpy_random_unloaded(tmp_path):
+    """In a fresh process, ``sweep``, ``bend --verify-order`` on two or more
+    moves, ``classify`` on exact bending data and on generators, and
+    ``hilbert`` never import ``numpy.random``: its first import costs more
+    than a bend.  A fresh process, because other tests load it here."""
+    def first(name, pick=lambda case: True):
+        case = next(c for c in json.loads((FIXTURES / f"{name}.json").read_text())["cases"]
+                    if pick(c))
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(case["input"]))
+        return str(path)
+
+    out = str(tmp_path / "out")
+    calls = [
+        ["sweep", "--n", "4", "--grid", "0:1:3", "--out", out],
+        ["bend", "--in", first("bend", lambda c: len(c["input"]["moves"]) > 1),
+         "--seed", "3", "--verify-order", "--out", out],
+        ["classify", "--exact", "--in", first("classify_exact"), "--out", out],
+        ["classify", "--in", first("classify_generators"), "--out", out],
+        ["hilbert", "--in", first("hilbert_csv"), "--out", out],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(calls)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -18,7 +18,7 @@ bending._Checks.__init__.names
 bending.bend.tol
 bending.iterated_bend.tol
 bending.iterated_bend.verify_order
-bending.iterated_bend.rng
+bending.iterated_bend.seed
 cli.main.argv
 cusp_classify.RectangularCuspData.__init__.s
 cusp_classify.RectangularCuspData.__init__.mu

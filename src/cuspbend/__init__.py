@@ -5,12 +5,10 @@ bisection, bending of marked representations, and cusp-type classification.
 
 from .projlin import (
     DEFAULT_TOL,
-    EigenPair,
     ProjMap,
     ProjPoint,
     act,
     compose,
-    eigen,
     inverse,
     proj_equiv,
 )
@@ -53,7 +51,6 @@ from .cusp_classify import (
     conjugate_and_match,
     equivalent_parameters,
     standard_cusp_generators,
-    upper_triangular_check,
 )
 
 __version__ = "0.1.0"

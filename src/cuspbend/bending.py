@@ -200,16 +200,6 @@ class Decomposition:
                 f"decomposition names {sorted(listed)} do not cover the "
                 f"generators {sorted(names)} exactly once")
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind, "edge_words": [word_to_json(w) for w in self.edge_words]}
-        if self.kind == "amalgam":
-            out["side1"] = list(self.side1)
-            out["side2"] = list(self.side2)
-        else:
-            out["base"] = list(self.base)
-            out["stable"] = self.stable
-        return out
-
     @classmethod
     def from_json(cls, data: dict) -> "Decomposition":
         return cls(kind=data["kind"],
@@ -224,11 +214,6 @@ class Decomposition:
 class BendingMove:
     decomposition: Decomposition
     centralizer: ProjMap
-
-    def to_json(self) -> dict:
-        out = self.decomposition.to_json()
-        out["centralizer"] = matrix_to_json(self.centralizer)
-        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "BendingMove":

@@ -16,9 +16,11 @@ belongs, a ``domain`` or ``rep.generators`` that is not an object,
 ``classify --exact`` on generators, an integer field (``classify`` n,
 ``hilbert`` ball n, ``bend`` rep.n, a ``bend`` word exponent in pair form)
 that is a bool, a string or not a whole number, a ball n below 1, an
-empty ``sweep --b`` entry, and bending data that
+empty ``sweep --b`` entry, bending data that
 :class:`RectangularCuspData` or the float guard refuses (not finite,
-exp(s) overflowing, or a nonzero s below ``MIN_BEND_FLOAT``).
+exp(s) overflowing, or a nonzero s below ``MIN_BEND_FLOAT``), and an exact
+value that does not fit a float where it is read in floats (a b, mu or
+psi, or a matrix entry), with a message naming it.
 
 ``sweep`` builds the s and mu rows of its whole grid as arrays, checks n
 and b once and refuses the first row :class:`RectangularCuspData` would
@@ -57,8 +59,8 @@ from .cusp_classify import (
 )
 from .cusp_models import CuspParameter
 from .hilbert import ball_oracle, hilbert_distances, model_domain_oracle
-from .projlin import (DEFAULT_TOL, is_exact, matrix_from_json, parse_scalar, require_int,
-                      require_json, scalar_to_json)
+from .projlin import (DEFAULT_TOL, is_exact, matrix_from_json, parse_scalar, require_float,
+                      require_int, require_json, scalar_to_json)
 
 
 def _fmt(x) -> str:
@@ -304,7 +306,8 @@ def _cmd_hilbert(args) -> int:
     if kind == "ball":
         dom = ball_oracle(require_int(dspec["n"], "n", least=1))
     elif kind == "model":
-        psi = CuspParameter([float(parse_scalar(x)) for x in dspec["psi"]])
+        psi = CuspParameter([require_float(parse_scalar(x), f"psi_{i + 1}")
+                             for i, x in enumerate(dspec["psi"])])
         dom = model_domain_oracle(psi)
         require_json(dspec["psi"], "psi", list)
     else:

@@ -50,25 +50,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bending import require_pairwise_commuting
 from .cusp_models import CuspParameter
 from .projlin import (
     DEFAULT_TOL,
     ProjMap,
     is_exact,
     matrix_to_json,
+    require_float,
     scalar_to_json,
 )
 
 # smallest nonzero bending parameter classified in float mode; below this the
 # new eigenvector degenerates and callers should supply exact mu instead
 MIN_BEND_FLOAT = 1e-8
-# random linear combinations tried by diagonalize_commuting
-DIAGONALIZE_TRIES = 10
 
 
 def _finite(x) -> bool:
@@ -94,7 +92,9 @@ class PatternMismatch(ValueError):
 @dataclass(frozen=True)
 class RectangularCuspData:
     """Cusp-shape constants b_2..b_n (> 0) and bending parameters s_2..s_n
-    (>= 0), with optional exact multipliers mu_i = exp(s_i)."""
+    (>= 0), with optional exact multipliers mu_i = exp(s_i).  Each b and mu
+    must fit a float (:func:`projlin.require_float`): s and the cusp
+    parameter are read in floats."""
 
     n: int
     b: tuple
@@ -111,6 +111,8 @@ class RectangularCuspData:
             raise ValueError("shape constants must be finite")
         if any(x <= 0 for x in b):
             raise ValueError("shape constants must be positive")
+        for k, x in enumerate(b):
+            require_float(x, f"b_{k+2}")
         if s is None and mu is None:
             raise ValueError("supply bending parameters s, multipliers mu, or both")
         if mu is not None:
@@ -122,7 +124,7 @@ class RectangularCuspData:
             if any(m <= 0 for m in mu):
                 raise ValueError("multipliers must be positive")
         if s is None:
-            s = tuple(math.log(float(m)) for m in mu)
+            s = tuple(math.log(require_float(m, f"mu_{k+2}")) for k, m in enumerate(mu))
         else:
             s = tuple(s)
         if len(s) != n - 1:
@@ -136,7 +138,8 @@ class RectangularCuspData:
             mu = tuple(1 if x == 0 else e for x, e in zip(s, exp_s))
         else:
             for k, (m, e) in enumerate(zip(mu, exp_s)):
-                if abs(float(m) - e) > 1e-12 * max(1.0, float(m)):
+                f = require_float(m, f"mu_{k+2}")
+                if abs(f - e) > 1e-12 * max(1.0, f):
                     raise ValueError(f"mu_{k+2} = {m} inconsistent with exp(s_{k+2}) = {e}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "b", b)
@@ -461,7 +464,10 @@ def classify_h_form(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL) -> Classi
     """Read the cusp parameter off generators already presented in the model
     block form (leading diagonal block, trailing translation block).
 
-    Each generator m, normalized by its last entry, is scored against the
+    A generator whose last entry is below tol times its largest entry, or
+    that does not stay finite when divided by it (a zero or subnormal last
+    entry), is refused (``ValueError``).  Each generator m, normalized by
+    its last entry, is scored against the
     form W built from its own slots (d on the leading t diagonal entries, v
     in the last column and row 0, the corner; the identity elsewhere): an
     entry of the pattern (a slot, the copy of v in row 0, the unit
@@ -490,9 +496,12 @@ def classify_h_form(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL) -> Classi
     block = np.stack(mats)
     if not np.all(np.isfinite(block)):
         raise ValueError("generator entries must be finite")
-    if np.any(np.abs(block[:, n, n]) < tol * np.max(np.abs(block), axis=(1, 2))):
+    last = block[:, n, n]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = block / last[:, None, None]
+    if (not np.all(np.isfinite(m))
+            or np.any(np.abs(last) < tol * np.max(np.abs(block), axis=(1, 2)))):
         raise ValueError("generator has no usable normalization entry")
-    m = block / block[:, n, n, None, None]
     moved = [i for i in range(1, n) if np.any(np.abs(m[:, i, i] - 1.0) > tol)]
     t = len(moved)
     if moved != list(range(1, t + 1)):
@@ -546,191 +555,3 @@ def classify_h_form(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL) -> Classi
     psi, perm = _sorted_parameter(dict(enumerate(sol.tolist())), n)
     conjugator = ProjMap._from_exact(np.eye(n + 1, dtype=np.int64)[perm].astype(object), 1)
     return ClassifiedCusp(psi, t, conjugator, float(residuals[0]))
-
-
-# ---------------------------------------------------------------------------
-# common-flag triangularization and simultaneous diagonalization
-
-
-@dataclass(frozen=True)
-class TriangularizationResult:
-    status: str                       # "true" | "false" | "ambiguous"
-    conjugator: Optional[ProjMap]
-    residual: Optional[float]
-    note: str = ""
-
-
-def _real_eigenspaces(mat: np.ndarray, tol: float):
-    """Clustered real eigenvalues with orthonormal null-space bases.
-
-    Returns (spaces, borderline): borderline marks shaky rank or cluster
-    decisions so callers can report ambiguity instead of guessing.
-    """
-    m = mat.shape[0]
-    vals = np.linalg.eigvals(mat)
-    scale = max(float(np.max(np.abs(vals))), 1.0)
-    ctol = max(tol, 1e-12) * scale * 100
-    borderline = False
-    real_vals = []
-    for lam in vals:
-        if abs(lam.imag) > ctol:
-            if abs(lam.imag) < 10 * ctol:
-                borderline = True
-            continue
-        real_vals.append(lam.real)
-    clusters = []
-    for lam in sorted(real_vals):
-        if clusters and abs(lam - clusters[-1][-1]) <= ctol:
-            clusters[-1].append(lam)
-        else:
-            clusters.append([lam])
-    spaces = []
-    for cluster in clusters:
-        lam = float(np.mean(cluster))
-        shifted = mat - lam * np.eye(m)
-        _, svals, vt = np.linalg.svd(shifted)
-        null_tol = max(tol, 1e-10) * max(svals[0], 1.0)
-        dim = int(np.sum(svals <= null_tol))
-        if dim == 0:
-            borderline = True
-            continue
-        dropped = svals[m - dim - 1] if m - dim - 1 >= 0 else None
-        if dropped is not None and dropped < 10 * null_tol:
-            borderline = True
-        spaces.append(vt[m - dim:].T)
-    return spaces, borderline
-
-
-def _intersect(basis_a: np.ndarray, basis_b: np.ndarray, tol: float):
-    stacked = np.hstack([basis_a, -basis_b])
-    _, svals, vt = np.linalg.svd(stacked)
-    null_tol = max(tol, 1e-10) * max(svals[0], 1.0)
-    dim = int(np.sum(svals <= null_tol))
-    if stacked.shape[1] > len(svals):
-        dim += stacked.shape[1] - len(svals)
-    if dim == 0:
-        return None
-    coeffs = vt[-dim:].T
-    vecs = basis_a @ coeffs[:basis_a.shape[1]]
-    q, _ = np.linalg.qr(vecs)
-    return q[:, :dim]
-
-
-def _common_eigenvector(mats: list[np.ndarray], tol: float):
-    spaces, borderline = _real_eigenspaces(mats[0], tol)
-    candidates = spaces
-    for mat in mats[1:]:
-        spaces, bl = _real_eigenspaces(mat, tol)
-        borderline |= bl
-        merged = []
-        for basis in candidates:
-            for other in spaces:
-                common = _intersect(basis, other, tol)
-                if common is not None:
-                    merged.append(common)
-        candidates = merged
-        if not candidates:
-            return None, borderline
-    # prefer the axis-aligned choice (ties broken toward the lowest axis) so
-    # already-triangular input keeps its own flag
-    best = None                            # (-score, axis, vec)
-    for basis in candidates:
-        scores = np.linalg.norm(basis, axis=1)
-        for axis in np.argsort(-scores):
-            axis = int(axis)
-            vec = basis @ basis[axis, :]
-            norm = np.linalg.norm(vec)
-            if norm == 0:
-                continue
-            key = (-round(float(scores[axis]), 9), axis)
-            if best is None or key < best[0]:
-                best = (key, vec / norm)
-            break
-    return (None if best is None else best[1]), borderline
-
-
-def upper_triangular_check(gens: Sequence[ProjMap]) -> TriangularizationResult:
-    """Greedy common-flag search: find a common eigenvector, quotient,
-    recurse.  Ambiguity (shaky numerical rank decisions, or a conjugator
-    that verifies only loosely) is a first-class result, never a guess."""
-    mats = [np.asarray(g.to_float().entries, dtype=np.float64) for g in gens]
-    if not mats:
-        raise ValueError("need at least one generator")
-    m = mats[0].shape[0]
-    mats = [mat / np.max(np.abs(mat)) for mat in mats]
-    basis_total = np.eye(m)
-    current = [mat.copy() for mat in mats]
-    borderline_any = False
-    for level in range(m - 1):
-        size = m - level
-        vec, borderline = _common_eigenvector(current, DEFAULT_TOL)
-        borderline_any |= borderline
-        if vec is None:
-            status = "ambiguous" if borderline else "false"
-            return TriangularizationResult(
-                status, None, None,
-                f"no common eigenvector at flag level {level}")
-        stacked = np.hstack([vec.reshape(-1, 1), np.eye(size)])
-        q, _ = np.linalg.qr(stacked)
-        q = q[:, :size]
-        if np.dot(q[:, 0], vec) < 0:
-            q[:, 0] = -q[:, 0]
-        block = np.eye(m)
-        block[level:, level:] = q
-        basis_total = basis_total @ block
-        current = [q.T @ mat @ q for mat in current]
-        current = [mat[1:, 1:] for mat in current]
-    conj = basis_total.T                  # rows: conj . g . conj^{-1} is triangular
-    residual = 0.0
-    for mat in mats:
-        tri = conj @ mat @ basis_total
-        lower = np.tril(tri, -1)
-        residual = max(residual, float(np.max(np.abs(lower)) / np.max(np.abs(tri))))
-    if residual <= DEFAULT_TOL:
-        status = "true"
-    elif residual <= math.sqrt(DEFAULT_TOL) or borderline_any:
-        status = "ambiguous"
-    else:
-        status = "false"
-    return TriangularizationResult(status, ProjMap(conj), residual,
-                                   "verified by explicit conjugation")
-
-
-def diagonalize_commuting(gens: Sequence[ProjMap],
-                          rng: Optional[np.random.Generator] = None):
-    """Simultaneous eigenbasis of pairwise commuting generators via a random
-    linear combination, verified by explicit conjugation.
-
-    Returns (conjugator, residual) or (None, best_residual) when no basis
-    was found after ``DIAGONALIZE_TRIES`` combinations.
-    """
-    if not gens:
-        raise ValueError("need at least one generator")
-    require_pairwise_commuting([g.to_float() for g in gens], DEFAULT_TOL,
-                               lambda i, j: ValueError(f"generators {i} and {j} do not commute"))
-    rng = rng or np.random.default_rng(0)
-    mats = [np.asarray(g.to_float().entries, dtype=np.float64) for g in gens]
-    mats = [mat / np.max(np.abs(mat)) for mat in mats]
-    m = mats[0].shape[0]
-    best = math.inf
-    for _ in range(DIAGONALIZE_TRIES):
-        coeffs = rng.normal(size=len(mats))
-        combo = sum(c * mat for c, mat in zip(coeffs, mats))
-        vals, vecs = np.linalg.eig(combo)
-        if not np.all(np.isfinite(vecs)):
-            continue
-        cond = np.linalg.cond(vecs)
-        if cond > 1e12:
-            continue
-        vinv = np.linalg.inv(vecs)
-        residual = 0.0
-        for mat in mats:
-            w = vinv @ mat @ vecs
-            off = w - np.diag(np.diag(w))
-            residual = max(residual, float(np.max(np.abs(off)) / np.max(np.abs(w))))
-        best = min(best, residual)
-        if residual <= DEFAULT_TOL:
-            if np.max(np.abs(vecs.imag)) <= DEFAULT_TOL * np.max(np.abs(vecs.real)):
-                vecs = vecs.real
-            return ProjMap(np.linalg.inv(vecs)), residual
-    return None, best

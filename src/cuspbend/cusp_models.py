@@ -100,10 +100,6 @@ class CuspGroupElement:
     sigma: object
     matrix: ProjMap
 
-    @property
-    def n(self) -> int:
-        return self.psi.n
-
 
 def h_element(psi: CuspParameter, d, v, log_d=None, sigma=None) -> CuspGroupElement:
     """Build the group element with diagonal block d (length t, positive) and

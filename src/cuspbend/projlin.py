@@ -14,7 +14,10 @@ appears only where scalars are parsed (:func:`parse_scalar`) or printed; a
 square JSON list of float rows is read straight into ``float64``.  Float
 maps store ``entries`` as a frozen ``float64`` array, and points are
 ``float64`` only.  An exact operand that meets a float one is read through
-:meth:`ProjMap.to_float`, so mixed products and actions run in floats.
+:meth:`ProjMap.to_float`, so mixed products and actions run in floats.  An
+exact value beyond float range is refused with a ``ValueError`` where it
+meets floats: a matrix entry whose float overflows, and a scalar that
+:func:`require_float` reads.
 
 Everything here is a value: construction copies, arrays are frozen, and
 operations return new values.  A map computes its inverse once per instance
@@ -42,10 +45,6 @@ class DimensionMismatch(ValueError):
 
 class SingularMatrix(ValueError):
     pass
-
-
-class ExactModeError(ValueError):
-    """Raised when an operation only defined in float mode gets exact input."""
 
 
 def is_exact(x) -> bool:
@@ -99,6 +98,29 @@ def require_int(value, what: str, least: int | None = None) -> int:
     if least is not None and n < least:
         raise ValueError(f"{what} must be at least {least}, got {n}")
     return n
+
+
+def require_float(x, what: str) -> float:
+    """``float(x)`` for a parsed scalar, or a ``ValueError`` naming ``what``
+    when x does not fit a float: its float overflows, or it is nonzero and
+    its float is 0."""
+    try:
+        f = float(x)
+    except OverflowError:
+        raise ValueError(f"{what} does not fit a float: it overflows") from None
+    if f == 0 and x != 0:
+        raise ValueError(f"{what} does not fit a float: it rounds to 0")
+    return f
+
+
+def _overflow(values: np.ndarray) -> ValueError:
+    """The refusal of a matrix of scalars whose float conversion overflowed:
+    it names the first entry whose float overflows."""
+    for idx, x in np.ndenumerate(values):
+        try:
+            float(x)
+        except OverflowError:
+            return ValueError(f"matrix entry {idx} does not fit a float: it overflows")
 
 
 def scalar_to_json(x):
@@ -181,8 +203,11 @@ class ProjMap:
             raise ValueError("projective map must be at least 2x2")
         if mat.dtype == object and all(map(_is_exact_type, set(map(type, mat.flat)))):
             self._set(*_exact_parts(mat), None)
-        else:
+            return
+        try:
             self._set(None, None, np.array(entries, dtype=np.float64))
+        except OverflowError:
+            raise _overflow(mat) from None
 
     def _set(self, num, den, entries) -> None:
         """Freeze and store the owned array of one form: num (with den) or entries."""
@@ -246,10 +271,13 @@ class ProjMap:
     def to_float(self) -> "ProjMap":
         """The map in floats (itself if already float).  int / int division
         rounds each entry correctly, so this equals ``float(Fraction)``
-        entrywise."""
+        entrywise; an entry whose float overflows is a ``ValueError``."""
         if self.num is None:
             return self
-        return ProjMap._from_float((self.num / self.den).astype(np.float64))
+        try:
+            return ProjMap._from_float((self.num / self.den).astype(np.float64))
+        except OverflowError:
+            raise _overflow(self.num / Fraction(self.den)) from None
 
     def __repr__(self):
         return f"ProjMap(n={self.n}, exact={self.exact})"
@@ -440,42 +468,3 @@ def proj_equiv_rows(a: np.ndarray, b: np.ndarray, tol=DEFAULT_TOL) -> np.ndarray
         diff = np.abs(fa / pa[:, None] - fb / pb[:, None]).max(axis=1)
     return np.where(max_b == 0, pa == 0,
                     (pa != 0) & (np.abs(pb) >= tol * max_b) & (diff <= tol))
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    value: complex
-    vector: np.ndarray          # unit-normalized, complex
-    multiplicity: int           # algebraic, from clustering
-    residual: float             # ||A v - lambda v||_2
-
-
-def eigen(a: ProjMap) -> list[EigenPair]:
-    """Eigenvalues (|.|-descending) with eigenvectors and residuals.
-
-    Float mode only: exact eigenvalues of the matrices treated here are read
-    off their triangular forms instead of computed.
-    """
-    if a.exact:
-        raise ExactModeError(
-            "eigenanalysis runs in float mode only; convert with .to_float() "
-            "or read eigenvalues off the triangular form")
-    mat = a.entries
-    try:
-        values, vectors = np.linalg.eig(mat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"eigenvalue iteration failed: {exc}") from exc
-    order = np.argsort(-np.abs(values), kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    scale = max(np.max(np.abs(values)), 1.0)
-    mults = []
-    for lam in values:
-        mults.append(int(np.sum(np.abs(values - lam) <= DEFAULT_TOL * scale)))
-    out = []
-    for k, lam in enumerate(values):
-        v = vectors[:, k]
-        v = v / np.linalg.norm(v)
-        res = float(np.linalg.norm(mat @ v - lam * v))
-        out.append(EigenPair(complex(lam), v, mults[k], res))
-    return out

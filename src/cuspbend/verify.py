@@ -18,6 +18,16 @@ grid per n, ``inverted-parameter-blowup`` one array of
 ``exact-normal-form-identity`` runs ``conjugate_and_match`` on the integer
 route.  Exact properties compare maps by their reduced ``(den, num)``, the
 only form an exact map has.
+
+Three properties read float linear algebra that no other route needs, so
+it lives here, private: ``projlin.eigen-residuals`` scores ||A v - lambda
+v|| over the pairs of ``np.linalg.eig``, ``classify.model-bend-diagonalizable``
+finds a simultaneous eigenbasis from random linear combinations, and
+``classify.bent-generators-triangularizable`` runs a greedy common-flag
+upper-triangularization.  ``eigen-residuals`` checks numpy's ``eig``, not
+two cuspbend routes against each other; retargeting it would change
+``verify --seed 0`` output, which the fixture ``verify_seed0.json`` holds
+byte for byte.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import bending, cusp_classify, cusp_models, hilbert, projlin
+from . import bending, cusp_classify, cusp_models, hilbert
 from .cusp_classify import RectangularCuspData
 from .cusp_models import CuspParameter, ModelDomain, leaf_coordinate, leaf_point
 from .projlin import DEFAULT_TOL, ProjMap, ProjPoint, act, compose, inverse, proj_equiv
@@ -79,6 +89,187 @@ def _norm_diff(a: ProjMap, b: ProjMap) -> float:
     if np.sign(fa.ravel()[np.argmax(np.abs(fa))]) != np.sign(fb.ravel()[np.argmax(np.abs(fb))]):
         fb = -fb
     return float(np.max(np.abs(fa - fb)))
+
+
+# ---------------------------------------------------------------------------
+# eigenpairs, common flags and simultaneous eigenbases: float linear algebra
+# that only eigen-residuals, bent-generators-triangularizable and
+# model-bend-diagonalizable read
+
+# random linear combinations tried by _diagonalize
+DIAGONALIZE_TRIES = 10
+
+
+def _eigen_residuals(mat: np.ndarray) -> list[float]:
+    """||A v - lambda v||_2 for each pair (lambda, v) of ``np.linalg.eig(A)``,
+    with v scaled to unit length."""
+    values, vectors = np.linalg.eig(mat)
+    out = []
+    for lam, v in zip(values, vectors.T):
+        v = v / np.linalg.norm(v)
+        out.append(float(np.linalg.norm(mat @ v - lam * v)))
+    return out
+
+
+def _real_eigenspaces(mat: np.ndarray, tol: float):
+    """Clustered real eigenvalues with orthonormal null-space bases.
+
+    Returns (spaces, borderline): borderline marks shaky rank or cluster
+    decisions so callers can report ambiguity instead of guessing.
+    """
+    m = mat.shape[0]
+    vals = np.linalg.eigvals(mat)
+    scale = max(float(np.max(np.abs(vals))), 1.0)
+    ctol = max(tol, 1e-12) * scale * 100
+    borderline = False
+    real_vals = []
+    for lam in vals:
+        if abs(lam.imag) > ctol:
+            if abs(lam.imag) < 10 * ctol:
+                borderline = True
+            continue
+        real_vals.append(lam.real)
+    clusters = []
+    for lam in sorted(real_vals):
+        if clusters and abs(lam - clusters[-1][-1]) <= ctol:
+            clusters[-1].append(lam)
+        else:
+            clusters.append([lam])
+    spaces = []
+    for cluster in clusters:
+        lam = float(np.mean(cluster))
+        shifted = mat - lam * np.eye(m)
+        _, svals, vt = np.linalg.svd(shifted)
+        null_tol = max(tol, 1e-10) * max(svals[0], 1.0)
+        dim = int(np.sum(svals <= null_tol))
+        if dim == 0:
+            borderline = True
+            continue
+        dropped = svals[m - dim - 1] if m - dim - 1 >= 0 else None
+        if dropped is not None and dropped < 10 * null_tol:
+            borderline = True
+        spaces.append(vt[m - dim:].T)
+    return spaces, borderline
+
+
+def _intersect(basis_a: np.ndarray, basis_b: np.ndarray, tol: float):
+    stacked = np.hstack([basis_a, -basis_b])
+    _, svals, vt = np.linalg.svd(stacked)
+    null_tol = max(tol, 1e-10) * max(svals[0], 1.0)
+    dim = int(np.sum(svals <= null_tol))
+    if stacked.shape[1] > len(svals):
+        dim += stacked.shape[1] - len(svals)
+    if dim == 0:
+        return None
+    coeffs = vt[-dim:].T
+    vecs = basis_a @ coeffs[:basis_a.shape[1]]
+    q, _ = np.linalg.qr(vecs)
+    return q[:, :dim]
+
+
+def _common_eigenvector(mats: list[np.ndarray], tol: float):
+    spaces, borderline = _real_eigenspaces(mats[0], tol)
+    candidates = spaces
+    for mat in mats[1:]:
+        spaces, bl = _real_eigenspaces(mat, tol)
+        borderline |= bl
+        merged = []
+        for basis in candidates:
+            for other in spaces:
+                common = _intersect(basis, other, tol)
+                if common is not None:
+                    merged.append(common)
+        candidates = merged
+        if not candidates:
+            return None, borderline
+    # prefer the axis-aligned choice (ties broken toward the lowest axis) so
+    # already-triangular input keeps its own flag
+    best = None                            # (-score, axis, vec)
+    for basis in candidates:
+        scores = np.linalg.norm(basis, axis=1)
+        for axis in np.argsort(-scores):
+            axis = int(axis)
+            vec = basis @ basis[axis, :]
+            norm = np.linalg.norm(vec)
+            if norm == 0:
+                continue
+            key = (-round(float(scores[axis]), 9), axis)
+            if best is None or key < best[0]:
+                best = (key, vec / norm)
+            break
+    return (None if best is None else best[1]), borderline
+
+
+def _triangularize(gens: list[ProjMap]) -> tuple:
+    """Greedy common-flag search: find a common eigenvector, quotient,
+    recurse.  Returns (status, residual, conjugator), status "true",
+    "false" or "ambiguous" (shaky numerical rank decisions, or a conjugator
+    that verifies only loosely), never a guess.  The conjugator is the
+    float array C with every C g C^{-1} upper triangular, and the residual
+    the largest lower-triangle entry of those over their largest entry;
+    both are None when some flag level has no common eigenvector."""
+    mats = [mat / np.max(np.abs(mat)) for mat in (g.to_float().entries for g in gens)]
+    m = mats[0].shape[0]
+    basis_total = np.eye(m)
+    current = mats
+    borderline_any = False
+    for level in range(m - 1):
+        size = m - level
+        vec, borderline = _common_eigenvector(current, DEFAULT_TOL)
+        borderline_any |= borderline
+        if vec is None:
+            return ("ambiguous" if borderline else "false"), None, None
+        stacked = np.hstack([vec.reshape(-1, 1), np.eye(size)])
+        q, _ = np.linalg.qr(stacked)
+        q = q[:, :size]
+        if np.dot(q[:, 0], vec) < 0:
+            q[:, 0] = -q[:, 0]
+        block = np.eye(m)
+        block[level:, level:] = q
+        basis_total = basis_total @ block
+        current = [(q.T @ mat @ q)[1:, 1:] for mat in current]
+    conj = basis_total.T                  # rows: conj . g . conj^{-1} is triangular
+    residual = 0.0
+    for mat in mats:
+        tri = conj @ mat @ basis_total
+        lower = np.tril(tri, -1)
+        residual = max(residual, float(np.max(np.abs(lower)) / np.max(np.abs(tri))))
+    if residual <= DEFAULT_TOL:
+        status = "true"
+    elif residual <= math.sqrt(DEFAULT_TOL) or borderline_any:
+        status = "ambiguous"
+    else:
+        status = "false"
+    return status, residual, conj
+
+
+def _diagonalize(gens: list[ProjMap], rng: np.random.Generator) -> Optional[float]:
+    """Residual of a simultaneous eigenbasis of pairwise commuting
+    generators, found from a random linear combination and verified by
+    explicit conjugation: the largest off-diagonal entry of each V^{-1} g V
+    over its largest entry.  None when none of ``DIAGONALIZE_TRIES``
+    combinations gives a basis within ``DEFAULT_TOL``."""
+    bending.require_pairwise_commuting(
+        [g.to_float() for g in gens], DEFAULT_TOL,
+        lambda i, j: ValueError(f"generators {i} and {j} do not commute"))
+    mats = [mat / np.max(np.abs(mat)) for mat in (g.to_float().entries for g in gens)]
+    for _ in range(DIAGONALIZE_TRIES):
+        coeffs = rng.normal(size=len(mats))
+        combo = sum(c * mat for c, mat in zip(coeffs, mats))
+        _, vecs = np.linalg.eig(combo)
+        if not np.all(np.isfinite(vecs)):
+            continue
+        if np.linalg.cond(vecs) > 1e12:
+            continue
+        vinv = np.linalg.inv(vecs)
+        residual = 0.0
+        for mat in mats:
+            w = vinv @ mat @ vecs
+            off = w - np.diag(np.diag(w))
+            residual = max(residual, float(np.max(np.abs(off)) / np.max(np.abs(w))))
+        if residual <= DEFAULT_TOL:
+            return residual
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +326,8 @@ def proj_equiv_equivalence(rng) -> PropertyResult:
 def eigen_residuals(rng) -> PropertyResult:
     worst = 0.0
     for _ in range(100):
-        m = ProjMap(_random_map(rng, int(rng.integers(4, 9)), max_cond=1e3))
-        for pair in projlin.eigen(m):
-            worst = np.maximum(worst, pair.residual)
+        mat = _random_map(rng, int(rng.integers(4, 9)), max_cond=1e3)
+        worst = np.maximum(worst, np.max(_eigen_residuals(mat)))
     return _result("projlin", "eigen-residuals", 100, worst, 1e-9)
 
 
@@ -565,8 +755,8 @@ def model_bend_diagonalizable(rng) -> PropertyResult:
                                     edge_words=[["a"], ["b"]])
         move = bending.BendingMove(dec, cusp_models.zprime_element(lam, k, n).to_float())
         bent_rep = bending.bend(bending.MarkedRep(n, gens), move)
-        conj, res = cusp_classify.diagonalize_commuting(list(bent_rep.generators.values()), rng=rng)
-        if conj is None:
+        res = _diagonalize(list(bent_rep.generators.values()), rng)
+        if res is None:
             fails += 1
         else:
             worst = np.maximum(worst, res)
@@ -575,12 +765,10 @@ def model_bend_diagonalizable(rng) -> PropertyResult:
 
 
 def bent_generators_triangularizable(rng) -> PropertyResult:
-    tri = cusp_classify.upper_triangular_check(
-        [g.to_float() for g in cusp_classify.bent_cusp_generators(
-            RectangularCuspData(4, b=[1.0, 0.7, 1.3], s=[0.4, 0.0, 0.9]))])
+    status, residual, _ = _triangularize(cusp_classify.bent_cusp_generators(
+        RectangularCuspData(4, b=[1.0, 0.7, 1.3], s=[0.4, 0.0, 0.9])))
     return _result("classify", "bent-generators-triangularizable", 1,
-                   tri.residual if tri.status == "true" else 1.0, 1e-9,
-                   f"status={tri.status}")
+                   residual if status == "true" else 1.0, 1e-9, f"status={status}")
 
 
 # ---------------------------------------------------------------------------

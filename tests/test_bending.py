@@ -394,8 +394,10 @@ def test_bend_checks_relators_at_its_tol():
 
 def test_bend_tol_option_reaches_the_relators(tmp_path, capsys):
     rep, move = _off_centralizer_case()
+    move_json = {"kind": "hnn", "base": ["g3"], "stable": "g2", "edge_words": [["g3"]],
+                 "centralizer": move.centralizer.entries.tolist()}
     bundle = tmp_path / "bundle.json"
-    bundle.write_text(json.dumps({"rep": rep.to_json(), "moves": [move.to_json()]}))
+    bundle.write_text(json.dumps({"rep": rep.to_json(), "moves": [move_json]}))
     out = tmp_path / "bent.json"
     assert main(["bend", "--in", str(bundle), "--out", str(out), "--tol", "1e-3"]) == 0
     # the output's relators hold to 1e-3 only, so it is read without MarkedRep's check
@@ -453,8 +455,11 @@ def test_rep_and_move_json_roundtrip():
         assert np.array_equal(back.generators[name].entries,
                               rep.generators[name].entries)
     assert back.relators == rep.relators
+    # moves are input only: the move is read from its JSON form as written
     move = cusp_bending_moves(data)[0]
-    move_back = BendingMove.from_json(move.to_json())
+    move_back = BendingMove.from_json({"kind": "hnn", "base": ["g3"], "stable": "g2",
+                                       "edge_words": [["g3"]],
+                                       "centralizer": move.centralizer.entries.tolist()})
     assert move_back.decomposition == move.decomposition
     assert np.array_equal(move_back.centralizer.entries, move.centralizer.entries)
 

@@ -21,6 +21,23 @@ from cuspbend.hilbert import klein_distance
 from cuspbend.projlin import matrix_from_json, proj_equiv
 from cuspbend.verify import cusp_bending_moves, cusp_fixture_rep
 
+# an exact scalar, 10^400, whose float overflows
+BEYOND_FLOAT = "1" + "0" * 400
+
+
+def moves_json(data: RectangularCuspData) -> list:
+    """The moves of ``cusp_bending_moves(data)`` as ``bend`` input: per bent
+    slot, the HNN move with that slot's generator as stable letter and the
+    others as base and edge words, written out here since moves are input
+    only."""
+    names = [f"g{i}" for i in range(2, data.n + 1)]
+    out = []
+    for k, move in zip(data.bent_slots(), cusp_bending_moves(data)):
+        base = [nm for j, nm in enumerate(names) if j != k]
+        out.append({"kind": "hnn", "edge_words": [[nm] for nm in base], "base": base,
+                    "stable": names[k], "centralizer": move.centralizer.entries.tolist()})
+    return out
+
 
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
@@ -125,10 +142,8 @@ def test_verify_unknown_suite_is_usage_error():
 def test_bend_subcommand(tmp_path):
     data = RectangularCuspData(3, b=[1.0, 1.0], s=[0.5, 0.0])
     rep = cusp_fixture_rep(data)
-    moves = cusp_bending_moves(data)
     bundle = tmp_path / "bundle.json"
-    bundle.write_text(json.dumps(
-        {"rep": rep.to_json(), "moves": [m.to_json() for m in moves]}))
+    bundle.write_text(json.dumps({"rep": rep.to_json(), "moves": moves_json(data)}))
     out = tmp_path / "bent.json"
     code = main(["bend", "--in", str(bundle), "--out", str(out), "--verify-order"])
     assert code == 0
@@ -478,18 +493,48 @@ def test_classify_pattern_mismatch_is_property_failure(tmp_path, capsys):
                                "mu": ["1000000000000000000000000000001/"
                                       "1000000000000000000000000000000", "1"]}, 2,
      "cuspbend: psi_1 = inf is not finite\n"),
-], ids=["classify", "sweep", "classify-exact"])
+    # exact values beyond float range: the field that does not fit is named
+    (["classify", "--exact"], {"n": 3, "b": ["1", "1"], "mu": [BEYOND_FLOAT, "1"]}, 2,
+     "cuspbend: mu_2 does not fit a float: it overflows\n"),
+    (["classify", "--exact"], {"n": 3, "b": ["1", "1"], "mu": ["1/" + BEYOND_FLOAT, "1"]}, 2,
+     "cuspbend: mu_2 does not fit a float: it rounds to 0\n"),
+    (["classify", "--exact"], {"n": 3, "b": [BEYOND_FLOAT, "1"], "mu": ["2", "1"]}, 2,
+     "cuspbend: b_2 does not fit a float: it overflows\n"),
+    (["classify"], {"n": 3, "b": [BEYOND_FLOAT, "1"], "s": [0.5, 0.0]}, 2,
+     "cuspbend: b_2 does not fit a float: it overflows\n"),
+    (["hilbert"], {"domain": {"kind": "model", "psi": [BEYOND_FLOAT, "0", "0"]},
+                   "pairs": [[[1.0, 1.0, 1.0], [2.0, 1.0, 1.0]]]}, 2,
+     "cuspbend: psi_1 does not fit a float: it overflows\n"),
+    (["classify"], {"generators": [[[1, 0, 0], [0, 1, BEYOND_FLOAT], [0, 0, 1]]]}, 2,
+     "cuspbend: matrix entry (1, 2) does not fit a float: it overflows\n"),
+    (["bend"], {"rep": {"n": 1, "generators": {"g": [[1.0, BEYOND_FLOAT], [0.0, 1.0]]}}}, 2,
+     "cuspbend: matrix entry (0, 1) does not fit a float: it overflows\n"),
+], ids=["classify", "sweep", "classify-exact", "classify-exact-mu-overflows",
+        "classify-exact-mu-rounds-to-0", "classify-exact-b-overflows", "classify-b-overflows",
+        "hilbert-psi-overflows", "classify-generator-entry-overflows",
+        "bend-generator-entry-overflows"])
 def test_overflowing_construction_keeps_the_exit_contract(tmp_path, capsys, command, data,
                                                           code, message):
-    """Float values of the construction that overflow end in the documented
-    exit and message, with no numpy warning (an error under the test
-    suite's warning filter)."""
+    """Float values of the construction that overflow, and exact input
+    values that do not fit a float, end in the documented exit and message,
+    with no numpy warning (an error under the test suite's warning filter)
+    and no traceback."""
     src, out = tmp_path / "data.json", tmp_path / "out"
     if data is not None:
         src.write_text(json.dumps(data))
         command = command + ["--in", str(src)]
     assert main(command + ["--out", str(out)]) == code
     assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_classify_refuses_an_all_zero_generator(tmp_path, capsys):
+    """A zero generator has no entry to normalize by: dividing by its last
+    entry leaves nothing finite, so it is refused, with no numpy warning."""
+    src, out = tmp_path / "data.json", tmp_path / "out"
+    src.write_text(json.dumps({"generators": [[[0, 0, 0, 0]] * 4]}))
+    assert main(["classify", "--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "cuspbend: generator has no usable normalization entry\n"
     assert not out.exists()
 
 
@@ -807,7 +852,7 @@ def _integer_field_docs():
     field set to a given value."""
     data = RectangularCuspData(3, b=[1.0, 1.0], s=[0.5, 0.0])
     bend = {"rep": cusp_fixture_rep(data).to_json(),
-            "moves": [m.to_json() for m in cusp_bending_moves(data)]}
+            "moves": moves_json(data)}
     return {
         "classify": lambda n: ("classify", {"n": n, "b": [1.0, 1.0], "s": [0.5, 0.0]}),
         "ball": lambda n: ("hilbert", {"domain": {"kind": "ball", "n": n},
@@ -896,7 +941,7 @@ def _contract_inputs():
         "hilbert-model": ("hilbert", {"domain": {"kind": "model", "psi": [1.0, 0.0, 0.0]},
                                       "pairs": [[[1.0, 2.0, -0.3], [2.0, 0.5, 0.4]]]}),
         "bend": ("bend", _with_words({"rep": cusp_fixture_rep(data).to_json(),
-                                      "moves": [m.to_json() for m in cusp_bending_moves(data)]})),
+                                      "moves": moves_json(data)})),
     }
 
 
@@ -992,7 +1037,7 @@ def _writers(tmp_path):
     inputs = {
         "classify": {"n": 3, "b": ["1", "3/2"], "mu": ["2", "1"]},
         "bend": {"rep": cusp_fixture_rep(data).to_json(),
-                 "moves": [m.to_json() for m in cusp_bending_moves(data)]},
+                 "moves": moves_json(data)},
         "hilbert": {"domain": {"kind": "ball", "n": 2},
                     "pairs": [[[0.1, 0.2], [-0.3, 0.4]], [[0.0, 0.0], [0.5, 0.0]]]},
     }

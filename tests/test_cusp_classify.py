@@ -18,12 +18,10 @@ from cuspbend.cusp_classify import (
     conjugate_and_match,
     conjugation_residuals,
     cusp_parameter_entry,
-    diagonalize_commuting,
     equivalent_parameters,
     expected_corner,
     require_normal_form,
     standard_cusp_generators,
-    upper_triangular_check,
 )
 from cuspbend.cusp_models import (
     CuspParameter,
@@ -35,7 +33,8 @@ from cuspbend.cusp_models import (
     ParaboloidModel,
     zprime_element,
 )
-from cuspbend.projlin import ProjMap, ProjPoint, act, compose, eigen, inverse, proj_equiv
+from cuspbend.projlin import ProjMap, ProjPoint, act, compose, inverse, proj_equiv
+from cuspbend.verify import _diagonalize, _triangularize
 from equiv_reference import fraction_matrix
 
 
@@ -290,7 +289,7 @@ def test_bent_generator_eigenvalues():
     s = 0.9
     data = RectangularCuspData(4, b=[1.0, 1.0, 1.0], s=[0.0, s, 0.0])
     g = bent_cusp_generators(data)[1]
-    values = sorted(p.value.real for p in eigen(g.to_float()))
+    values = sorted(np.linalg.eigvals(g.to_float().entries).real)
     assert abs(values[-1] - math.exp(s)) <= 1e-9
     assert all(abs(v - 1.0) <= 1e-9 for v in values[:-1])
 
@@ -316,9 +315,10 @@ def test_normalizing_matrix_sends_new_eigenvector_to_slot():
     a = _normalizing_matrix(data).to_float()
     for k in data.bent_slots():
         mu = float(data.mu[k])
-        pairs = [p for p in eigen(gens[k].to_float()) if abs(p.value - mu) <= 1e-9]
-        assert len(pairs) == 1
-        vec = np.real(pairs[0].vector)
+        values, vectors = np.linalg.eig(gens[k].to_float().entries)
+        hits = np.flatnonzero(np.abs(values - mu) <= 1e-9)
+        assert len(hits) == 1
+        vec = np.real(vectors[:, hits[0]])
         target = np.zeros(5)
         target[k + 1] = 1.0
         image = act(a, ProjPoint(vec))
@@ -445,18 +445,17 @@ def test_upper_triangular_check_on_model_group():
     psi = CuspParameter([1.0, 0.0, 0.0])
     gens = [h_element(psi, [1.5], [0.7]).matrix,
             h_element(psi, [0.8], [-0.4]).matrix]
-    res = upper_triangular_check(gens)
-    assert res.status == "true"
-    assert res.residual <= 1e-12
-    conj = np.abs(np.asarray(res.conjugator.entries, dtype=float))
-    assert np.allclose(conj, np.eye(4), atol=1e-9)
+    status, residual, conj = _triangularize(gens)
+    assert status == "true"
+    assert residual <= 1e-12
+    assert np.allclose(np.abs(conj), np.eye(4), atol=1e-9)
 
 
 def test_upper_triangular_check_on_bent_generators():
     data = RectangularCuspData(4, b=[1.0, 0.7, 1.3], s=[0.4, 0.0, 0.9])
-    res = upper_triangular_check([g.to_float() for g in bent_cusp_generators(data)])
-    assert res.status == "true"
-    assert res.residual <= 1e-9
+    status, residual, _ = _triangularize([g.to_float() for g in bent_cusp_generators(data)])
+    assert status == "true"
+    assert residual <= 1e-9
 
 
 def test_upper_triangular_check_rotations():
@@ -464,23 +463,23 @@ def test_upper_triangular_check_rotations():
     rot_xy = ProjMap([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     c2, s2 = math.cos(math.sqrt(2)), math.sin(math.sqrt(2))
     rot_yz = ProjMap([[1.0, 0.0, 0.0], [0.0, c2, -s2], [0.0, s2, c2]])
-    res = upper_triangular_check([rot_xy, rot_yz])
-    assert res.status == "false"
-    assert res.conjugator is None
+    status, _, conj = _triangularize([rot_xy, rot_yz])
+    assert status == "false"
+    assert conj is None
 
 
 def test_diagonalizable_check():
     diag = [ProjMap.diagonal([1.0, 2.0, 3.0]), ProjMap.diagonal([2.0, 5.0, 1.0])]
-    assert diagonalize_commuting(diag)[0] is not None
+    assert _diagonalize(diag, np.random.default_rng(0)) is not None
     par = parabolic_element(ParaboloidModel(2), [1.0]).to_float()
-    assert diagonalize_commuting([par])[0] is None
+    assert _diagonalize([par], np.random.default_rng(0)) is None
     swap = ProjMap([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValueError, match="^generators 0 and 1 do not commute$"):
-        diagonalize_commuting([ProjMap.diagonal([1.0, 2.0, 1.0]), swap])
+        _diagonalize([ProjMap.diagonal([1.0, 2.0, 1.0]), swap], np.random.default_rng(0))
     # the first pair in lexicographic order that fails is the one reported
     with pytest.raises(ValueError, match="^generators 0 and 2 do not commute$"):
-        diagonalize_commuting([ProjMap.diagonal([1.0, 2.0, 1.0]),
-                               ProjMap.diagonal([3.0, 1.0, 1.0]), swap])
+        _diagonalize([ProjMap.diagonal([1.0, 2.0, 1.0]),
+                      ProjMap.diagonal([3.0, 1.0, 1.0]), swap], np.random.default_rng(0))
 
 
 def test_model_bend_produces_diagonalizable_group():
@@ -491,8 +490,8 @@ def test_model_bend_produces_diagonalizable_group():
     stable = ProjMap.diagonal([1.0] + list(np.exp(rng.uniform(-1, 1, n - 1))) + [1.0])
     z = zprime_element(1.6, 0.7, n).to_float()
     gens = base + [compose(z, stable)]
-    conj, residual = diagonalize_commuting(gens, rng=rng)
-    assert conj is not None
+    residual = _diagonalize(gens, rng)
+    assert residual is not None
     assert residual <= 1e-9
 
 
@@ -574,6 +573,7 @@ def test_classify_h_form_builds_no_fraction(monkeypatch):
     ([np.diag([1.0, -2.0, 1.0])], "nonpositive diagonal entry at slot 2"),
     ([np.array([[1.0, 0.0, math.log(2.0)], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])],
      "solved parameter has a negative entry"),
+    ([np.zeros((4, 4))], "generator has no usable normalization entry"),
 ])
 def test_classify_h_form_refusals_keep_their_messages(gens, message):
     with pytest.raises(ValueError, match=message) as info:

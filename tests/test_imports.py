@@ -66,6 +66,13 @@ def test_package_imports_at_module_level_without_cycles():
     assert layout_faults(sources) == []
 
 
+def test_cusp_classify_imports_only_models_and_linear_algebra():
+    """``cusp_classify`` builds on ``cusp_models`` and ``projlin`` alone; the
+    float linear algebra that only ``verify`` reads lives in ``verify``."""
+    tree = ast.parse((PACKAGE / "cusp_classify.py").read_text())
+    assert {target for target, _ in _imports(tree)} == {"cusp_models", "projlin"}
+
+
 @pytest.mark.parametrize("sources,fault", [
     ({"a": "def f():\n    from .b import g\n", "b": ""}, "a:2 imports b inside a function"),
     ({"a": "def f():\n    import cuspbend.b\n", "b": ""}, "a:2 imports b inside a function"),

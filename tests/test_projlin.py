@@ -12,21 +12,21 @@ from hypothesis import strategies as st
 
 from cuspbend.projlin import (
     DimensionMismatch,
-    ExactModeError,
     ProjMap,
     ProjPoint,
     SingularMatrix,
     act,
     compose,
-    eigen,
     inverse,
     matrix_from_json,
     matrix_to_json,
     parse_scalar,
     proj_equiv,
     proj_equiv_rows,
+    require_float,
     scalar_to_json,
 )
+from cuspbend.verify import _eigen_residuals
 
 from equiv_reference import fraction_matrix, ref_equiv_vectors
 
@@ -159,38 +159,51 @@ def test_point_from_float_array_is_a_frozen_copy():
 
 
 def test_eigen_diagonal():
-    pairs = eigen(ProjMap.diagonal([1.0, 2.0, 3.0]))
-    values = [p.value for p in pairs]
-    assert values == [3.0, 2.0, 1.0]
-    for pair, idx in zip(pairs, (2, 1, 0)):
-        vec = np.zeros(3)
-        vec[idx] = 1.0
-        assert np.allclose(np.abs(pair.vector), vec)
-        assert pair.residual <= 1e-12
-        assert pair.multiplicity == 1
+    residuals = _eigen_residuals(np.diag([1.0, 2.0, 3.0]))
+    assert len(residuals) == 3
+    assert all(r <= 1e-12 for r in residuals)
 
 
 def test_eigen_unipotent_generator():
+    """A unipotent generator is defective: numpy's eigenvectors of its one
+    eigenvalue are near-parallel, and each pair still has a small residual."""
     from cuspbend.cusp_classify import RectangularCuspData, standard_cusp_generators
     g = standard_cusp_generators(RectangularCuspData(3, b=[1.0, 1.0], s=[0.0, 0.0]))[0]
-    pairs = eigen(g.to_float())
-    assert all(abs(p.value - 1.0) <= 1e-9 for p in pairs)
-    assert all(p.multiplicity == 4 for p in pairs)
+    mat = g.to_float().entries
+    assert all(abs(v - 1.0) <= 1e-9 for v in np.linalg.eigvals(mat))
+    residuals = _eigen_residuals(mat)
+    assert len(residuals) == 4
+    assert all(r <= 1e-9 for r in residuals)
 
 
 def test_eigen_bent_generator_has_multiplier():
     from cuspbend.cusp_classify import RectangularCuspData, bent_cusp_generators
     s = 0.7
     g = bent_cusp_generators(RectangularCuspData(3, b=[1.0, 1.0], s=[s, 0.0]))[0]
-    pairs = eigen(g.to_float())
-    hits = [p for p in pairs if abs(p.value - math.exp(s)) <= 1e-9]
+    mat = g.to_float().entries
+    hits = [v for v in np.linalg.eigvals(mat) if abs(v - math.exp(s)) <= 1e-9]
     assert len(hits) == 1
-    assert hits[0].multiplicity == 1
+    assert all(r <= 1e-9 for r in _eigen_residuals(mat))
 
 
-def test_eigen_refuses_exact_mode():
-    with pytest.raises(ExactModeError):
-        eigen(ProjMap.diagonal([F(1), F(2)]))
+def test_values_beyond_float_range_are_named():
+    """An exact value whose float overflows, or a nonzero one whose float is
+    0, is a ValueError naming it; an exact map whose entry overflows is
+    refused where it meets floats (a matrix mixing it with floats is
+    refused on construction: the ``bend`` case of the CLI exit contract)."""
+    big = F(10) ** 400
+    assert require_float(F(10) ** 308, "x") == 1e308
+    assert require_float(0, "x") == 0.0 and require_float(-2.5, "x") == -2.5
+    with pytest.raises(ValueError, match="^mu_2 does not fit a float: it overflows$"):
+        require_float(-big, "mu_2")
+    with pytest.raises(ValueError, match="^b_3 does not fit a float: it rounds to 0$"):
+        require_float(1 / big, "b_3")
+    exact = ProjMap([[F(1), F(0)], [F(0), big]])
+    assert exact.exact
+    with pytest.raises(ValueError, match=r"^matrix entry \(1, 1\) does not fit a float"):
+        exact.to_float()
+    with pytest.raises(ValueError, match=r"^matrix entry \(1, 1\) does not fit a float"):
+        compose(exact, ProjMap.identity(1, exact=False))
 
 
 def test_matrix_json_roundtrip():

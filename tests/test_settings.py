@@ -24,7 +24,6 @@ cusp_classify.RectangularCuspData.__init__.s
 cusp_classify.RectangularCuspData.__init__.mu
 cusp_classify.conjugate_and_match.tol
 cusp_classify.classify_h_form.tol
-cusp_classify.diagonalize_commuting.rng
 cusp_models.h_element.log_d
 cusp_models.h_element.sigma
 cusp_models.leaf_coordinate.tol
@@ -70,7 +69,7 @@ def test_settings_are_the_listed_ones():
     found = [s for path in sorted(PACKAGE.glob("*.py"))
              for s in settings(path.stem, path.read_text())]
     assert sorted(found) == sorted(SETTINGS)
-    assert len(SETTINGS) == len(set(SETTINGS)) == 26
+    assert len(SETTINGS) == len(set(SETTINGS)) == 25
 
 
 @pytest.mark.parametrize("source,found", [

@@ -56,6 +56,7 @@ from .cusp_classify import (
     conjugation_residuals,
     cusp_parameter_entry,
     require_normal_form,
+    require_normal_parameters,
 )
 from .cusp_models import CuspParameter
 from .hilbert import ball_oracle, hilbert_distances, model_domain_oracle
@@ -172,6 +173,7 @@ def _cmd_sweep(args) -> int:
     a_vals = np.full(bent.shape, math.inf)
     a_vals[bent] = cusp_parameter_entry(np.broadcast_to(b_vals, bent.shape)[bent],
                                         mu_rows[bent], s_rows[bent])
+    require_normal_parameters(a_vals, range(n - 1))
     ainv = 1.0 / a_vals
     header = [f"{col}_{i}" for col in ("s", "a", "ainv") for i in range(2, n + 1)] + ["type"]
     types = np.count_nonzero(mu_rows != 1, axis=1).tolist()

@@ -48,6 +48,7 @@ command on its whole grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -207,6 +208,20 @@ def cusp_parameter_entry(b, mu, s):
     b, mu, s = (np.asarray(x, dtype=np.float64) for x in (b, mu, s))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return expected_corner(b, mu) / -s
+
+
+def require_normal_parameters(a: np.ndarray, slots) -> None:
+    """Refuse a bent slot whose cusp-parameter entry underflows: below the
+    smallest normal float, b_k^2 has lost its digits, and at 0 the slot
+    would read as unbent against its type.  ``a`` has one row per grid row
+    and one column per slot of ``slots`` (0-based); more than one row names
+    the row."""
+    small = a < sys.float_info.min
+    if small.any():
+        row, col = np.argwhere(small)[0]
+        where = f"row {row}: " if a.shape[0] > 1 else ""
+        raise ValueError(f"{where}b_{slots[col] + 2} is too small for a bent slot: "
+                         "its cusp parameter underflows")
 
 
 def _cusp_arrays(b, s, mu):
@@ -429,7 +444,9 @@ def conjugate_and_match(data: RectangularCuspData,
 
     bent = data.bent_slots()
     slots = ([v[k] for k in bent] for v in (data.b, data.mu, data.s))
-    psi, perm = _sorted_parameter(dict(zip(bent, cusp_parameter_entry(*slots).tolist())), data.n)
+    entries = cusp_parameter_entry(*slots)
+    require_normal_parameters(entries[None], bent)
+    psi, perm = _sorted_parameter(dict(zip(bent, entries.tolist())), data.n)
     # P A is A with its rows reordered; + 0.0 turns a -0.0 entry into 0.0
     if data.exact:
         conjugator = ProjMap._from_exact(a_num[perm], a_den)

@@ -14,7 +14,7 @@ The built-in oracles supply both, vectorized over rows:
   end solves A v^2 + 2 B v - C = 0 with C > 0 (the point is interior) and
   is that equation's positive root, in a cancellation-free closed form
   (Klein model; Papadopoulos-Troyanov, *Handbook of Hilbert Geometry*, EMS
-  2014).
+  2014), taken for both ends of every chord in one pass.
 * The model domains of type t >= 1 march with their own ray test on the
   chart columns.  A ray whose direction cannot make the leaf value fall is
   marked unbounded before the march.
@@ -22,23 +22,26 @@ The built-in oracles supply both, vectorized over rows:
 A domain with no kernel takes its chord ends from one march on ``value``
 over all rays at once; a single pair is a batch of one row.  The march
 tests the rays through an ``inside`` function of an (m, rows) array of line
-parameters, m per ray.  It doubles the parameter outward until the domain
-is exited (past ``U_CAP`` the chord never leaves the chart), up to about 60
-doubling tests of one parameter per ray, then halves the bracket exactly
-``HALVINGS`` = 52 times on every row, with no mask, k levels of the
+parameters, m per ray.  Its doubling tests the parameters 2^1 .. 2^59, the
+powers of 2 up to ``U_CAP`` (a ray still inside at 2^59 never leaves the
+chart), 2^k - 1 of them per test, until every ray has exited; a ray's
+count j of leading Trues is the count of one-at-a-time doublings, and
+leaves it the bracket [2^j, 2^(j+1)].  Then the march halves the bracket
+exactly ``HALVINGS`` = 52 times on every row, with no mask, k levels of the
 bisection tree per test.  A test takes the 2^k - 1 points lo + i w/2^k of
 every row, and each row keeps the point that k one-level halvings keep:
 its count of leading Trues when its column is monotone, else the levels
 walked one by one.  k follows from the row count alone: the largest with
 (2^k - 1) rows <= ``LEVEL_POINTS`` = 256, at least 1 (5 at 8 rays, 7 at 2,
-1 from 86 rays on, where a test is one midpoint per ray), and a shorter
-last step takes the rest of the 52.  The bracket [2^j, 2^(j+1)] is one
-binade, so its first 52 midpoints are exact and the 52nd halving leaves it
-one ulp wide, at the float fixed point.  A bisection that stops each row
-there evaluates the same midpoints and makes the same choices, so the ends
-and distances keep their bits.  The march needs nothing but a value
-function that is negative inside, so it is also the reference route for
-the closed forms:
+1 from 86 rays on, where a test is one midpoint or one doubling per ray),
+and a shorter last step takes the rest of the 52.  So 8 rays take one or
+two doubling tests and 11 halving tests, 2 rays one and 8.  The bracket
+[2^j, 2^(j+1)] is one binade, so its first 52 midpoints are exact and the
+52nd halving leaves it one ulp wide, at the float fixed point.  A bisection
+that stops each row there evaluates the same midpoints and makes the same
+choices, so the ends and distances keep their bits.  The march needs
+nothing but a value function that is negative inside, so it is also the
+reference route for the closed forms:
 ``verify``'s ``hilbert.klein-agreement`` compares the Klein formula against
 the march on the ball, and ``hilbert.projective-naturality`` against the
 march on a moved ball's own ``value``.
@@ -47,11 +50,11 @@ A domain moved by ``transformed_oracle`` answers every question on its
 base, since projective maps are Hilbert isometries.  Its points are pulled
 back through g^-1 (a domain moved twice, through the composite), divided by
 the last homogeneous coordinate whatever its sign, and run through the
-base's kernel or march.  A distance or chord call pulls back three times:
-X and Y stacked for the interiority check on the moved domain's own
-``value``, then X and Y each for the base's route.  Chord ends are pushed
-forward through g as homogeneous points.  A row on the pulled-back
-hyperplane at infinity is outside.
+base's kernel or march.  A distance or chord call pulls back once, X and Y
+stacked: the interiority check reads the base's ``value`` at those rows (a
+row on the pulled-back hyperplane at infinity is outside), which is the
+moved domain's own ``value`` there, and the base's route runs on the same
+rows.  Chord ends are pushed forward through g as homogeneous points.
 
 Everything here is float; the identities tested are metric, not algebraic.
 An end of a chord that never leaves the affine chart (the model cusp
@@ -99,7 +102,9 @@ class ConvexDomainOracle:
     floating-point warnings to its caller.  Convexity is an assumed contract.
     ``distances(X, Y)`` is the domain's own batch distance kernel for
     row-paired interior chart points: the built-in constructors set it.  A
-    domain without one has its chord ends marched on ``value``.
+    domain without one has its chord ends marched on ``value``.  Every
+    route asks :meth:`on_base` for the domain that answers and the rows in
+    its chart, once per call, with X and Y stacked.
     ``classify`` is read by no route.  It stays, None by default and set by
     keyword only, because it is the slot that the benchmark's layer tracer
     fills with :func:`dataclasses.replace` to count oracle calls; it can go
@@ -111,10 +116,11 @@ class ConvexDomainOracle:
     distances: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     classify: Optional[Callable] = field(default=None, kw_only=True)
 
-    def on_base(self, X: np.ndarray, Y: np.ndarray):
-        """The domain that answers for this one, and the chart rows X and Y
-        in its chart: here the domain itself and the rows as given."""
-        return self, X, Y
+    def on_base(self, P: np.ndarray):
+        """The domain that answers for this one, the chart rows P in its
+        chart, and the mask of rows on the pulled-back hyperplane at
+        infinity: here the domain itself, the rows as given and no such row."""
+        return self, P, np.zeros(P.shape[0], dtype=bool)
 
     def push(self, z: np.ndarray) -> ProjPoint:
         """The point of this domain's space at base chart coordinates z."""
@@ -133,9 +139,8 @@ class MovedOracle(ConvexDomainOracle):
     base: ConvexDomainOracle = field(kw_only=True)
     g: ProjMap = field(kw_only=True)
 
-    def on_base(self, X: np.ndarray, Y: np.ndarray):
-        g_inv = inverse(self.g)
-        return self.base, _pull(g_inv, X)[0], _pull(g_inv, Y)[0]
+    def on_base(self, P: np.ndarray):
+        return (self.base, *_pull(inverse(self.g), P))
 
     def push(self, z: np.ndarray) -> ProjPoint:
         return act(self.g, ProjPoint(np.append(z, 1.0)))
@@ -219,17 +224,25 @@ def _as_chart(p, n: int) -> np.ndarray:
     return arr
 
 
-def _require_interior_rows(dom: ConvexDomainOracle, X: np.ndarray, Y: np.ndarray,
-                           batch: bool) -> None:
-    """The input contract: every point finite and strictly interior.  A
-    batch names the first offending row, a single pair only the point.  One
-    ``value`` call tests X and Y stacked (one pull-back on a moved domain)."""
-    bad_x, bad_y = np.split(~_interior(dom.value, np.vstack([X, Y])), 2)
+def _interior_on_base(dom: ConvexDomainOracle, X: np.ndarray, Y: np.ndarray,
+                      batch: bool):
+    """The base domain and the rows X and Y in its chart, under the input
+    contract: every point finite and strictly interior.  X and Y go through
+    one ``on_base`` stacked (one pull-back on a moved domain), and a row is
+    interior when it is finite, not at infinity and negative under one base
+    ``value`` call, which is the moved domain's ``value``.  A batch names the
+    first offending row, a single pair only the point."""
+    P = np.vstack([X, Y])
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        base, B, at_infinity = dom.on_base(P)
+        ok = np.all(np.isfinite(P), axis=1) & ~at_infinity & (base.value(B) < 0.0)
+    bad_x, bad_y = ~ok.reshape(2, -1)
     rows = np.flatnonzero(bad_x | bad_y)
     if rows.size:
         i = int(rows[0])
         msg = f"point {'x' if bad_x[i] else 'y'} is not interior to the domain"
         raise ValueError(f"row {i}: {msg}" if batch else msg)
+    return base, B[:len(X)], B[len(X):]
 
 
 def chord_boundary(dom: ConvexDomainOracle, x, y) -> ChordIntersection:
@@ -246,8 +259,7 @@ def chord_boundary(dom: ConvexDomainOracle, x, y) -> ChordIntersection:
     yc = _as_chart(y, dom.n)
     if np.array_equal(xc, yc):
         raise ValueError("chord needs two distinct points")
-    _require_interior_rows(dom, xc[None], yc[None], batch=False)
-    base, X, Y = dom.on_base(xc[None], yc[None])
+    base, X, Y = _interior_on_base(dom, xc[None], yc[None], batch=False)
     # ray from x along d ends at z2 = x + u d, ray from y along -d at z1 = y - s d
     (u, s), widths = value_march(base.value, X, Y)
     xb, yb = X[0], Y[0]
@@ -295,32 +307,27 @@ def hilbert_distance(dom: ConvexDomainOracle, x, y) -> float:
     When both ends of the chord lie at its point at infinity, the distance
     is 0 (use chord_boundary directly for the diagnostic).
     """
-    X = _as_chart(x, dom.n)[None]
-    Y = _as_chart(y, dom.n)[None]
-    _require_interior_rows(dom, X, Y, batch=False)
-    return float(_distances(dom, X, Y)[0])
+    base, X, Y = _interior_on_base(dom, _as_chart(x, dom.n)[None], _as_chart(y, dom.n)[None],
+                                   batch=False)
+    if base.distances is not None:
+        return float(base.distances(X, Y)[0])
+    return float(value_distances(base.value, X, Y)[0])
 
 
 def hilbert_distances(dom: ConvexDomainOracle, X, Y) -> np.ndarray:
     """Batch distances for row-paired chart points: the domain's own
     ``distances`` kernel, else the march on its ``value``; a moved domain
-    runs its base's route on the points pulled back through g^-1.
-    Interiority is checked on the domain's own ``value`` first, so bad input
-    raises the ValueError of :func:`hilbert_distance`, prefixed with the
-    first offending row.
+    runs its base's route on the points pulled back through g^-1, X and Y
+    stacked in one pull-back.  Interiority is checked first, on those rows
+    by one base ``value`` call (the moved domain's ``value`` there), so bad
+    input raises the ValueError of :func:`hilbert_distance`, prefixed with
+    the first offending row.
     """
     expected = f"expected paired arrays of shape (m, {dom.n})"
     X, Y = (np.atleast_2d(_float_array(P, expected)) for P in (X, Y))
     if X.shape != Y.shape or X.shape[1] != dom.n:
         raise ValueError(expected)
-    _require_interior_rows(dom, X, Y, batch=True)
-    return _distances(dom, X, Y)
-
-
-def _distances(dom: ConvexDomainOracle, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The body of both distance functions, on rows already checked: the
-    base domain's kernel or march at the pulled-back rows."""
-    base, X, Y = dom.on_base(X, Y)
+    base, X, Y = _interior_on_base(dom, X, Y, batch=True)
     if base.distances is not None:
         return base.distances(X, Y)
     return value_distances(base.value, X, Y)
@@ -349,9 +356,9 @@ def convexity_scan(dom: ConvexDomainOracle, x, y) -> None:
     ``CONVEXITY_SAMPLES`` points, must meet the interior in a single
     interval; on a moved domain, the chord between the pulled-back points
     in the base chart.  Raises ConvexityViolation otherwise."""
-    base, X, Y = dom.on_base(_as_chart(x, dom.n)[None], _as_chart(y, dom.n)[None])
+    base, P, _ = dom.on_base(np.vstack([_as_chart(x, dom.n), _as_chart(y, dom.n)]))
     ts = np.linspace(0.0, 1.0, CONVEXITY_SAMPLES)[:, None]
-    inside = _interior(base.value, X + ts * (Y - X))
+    inside = _interior(base.value, P[:1] + ts * (P[1:] - P[:1]))
     runs = int(inside[0]) + int(np.count_nonzero(inside[1:] & ~inside[:-1]))
     if runs > 1:
         raise ConvexityViolation(f"interior met in {runs} intervals along tested chord")
@@ -406,7 +413,9 @@ def _quadric_root(A, B, C):
 
 
 def _quadric_distances(end, X, Y):
-    """Distances from ``end(P, E)``, the end parameter w of the ray P + w E.
+    """Distances from ``end(P, E)``, the end parameter w of the ray P + w E,
+    in one call on both rays of every chord: from y along E, then from x
+    along -E.
 
     E is d scaled to largest entry 1, so no scale of d under- or overflows
     the quadric's coefficients; the end parameter along d is v = w / m."""
@@ -414,7 +423,8 @@ def _quadric_distances(end, X, Y):
     m = np.max(np.abs(D), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         E = D / m[:, None]
-        out = 0.5 * (np.log1p(m / end(Y, E)) + np.log1p(m / end(X, -E)))
+        half = np.log1p(m / end(np.vstack([Y, X]), np.vstack([E, -E])).reshape(2, -1))
+        out = 0.5 * (half[0] + half[1])
     out[m == 0.0] = 0.0
     return out
 
@@ -440,10 +450,15 @@ def _march(inside, unbounded):
 
     ``inside(U)`` tells which rays are inside the domain at the parameters
     U, an (m, rows) array with one column per ray; its floating-point
-    warnings (rows off the domain or the chart) are silenced.  Up to about
-    60 doubling tests leave each bounded ray the bracket [2^j, 2^(j+1)] and
-    each unbounded one the width 0.  Then every row is halved ``HALVINGS``
-    times with no mask, k levels per ``inside`` call (see
+    warnings (rows off the domain or the chart) are silenced.  The doubling
+    tests the parameters 2^e, e = 1 .. top, 2^top the last power of 2 up to
+    ``U_CAP``, 2^k - 1 exponents per ``inside`` call (k as below), until
+    every ray that the caller left bounded has been outside.  Its first e
+    outside is j + 1 for the j doublings that one test at a time makes (j
+    leading Trues), and leaves it the bracket [2^j, 2^(j+1)].  A ray inside
+    through 2^top would get hi > ``U_CAP`` and is unbounded, with width 0,
+    as is every ray the caller marks.  Then every row is halved
+    ``HALVINGS`` times with no mask, k levels per ``inside`` call (see
     :func:`_halving_steps`): with w the bracket width divided by 2^k, one
     call tests the 2^k - 1 points lo + i w, and :func:`_bisection_path`
     takes the point that k one-level halvings keep (at k = 1, the midpoint
@@ -451,19 +466,29 @@ def _march(inside, unbounded):
     the march evaluates the midpoints that a bisection stopping each row at
     the float fixed point evaluates, and ends with its u and widths, one ulp
     of u each."""
-    lo = np.ones(unbounded.shape[0])
-    hi = np.full(unbounded.shape[0], 2.0)
-    unbounded = unbounded.copy()
+    rows = unbounded.shape[0]
+    steps = _halving_steps(rows)
+    chunk = 2 ** steps[0] - 1
+    top = math.frexp(U_CAP)[1] - 1
+    exponents = np.arange(top + 1)
+    powers = np.ldexp(1.0, exponents)
+    # per ray, the first e with 2^e outside (hi = 2^e, lo = 2^(e-1)), top + 1
+    # while there is none; 1 on the rays the caller marks, which keep lo = 1
+    stop = np.where(unbounded, 1, top + 1)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        while True:
-            step = inside(hi[None])[0] & ~unbounded
-            if not step.any():
+        for first in range(1, top + 1, chunk):
+            going = stop > top
+            if not going.any():
                 break
-            lo[step] = hi[step]
-            hi[step] *= 2.0
-            unbounded |= hi > U_CAP
-        w = np.where(unbounded, 0.0, hi - lo)
-        steps = _halving_steps(unbounded.shape[0])
+            e = exponents[first:first + chunk, None]
+            # a ray that has exited is tested at u = 1, inside: farther out a
+            # model domain's log coordinate may turn nonpositive, where numpy's
+            # log is several times slower
+            B = inside(np.where(going, powers[first:first + chunk, None], 1.0))
+            stop = np.minimum(stop, np.where(B, top + 1, e).min(axis=0))
+        unbounded = unbounded | (stop > top)
+        lo = powers[stop - 1]
+        w = np.where(unbounded, 0.0, lo)
         offsets = {k: np.arange(1.0, 2 ** k)[:, None] for k in set(steps)}
         for k in steps:
             w *= 0.5 ** k
@@ -507,13 +532,17 @@ def _rays(X, Y):
 
 def _march_distances(ends):
     """Distances from the end parameters of the rays of :func:`_rays`."""
+    u, s = ends.reshape(2, -1)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        u, s = np.split(ends, 2)
         out = 0.5 * np.log(s * u / ((s - 1.0) * (u - 1.0)))
-        out = np.where(np.isnan(u), 0.5 * np.log(s / (s - 1.0)), out)
-        out = np.where(np.isnan(s), 0.5 * np.log(u / (u - 1.0)), out)
+        unbounded = np.isnan(ends)
+        if not unbounded.any():
+            return out
+        nan_u, nan_s = unbounded.reshape(2, -1)
+        out = np.where(nan_u, 0.5 * np.log(s / (s - 1.0)), out)
+        out = np.where(nan_s, 0.5 * np.log(u / (u - 1.0)), out)
     # both ends at the chord's one point at infinity (x = y among them): cross ratio 1
-    out[np.isnan(u) & np.isnan(s)] = 0.0
+    out[nan_u & nan_s] = 0.0
     return out
 
 

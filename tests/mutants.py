@@ -1,0 +1,157 @@
+"""Named textual mutants of ``src/cuspbend``, run by hand:
+
+    python tests/mutants.py [--list] [NAME ...]
+
+Each mutant is one edit of one source file: its old text, which must occur
+there exactly once, the new text, and the tests expected to kill it.  For
+each mutant (every one, or those named) the script copies ``src``,
+``tests``, ``perfbench`` and ``pyproject.toml`` to a temporary directory
+and applies the edit there.  It runs the named tests, and when they all
+pass it runs tier-1; both runs stop at the first failure (``-x``), which
+spares hypothesis the shrinking of further failing examples.  It prints
+each mutant as killed, with the first test that failed, or survived, with
+the time taken, and exits 1 when a mutant survived or its old text is
+stale.
+
+A kill by the named tests takes seconds; only a survivor costs a full
+tier-1 run.  Tier-1 does not collect this file, and it imports only the
+standard library: the tests run in child processes of this interpreter.
+A change that edits code at a mutant's site updates the mutant with it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+HILBERT = "src/cuspbend/hilbert.py"
+T_HILBERT = "tests/test_hilbert.py::"
+T_CLI = "tests/test_cli.py::"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    killers: tuple
+
+
+MUTANTS = [
+    # the march's doubling, chunked 2^k - 1 exponents per test
+    Mutant("doubling-counts-all-trues", HILBERT,
+           "np.where(B, top + 1, e).min(axis=0)",
+           "np.where(B.all(axis=0), top + 1, first + B.sum(axis=0))",
+           (T_HILBERT + "test_march_follows_the_one_level_path",)),
+    Mutant("doubling-cap-exponent-60", HILBERT,
+           "top = math.frexp(U_CAP)[1] - 1", "top = math.frexp(U_CAP)[1]",
+           (T_HILBERT + "test_fixed_halvings_match_masked_bisection",
+            T_HILBERT + "test_doubling_chunks_keep_the_reference_bytes")),
+    # one pull-back and one interiority check per call
+    Mutant("at-infinity-mask-dropped", HILBERT,
+           "np.all(np.isfinite(P), axis=1) & ~at_infinity & (base.value(B) < 0.0)",
+           "np.all(np.isfinite(P), axis=1) & (base.value(B) < 0.0)",
+           (T_HILBERT + "test_a_row_at_infinity_is_outside_where_the_base_value_is_negative",)),
+    # one quadric-root pass over both rays of every chord
+    Mutant("quadric-rays-wrong-directions", HILBERT,
+           "end(np.vstack([Y, X]), np.vstack([E, -E]))",
+           "end(np.vstack([Y, X]), np.vstack([-E, E]))",
+           (T_HILBERT + "test_hilbert_matches_klein_in_ball",
+            T_CLI + "test_hilbert_output_matches_fixture")),
+    Mutant("nan-early-return-always", HILBERT,
+           "        if not unbounded.any():\n            return out",
+           "        if True:\n            return out",
+           (T_HILBERT + "test_unbounded_chord_end_at_infinity_gives_finite_distance",
+            T_CLI + "test_hilbert_output_matches_fixture")),
+    # the halvings, k levels per test
+    Mutant("walk-skips-top-level", HILBERT,
+           "s = (B.shape[0] + 1) // 2", "s = (B.shape[0] + 1) // 4",
+           (T_HILBERT + "test_march_follows_the_one_level_path",
+            T_HILBERT + "test_fixed_halvings_match_masked_bisection")),
+    Mutant("halvings-51", HILBERT, "HALVINGS = 52", "HALVINGS = 51",
+           (T_HILBERT + "test_fixed_halvings_match_masked_bisection",
+            T_CLI + "test_hilbert_output_matches_fixture")),
+    Mutant("path-of-leading-trues-only", HILBERT,
+           "    kept = B.sum(axis=0)\n",
+           "    return np.logical_and.accumulate(B).sum(axis=0)\n",
+           (T_HILBERT + "test_march_follows_the_one_level_path",)),
+    # a bent slot whose cusp parameter underflows
+    Mutant("underflow-refused-only-at-zero", "src/cuspbend/cusp_classify.py",
+           "small = a < sys.float_info.min", "small = a == 0",
+           (T_CLI + "test_overflowing_construction_keeps_the_exit_contract",)),
+]
+
+
+def _pytest(tree: Path, args: list) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
+                          cwd=tree, env=env, capture_output=True, text=True)
+
+
+def _first_failure(output: str) -> str:
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" ", 2)[1]
+    return "no FAILED line; see pytest output"
+
+
+def run(mutant: Mutant) -> str:
+    """Apply one mutant to a copy of the tree and return its verdict line."""
+    start = time.perf_counter()
+    source = (ROOT / mutant.file).read_text()
+    if source.count(mutant.old) != 1:
+        return f"STALE    {mutant.name}: its old text occurs {source.count(mutant.old)} times"
+    with tempfile.TemporaryDirectory(prefix="cuspbend-mutant-") as tmp:
+        tree = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, tree / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", "out"))
+            else:
+                shutil.copy2(src, tree / name)
+        (tree / mutant.file).write_text(source.replace(mutant.old, mutant.new))
+        named = _pytest(tree, ["-x", *mutant.killers])
+        if named.returncode != 0:
+            verdict = f"killed   {mutant.name} by named {_first_failure(named.stdout)}"
+        else:
+            tier1 = _pytest(tree, ["-x", "--continue-on-collection-errors"])
+            verdict = (f"killed   {mutant.name} by tier-1: {_first_failure(tier1.stdout)}"
+                       if tier1.returncode != 0 else f"SURVIVED {mutant.name}")
+    return f"{verdict}  [{time.perf_counter() - start:.1f} s]"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in args.names if name not in by_name]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [by_name[name] for name in args.names] or MUTANTS
+    if args.list:
+        for m in chosen:
+            print(f"{m.name}  ({m.file})")
+        return 0
+    bad = 0
+    for m in chosen:
+        line = run(m)
+        bad += not line.startswith("killed")
+        print(line, flush=True)
+    print(f"{len(chosen) - bad} of {len(chosen)} killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -481,6 +481,9 @@ def test_classify_pattern_mismatch_is_property_failure(tmp_path, capsys):
     assert main(["classify", "--in", str(src)]) == 0
 
 
+TINY_B = "b_{} is too small for a bent slot: its cusp parameter underflows\n"
+
+
 @pytest.mark.parametrize("command,data,code,message", [
     # b * b / 2 overflows; the residual is NaN
     (["classify"], {"n": 3, "b": [1e200, 1.0], "s": [0.5, 0.0]}, 1,
@@ -509,10 +512,21 @@ def test_classify_pattern_mismatch_is_property_failure(tmp_path, capsys):
      "cuspbend: matrix entry (1, 2) does not fit a float: it overflows\n"),
     (["bend"], {"rep": {"n": 1, "generators": {"g": [[1.0, BEYOND_FLOAT], [0.0, 1.0]]}}}, 2,
      "cuspbend: matrix entry (0, 1) does not fit a float: it overflows\n"),
+    # b_2^2 underflows to 0 on a bent slot, so psi_1 would read 0 against type 1
+    (["classify", "--exact"], {"n": 3, "b": ["1e-200", "1"], "mu": ["2", "1"]}, 2,
+     "cuspbend: " + TINY_B.format(2)),
+    (["classify"], {"n": 3, "b": [1e-200, 1.0], "s": [0.5, 0.0]}, 2,
+     "cuspbend: " + TINY_B.format(2)),
+    (["sweep", "--n", "3", "--grid", "0.5:1:2", "--b", "1e-200,1", "--slots", "2"], None, 2,
+     "cuspbend: row 0: " + TINY_B.format(2)),
+    # b_2^2 is subnormal: a_2 keeps few digits and 1 / a_2 overflows
+    (["sweep", "--n", "3", "--grid", "0.5:1:2", "--b", "1,1e-160", "--slots", "3"], None, 2,
+     "cuspbend: row 0: " + TINY_B.format(3)),
 ], ids=["classify", "sweep", "classify-exact", "classify-exact-mu-overflows",
         "classify-exact-mu-rounds-to-0", "classify-exact-b-overflows", "classify-b-overflows",
         "hilbert-psi-overflows", "classify-generator-entry-overflows",
-        "bend-generator-entry-overflows"])
+        "bend-generator-entry-overflows", "classify-exact-b-underflows", "classify-b-underflows",
+        "sweep-b-underflows", "sweep-b-subnormal"])
 def test_overflowing_construction_keeps_the_exit_contract(tmp_path, capsys, command, data,
                                                           code, message):
     """Float values of the construction that overflow, and exact input
@@ -526,6 +540,19 @@ def test_overflowing_construction_keeps_the_exit_contract(tmp_path, capsys, comm
     assert main(command + ["--out", str(out)]) == code
     assert capsys.readouterr().err == message
     assert not out.exists()
+
+
+def test_a_tiny_b_on_an_unbent_slot_stays_valid(tmp_path):
+    """The underflow refusal reads only bent slots: an unbent slot with
+    b_3 = 1e-200 classifies and sweeps, with psi_2 = 0 and type 1."""
+    src, out = tmp_path / "data.json", tmp_path / "out"
+    src.write_text(json.dumps({"n": 3, "b": [1.0, 1e-200], "s": [0.5, 0.0]}))
+    assert main(["classify", "--in", str(src), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["type"] == 1 and result["psi"][0] > 0 and result["psi"][1:] == [0.0, 0.0]
+    assert main(["sweep", "--n", "3", "--grid", "0.5:1:2", "--b", "1,1e-200", "--slots", "2",
+                 "--out", str(out)]) == 0
+    assert [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]] == ["1", "1"]
 
 
 def test_classify_refuses_an_all_zero_generator(tmp_path, capsys):

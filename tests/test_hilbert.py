@@ -88,6 +88,12 @@ def test_unbounded_chord_end_at_infinity_gives_finite_distance():
     for x, y in (([1.0, 0.0], [2.0, 0.0]), ([2.0, 0.0], [1.0, 0.0])):
         assert abs(hilbert_distance(dom, x, y) - half_log_2) <= 1e-12
         assert abs(hilbert_distances(dom, [x], [y])[0] - half_log_2) <= 1e-12
+    # the same on the type-1 domain x_0 + log x_1 > 0, whose kernel marches:
+    # along x_1 = 1 the chord never exits upward and meets x_0 = 0 downward
+    dom = model_domain_oracle(CuspParameter([1.0, 0.0]))
+    for x, y in (([1.0, 1.0], [2.0, 1.0]), ([2.0, 1.0], [1.0, 1.0])):
+        assert abs(hilbert_distance(dom, x, y) - half_log_2) <= 1e-12
+        assert abs(hilbert_distances(dom, [x], [y])[0] - half_log_2) <= 1e-12
 
 
 @pytest.mark.parametrize("y", [[2.0, 0.0], [1.0, 0.0], [math.nan, 0.0]],
@@ -541,25 +547,55 @@ def _counting(dom):
     return dataclasses.replace(dom, value=lambda P: calls.append(len(P)) or dom.value(P)), calls
 
 
-def test_moved_builtin_calls_value_only_to_check_interiority():
-    """A moved built-in batch calls the moved value once, on both sides of
-    the interiority check stacked; its distances run on the pulled-back
-    points.  A moved value-only oracle has no kernel: after the same one
-    check it marches on its base's value at the pulled-back points."""
+def test_moved_builtin_calls_value_only_to_check_interiority(monkeypatch):
+    """A moved built-in batch pulls its rows back once, X and Y stacked, and
+    calls its base's value once on those rows for the interiority check;
+    its distances run the base's kernel on the same rows, and the moved
+    domain's own value is not called.  A moved value-only oracle has no
+    kernel: after the same pull-back and check it marches on its base's
+    value at the pulled-back points."""
+    pulls, real_pull = [], hilbert._pull
+    monkeypatch.setattr(hilbert, "_pull",
+                        lambda g_inv, P: pulls.append(len(P)) or real_pull(g_inv, P))
     G = np.eye(3) + 0.08 * np.array([[0.0, 1.0, -0.5], [0.3, 0.0, 0.2], [-0.2, 0.4, 0.0]])
     X, Y = np.array([[0.2, -0.1], [0.0, 0.3]]), np.array([[-0.4, 0.3], [0.5, 0.1]])
     # the type-1 model domain x_0 + log x_1 > 0 holds X and Y shifted by (1.5, 1)
     for base, shift in ((ball_oracle(2), 0.0), (model_domain_oracle(CuspParameter([1.0, 0.0])),
                                                  np.array([1.5, 1.0]))):
+        base, base_calls = _counting(base)
         moved, calls = _counting(transformed_oracle(base, ProjMap(G)))
+        pulls.clear()
         hilbert_distances(moved, _moved(G, X + shift), _moved(G, Y + shift))
-        assert calls == [4]
+        assert (pulls, base_calls, calls) == ([4], [4], [])
     base, base_calls = _counting(interval_oracle())
     moved, calls = _counting(transformed_oracle(base, ProjMap(np.array([[1.2, 0.3], [0.2, 1.0]]))))
+    pulls.clear()
     hilbert_distances(moved, [[0.3]], [[0.5]])
-    assert calls == [2]
-    # the check's call reaches the base, then every march test is a base call
-    assert base_calls[0] == 2 and len(base_calls) > 10
+    assert (pulls, calls) == ([2], [])
+    # the check's call reaches the base, then every march test on its 2 rays
+    # is a base call: one doubling test of 59 exponents, then 52 = 7 * 7 + 3 halvings
+    assert base_calls == [2, 2 * 59] + [2 * 127] * 7 + [2 * 7]
+
+
+def test_a_row_at_infinity_is_outside_where_the_base_value_is_negative():
+    """g^-1 sends the chart point x = (1, 0.5) to [1, 0.5, 0], at infinity in
+    the base chart, where the type-1 model domain's value -(x_0 + log x_1)
+    reads -inf on the pulled-back row (inf, inf).  The moved domain's own
+    value reads inf there, and every route refuses x as not interior."""
+    G = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    base = model_domain_oracle(CuspParameter([1.0, 0.0]))
+    moved = transformed_oracle(base, ProjMap(G))
+    x, y = np.array([1.0, 0.5]), np.array([0.2, 1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pulled, at_infinity = hilbert._pull(inverse(moved.g), x[None])
+        assert at_infinity[0] and base.value(pulled)[0] == -np.inf
+        assert moved.value(x[None])[0] == np.inf and moved.value(y[None])[0] < 0.0
+    message = "point x is not interior to the domain"
+    for route in (hilbert_distance, chord_boundary):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            route(moved, x, y)
+    with pytest.raises(ValueError, match=f"^row 1: {message}$"):
+        hilbert_distances(moved, [y, x], [y, y])
 
 
 def test_projective_naturality_compares_two_routes(monkeypatch):
@@ -831,12 +867,19 @@ def test_leading_trues_alone_fail_the_path(monkeypatch, k):
     assert not _same_bytes((got, ref_march(_scrambled_inside, _SCRAMBLED_STAYS)))
 
 
-@pytest.mark.parametrize("pairs,halvings", [(4, [(31, 8)] * 10 + [(3, 8)]),
-                                            (1000, [(1, 2000)] * 52)], ids=["8-rays", "2000-rays"])
-def test_march_inside_calls(pairs, halvings):
-    """The mechanism as a count: after its doublings, a type-1 march over 8
-    rays makes ceil(52 / 5) = 11 ``inside`` calls of 31 points per ray (the
-    last of 3), and one over 2000 rays makes 52 calls of one point per ray."""
+@pytest.mark.parametrize("pairs,doublings,halvings", [
+    (1, [(59, 2)], [(127, 2)] * 7 + [(7, 2)]),
+    (4, [(31, 8)], [(31, 8)] * 10 + [(3, 8)]),
+    (1000, None, [(1, 2000)] * 52)], ids=["2-rays", "8-rays", "2000-rays"])
+def test_march_inside_calls(pairs, doublings, halvings):
+    """The mechanism as a count.  The doubling tests 2^k - 1 exponents per
+    ``inside`` call, k as in the halvings: over 2 rays one call of all 59
+    exponents (2^59 is the last power of 2 under ``U_CAP``), over 8 rays one
+    call of 31 (no ray here reaches 2^31), and over 2000 rays one exponent
+    per call, up to the first at which no ray is inside.  Then a type-1
+    march makes 52 = 7 * 7 + 3 halvings over 2 rays in 8 calls, ceil(52 / 5)
+    = 11 calls of 31 points per ray (the last of 3) over 8 rays, and 52
+    calls of one point per ray over 2000 rays."""
     rng = np.random.default_rng(20)
     psi = np.array([1.3])
     X, Y = (np.column_stack([rng.uniform(0.1, 2.0, pairs), rng.uniform(0.5, 3.0, pairs),
@@ -847,8 +890,24 @@ def test_march_inside_calls(pairs, halvings):
     inside, shapes = hilbert._model_inside(P, E, psi, 1), []
     u, _ = hilbert._march(lambda U: shapes.append(U.shape) or inside(U),
                           hilbert._model_ray_stays(E, 1))
-    doublings = int(np.max(np.floor(np.log2(u)))) + 1
-    assert shapes == [(1, 2 * pairs)] * doublings + halvings
+    if doublings is None:
+        doublings = [(1, 2 * pairs)] * (int(np.max(np.floor(np.log2(u)))) + 1)
+    assert shapes == doublings + halvings
+
+
+def test_doubling_chunks_keep_the_reference_bytes():
+    """Chord ends on both sides of a chunk edge: over 8 rays the doubling
+    tests 2^1 .. 2^31 in one call and 2^32 .. 2^59 in the next.  Ends at
+    2^30 .. 2^33 straddle the first edge; ends at 2^58 .. 2^61 straddle the
+    cap, past which a ray inside at 2^59 is unbounded.  The march keeps the
+    bytes of the one-at-a-time reference in both batches."""
+    for exponents in ((30, 31, 32, 33), (58, 59, 60, 61)):
+        X = np.zeros((4, 1))
+        Y = np.array([[2.0 ** -e] for e in exponents])
+        got = hilbert.value_march(interval_oracle().value, X, Y)
+        assert _same_bytes((got, ref_value_march(interval_oracle().value, X, Y)))
+    # from x = 0 the ray along 2^-e ends at u = 2^e: the last two are unbounded
+    assert np.isnan(got[0][:4]).tolist() == [False, False, True, True]
 
 
 def test_chord_end_below_the_cap_is_bounded():

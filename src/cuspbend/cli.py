@@ -27,6 +27,15 @@ and b once and refuses the first row :class:`RectangularCuspData` would
 refuse with that class's message, then classifies every row with one call
 to the float kernel :func:`conjugation_residuals`.
 
+Every float in a CSV or SVG output prints as ``"%.17g"`` prints it.
+``sweep`` and the SVG labels call Python's formatting once a value; the
+``hilbert`` CSV is built by :func:`_hilbert_csv` from numpy arrays, a block
+of rows at a time: a value in ``"%.17g"``'s fixed-notation range gets its 17
+digits from an exact product by a power of ten and its text from digit
+tables, and every other value (0, -0.0, inf, nan, subnormals, exponent
+notation) goes through ``"%.17g" % x``.  The bytes are the same; the
+formatting takes about half the time of one ``%`` over every value.
+
 Every output file goes through :func:`_write_text`, which rewrites an
 existing file in place and cuts it to length after the write rather than
 truncating it to zero first; ``/dev/null``, FIFOs and ``-`` (standard output)
@@ -323,12 +332,155 @@ def _cmd_hilbert(args) -> int:
     if X.ndim == 1:  # pairs of scalars, not of points (a string point parses as one)
         require_json(pairs, "pairs", list)
         raise ValueError(f"pairs[0] must be two points of dimension {dom.n}")
-    # one % over every value: "%.17g" prints exactly what _fmt prints
-    point = " ".join(["%.17g"] * X.shape[1])
-    row = f'"{point}","{point}",%.17g'
-    values = np.column_stack([X, Y, dists]).ravel().tolist()
-    _write_text(args.out, "x,y,d\n" + "\n".join([row] * len(dists)) % tuple(values) + "\n")
+    # the bytes of "%.17g" over every value, built from the arrays
+    _write_text(args.out, _hilbert_csv(X, Y, dists))
     return 0
+
+
+# The hilbert CSV: the bytes "%.17g" prints, built from arrays.  "%.17g"
+# prints a value in fixed notation when the decimal exponent X of its 17
+# significant digits lies in -4..16; CPython reaches those digits through
+# dtoa's bignum path, about 0.45 us a value.  Here D, the 17 digits as an
+# integer, comes from one product by an exact power of ten and that
+# product's exact error, and its text from tables of four ASCII digits.
+# Every other value (0, -0.0, inf, nan, subnormals and exponent notation)
+# goes through "%.17g" % x, one at a time.
+
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant for float64
+_POW10 = np.array([float(10 ** k) for k in range(21)])  # exact: 10^k is a double for k <= 22
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_CSV_BLOCK_ROWS = 256  # rows formatted per pass: keeps the temporaries small
+
+
+def _digit_tables():
+    """Four ASCII digits of each g < 10^4 as one little-endian uint32 (the
+    first digit in the lowest byte), and the count of g's trailing zeros (4
+    for g = 0)."""
+    g = np.arange(10000, dtype=np.uint32)
+    digits = [g // 1000, g // 100 % 10, g // 10 % 10, g % 10]
+    text = np.zeros(10000, "<u4")
+    for i, d in enumerate(digits):
+        text |= (d + 48) << (8 * i)
+    zeros, tail = np.zeros(10000, np.int8), np.ones(10000, bool)
+    for d in reversed(digits):
+        tail &= d == 0
+        zeros += tail
+    return text, zeros
+
+
+_DIGITS4, _TRAILING_ZEROS = _digit_tables()
+# _LOW[:, q]: the three words of a 24-byte little-endian number that keep its
+# low q bytes, q = 0..17
+_LOW = np.array([[(1 << 8 * min(max(q - 8 * w, 0), 8)) - 1 for q in range(18)]
+                 for w in range(3)], dtype="<u8")
+# Indexed by X + 4 for X = -4..16: the mask of the integer digits (none for
+# X < 0), the bits by which the digits after them move up, and the bytes
+# that move makes room for: "0." and -X - 1 zeros in front for X < 0, the
+# point after the X + 1 integer digits for X = 0..15.  _INSERT's column 20
+# (X = 16) adds nothing, and serves any field without a fraction.
+_INTEGER_LOW = _LOW[:, [max(x + 1, 0) for x in range(-4, 17)]]
+_SHIFT = np.array([8 * max(1 - x, 1) for x in range(-4, 17)], dtype=np.uint64)
+_INSERT = np.frombuffer(b"".join(
+    (b"0.000"[:1 - x] if x < 0 else bytes(x + 1) + b".").ljust(24, b"\0")
+    for x in range(-4, 16)) + bytes(24), "<u8").reshape(21, 3).T.copy()
+
+
+def _digits17(a: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """D = a * 10^(16 - X) rounded half-even to an integer, exactly: p is the
+    float product and err its exact error (Dekker's two-product; 10^(16 - X)
+    is exact for X in -4..16).  For p >= 10^16 > 2^53, p is an even integer,
+    so D = p + rint(err)."""
+    k = 16 - X
+    p = a * _POW10[k]
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _csv_rows(V: np.ndarray, lead: np.ndarray) -> bytes:
+    """The CSV bytes of the value rows V, (rows, k).  Each value fills four
+    little-endian words: its separator, and its sign where the field below
+    does not print it, right-aligned in the first; its field left-aligned in
+    the other three.  Dropping the NUL padding leaves the text.
+
+    X starts as floor(log10 |x|) and is corrected while D lies outside
+    [10^16, 10^17).  That is sound next to a power of ten: a wrong X could
+    survive only by D rounding onto 10^16 from an |x| below 10^X within a
+    relative 5e-17.  No double lies there: for X >= 0, 10^X is a double and
+    the one below it is 1.1e-16 away; for X = -1..-4 the nearest doubles
+    below 10^X lie 8.3e-17 to 2e-16 away."""
+    v = V.ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-5) & (a < 1e18)  # may have X in -4..16; not 0, nan, inf or subnormal
+    a[~fast] = 1.0
+    X = np.floor(np.log10(a)).astype(np.intp).clip(-4, 16)  # intp: indices index fastest
+    D = _digits17(a, X)
+    off = np.flatnonzero((D < 10 ** 16) | (D >= 10 ** 17))
+    while off.size:
+        X[off] += np.where(D[off] < 10 ** 16, -1, 1)
+        gone = off[(X[off] < -4) | (X[off] > 16)]
+        fast[gone] = False
+        a[gone], X[gone] = 1.0, 0  # printed by "%" below; D = 10^16 is in range
+        D[off] = _digits17(a[off], X[off])
+        off = off[(D[off] < 10 ** 16) | (D[off] >= 10 ** 17)]
+
+    # the digits: four groups of four, then the last
+    Q = D // 10
+    last = D - 10 * Q
+    hi = Q // 10 ** 8
+    halves = np.column_stack([hi, Q - hi * 10 ** 8])
+    G = np.empty((len(v), 2, 2), np.intp)
+    np.floor_divide(halves, 10 ** 4, out=G[:, :, 0])
+    np.subtract(halves, G[:, :, 0] * 10 ** 4, out=G[:, :, 1])
+    G = G.reshape(-1, 4)
+    T = _TRAILING_ZEROS[G]
+    zeros = T[:, 0]
+    for j in (1, 2, 3):
+        zeros = T[:, j] + (G[:, j] == 0) * zeros
+    # digits printed: "%g" drops the trailing zeros of the fraction only
+    keep = np.maximum(17 - (last == 0) * (1 + zeros), X + 1)
+    W = np.empty((3, len(v)), "<u8")  # bytes 0..16 of a 24-byte number
+    W[:2] = _DIGITS4[G].view("<u8").T
+    W[2] = last + 48
+    W &= np.take(_LOW, keep, axis=1)
+    # move the digits after the integer part up, one byte for the point or
+    # 1 - X bytes for "0." and the zeros, and write those bytes in
+    e = X + 4
+    low = W & np.take(_INTEGER_LOW, e, axis=1)
+    W ^= low
+    shift = _SHIFT[e]
+    carry = W[:2] >> (64 - shift)
+    W <<= shift
+    W[1:] |= carry
+    W |= low
+    W |= np.take(_INSERT, np.where(keep > X + 1, e, 20), axis=1)
+
+    words = np.empty((*V.shape, 4), "<u8")
+    words[:, :, 0] = np.where(((v < 0) & fast).reshape(V.shape), lead[1], lead[0])
+    words = words.reshape(-1, 4)
+    words[:, 1:] = W.T
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = "".join([("%.17g" % x).ljust(24, "\0") for x in v[slow].tolist()])
+        words[slow, 1:] = np.frombuffer(text.encode("ascii"), "<u8").reshape(-1, 3)
+    b = words.view(np.uint8).ravel()
+    return b[b != 0].tobytes()
+
+
+def _hilbert_csv(X: np.ndarray, Y: np.ndarray, dists: np.ndarray) -> str:
+    """The ``hilbert`` CSV: header x,y,d, then per pair the quoted
+    space-separated points and the distance, each value as "%.17g" prints
+    it.  A row starts with its newline, which ends the line before."""
+    seps = [b'\n"'] + [b" "] * (X.shape[1] - 1) + [b'","'] + [b" "] * (X.shape[1] - 1) + [b'",']
+    lead = np.frombuffer(b"".join([s.rjust(8, b"\0") for s in seps] +
+                                  [(s + b"-").rjust(8, b"\0") for s in seps]), "<u8").reshape(2, -1)
+    V = np.column_stack([X, Y, dists])
+    rows = [_csv_rows(V[i:i + _CSV_BLOCK_ROWS], lead) for i in range(0, len(V), _CSV_BLOCK_ROWS)]
+    return "x,y,d" + b"".join(rows).decode("ascii") + "\n"
 
 
 # ---------------------------------------------------------------------------

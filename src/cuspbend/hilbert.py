@@ -355,10 +355,13 @@ def convexity_scan(dom: ConvexDomainOracle, x, y) -> None:
     """Diagnostic: the open chord between two interior points, tested at
     ``CONVEXITY_SAMPLES`` points, must meet the interior in a single
     interval; on a moved domain, the chord between the pulled-back points
-    in the base chart.  Raises ConvexityViolation otherwise."""
-    base, P, _ = dom.on_base(np.vstack([_as_chart(x, dom.n), _as_chart(y, dom.n)]))
+    in the base chart.  Raises ConvexityViolation otherwise, and the
+    ValueError of :func:`hilbert_distance` for a point that is not finite
+    and strictly interior."""
+    base, X, Y = _interior_on_base(dom, _as_chart(x, dom.n)[None], _as_chart(y, dom.n)[None],
+                                   batch=False)
     ts = np.linspace(0.0, 1.0, CONVEXITY_SAMPLES)[:, None]
-    inside = _interior(base.value, P[:1] + ts * (P[1:] - P[:1]))
+    inside = _interior(base.value, X + ts * (Y - X))
     runs = int(inside[0]) + int(np.count_nonzero(inside[1:] & ~inside[:-1]))
     if runs > 1:
         raise ConvexityViolation(f"interior met in {runs} intervals along tested chord")

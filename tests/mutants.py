@@ -34,6 +34,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 HILBERT = "src/cuspbend/hilbert.py"
+CLI = "src/cuspbend/cli.py"
 T_HILBERT = "tests/test_hilbert.py::"
 T_CLI = "tests/test_cli.py::"
 
@@ -84,6 +85,20 @@ MUTANTS = [
            "    kept = B.sum(axis=0)\n",
            "    return np.logical_and.accumulate(B).sum(axis=0)\n",
            (T_HILBERT + "test_march_follows_the_one_level_path",)),
+    # the hilbert CSV's "%.17g" fields, built from arrays
+    Mutant("csv-digits-without-error-term", CLI,
+           "return p.astype(np.int64) + np.rint(err).astype(np.int64)",
+           "return p.astype(np.int64)",
+           (T_CLI + "test_csv_writer_matches_stdlib_digits",)),
+    Mutant("csv-fixed-range-to-17", CLI,
+           "gone = off[(X[off] < -4) | (X[off] > 16)]", "gone = off[(X[off] < -4) | (X[off] > 17)]",
+           (T_CLI + "test_csv_writer_matches_stdlib_digits",)),
+    Mutant("csv-no-exponent-correction", CLI, "    while off.size:\n", "    while False:\n",
+           (T_CLI + "test_csv_writer_matches_stdlib_digits",)),
+    Mutant("csv-integer-zeros-dropped", CLI,
+           "keep = np.maximum(17 - (last == 0) * (1 + zeros), X + 1)",
+           "keep = 17 - (last == 0) * (1 + zeros)",
+           (T_CLI + "test_csv_writer_matches_stdlib_digits",)),
     # a bent slot whose cusp parameter underflows
     Mutant("underflow-refused-only-at-zero", "src/cuspbend/cusp_classify.py",
            "small = a < sys.float_info.min", "small = a == 0",

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspbend.bending import MAX_WORD_EXPONENT
 from cuspbend.cli import main
@@ -583,6 +585,14 @@ def test_hilbert_subcommand(tmp_path):
         assert float(row[-1]) == pytest.approx(klein_distance(x, y), abs=1e-9)
 
 
+def _per_value_csv(X, Y, d) -> str:
+    """The hilbert CSV as the stdlib prints it, one "%.17g" per value."""
+    from cuspbend.cli import _fmt
+    return "x,y,d\n" + "".join(
+        '"{}","{}",{}\n'.format(" ".join(map(_fmt, x)), " ".join(map(_fmt, y)), _fmt(t))
+        for x, y, t in zip(np.asarray(X).tolist(), np.asarray(Y).tolist(), np.asarray(d).tolist()))
+
+
 def test_hilbert_csv_matches_per_value_format(tmp_path):
     from cuspbend.cli import _fmt
     for v in (0.1, -0.0, 1e-310, 1.0 / 3.0, 1e22, math.inf, -math.inf):
@@ -599,10 +609,69 @@ def test_hilbert_csv_matches_per_value_format(tmp_path):
     assert main(["hilbert", "--in", str(src), "--out", str(out)]) == 0
     dists = [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()[1:]]
     assert dists[1] == 0.0 and 0.0 < dists[2] < math.inf
-    lines = ["x,y,d"] + [
-        '"{}","{}",{}'.format(" ".join(map(_fmt, x)), " ".join(map(_fmt, y)), _fmt(d))
-        for (x, y), d in zip(pairs, dists)]
-    assert out.read_text() == "\n".join(lines) + "\n"
+    assert out.read_text() == _per_value_csv(*zip(*pairs), dists)
+
+
+def test_csv_writer_matches_stdlib_digits():
+    """The array-built CSV against CPython's own "%.17g" (dtoa), value by
+    value: every double within 64 ulps of 10^X for X = -5..17, where the
+    decimal exponent is corrected and the fixed-notation range ends;
+    half-even ties at 17 digits; the values printed by "%" (0, -0.0, inf,
+    nan, subnormal, exponent notation); 10^5 random bit patterns, nearly all
+    printed by "%"; and 10^5 random values of the fixed-notation range."""
+    from cuspbend.cli import _hilbert_csv
+    powers = np.array([10.0 ** x for x in range(-5, 18)]).view(np.int64)
+    near = (powers[:, None] + np.arange(-64, 65)).ravel().view(np.float64)
+    ties = [1e15 + 0.25, 1e15 + 0.75, 1e15 + 1.25]
+    assert ["%.17g" % t for t in ties] == ["1000000000000000.2", "1000000000000000.8",
+                                           "1000000000000001.2"]
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-4, 9.9999999999999991e-05,
+               1e17, 99999999999999999.0, 0.5, 100.0, 1234.5, 1e16, 9.999999999999999e16]
+    rng = np.random.default_rng(28)
+    bits = rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64)
+    fixed = 10.0 ** rng.uniform(-4.5, 17.5, 10 ** 5) * rng.choice([-1.0, 1.0], 10 ** 5)
+    for v in (np.concatenate([near, -near]), np.array(ties + special), bits, fixed):
+        V = np.resize(v, (-(-len(v) // 3), 3))  # three columns, each value once
+        assert _hilbert_csv(V[:, :1], V[:, 1:2], V[:, 2]) == _per_value_csv(V[:, :1], V[:, 1:2],
+                                                                            V[:, 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), values=st.lists(st.floats(), min_size=1, max_size=600))
+def test_csv_writer_matches_stdlib_on_any_floats(n, values):
+    """Any floats, in rows of 2n + 1 values (one row block is 256 rows)."""
+    from cuspbend.cli import _hilbert_csv
+    V = np.resize(np.array(values), (-(-len(values) // (2 * n + 1)), 2 * n + 1))
+    X, Y, d = V[:, :n], V[:, n:2 * n], V[:, 2 * n]
+    assert _hilbert_csv(X, Y, d) == _per_value_csv(X, Y, d)
+
+
+@pytest.mark.parametrize("domain,pairs", [
+    # a coordinate below 1e-4 and a -0.0 one, printed by "%"
+    ({"kind": "ball", "n": 2}, [[[3e-5, -0.0], [-0.5, 2.5e-7]], [[-0.0, 0.25], [0.1, -1e-4]]]),
+    # a first coordinate >= 1e17 and a distance 0 (x = y)
+    ({"kind": "model", "psi": [0.0, 0.0, 0.0]},
+     [[[1e17, 0.2, -0.3], [3e17, 0.5, 0.4]], [[1.0, 0.2, -0.3], [1.0, 0.2, -0.3]]]),
+    ({"kind": "ball", "n": 1}, [[[0.5], [-0.25]], [[-0.0], [1e-9]], [[0.75], [0.75]]]),
+    ({"kind": "model", "psi": [1.5, 0.75, 0.0, 0.0]},
+     [[[2.0, 0.5, 1.5, -0.25], [7.0, 1.25, 0.5, 3e-5]], [[2.0, 0.5, 1.5, -0.25]] * 2]),
+], ids=["ball-small-and-negative-zero", "model-1e17-and-zero-distance", "ball-n1", "model-n4"])
+def test_hilbert_csv_fallback_rows_match_per_value_format(tmp_path, domain, pairs):
+    """Rows holding values that "%" prints, the smallest and largest n, and
+    a batch of 257 pairs, which crosses a row block, against the per-value
+    join; the distances come from hilbert_distances on the same points."""
+    from cuspbend import hilbert
+    from cuspbend.cusp_models import CuspParameter
+    n = len(pairs[0][0])
+    dom = (hilbert.ball_oracle(n) if domain["kind"] == "ball" else
+           hilbert.model_domain_oracle(CuspParameter(domain["psi"])))
+    if domain["kind"] == "ball" and n == 2:  # 257 pairs, all in the disc of radius 0.85
+        pairs = pairs + np.random.default_rng(257).uniform(-0.6, 0.6, (255, 2, 2)).tolist()
+    X, Y = (np.array([p[side] for p in pairs]) for side in (0, 1))
+    src, out = tmp_path / "pairs.json", tmp_path / "dist.csv"
+    src.write_text(json.dumps({"domain": domain, "pairs": pairs}))
+    assert main(["hilbert", "--in", str(src), "--out", str(out)]) == 0
+    assert out.read_text() == _per_value_csv(X, Y, hilbert.hilbert_distances(dom, X, Y))
 
 
 def test_hilbert_output_matches_fixture(tmp_path):

@@ -591,7 +591,7 @@ def test_a_row_at_infinity_is_outside_where_the_base_value_is_negative():
         assert at_infinity[0] and base.value(pulled)[0] == -np.inf
         assert moved.value(x[None])[0] == np.inf and moved.value(y[None])[0] < 0.0
     message = "point x is not interior to the domain"
-    for route in (hilbert_distance, chord_boundary):
+    for route in (hilbert_distance, chord_boundary, convexity_scan):
         with pytest.raises(ValueError, match=f"^{message}$"):
             route(moved, x, y)
     with pytest.raises(ValueError, match=f"^row 1: {message}$"):

@@ -339,12 +339,10 @@ def _cmd_hilbert(args) -> int:
 
 # The hilbert CSV: the bytes "%.17g" prints, built from arrays.  "%.17g"
 # prints a value in fixed notation when the decimal exponent X of its 17
-# significant digits lies in -4..16; CPython reaches those digits through
-# dtoa's bignum path, about 0.45 us a value.  Here D, the 17 digits as an
-# integer, comes from one product by an exact power of ten and that
-# product's exact error, and its text from tables of four ASCII digits.
-# Every other value (0, -0.0, inf, nan, subnormals and exponent notation)
-# goes through "%.17g" % x, one at a time.
+# significant digits lies in -4..16.  CPython finds 17 digits on dtoa's
+# bignum path, about 0.45 us a value; here D, the 17 digits as an integer,
+# comes from one product by an exact power of ten and that product's exact
+# error, and its text from tables of four ASCII digits.
 
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant for float64
 _POW10 = np.array([float(10 ** k) for k in range(21)])  # exact: 10^k is a double for k <= 22
@@ -356,17 +354,19 @@ _CSV_BLOCK_ROWS = 256  # rows formatted per pass: keeps the temporaries small
 def _digit_tables():
     """Four ASCII digits of each g < 10^4 as one little-endian uint32 (the
     first digit in the lowest byte), and the count of g's trailing zeros (4
-    for g = 0)."""
-    g = np.arange(10000, dtype=np.uint32)
-    digits = [g // 1000, g // 100 % 10, g // 10 % 10, g % 10]
-    text = np.zeros(10000, "<u4")
-    for i, d in enumerate(digits):
-        text |= (d + 48) << (8 * i)
-    zeros, tail = np.zeros(10000, np.int8), np.ones(10000, bool)
-    for d in reversed(digits):
-        tail &= d == 0
-        zeros += tail
-    return text, zeros
+    for g = 0).  Built by broadcast assignment over g's four digits."""
+    digits = np.arange(48, 58, dtype=np.uint8)  # b"0123456789"
+    text = np.empty((10, 10, 10, 10, 4), np.uint8)
+    text[..., 0] = digits[:, None, None, None]
+    text[..., 1] = digits[:, None, None]
+    text[..., 2] = digits[:, None]
+    text[..., 3] = digits
+    zeros = np.zeros((10, 10, 10, 10), np.int8)
+    zeros[..., 0] = 1
+    zeros[..., 0, 0] = 2
+    zeros[..., 0, 0, 0] = 3
+    zeros[0, 0, 0, 0] = 4
+    return text.view("<u4").ravel(), zeros.ravel()
 
 
 _DIGITS4, _TRAILING_ZEROS = _digit_tables()
@@ -403,9 +403,9 @@ def _digits17(a: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def _csv_rows(V: np.ndarray, lead: np.ndarray) -> bytes:
     """The CSV bytes of the value rows V, (rows, k).  Each value fills four
-    little-endian words: its separator, and its sign where the field below
-    does not print it, right-aligned in the first; its field left-aligned in
-    the other three.  Dropping the NUL padding leaves the text.
+    little-endian words: the separator before it, and the sign of a negative
+    fixed-notation value, right-aligned in the first; the field's text in
+    the other three.  Dropping the NUL padding leaves the CSV.
 
     X starts as floor(log10 |x|) and is corrected while D lies outside
     [10^16, 10^17).  That is sound next to a power of ten: a wrong X could

@@ -33,8 +33,8 @@ Every float in a CSV or SVG output prints as ``"%.17g"`` prints it.
 of rows at a time: a value in ``"%.17g"``'s fixed-notation range gets its 17
 digits from an exact product by a power of ten and its text from digit
 tables, and every other value (0, -0.0, inf, nan, subnormals, exponent
-notation) goes through ``"%.17g" % x``.  The bytes are the same; the
-formatting takes about half the time of one ``%`` over every value.
+notation) goes through ``"%.17g" % x``.  The bytes are those of one ``%``
+over every value.
 
 Every output file goes through :func:`_write_text`, which rewrites an
 existing file in place and cuts it to length after the write rather than

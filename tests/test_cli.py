@@ -639,7 +639,7 @@ def test_csv_writer_matches_stdlib_digits():
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 4), values=st.lists(st.floats(), min_size=1, max_size=600))
 def test_csv_writer_matches_stdlib_on_any_floats(n, values):
-    """Any floats, in rows of 2n + 1 values (one row block is 256 rows)."""
+    """Any floats, in rows of 2n + 1 values."""
     from cuspbend.cli import _hilbert_csv
     V = np.resize(np.array(values), (-(-len(values) // (2 * n + 1)), 2 * n + 1))
     X, Y, d = V[:, :n], V[:, n:2 * n], V[:, 2 * n]

@@ -245,7 +245,7 @@ class _Checks:
     that a word needs is a pending letter until :meth:`_verdicts`.
     """
 
-    def __init__(self, n: int, names=()):
+    def __init__(self, n: int, names):
         self.n = n
         self._slot = {name: i for i, name in enumerate(names)}
         self._letters = {}      # _key(map) -> index in the table
@@ -421,17 +421,6 @@ def _require_dimension(maps: Sequence[ProjMap], n: int) -> None:
     for m in maps:
         if m.n != n:
             raise ValueError(f"dimension mismatch: {m.n} vs {n}")
-
-
-def require_pairwise_commuting(maps: Sequence[ProjMap], tol: float, failure) -> None:
-    """Raise ``failure(i, j)`` for the first pair i < j of maps, in
-    lexicographic order, that do not commute projectively; maps of different
-    dimensions raise ValueError first."""
-    if not maps:
-        return
-    _require_dimension(maps, maps[0].n)
-    checks = _Checks(maps[0].n)
-    checks.run(_require_commuting, checks, maps, tol, failure)
 
 
 def _bend_step(checks: _Checks, rep: MarkedRep, gens: dict, move: BendingMove,

@@ -328,6 +328,8 @@ def _cmd_hilbert(args) -> int:
         if type(p) is list and len(p) != 2:
             raise ValueError(f"pairs[{i}] must be two points, got {len(p)}")
     X, Y = (_points([p[side] for p in pairs]) for side in (0, 1))
+    if pairs == []:  # an empty batch, which the library takes as 0 rows of n
+        X = Y = np.zeros((0, dom.n))
     dists = hilbert_distances(dom, X, Y)
     if X.ndim == 1:  # pairs of scalars, not of points (a string point parses as one)
         require_json(pairs, "pairs", list)

@@ -61,6 +61,7 @@ from .projlin import (
     ProjMap,
     is_exact,
     matrix_to_json,
+    proj_equiv_rows,
     require_float,
     scalar_to_json,
 )
@@ -70,8 +71,17 @@ from .projlin import (
 MIN_BEND_FLOAT = 1e-8
 
 
-def _finite(x) -> bool:
-    return is_exact(x) or math.isfinite(x)
+def _slot_values(values, n: int, noun: str, positive: bool) -> tuple:
+    """``values`` as a tuple of n - 1 finite scalars, each > 0 if
+    ``positive``, else >= 0; a ``ValueError`` naming ``noun`` otherwise."""
+    values = tuple(values)
+    if len(values) != n - 1:
+        raise ValueError(f"need {n - 1} {noun}, got {len(values)}")
+    if not all(is_exact(x) or math.isfinite(x) for x in values):
+        raise ValueError(f"{noun} must be finite")
+    if any(x <= 0 if positive else x < 0 for x in values):
+        raise ValueError(f"{noun} must be {'positive' if positive else 'nonnegative'}")
+    return values
 
 
 def _exp(s) -> float:
@@ -105,35 +115,16 @@ class RectangularCuspData:
     def __init__(self, n: int, b, s=None, mu=None):
         if n < 2:
             raise ValueError("need dimension n >= 2")
-        b = tuple(b)
-        if len(b) != n - 1:
-            raise ValueError(f"need {n - 1} shape constants, got {len(b)}")
-        if not all(map(_finite, b)):
-            raise ValueError("shape constants must be finite")
-        if any(x <= 0 for x in b):
-            raise ValueError("shape constants must be positive")
+        b = _slot_values(b, n, "shape constants", positive=True)
         for k, x in enumerate(b):
             require_float(x, f"b_{k+2}")
         if s is None and mu is None:
             raise ValueError("supply bending parameters s, multipliers mu, or both")
         if mu is not None:
-            mu = tuple(mu)
-            if len(mu) != n - 1:
-                raise ValueError(f"need {n - 1} multipliers, got {len(mu)}")
-            if not all(map(_finite, mu)):
-                raise ValueError("multipliers must be finite")
-            if any(m <= 0 for m in mu):
-                raise ValueError("multipliers must be positive")
+            mu = _slot_values(mu, n, "multipliers", positive=True)
         if s is None:
             s = tuple(math.log(require_float(m, f"mu_{k+2}")) for k, m in enumerate(mu))
-        else:
-            s = tuple(s)
-        if len(s) != n - 1:
-            raise ValueError(f"need {n - 1} bending parameters, got {len(s)}")
-        if not all(map(_finite, s)):
-            raise ValueError("bending parameters must be finite")
-        if any(x < 0 for x in s):
-            raise ValueError("bending parameters must be nonnegative")
+        s = _slot_values(s, n, "bending parameters", positive=False)
         exp_s = tuple(_exp(x) for x in s)
         if mu is None:
             mu = tuple(1 if x == 0 else e for x, e in zip(s, exp_s))
@@ -456,25 +447,16 @@ def conjugate_and_match(data: RectangularCuspData,
 
 
 def equivalent_parameters(psi: CuspParameter, psi2: CuspParameter) -> bool:
-    """True iff the parameters differ by a positive scalar: exactly when all
-    entries are exact, else in floats within ``DEFAULT_TOL``."""
+    """True iff the parameters differ by a positive scalar: the
+    :func:`proj_equiv_rows` of the two rows, exact when every entry is,
+    else in floats within ``DEFAULT_TOL``.  Both rows are nonnegative and
+    non-increasing, so entry 0 is the pivot and the scalar is positive."""
     if psi.n != psi2.n:
         raise ValueError(f"dimension mismatch: {psi.n} vs {psi2.n}")
-    a, b = psi.psi, psi2.psi
-    if all(is_exact(x) for x in a + b):
-        if any((x == 0) != (y == 0) for x, y in zip(a, b)):
-            return False
-        pairs = [(x, y) for x, y in zip(a, b) if x != 0]
-        if not pairs:
-            return True
-        x0, y0 = pairs[0]
-        return all(x * y0 == y * x0 for x, y in pairs)
-    fa = np.asarray([float(x) for x in a])
-    fb = np.asarray([float(x) for x in b])
-    na, nb = fa.max(initial=0.0), fb.max(initial=0.0)
-    if na == 0.0 or nb == 0.0:
-        return bool(na == nb)
-    return bool(np.max(np.abs(fa / na - fb / nb)) <= DEFAULT_TOL)
+    rows = psi.psi + psi2.psi
+    dtype = object if all(map(is_exact, rows)) else np.float64
+    a, b = np.array(rows, dtype=dtype).reshape(2, 1, psi.n)
+    return bool(proj_equiv_rows(a, b)[0])
 
 
 def classify_h_form(gens: Sequence[ProjMap], tol: float = DEFAULT_TOL) -> ClassifiedCusp:

@@ -252,21 +252,16 @@ def parabolic_element(m: ParaboloidModel, v) -> ProjMap:
     return h_element(psi0, (), v).matrix
 
 
-def hyperplane_centralizer_element(i: int, tparam=None, *, n: int, mu=None) -> ProjMap:
+def hyperplane_centralizer_element(i: int, mu, *, n: int) -> ProjMap:
     """One-parameter centralizer of the stabilizer of the i-th coordinate
-    hyperplane: diagonal with exp(tparam) in position i, ones elsewhere.
-
-    Pass mu = exp(tparam) directly for exact work.
-    """
+    hyperplane: diagonal with mu = exp(t) > 0 in position i, ones
+    elsewhere; an exact mu gives an exact map."""
     if not 2 <= i <= n:
         raise ValueError(f"hyperplane index must satisfy 2 <= i <= n, got {i}")
-    if (tparam is None) == (mu is None):
-        raise ValueError("supply exactly one of tparam, mu")
-    entry = mu if mu is not None else math.exp(float(tparam))
-    if entry <= 0:
+    if mu <= 0:
         raise ValueError("diagonal entry must be positive")
     diag = [1] * (n + 1)
-    diag[i - 1] = entry
+    diag[i - 1] = mu
     return ProjMap.diagonal(diag)
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -248,11 +249,15 @@ def _diagonalize(gens: list[ProjMap], rng: np.random.Generator) -> Optional[floa
     generators, found from a random linear combination and verified by
     explicit conjugation: the largest off-diagonal entry of each V^{-1} g V
     over its largest entry.  None when none of ``DIAGONALIZE_TRIES``
-    combinations gives a basis within ``DEFAULT_TOL``."""
-    bending.require_pairwise_commuting(
-        [g.to_float() for g in gens], DEFAULT_TOL,
-        lambda i, j: ValueError(f"generators {i} and {j} do not commute"))
-    mats = [mat / np.max(np.abs(mat)) for mat in (g.to_float().entries for g in gens)]
+    combinations gives a basis within ``DEFAULT_TOL``.  Before any draw
+    from rng, the first pair i < j in lexicographic order whose products
+    g_i g_j and g_j g_i are not :func:`proj_equiv` in floats raises
+    ``ValueError``."""
+    floats = [g.to_float() for g in gens]
+    for (i, a), (j, b) in combinations(enumerate(floats), 2):
+        if not proj_equiv(compose(a, b), compose(b, a)):
+            raise ValueError(f"generators {i} and {j} do not commute")
+    mats = [mat / np.max(np.abs(mat)) for mat in (g.entries for g in floats)]
     for _ in range(DIAGONALIZE_TRIES):
         coeffs = rng.normal(size=len(mats))
         combo = sum(c * mat for c, mat in zip(coeffs, mats))
@@ -574,7 +579,7 @@ def cusp_bending_moves(data: RectangularCuspData) -> list[bending.BendingMove]:
         base = [nm for j, nm in enumerate(names) if j != k]
         dec = bending.Decomposition("hnn", base=base, stable=names[k],
                                     edge_words=[[nm] for nm in base])
-        c = cusp_models.hyperplane_centralizer_element(k + 2, tparam=float(data.s[k]),
+        c = cusp_models.hyperplane_centralizer_element(k + 2, math.exp(float(data.s[k])),
                                                        n=data.n)
         moves.append(bending.BendingMove(dec, c.to_float()))
     return moves

@@ -35,8 +35,28 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 HILBERT = "src/cuspbend/hilbert.py"
 CLI = "src/cuspbend/cli.py"
+CLASSIFY = "src/cuspbend/cusp_classify.py"
+BENDING = "src/cuspbend/bending.py"
+VERIFY = "src/cuspbend/verify.py"
 T_HILBERT = "tests/test_hilbert.py::"
 T_CLI = "tests/test_cli.py::"
+T_CLASSIFY = "tests/test_cusp_classify.py::"
+T_BENDING = "tests/test_bending.py::"
+
+# the input relators, queued first in iterated_bend's pass
+_RELATORS_FIRST = """\
+    _require_relators(checks, rep, rep.generators, tol)
+    centralizers = [m.centralizer for m in moves]
+    _require_dimension(centralizers, rep.n)
+    _require_commuting(checks, centralizers, tol, non_commuting)
+    base = checks.state(rep.generators)
+    for k, move in enumerate(moves):
+        _require_centralizes(checks, move.centralizer, move.decomposition.edge_words, base, tol,
+                             lambda k=k: CentralizerCheckFailed(
+                                 f"move {k}: centralizer does not commute "
+                                 "with its edge subgroup image"))
+"""
+_RELATORS_LAST = _RELATORS_FIRST.split("\n", 1)[1] + _RELATORS_FIRST.split("\n", 1)[0] + "\n"
 
 
 class Mutant(NamedTuple):
@@ -100,9 +120,58 @@ MUTANTS = [
            "keep = 17 - (last == 0) * (1 + zeros)",
            (T_CLI + "test_csv_writer_matches_stdlib_digits",)),
     # a bent slot whose cusp parameter underflows
-    Mutant("underflow-refused-only-at-zero", "src/cuspbend/cusp_classify.py",
+    Mutant("underflow-refused-only-at-zero", CLASSIFY,
            "small = a < sys.float_info.min", "small = a == 0",
            (T_CLI + "test_overflowing_construction_keeps_the_exit_contract",)),
+    # one slot validator for b, mu and s
+    Mutant("slot-positive-allows-zero", CLASSIFY,
+           "if any(x <= 0 if positive else x < 0 for x in values):",
+           "if any(x < 0 if positive else x < 0 for x in values):",
+           (T_CLASSIFY + "test_rectangular_data_validation",)),
+    # equivalence through one proj_equiv_rows, exact when every entry is
+    Mutant("equivalence-always-float", CLASSIFY,
+           "dtype = object if all(map(is_exact, rows)) else np.float64",
+           "dtype = np.float64",
+           (T_CLASSIFY + "test_equivalent_parameters_exact_and_float_routes_differ",)),
+    Mutant("proj-equiv-rows-any-entry", "src/cuspbend/projlin.py",
+           "cross = (a[rows, ia][:, None] * b == b[rows, ia][:, None] * a).all(axis=1)",
+           "cross = (a[rows, ia][:, None] * b == b[rows, ia][:, None] * a).any(axis=1)",
+           ("tests/test_projlin.py::test_proj_equiv_exact",
+            T_CLASSIFY + "test_equivalent_parameters_matches_the_reference")),
+    # the centralizer's one parameter
+    Mutant("centralizer-allows-zero-mu", "src/cuspbend/cusp_models.py",
+           "    if mu <= 0:\n", "    if mu < 0:\n",
+           ("tests/test_cusp_models.py::test_hyperplane_centralizer",)),
+    # _diagonalize's own commutation check, then its eigenbasis
+    Mutant("commutation-skips-first-pair", VERIFY,
+           "for (i, a), (j, b) in combinations(enumerate(floats), 2):",
+           "for (i, a), (j, b) in list(combinations(enumerate(floats), 2))[1:]:",
+           (T_CLASSIFY + "test_diagonalizable_check",)),
+    Mutant("diagonalize-keeps-ill-conditioned-bases", VERIFY,
+           "        if np.linalg.cond(vecs) > 1e12:\n            continue\n", "",
+           (T_CLASSIFY + "test_diagonalizable_check",)),
+    Mutant("triangularize-counts-the-diagonal", VERIFY,
+           "lower = np.tril(tri, -1)", "lower = np.tril(tri)",
+           (T_CLASSIFY + "test_upper_triangular_check_on_model_group",
+            T_CLI + "test_verify_output_matches_fixture")),
+    # the stacked checks of a bend
+    Mutant("refused-inverse-decides-every-check", BENDING,
+           "count, size, refusal = queued, inv_idx, inv", "refusal = inv",
+           (T_BENDING + "test_singular_inverse_raises_where_first_needed",)),
+    Mutant("relators-queued-after-centralizers", BENDING, _RELATORS_FIRST, _RELATORS_LAST,
+           (T_CLI + "test_bend_failure_contract",)),
+    Mutant("verify-order-reruns-forward", BENDING,
+           "for idx in random.Random(seed).sample(range(len(moves)), len(moves)):",
+           "for idx in range(len(moves)):",
+           (T_BENDING + "test_verify_order_reruns_in_the_seeded_order",)),
+    Mutant("negative-seed-accepted", BENDING,
+           "    if seed < 0:\n        raise ValueError(\"expected non-negative integer\")\n", "",
+           (T_CLI + "test_negative_seed_is_usage_error",)),
+    # sweep's mu by math.exp, as classify reads it
+    Mutant("sweep-mu-by-np-exp", CLI,
+           "[[_exp_or_inf(s)] for s in grid.tolist()]", "np.exp(grid)[:, None]",
+           (T_CLI + "test_sweep_bad_bending_data_is_usage_error",
+            T_CLI + "test_sweep_output_matches_fixture")),
 ]
 
 

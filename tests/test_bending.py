@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import random
 import re
 import tracemalloc
@@ -259,7 +260,7 @@ def test_bend_identity_fixes_everything():
 def test_bend_amalgam_conjugates_side2():
     rep = fixture_rep()
     # centralizer of the slot-2 hyperplane commutes with the edge group <g3, g4>
-    c = hyperplane_centralizer_element(2, tparam=0.6, n=4).to_float()
+    c = hyperplane_centralizer_element(2, mu=math.exp(0.6), n=4).to_float()
     dec = Decomposition("amalgam", side1=["g2"], side2=["g3", "g4"],
                         edge_words=[["g3"], ["g4"]])
     out = bend(rep, BendingMove(dec, c))
@@ -272,7 +273,7 @@ def test_bend_amalgam_conjugates_side2():
 
 def test_bend_hnn_multiplies_stable_letter():
     rep = fixture_rep()
-    c = hyperplane_centralizer_element(3, tparam=0.9, n=4).to_float()
+    c = hyperplane_centralizer_element(3, mu=math.exp(0.9), n=4).to_float()
     dec = Decomposition("hnn", base=["g2", "g4"], stable="g3",
                         edge_words=[["g2"], ["g4"]])
     out = bend(rep, BendingMove(dec, c))
@@ -293,7 +294,7 @@ def test_bend_rejects_non_centralizing_element():
     with pytest.raises(ValueError):
         Decomposition("hnn", base=["g2"], stable="g2", edge_words=[])
     # the slot-2 centralizer does not commute with g2 itself
-    c = hyperplane_centralizer_element(2, tparam=1.0, n=4).to_float()
+    c = hyperplane_centralizer_element(2, mu=math.exp(1.0), n=4).to_float()
     dec = Decomposition("hnn", base=["g2", "g4"], stable="g3",
                         edge_words=[["g2"]])
     with pytest.raises(CentralizerCheckFailed):

@@ -585,6 +585,19 @@ def test_hilbert_subcommand(tmp_path):
         assert float(row[-1]) == pytest.approx(klein_distance(x, y), abs=1e-9)
 
 
+@pytest.mark.parametrize("domain", [{"kind": "ball", "n": 2},
+                                    {"kind": "model", "psi": [1.0, 0.5, 0.0]}])
+def test_hilbert_empty_batch_writes_the_header(tmp_path, domain):
+    """No pairs is an empty batch, as ``hilbert_distances`` takes (0, n)
+    arrays: the CSV header alone and exit 0."""
+    src, out = tmp_path / "pairs.json", tmp_path / "dist.csv"
+    src.write_text(json.dumps({"domain": domain, "pairs": []}))
+    assert main(["hilbert", "--in", str(src), "--out", str(out)]) == 0
+    assert out.read_bytes() == b"x,y,d\n"
+    from cuspbend.hilbert import ball_oracle, hilbert_distances
+    assert hilbert_distances(ball_oracle(2), np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
+
+
 def _per_value_csv(X, Y, d) -> str:
     """The hilbert CSV as the stdlib prints it, one "%.17g" per value."""
     from cuspbend.cli import _fmt
@@ -889,6 +902,9 @@ def test_verify_type_law_fails_on_nan_residual(monkeypatch, capsys):
     ([[[0, 0], [0.1, 0]], [[0, 0]]], "pairs[1] must be two points, got 1"),
     # as many pairs of numbers as the dimension passed the shape check as one row
     ([[0, 0.1], [0.2, 0.3]], "pairs[0] must be two points of dimension 2"),
+    # only an empty list is an empty batch
+    ("", "expected paired arrays of shape (m, 2)"),
+    ({}, "expected paired arrays of shape (m, 2)"),
 ])
 def test_hilbert_pair_not_two_points_is_usage_error(tmp_path, capsys, pairs, message):
     src, out = tmp_path / "pairs.json", tmp_path / "dist.csv"

@@ -33,7 +33,7 @@ from cuspbend.cusp_models import (
     ParaboloidModel,
     zprime_element,
 )
-from cuspbend.projlin import ProjMap, ProjPoint, act, compose, inverse, proj_equiv
+from cuspbend.projlin import DEFAULT_TOL, ProjMap, ProjPoint, act, compose, inverse, proj_equiv
 from cuspbend.verify import _diagonalize, _triangularize
 from equiv_reference import fraction_matrix
 
@@ -439,6 +439,74 @@ def test_equivalent_parameters():
     assert not equivalent_parameters(CuspParameter([1, 0]), CuspParameter([0, 0]))
     with pytest.raises(ValueError):
         equivalent_parameters(CuspParameter([1, 0]), CuspParameter([1, 0, 0]))
+
+
+def _ref_equivalent(a, b) -> bool:
+    """Reference for :func:`equivalent_parameters`: exact rows are equivalent
+    when they share their zero pattern and one ``Fraction`` ratio; other
+    rows when, normalized by entry 0 in floats, they agree within
+    ``DEFAULT_TOL`` (a zero entry 0 makes a row zero)."""
+    if all(isinstance(x, F) for x in a + b):
+        if [x == 0 for x in a] != [y == 0 for y in b]:
+            return False
+        return len({y / x for x, y in zip(a, b) if x != 0}) <= 1
+    fa, fb = [float(x) for x in a], [float(y) for y in b]
+    if fa[0] == 0 or fb[0] == 0:
+        return fa[0] == fb[0]
+    return max(abs(x / fa[0] - y / fb[0]) for x, y in zip(fa, fb)) <= DEFAULT_TOL
+
+
+@st.composite
+def _parameter_pair(draw):
+    """Two parameters of one dimension: a non-increasing rational vector and
+    a copy, kept, nudged by a relative 10^-k, with its last nonzero entry
+    zeroed, or drawn afresh; each scaled by p/q 10^e with |e| <= 300 and
+    written exact, float or mixed (floats, some read back as Fractions)."""
+    n = draw(st.integers(1, 5))
+
+    def vector():
+        entry = st.one_of(st.just(0), st.integers(1, 50))
+        return sorted((F(draw(entry), draw(st.integers(1, 50))) for _ in range(n)), reverse=True)
+
+    v = vector()
+    change = draw(st.sampled_from(["same", "nudge", "zero", "fresh"]))
+    w = list(v)
+    if change == "nudge":
+        k = draw(st.integers(0, n - 1))
+        w[k] *= 1 + F(1, 10 ** draw(st.sampled_from([3, 9, 12, 15])))
+        w.sort(reverse=True)
+    elif change == "zero" and any(w):
+        w[max(i for i, x in enumerate(w) if x)] = F(0)
+    elif change == "fresh":
+        w = vector()
+
+    def written(vec):
+        scale = F(draw(st.integers(1, 9)), draw(st.integers(1, 9))) * F(10) ** draw(
+            st.integers(-300, 300))
+        kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+        if kind == "exact":
+            return [x * scale for x in vec]
+        floats = [float(x * scale) for x in vec]
+        return floats if kind == "float" else [F(x) if draw(st.booleans()) else x for x in floats]
+
+    return written(v), written(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parameter_pair())
+def test_equivalent_parameters_matches_the_reference(pair):
+    a, b = pair
+    assert equivalent_parameters(CuspParameter(a), CuspParameter(b)) == _ref_equivalent(a, b)
+    assert equivalent_parameters(CuspParameter(b), CuspParameter(a)) == _ref_equivalent(b, a)
+
+
+def test_equivalent_parameters_exact_and_float_routes_differ():
+    """A relative 10^-12 difference is a different exact parameter, and the
+    same parameter in floats, within ``DEFAULT_TOL``."""
+    one, near = F(1), 1 + F(1, 10 ** 12)
+    assert not equivalent_parameters(CuspParameter([near, one]), CuspParameter([one, one]))
+    assert equivalent_parameters(CuspParameter([float(near), 1.0]), CuspParameter([1.0, 1.0]))
+    assert equivalent_parameters(CuspParameter([near, one]), CuspParameter([1.0, 1.0]))
 
 
 def test_upper_triangular_check_on_model_group():

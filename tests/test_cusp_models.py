@@ -204,19 +204,22 @@ def test_parabolic_element_matches_type0_and_preserves_form():
 
 
 def test_hyperplane_centralizer():
-    assert np.array_equal(hyperplane_centralizer_element(2, tparam=0.0, n=3).entries,
+    assert np.array_equal(hyperplane_centralizer_element(2, mu=math.exp(0.0), n=3).entries,
                           np.asarray(ProjMap.identity(3, exact=False).entries))
-    c = hyperplane_centralizer_element(2, tparam=0.5, n=4)
+    c = hyperplane_centralizer_element(2, mu=math.exp(0.5), n=4)
     par_fixed = parabolic_element(ParaboloidModel(4), [0.0, 1.0, 2.0])   # slot 2 empty
     assert proj_equiv(compose(c, par_fixed), compose(par_fixed, c), 1e-12)
     par_moving = parabolic_element(ParaboloidModel(4), [1.0, 0.0, 0.0])
     assert not proj_equiv(compose(c, par_moving), compose(par_moving, c), 1e-9)
-    d = hyperplane_centralizer_element(3, tparam=0.8, n=4)
+    d = hyperplane_centralizer_element(3, mu=math.exp(0.8), n=4)
     assert proj_equiv(compose(c, d), compose(d, c), 1e-15)
     with pytest.raises(ValueError):
-        hyperplane_centralizer_element(1, tparam=1.0, n=3)
+        hyperplane_centralizer_element(1, mu=math.exp(1.0), n=3)
     with pytest.raises(ValueError):
-        hyperplane_centralizer_element(5, tparam=1.0, n=3)
+        hyperplane_centralizer_element(5, mu=math.exp(1.0), n=3)
+    for mu in (0.0, F(0), -1.0):
+        with pytest.raises(ValueError, match="^diagonal entry must be positive$"):
+            hyperplane_centralizer_element(2, mu=mu, n=3)
     exact = hyperplane_centralizer_element(2, mu=F(2), n=3)
     assert fraction_matrix(exact)[1][1] == F(2)
 
@@ -319,8 +322,6 @@ def test_builders_match_the_row_reference(inputs):
     for i in range(2, n + 1):
         _same_build(hyperplane_centralizer_element(i, mu=abs(lam), n=n),
                     ref_hyperplane_centralizer(i, abs(lam), n))
-    _same_build(hyperplane_centralizer_element(n, tparam=k, n=n),
-                ref_hyperplane_centralizer(n, math.exp(float(k)), n))
     _same_build(zprime_element(lam, k, n), ref_zprime(lam, k, n))
 
 

@@ -17,22 +17,22 @@ the given representation maps to the identity; every centralizer has the
 representation's dimension; the centralizers commute pairwise; each move's
 centralizer commutes with its edge words in the given representation;
 then, move by move, the decomposition covers the generators, the
-centralizer has the right dimension, it commutes with the edge words in
-the state the move is applied to, and every relator maps to the identity
-in the new state; with ``verify_order``, the same for the moves in the
-order ``random.Random(seed)`` draws (the stdlib generator, which numpy
-imports anyway, so a bend never loads ``numpy.random``), and both results
-agree on every generator.  :func:`bend` is the one-move case, without the
-first check.  A bend makes every check at its own ``tol``; a
-:class:`MarkedRep` checks its relators on construction,
-at ``DEFAULT_TOL``, while ``from_json`` leaves them to the pass of
-:func:`iterated_bend` (at the ``bend --tol`` of the CLI).  The generator
-sets are built first, with the same :func:`compose` calls in the same
-order as one move at a time; then the inverses the words need are taken in
-one :func:`~cuspbend.projlin.keep_inverses` call (one stacked inversion of
-the float maps), and every check is decided in one stacked pass (words
-compiled once to letter indices, the words' products formed as stacked
-matmuls and compared by one row-wise
+centralizer commutes with the edge words in the state the move is applied
+to, and every relator maps to the identity in the new state; with
+``verify_order``, the same for the moves in the order
+``random.Random(seed)`` draws (the stdlib generator, which numpy imports
+anyway, so a bend never loads ``numpy.random``), and both results agree on
+every generator.  :func:`bend` is :func:`iterated_bend` with one move,
+and :meth:`MarkedRep.check_relators` with none.  A bend makes every check
+at its own ``tol``; a :class:`MarkedRep` checks its relators on
+construction, at ``DEFAULT_TOL``, while ``from_json`` leaves them to the
+pass of :func:`iterated_bend` (at the ``bend --tol`` of the CLI).  The
+generator sets are built first, with the same :func:`compose` calls in the
+same order as one move at a time; then the inverses the words need are
+taken in one :func:`~cuspbend.projlin.keep_inverses` call (one stacked
+inversion of the float maps), and every check is decided in one stacked
+pass (words compiled once to letter indices, the words' products formed as
+stacked matmuls and compared by one row-wise
 :func:`~cuspbend.projlin.proj_equiv_rows`); the first check that fails, in
 the order above, raises.  A map refused an inverse raises as if inverted
 where a word first needed it: after the checks queued before that.  The
@@ -136,11 +136,9 @@ class MarkedRep:
         return list(self.generators)
 
     def check_relators(self) -> None:
-        """Raise RelatorViolation for the first relator whose image is not
-        the identity at ``DEFAULT_TOL`` (all relators are decided in one
-        stacked pass)."""
-        checks = _Checks(self.n, self.generators)
-        checks.run(_require_relators, checks, self, self.generators, DEFAULT_TOL)
+        """Raise RelatorViolation for the first relator that fails at
+        ``DEFAULT_TOL``: :func:`iterated_bend` with no moves."""
+        iterated_bend(self, [], DEFAULT_TOL)
 
     def to_json(self) -> dict:
         return {
@@ -324,14 +322,14 @@ class _Checks:
         builds the exception for when they do not."""
         self._checks.setdefault((lhs, rhs, tol), failure)
 
-    def run(self, build, *args):
-        """Call ``build(*args)``, which adds checks and raises where the code
-        it mirrors would raise.  Then decide the checks (:meth:`_verdicts`),
-        and raise the failure of the first that does not hold, else a refused
-        inverse's error, else build's exception, else return build's result."""
+    def run(self, *args):
+        """Call :func:`_iterated_steps` with these checks, then decide the
+        checks (:meth:`_verdicts`), and raise the failure of the first that
+        does not hold, else a refused inverse's error, else the steps'
+        exception, else return their generators."""
         result, error = None, None
         try:
-            result = build(*args)
+            result = _iterated_steps(self, *args)
         except (ValueError, KeyError) as exc:
             error = exc
         ok, refusal = self._verdicts()
@@ -425,13 +423,11 @@ def _require_dimension(maps: Sequence[ProjMap], n: int) -> None:
 
 def _bend_step(checks: _Checks, rep: MarkedRep, gens: dict, move: BendingMove,
                tol: float) -> dict:
-    """One move of :func:`bend` on gens, a generator set of rep: builds the
-    new generators, adding the move's checks to checks in bend's order."""
+    """One move on gens, a generator set of rep: builds the new generators,
+    adding the move's checks to checks."""
     dec = move.decomposition
     dec.validate_names(rep)
     c = move.centralizer
-    if c.n != rep.n:
-        raise ValueError(f"centralizer dimension {c.n} != representation dimension {rep.n}")
     _require_centralizes(checks, c, dec.edge_words, checks.state(gens), tol,
                          partial(CentralizerCheckFailed,
                                  "centralizer does not commute with the edge subgroup image"))
@@ -480,13 +476,9 @@ def _iterated_steps(checks: _Checks, rep: MarkedRep, moves: list, tol: float,
 
 def bend(rep: MarkedRep, move: BendingMove, tol: float = DEFAULT_TOL) -> MarkedRep:
     """One bending move: conjugate the second amalgam side by the
-    centralizer, or left-multiply the stable letter.  Checks, in this order:
-    the decomposition covers the generators, the centralizer's dimension, the
-    centralizer commutes with each edge word, and each relator of the result
-    maps to the identity, all at ``tol``."""
-    checks = _Checks(rep.n, rep.generators)
-    gens = checks.run(_bend_step, checks, rep, rep.generators, move, tol)
-    return MarkedRep(rep.n, gens, rep.relators, check=False)
+    centralizer, or left-multiply the stable letter: :func:`iterated_bend`
+    with one move, so with its checks, in its order, at ``tol``."""
+    return iterated_bend(rep, [move], tol)
 
 
 def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
@@ -499,9 +491,11 @@ def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
     Checks, in this order, each at ``tol``: every relator of rep maps to
     the identity, also when ``moves`` is empty; every centralizer has rep's
     dimension; the centralizers commute pairwise; each move's centralizer
-    commutes with its edge words in rep; then the :func:`bend` checks of
-    each move on the state it is applied to; with ``verify_order`` and two
-    or more moves, the bend checks of the moves applied again in the order
+    commutes with its edge words in rep; then, move by move, the
+    decomposition covers the generators, the centralizer commutes with the
+    edge words in the state the move is applied to, and every relator maps
+    to the identity in the new state; with ``verify_order`` and two or more
+    moves, the same for the moves applied again in the order
     ``random.Random(seed).sample`` draws, and the two results agree on every
     generator.  Every generator set is built first; then all checks are
     decided together, and the first that fails raises, as if each had been
@@ -511,6 +505,5 @@ def iterated_bend(rep: MarkedRep, moves: Sequence[BendingMove],
     if seed < 0:
         raise ValueError("expected non-negative integer")
     moves = list(moves)
-    checks = _Checks(rep.n, rep.generators)
-    gens = checks.run(_iterated_steps, checks, rep, moves, tol, verify_order, seed)
+    gens = _Checks(rep.n, rep.generators).run(rep, moves, tol, verify_order, seed)
     return MarkedRep(rep.n, gens, rep.relators, check=False) if moves else rep

@@ -323,7 +323,7 @@ def _cmd_hilbert(args) -> int:
         require_json(dspec["psi"], "psi", list)
     else:
         raise ValueError(f"unknown domain kind {kind!r} (expected ball or model)")
-    pairs = spec["pairs"]
+    pairs = require_json(spec["pairs"], "pairs", list)
     for i, p in enumerate(pairs):
         if type(p) is list and len(p) != 2:
             raise ValueError(f"pairs[{i}] must be two points, got {len(p)}")
@@ -332,7 +332,6 @@ def _cmd_hilbert(args) -> int:
         X = Y = np.zeros((0, dom.n))
     dists = hilbert_distances(dom, X, Y)
     if X.ndim == 1:  # pairs of scalars, not of points (a string point parses as one)
-        require_json(pairs, "pairs", list)
         raise ValueError(f"pairs[0] must be two points of dimension {dom.n}")
     # the bytes of "%.17g" over every value, built from the arrays
     _write_text(args.out, _hilbert_csv(X, Y, dists))

@@ -449,13 +449,16 @@ def conjugate_and_match(data: RectangularCuspData,
 def equivalent_parameters(psi: CuspParameter, psi2: CuspParameter) -> bool:
     """True iff the parameters differ by a positive scalar: the
     :func:`proj_equiv_rows` of the two rows, exact when every entry is,
-    else in floats within ``DEFAULT_TOL``.  Both rows are nonnegative and
+    else in floats within ``DEFAULT_TOL``, each entry read by
+    :func:`require_float` as ``psi_i``.  Both rows are nonnegative and
     non-increasing, so entry 0 is the pivot and the scalar is positive."""
     if psi.n != psi2.n:
         raise ValueError(f"dimension mismatch: {psi.n} vs {psi2.n}")
     rows = psi.psi + psi2.psi
-    dtype = object if all(map(is_exact, rows)) else np.float64
-    a, b = np.array(rows, dtype=dtype).reshape(2, 1, psi.n)
+    exact = all(map(is_exact, rows))
+    if not exact:
+        rows = [require_float(x, f"psi_{i % psi.n + 1}") for i, x in enumerate(rows)]
+    a, b = np.array(rows, dtype=object if exact else np.float64).reshape(2, 1, psi.n)
     return bool(proj_equiv_rows(a, b)[0])
 
 

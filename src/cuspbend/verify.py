@@ -594,8 +594,7 @@ def relators_preserved(rng) -> PropertyResult:
         current = cusp_fixture_rep(data)
         try:
             for move in cusp_bending_moves(data):
-                current = bending.bend(current, move)  # re-checks relators
-                current.check_relators()
+                current = bending.bend(current, move)  # checks relators before and after
         except (bending.RelatorViolation, bending.CentralizerCheckFailed):
             failures += 1
     return _result("bending", "relators-preserved", 50, failures, 0.5)

@@ -119,6 +119,11 @@ MUTANTS = [
            "keep = np.maximum(17 - (last == 0) * (1 + zeros), X + 1)",
            "keep = 17 - (last == 0) * (1 + zeros)",
            (T_CLI + "test_csv_writer_matches_stdlib_digits",)),
+    # hilbert refuses a string or object for pairs before reading it
+    Mutant("pairs-list-unchecked", CLI,
+           'pairs = require_json(spec["pairs"], "pairs", list)', 'pairs = spec["pairs"]',
+           (T_CLI + "test_hilbert_pair_not_two_points_is_usage_error",
+            T_CLI + "test_refused_input_keeps_its_message")),
     # a bent slot whose cusp parameter underflows
     Mutant("underflow-refused-only-at-zero", CLASSIFY,
            "small = a < sys.float_info.min", "small = a == 0",
@@ -130,9 +135,13 @@ MUTANTS = [
            (T_CLASSIFY + "test_rectangular_data_validation",)),
     # equivalence through one proj_equiv_rows, exact when every entry is
     Mutant("equivalence-always-float", CLASSIFY,
-           "dtype = object if all(map(is_exact, rows)) else np.float64",
-           "dtype = np.float64",
+           "np.array(rows, dtype=object if exact else np.float64)",
+           "np.array(rows, dtype=np.float64)",
            (T_CLASSIFY + "test_equivalent_parameters_exact_and_float_routes_differ",)),
+    Mutant("equivalence-reads-bare-floats", CLASSIFY,
+           'rows = [require_float(x, f"psi_{i % psi.n + 1}") for i, x in enumerate(rows)]',
+           "rows = [float(x) for x in rows]",
+           (T_CLASSIFY + "test_equivalent_parameters_refuses_an_exact_entry_off_the_float_range",)),
     Mutant("proj-equiv-rows-any-entry", "src/cuspbend/projlin.py",
            "cross = (a[rows, ia][:, None] * b == b[rows, ia][:, None] * a).all(axis=1)",
            "cross = (a[rows, ia][:, None] * b == b[rows, ia][:, None] * a).any(axis=1)",
@@ -164,6 +173,19 @@ MUTANTS = [
            "for idx in random.Random(seed).sample(range(len(moves)), len(moves)):",
            "for idx in range(len(moves)):",
            (T_BENDING + "test_verify_order_reruns_in_the_seeded_order",)),
+    # bend and check_relators are iterated_bend with one move and with none
+    Mutant("centralizer-dimension-unchecked", BENDING,
+           "    _require_dimension(centralizers, rep.n)\n", "",
+           (T_BENDING + "test_wrong_dimension_centralizer_names_both_dimensions",)),
+    Mutant("input-relators-unchecked", BENDING,
+           "    _require_relators(checks, rep, rep.generators, tol)\n", "",
+           (T_BENDING + "test_bend_checks_the_relators_it_is_given",
+            T_BENDING + "test_iterated_bend_checks_input_relators_without_moves")),
+    Mutant("check-relators-checks-nothing", BENDING,
+           "        iterated_bend(self, [], DEFAULT_TOL)\n", "",
+           (T_BENDING + "test_marked_rep_checks_relators",)),
+    Mutant("decomposition-cover-unchecked", BENDING, "    dec.validate_names(rep)\n", "",
+           (T_BENDING + "test_bend_validates_partition",)),
     Mutant("negative-seed-accepted", BENDING,
            "    if seed < 0:\n        raise ValueError(\"expected non-negative integer\")\n", "",
            (T_CLI + "test_negative_seed_is_usage_error",)),

@@ -421,8 +421,22 @@ def test_wrong_dimension_centralizer_names_both_dimensions():
     dec = Decomposition("hnn", base=["g3", "g4"], stable="g2", edge_words=[["g3"]])
     with pytest.raises(ValueError, match="3 vs 4"):
         iterated_bend(rep, [BendingMove(dec, c)])
-    with pytest.raises(ValueError, match="3 != representation dimension 4"):
+    with pytest.raises(ValueError, match="dimension mismatch: 3 vs 4"):
         bend(rep, BendingMove(dec, c))
+
+
+def test_bend_checks_the_relators_it_is_given():
+    """bend is iterated_bend with one move, so it checks the input
+    relators first: a relator that fails as given is refused although the
+    bend would make it hold (g2 bent by g2^-1 is the identity)."""
+    fixture = fixture_rep()
+    g2 = fixture.generators["g2"]
+    rep = MarkedRep(4, fixture.generators, relators=[["g2"]], check=False)
+    dec = Decomposition("hnn", base=["g3", "g4"], stable="g2", edge_words=[])
+    move = BendingMove(dec, inverse(g2))
+    assert proj_equiv(compose(move.centralizer, g2), ProjMap.identity(4, exact=False), 1e-12)
+    with pytest.raises(RelatorViolation, match=re.escape("relator ['g2'] does not map")):
+        bend(rep, move)
 
 
 def test_relators_survive_bending():

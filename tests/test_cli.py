@@ -903,8 +903,8 @@ def test_verify_type_law_fails_on_nan_residual(monkeypatch, capsys):
     # as many pairs of numbers as the dimension passed the shape check as one row
     ([[0, 0.1], [0.2, 0.3]], "pairs[0] must be two points of dimension 2"),
     # only an empty list is an empty batch
-    ("", "expected paired arrays of shape (m, 2)"),
-    ({}, "expected paired arrays of shape (m, 2)"),
+    ("", "pairs must be a JSON list, not ''"),
+    ({}, "pairs must be a JSON list, not {}"),
 ])
 def test_hilbert_pair_not_two_points_is_usage_error(tmp_path, capsys, pairs, message):
     src, out = tmp_path / "pairs.json", tmp_path / "dist.csv"
@@ -948,8 +948,8 @@ def test_string_or_dict_for_a_list_is_usage_error(tmp_path, capsys, command, dat
 
 
 def test_refused_input_keeps_its_message(tmp_path, capsys):
-    """Input that ``classify`` and ``hilbert`` refused before strings and
-    objects were refused as lists still gets the recorded message."""
+    """Input that ``classify`` and ``hilbert`` refuse gets the recorded
+    message."""
     fixture = Path(__file__).parent / "fixtures" / "refused_input.json"
     src, out = tmp_path / "data.json", tmp_path / "out"
     for case in json.loads(fixture.read_text())["cases"]:

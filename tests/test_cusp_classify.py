@@ -509,6 +509,18 @@ def test_equivalent_parameters_exact_and_float_routes_differ():
     assert equivalent_parameters(CuspParameter([near, one]), CuspParameter([1.0, 1.0]))
 
 
+def test_equivalent_parameters_refuses_an_exact_entry_off_the_float_range():
+    """Against a float parameter the entries are read as floats: an exact
+    entry whose float overflows, or rounds a nonzero value to 0, is refused
+    by name, not compared (10^-400 would read as a zero parameter)."""
+    floats = CuspParameter([1.0, 0.0])
+    for x, how in ((F(10) ** 400, "overflows"), (F(1, 10 ** 400), "rounds to 0")):
+        for a, b in ((CuspParameter([x, 0]), floats), (floats, CuspParameter([x, 0]))):
+            with pytest.raises(ValueError, match=f"^psi_1 does not fit a float: it {how}$"):
+                equivalent_parameters(a, b)
+    assert equivalent_parameters(CuspParameter([F(1, 10 ** 400), 0]), CuspParameter([F(1), 0]))
+
+
 def test_upper_triangular_check_on_model_group():
     psi = CuspParameter([1.0, 0.0, 0.0])
     gens = [h_element(psi, [1.5], [0.7]).matrix,

@@ -271,18 +271,17 @@ def _cmd_classify(args) -> int:
     if "generators" in data:
         if args.exact:
             raise ValueError("--exact needs bending data (n, b, mu), not generators")
-        gens = [matrix_from_json(rows) for rows in data["generators"]]
+        gens = [matrix_from_json(rows)
+                for rows in require_json(data["generators"], "generators", list)]
         cls = classify_h_form(gens, tol=args.tol)
     else:
         n = require_int(data["n"], "n")
-        b = [parse_scalar(x) for x in data["b"]]
-        s = [parse_scalar(x) for x in data["s"]] if "s" in data else None
-        mu = [parse_scalar(x) for x in data["mu"]] if "mu" in data else None
+        b = [parse_scalar(x) for x in require_json(data["b"], "b", list)]
+        s, mu = ([parse_scalar(x) for x in require_json(data[key], key, list)]
+                 if key in data else None for key in ("s", "mu"))
         if args.exact and (mu is None or not all(map(is_exact, b + mu))):
             raise ValueError("--exact needs rational b and mu values in the input")
         rect = RectangularCuspData(n, b=b, s=s, mu=mu)
-        for key in ("b", "s", "mu"):
-            require_json(data.get(key, []), key, list)
         cls = conjugate_and_match(rect, tol=args.tol)
     _write_text(args.out, json.dumps(cls.to_json(), sort_keys=True, indent=2) + "\n")
     return 0
@@ -318,9 +317,8 @@ def _cmd_hilbert(args) -> int:
         dom = ball_oracle(require_int(dspec["n"], "n", least=1))
     elif kind == "model":
         psi = CuspParameter([require_float(parse_scalar(x), f"psi_{i + 1}")
-                             for i, x in enumerate(dspec["psi"])])
+                             for i, x in enumerate(require_json(dspec["psi"], "psi", list))])
         dom = model_domain_oracle(psi)
-        require_json(dspec["psi"], "psi", list)
     else:
         raise ValueError(f"unknown domain kind {kind!r} (expected ball or model)")
     pairs = require_json(spec["pairs"], "pairs", list)

@@ -26,18 +26,21 @@ parameters 1/a_i extend continuously by 0 across type changes, which is why
 sweeps report both.
 
 One private builder, :func:`_cusp_arrays`, writes down the bent generators
-g_k, the normalizing matrix A and the normal forms W_k for any number of
-rows of bending data, exact or float; the public generator and conjugator
-functions are slices of its output.  Each generator is checked in the
-inverse-free form A g_k = W_k A, which is equivalent to A g_k A^{-1} = W_k
-since det A = 1, so no route forms A^{-1}.  Exact data stays in integers
-from the parsed b and mu to the written JSON: the builder writes A as
-integer numerators over one denominator d and every g_k and W_k over one
-shared e, the check runs every slot at once as stacked object-integer
-matmuls and must match with residual exactly 0, and the conjugator is a
-reduced integer :class:`ProjMap` that ``matrix_to_json`` prints from its
-numerators.  ``Fraction`` appears only where the input is parsed and in
-the residual.
+g_k, the normalizing matrix A and the normal forms W_k as dense arrays, for
+any number of rows of float bending data or one row of exact data; the
+public generator functions are slices of its output.  Each generator is
+checked in the inverse-free form A g_k = W_k A, which is equivalent to
+A g_k A^{-1} = W_k since det A = 1, so no route forms A^{-1}.  Exact data
+stays in integers from the parsed b and mu to the written JSON: each of
+g_k, A and W_k is its denominator times the identity but for a few
+entries, which :func:`_exact_cusp_table` lists as integer numerators over
+one denominator d for A and one e shared by every g_k and W_k.  The dense
+exact arrays are written from that table, and the check multiplies its
+entries sparsely (:func:`_exact_residual`), in O(n) integer operations
+per slot, and must match with residual exactly 0; the conjugator is the
+one dense A, a reduced integer :class:`ProjMap` that ``matrix_to_json``
+prints from its numerators.  ``Fraction`` appears only where the input is
+parsed and in the residual.
 Float data goes through :func:`conjugation_residuals`, which checks the
 generators of G grid rows in stacked matmuls and scales each entry of
 |A g - W A| by its componentwise rounding bound |A||g| + |W||A|;
@@ -233,16 +236,20 @@ def _cusp_arrays(b, s, mu):
 
     C^2 has only the corner entry and C^3 = 0, so det A = 1.  Float data
     (any b or mu not exact) returns the ``float64`` arrays (g, A, W) and
-    must pass the ``MIN_BEND_FLOAT`` guard.  Exact data returns the pairs
-    ((g, e), (A, d), (W, e)): integer numerator arrays (``object`` dtype of
-    Python ints) over positive int denominators, one d for A and one e shared
-    by every g and W.  Only the O(G m) slot scalars -- b, b^2 / 2, mu, mu b,
-    alpha, delta and the corner -- are computed, each as an int pair from
-    the ``as_integer_ratio`` of b and mu, and written straight into the
-    integer arrays; no ``Fraction`` and no matrix of them is made.
+    must pass the ``MIN_BEND_FLOAT`` guard.  Exact data, one row (G = 1),
+    returns the pairs ((g, e), (A, d), (W, e)): integer numerator arrays
+    (``object`` dtype of Python ints) over positive int denominators, one d
+    for A and one e shared by every g and W, written from the entries of
+    :func:`_exact_cusp_table`; no ``Fraction`` and no matrix of them is
+    made.  The exact check of :func:`conjugate_and_match` reads that table
+    and builds none of these arrays.
     """
     if all(map(is_exact, b)) and all(is_exact(x) for row in mu for x in row):
-        return _exact_cusp_arrays(b, mu)
+        (row,) = mu
+        g, a, w, e, d = _exact_cusp_table(b, row)
+        shape = (len(b), len(b) + 2, len(b) + 2)
+        return ((_exact_dense(g, e, shape)[None], e), (_exact_dense(a, d, shape[1:])[None], d),
+                (_exact_dense(w, e, shape)[None], e))
     s, mu = (np.asarray(x, dtype=np.float64) for x in (s, mu))
     _guard_small_bending(s, mu)
     b = np.broadcast_to(np.asarray(b, dtype=np.float64), mu.shape)
@@ -274,46 +281,90 @@ def _cusp_arrays(b, s, mu):
         return gens, a_mat, normal
 
 
-def _exact_cusp_arrays(b, mu):
-    """The exact branch of :func:`_cusp_arrays`.  Each slot scalar is an int
-    pair (numerator, denominator > 0), not necessarily in lowest terms; the
-    numerators are scaled to the lcm of their array kind's denominators."""
-    b = [x.as_integer_ratio() for x in b]
-    rows, m = len(mu), len(b)
-    n, size = m + 1, m + 2
-    g_at, g_val, a_at, a_val, w_at, w_val = [], [], [], [], [], []
-    for r, row in enumerate(mu):
-        for k, ((p, q), x) in enumerate(zip(b, row)):
-            u, v = x.as_integer_ratio()
-            i = k + 1
-            half_sq = (p * p, 2 * q * q)
-            g_at += [(r, k, 0, i), (r, k, i, n), (r, k, i, i), (r, k, 0, n)]
-            g_val += [(p, q), (u * p, v * q), (u, v), half_sq]
-            if u == v:
-                continue
-            # 1 / (mu - 1) = v / (u - v), with its sign moved to the numerator
-            sign, w = (1, u - v) if u > v else (-1, v - u)
-            a_at += [(r, 0, i), (r, i, n)]
-            a_val += [(-sign * p * v, q * w), (sign * u * p, q * w)]
-            w_at += [(r, k, 0, i), (r, k, i, n), (r, k, 0, n)]
-            w_val += [(0, 1), (0, 1), (-sign * p * p * (u + v), 2 * q * q * w)]
-    e = math.lcm(*(den for _, den in g_val + w_val))
-    d = math.lcm(*(den for _, den in a_val))
+def _exact_cusp_table(b, mu):
+    """The entry table of one row of exact bending data: each of g_k, A and
+    W_k is its denominator times the identity but for the entries listed.
 
-    def put(arr, at, values, den):
-        if at:
-            arr[tuple(zip(*at))] = np.array([num * (den // q) for num, q in values], dtype=object)
+    Returns (g, a, w, e, d).  ``g`` and ``w`` map (k, i, j) to the integer
+    numerator over e of entry (i, j) of g_k and of W_k, every slot listing
+    its four entries of g_k and, for W_k, those same four on an unbent slot
+    and mu_k at (k+1, k+1) and the corner on a bent one; ``a`` maps (i, j)
+    to a numerator of A over d, two per bent slot.  The entries are those of
+    the :func:`_cusp_arrays` docstring.  Only the O(m) slot scalars -- b,
+    b^2 / 2, mu, mu b, alpha, delta and the corner -- are computed, each
+    first an int pair (numerator, denominator > 0) from the
+    ``as_integer_ratio`` of b and mu, not necessarily in lowest terms; the
+    numerators are then scaled to e, the lcm of the denominators of g and W,
+    and d, that of A."""
+    n = len(b) + 1
+    g, a, w = {}, {}, {}
+    for k, (b_k, mu_k) in enumerate(zip(b, mu)):
+        (p, q), (u, v) = b_k.as_integer_ratio(), mu_k.as_integer_ratio()
+        i = k + 1
+        g_k = {(k, 0, i): (p, q), (k, i, n): (u * p, v * q), (k, i, i): (u, v),
+               (k, 0, n): (p * p, 2 * q * q)}
+        g.update(g_k)
+        if u == v:
+            w.update(g_k)
+            continue
+        # 1 / (mu - 1) = v / (u - v), with its sign moved to the numerator
+        sign, t = (1, u - v) if u > v else (-1, v - u)
+        a[0, i], a[i, n] = (-sign * p * v, q * t), (sign * u * p, q * t)
+        w[k, i, i], w[k, 0, n] = (u, v), (-sign * p * p * (u + v), 2 * q * q * t)
+    e = math.lcm(*(den for _, den in (*g.values(), *w.values())))
+    d = math.lcm(*(den for _, den in a.values()))
 
-    diag = np.arange(size)
-    gens = np.zeros((rows, m, size, size), dtype=object)
-    gens[..., diag, diag] = e
-    put(gens, g_at, g_val, e)
-    normal = gens.copy()
-    put(normal, w_at, w_val, e)
-    a_mat = np.zeros((rows, size, size), dtype=object)
-    a_mat[..., diag, diag] = d
-    put(a_mat, a_at, a_val, d)
-    return (gens, e), (a_mat, d), (normal, e)
+    def scaled(entries, den):
+        return {at: num * (den // q) for at, (num, q) in entries.items()}
+
+    return scaled(g, e), scaled(a, d), scaled(w, e), e, d
+
+
+def _exact_dense(entries: dict, den: int, shape: tuple) -> np.ndarray:
+    """The integer numerators of entry-table matrices as one ``object``
+    array of ``shape``: den on every diagonal, 0 elsewhere, then the listed
+    entries (whose keys index the array)."""
+    out = np.zeros(shape, dtype=object)
+    diag = np.arange(shape[-1])
+    out[..., diag, diag] = den
+    if entries:
+        out[tuple(zip(*entries))] = np.array(list(entries.values()), dtype=object)
+    return out
+
+
+def _exact_residual(g: dict, a: dict, w: dict, e: int, d: int) -> Fraction:
+    """max |A g_k - W_k A| over every slot and entry of an exact entry table
+    (:func:`_exact_cusp_table`), as a ``Fraction``, from a sparse product of
+    the listed entries.
+
+    With A = (d I + C) / d and g_k = (e I + G_k) / e, W_k = (e I + V_k) / e,
+    where C, G_k and V_k hold the listed entries less the identity part,
+
+        d e (A g_k - W_k A) = d (G_k - V_k) + C G_k - V_k C,
+
+    so each slot costs a few products of its own entries with those of C in
+    the same row or column, and no dense matrix is formed."""
+    by_col, by_row = {}, {}
+    for (i, j), x in a.items():
+        x -= d * (i == j)
+        by_col.setdefault(j, []).append((i, x))
+        by_row.setdefault(i, []).append((j, x))
+    deltas = ({}, {})
+    for entries, delta in zip((g, w), deltas):
+        for (k, i, j), x in entries.items():
+            delta.setdefault(k, {})[i, j] = x - e * (i == j)
+    worst = 0
+    for k, gk in deltas[0].items():
+        vk = deltas[1].get(k, {})
+        diff = {at: d * (gk.get(at, 0) - vk.get(at, 0)) for at in gk.keys() | vk.keys()}
+        for (mid, j), x in gk.items():
+            for i, c in by_col.get(mid, ()):
+                diff[i, j] = diff.get((i, j), 0) + c * x
+        for (i, mid), x in vk.items():
+            for j, c in by_row.get(mid, ()):
+                diff[i, j] = diff.get((i, j), 0) - x * c
+        worst = max(worst, max(map(abs, diff.values()), default=0))
+    return Fraction(worst, d * e)
 
 
 def _row_maps(part) -> list[ProjMap]:
@@ -407,28 +458,27 @@ def conjugate_and_match(data: RectangularCuspData,
     """Conjugate the bent generators into normal form, verify the pattern,
     and read off the cusp parameter.
 
-    The generators g_k, the normalizing matrix A and the normal forms W_k
-    come from :func:`_cusp_arrays`, and the check is A g_k = W_k A.  Exact
-    data must match exactly (zero residual): the builder gives A = N/d and
-    every g_k, W_k over one denominator e as integer arrays, and the stacked
-    integer products N M_g - M_W N of all slots give the residual
-    ``Fraction(max|N M_g - M_W N|, d e)`` = max|A g - W A|.  Float data must
-    match within tol, through the scaled residual of
-    :func:`conjugation_residuals`.  The conjugator is A with its rows
-    permuted so that the parameter is sorted non-increasing; exact, it is
-    the integer rows of N over d, reduced by ``ProjMap._from_exact``.
+    The check is A g_k = W_k A for the generators g_k, the normalizing
+    matrix A and the normal forms W_k.  Exact data must match exactly (zero
+    residual): :func:`_exact_cusp_table` lists the integer entries of A over
+    d and of every g_k, W_k over e, and :func:`_exact_residual` multiplies
+    those entries sparsely into ``Fraction(max|N M_g - M_W N|, d e)`` =
+    max|A g - W A|, where N, M_g and M_W are the numerator matrices; only
+    N is written densely, once, for the conjugator.  Float data comes from
+    :func:`_cusp_arrays` and must match within tol, through the scaled
+    residual of :func:`conjugation_residuals`.  The conjugator is A with its
+    rows permuted so that the parameter is sorted non-increasing; exact, it
+    is the integer rows of N over d, reduced by ``ProjMap._from_exact``.
     """
-    gens, a_mat, normal = _cusp_arrays(data.b, [data.s], [data.mu])
     if data.exact:
-        (g_num, gw_den), (a_num, a_den), (w_num, _) = gens, a_mat, normal
-        a_num = a_num[0]
-        diff = np.matmul(a_num, g_num[0]) - np.matmul(w_num[0], a_num)
-        residual = Fraction(np.max(np.abs(diff)), a_den * gw_den)
+        table = _exact_cusp_table(data.b, data.mu)
+        residual = _exact_residual(*table)
         if residual != 0:
             raise PatternMismatch(
                 f"exact conjugation failed to reach the normal form (residual {residual})",
                 residual)
     else:
+        gens, a_mat, normal = _cusp_arrays(data.b, [data.s], [data.mu])
         residuals = _intertwining_residuals(gens, a_mat, normal)
         require_normal_form(residuals, tol)
         residual = float(residuals[0])
@@ -440,7 +490,8 @@ def conjugate_and_match(data: RectangularCuspData,
     psi, perm = _sorted_parameter(dict(zip(bent, entries.tolist())), data.n)
     # P A is A with its rows reordered; + 0.0 turns a -0.0 entry into 0.0
     if data.exact:
-        conjugator = ProjMap._from_exact(a_num[perm], a_den)
+        _, a, _, _, d = table
+        conjugator = ProjMap._from_exact(_exact_dense(a, d, (data.n + 1,) * 2)[perm], d)
     else:
         conjugator = ProjMap._from_float(a_mat[0][perm] + 0.0)
     return ClassifiedCusp(psi, len(bent), conjugator, residual)

@@ -302,15 +302,14 @@ def matrix_to_json(m: ProjMap) -> list:
 def matrix_from_json(rows) -> ProjMap:
     """A map from row-major nested lists of JSON scalars (see
     :func:`parse_scalar`).  A square list of lists of floats goes straight
-    to ``float64``; any other input is parsed entry by entry, then refused
-    if the matrix or a row is a string or dict (:func:`require_json`)."""
+    to ``float64``; any other input is refused if the matrix or a row is a
+    string or dict (:func:`require_json`), then parsed entry by entry."""
     if (type(rows) is list and all(type(row) is list and len(row) == len(rows) for row in rows)
             and all(type(x) is float for row in rows for x in row)):
         return ProjMap(np.array(rows, dtype=np.float64))
-    m = ProjMap([[parse_scalar(x) for x in row] for row in rows])
     for i, row in enumerate(require_json(rows, "matrix", list)):
         require_json(row, f"matrix row {i}", list)
-    return m
+    return ProjMap([[parse_scalar(x) for x in row] for row in rows])
 
 
 def compose(a: ProjMap, b: ProjMap) -> ProjMap:

@@ -38,10 +38,12 @@ CLI = "src/cuspbend/cli.py"
 CLASSIFY = "src/cuspbend/cusp_classify.py"
 BENDING = "src/cuspbend/bending.py"
 VERIFY = "src/cuspbend/verify.py"
+PROJLIN = "src/cuspbend/projlin.py"
 T_HILBERT = "tests/test_hilbert.py::"
 T_CLI = "tests/test_cli.py::"
 T_CLASSIFY = "tests/test_cusp_classify.py::"
 T_BENDING = "tests/test_bending.py::"
+T_PROJLIN = "tests/test_projlin.py::"
 
 # the input relators, queued first in iterated_bend's pass
 _RELATORS_FIRST = """\
@@ -124,6 +126,38 @@ MUTANTS = [
            'pairs = require_json(spec["pairs"], "pairs", list)', 'pairs = spec["pairs"]',
            (T_CLI + "test_hilbert_pair_not_two_points_is_usage_error",
             T_CLI + "test_refused_input_keeps_its_message")),
+    # the exact check, a sparse product of the entry table
+    Mutant("sparse-product-drops-an-a-entry", CLASSIFY,
+           "    for (i, j), x in a.items():\n        x -= d * (i == j)\n",
+           "    for (i, j), x in list(a.items())[1:]:\n        x -= d * (i == j)\n",
+           (T_CLASSIFY + "test_exact_check_builds_no_stacked_product",
+            T_CLASSIFY + "test_sparse_exact_check_matches_dense_reference")),
+    Mutant("sparse-product-drops-d-term", CLASSIFY,
+           "diff = {at: d * (gk.get(at, 0) - vk.get(at, 0)) for at in gk.keys() | vk.keys()}",
+           "diff = {at: 0 for at in gk.keys() | vk.keys()}",
+           (T_CLASSIFY + "test_exact_check_builds_no_stacked_product",
+            T_CLASSIFY + "test_sparse_exact_check_matches_dense_reference")),
+    # a JSON field's kind, checked before the field is read
+    Mutant("generators-read-first", CLI,
+           'for rows in require_json(data["generators"], "generators", list)]',
+           'for rows in data["generators"]]',
+           (T_CLI + "test_refused_input_keeps_its_message",)),
+    Mutant("b-read-first", CLI,
+           'for x in require_json(data["b"], "b", list)]', 'for x in data["b"]]',
+           (T_CLI + "test_refused_input_keeps_its_message",)),
+    Mutant("s-and-mu-read-first", CLI,
+           "for x in require_json(data[key], key, list)]", "for x in data[key]]",
+           (T_CLI + "test_refused_input_keeps_its_message",)),
+    Mutant("psi-read-first", CLI,
+           'enumerate(require_json(dspec["psi"], "psi", list))', 'enumerate(dspec["psi"])',
+           (T_CLI + "test_refused_input_keeps_its_message",)),
+    Mutant("matrix-read-first", PROJLIN,
+           'for i, row in enumerate(require_json(rows, "matrix", list)):',
+           "for i, row in enumerate(rows):",
+           (T_PROJLIN + "test_matrix_from_json_bad_input_messages",)),
+    Mutant("matrix-rows-read-first", PROJLIN,
+           '        require_json(row, f"matrix row {i}", list)\n', "        pass\n",
+           (T_PROJLIN + "test_matrix_from_json_bad_input_messages",)),
     # a bent slot whose cusp parameter underflows
     Mutant("underflow-refused-only-at-zero", CLASSIFY,
            "small = a < sys.float_info.min", "small = a == 0",
@@ -142,10 +176,10 @@ MUTANTS = [
            'rows = [require_float(x, f"psi_{i % psi.n + 1}") for i, x in enumerate(rows)]',
            "rows = [float(x) for x in rows]",
            (T_CLASSIFY + "test_equivalent_parameters_refuses_an_exact_entry_off_the_float_range",)),
-    Mutant("proj-equiv-rows-any-entry", "src/cuspbend/projlin.py",
+    Mutant("proj-equiv-rows-any-entry", PROJLIN,
            "cross = (a[rows, ia][:, None] * b == b[rows, ia][:, None] * a).all(axis=1)",
            "cross = (a[rows, ia][:, None] * b == b[rows, ia][:, None] * a).any(axis=1)",
-           ("tests/test_projlin.py::test_proj_equiv_exact",
+           (T_PROJLIN + "test_proj_equiv_exact",
             T_CLASSIFY + "test_equivalent_parameters_matches_the_reference")),
     # the centralizer's one parameter
     Mutant("centralizer-allows-zero-mu", "src/cuspbend/cusp_models.py",

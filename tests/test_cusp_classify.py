@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 
 from cuspbend.cusp_classify import (
     MIN_BEND_FLOAT,
+    ClassifiedCusp,
     PatternMismatch,
     RectangularCuspData,
     _cusp_arrays,
+    _exact_cusp_table,
+    _exact_residual,
     _intertwining_residuals,
     _row_maps,
     bent_cusp_generators,
@@ -33,8 +37,18 @@ from cuspbend.cusp_models import (
     ParaboloidModel,
     zprime_element,
 )
-from cuspbend.projlin import DEFAULT_TOL, ProjMap, ProjPoint, act, compose, inverse, proj_equiv
+from cuspbend.projlin import (
+    DEFAULT_TOL,
+    ProjMap,
+    ProjPoint,
+    act,
+    compose,
+    inverse,
+    matrix_to_json,
+    proj_equiv,
+)
 from cuspbend.verify import _diagonalize, _triangularize
+import exact_reference
 from equiv_reference import fraction_matrix
 
 
@@ -180,29 +194,31 @@ def test_perturbed_generator_misses_normal_form(s, entry, slot):
 
 
 def test_exact_mismatch_reports_max_intertwining_error(monkeypatch):
-    """Negative control for the exact check: ``_cusp_arrays`` output with one
-    W corner moved by 1/7 and one g entry by 2/11 misses the normal form, and
+    """Negative control for the exact check: the entry table with one W
+    corner moved by 1/7 and one g entry by 2/11 misses the normal form, and
     the residual is max |A g - W A| over slots and entries, here summed out
     entry by entry in Fractions."""
     import cuspbend.cusp_classify as cc
     data = RectangularCuspData(4, b=[F(3, 2), F(1), F(2)], mu=[F(3), F(1), F(5, 4)])
-    (g_num, e), (a_num, d), (w_num, _) = _cusp_arrays(data.b, [data.s], [data.mu])
+    g, a, w, e, d = _exact_cusp_table(data.b, data.mu)
     # g and W over 77 e, so that both moves are integer numerators
-    g_num, w_num, e = g_num * 77, w_num * 77, e * 77
-    w_num[0, 2, 0, 4] += e // 7
-    g_num[0, 1, 2, 4] += 2 * e // 11
-    monkeypatch.setattr(cc, "_cusp_arrays",
-                        lambda b, s, mu: ((g_num, e), (a_num, d), (w_num, e)))
+    g, w = ({at: 77 * x for at, x in t.items()} for t in (g, w))
+    e *= 77
+    w[2, 0, 4] += e // 7
+    g[1, 2, 4] += 2 * e // 11
+    monkeypatch.setattr(cc, "_exact_cusp_table", lambda b, mu: (g, a, w, e, d))
     with pytest.raises(PatternMismatch, match="exact conjugation failed") as info:
         conjugate_and_match(data)
 
-    def fractions(num, den):
-        return np.vectorize(lambda x: F(x, den), otypes=[object])(num)
+    def fractions(entries, den, shape):
+        return np.vectorize(lambda x: F(x, den), otypes=[object])(
+            exact_reference.dense(entries, den, shape))
 
-    gens, a_mat, normal = fractions(g_num, e), fractions(a_num, d), fractions(w_num, e)
-    a, size = a_mat[0], data.n + 1
+    size = data.n + 1
+    shape = (data.n - 1, size, size)
+    gens, a, normal = fractions(g, e, shape), fractions(a, d, shape[1:]), fractions(w, e, shape)
     want = max(abs(sum(a[i, k] * g[k, j] - w[i, k] * a[k, j] for k in range(size)))
-               for g, w in zip(gens[0], normal[0])
+               for g, w in zip(gens, normal)
                for i in range(size) for j in range(size))
     assert want == F(2, 11)
     assert info.value.residual == want and isinstance(info.value.residual, F)
@@ -258,6 +274,66 @@ def test_exact_route_matches_fraction_formulas(data):
     assert fraction_matrix(cls.conjugator).tolist() == [a[i] for i in rows]
     assert fraction_matrix(_normalizing_matrix(cusp)).tolist() == a
     assert [fraction_matrix(g).tolist() for g in bent_cusp_generators(cusp)] == gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_exact_check_matches_dense_reference(data):
+    """The sparse exact check against the dense stacked products of
+    ``exact_reference`` on one entry table: the same residual, exactly 0,
+    and the same conjugator bytes; and with one entry of one g_k, W_k or A
+    moved anywhere, the same residual from both, nonzero when g_k or W_k
+    moved (A is invertible)."""
+    n = data.draw(st.integers(2, 12), label="n")
+    b = data.draw(st.lists(positive_rational, min_size=n - 1, max_size=n - 1), label="b")
+    bent = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1), label="bent")
+    mu = [1 + data.draw(positive_rational, label="mu - 1") if k else F(1) for k in bent]
+    cusp = RectangularCuspData(n, b=b, mu=mu)
+    table = _exact_cusp_table(cusp.b, cusp.mu)
+    want = exact_reference.residual(table, n)
+    cls = conjugate_and_match(cusp)
+    assert want == 0 and cls.residual == want and isinstance(cls.residual, F)
+    assert matrix_to_json(cls.conjugator) == matrix_to_json(exact_reference.conjugator(cusp, table))
+
+    which = data.draw(st.sampled_from([0, 1, 2]), label="g, A or W")
+    at = tuple(data.draw(st.integers(0, n), label="i, j") for _ in range(2))
+    if which != 1:
+        at = (data.draw(st.integers(0, n - 2), label="slot"),) + at
+    den = table[3 + (which == 1)]
+    moved = list(table)
+    moved[which] = dict(table[which])
+    moved[which][at] = (moved[which].get(at, den * (at[-1] == at[-2]))
+                        + data.draw(st.integers(1, 99), label="step"))
+    bad = exact_reference.residual(moved, n)
+    assert _exact_residual(*moved) == bad and isinstance(bad, F)
+    assert bad != 0 or which == 1
+
+
+def test_exact_check_builds_no_stacked_product(monkeypatch):
+    """Exact ``conjugate_and_match`` at n = 24 calls ``np.matmul`` not once,
+    and writes the dense reference's residual and conjugator bytes; the
+    counter sees the float route's stacked products."""
+    n = 24
+    b = [F(k % 7 + 1, k % 5 + 2) for k in range(n - 1)]
+    mu = [F(1) if k % 2 else 1 + F(k + 1, 3 * k + 4) for k in range(n - 1)]
+    cusp = RectangularCuspData(n, b=b, mu=mu)
+    table = _exact_cusp_table(cusp.b, cusp.mu)
+    want = {"residual": exact_reference.residual(table, n),
+            "conjugator": exact_reference.conjugator(cusp, table)}
+    calls = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    cls = conjugate_and_match(cusp)
+    assert calls == []
+    assert cls.residual == 0 and isinstance(cls.residual, F)
+    assert json.dumps(cls.to_json()) == json.dumps(ClassifiedCusp(cls.psi, cls.type, **want).to_json())
+    conjugate_and_match(RectangularCuspData(n, b=[float(x) for x in b], mu=[float(x) for x in mu]))
+    assert calls
 
 
 def test_standard_generators_explicit_matrix():

@@ -231,10 +231,11 @@ BAD_JSON_MATRICES = [
     ([[1.0, {"a": 1}], [0.0, 1.0]], ValueError, "not a scalar: {'a': 1}"),
     ([[1.0, [2.0]], [0.0, 1.0]], ValueError, "not a scalar: [2.0]"),
     ([[1.0, None], [0.0, 1.0]], ValueError, "not a scalar: None"),
-    ({"a": 1}, ValueError, "Invalid literal for Fraction: 'a'"),
-    (["ab", "cd"], ValueError, "Invalid literal for Fraction: 'a'"),
-    ("1234", ValueError, "projective map must be square, got shape (4, 1)"),
-    # strings and dicts that parse were read digit by digit or key by key
+    # a string or dict is refused before it is read character by character or
+    # key by key, whether or not its characters or keys parse
+    ({"a": 1}, ValueError, "matrix must be a JSON list, not {'a': 1}"),
+    (["ab", "cd"], ValueError, "matrix row 0 must be a JSON list, not 'ab'"),
+    ("1234", ValueError, "matrix must be a JSON list, not '1234'"),
     (["12", "34"], ValueError, "matrix row 0 must be a JSON list, not '12'"),
     ([[1, 0], "01"], ValueError, "matrix row 1 must be a JSON list, not '01'"),
     ({"12": 0, "34": 1}, ValueError, "matrix must be a JSON list, not {'12': 0, '34': 1}"),

@@ -15,8 +15,9 @@ Hilbert pair that is not two points, a JSON string or object where a list
 belongs, a ``domain`` or ``rep.generators`` that is not an object,
 ``classify --exact`` on generators, an integer field (``classify`` n,
 ``hilbert`` ball n, ``bend`` rep.n, a ``bend`` word exponent in pair form)
-that is a bool, a string or not a whole number, a ball n below 1, an
-empty ``sweep --b`` entry, bending data that
+that is a bool, a string or not a whole number, a ball n below 1, a
+``sweep`` ``--b``, ``--grid`` or ``--slots`` entry that is empty or not a
+number (an integer for ``--slots`` and the grid steps), bending data that
 :class:`RectangularCuspData` or the float guard refuses (not finite,
 exp(s) overflowing, or a nonzero s below ``MIN_BEND_FLOAT``), and an exact
 value that does not fit a float where it is read in floats (a b, mu or
@@ -128,11 +129,25 @@ def _cmd_verify(args) -> int:
 # sweep
 
 
+def _flag_number(flag: str, text: str, entry: str, kind):
+    """One entry of the value ``text`` of ``flag``, read by ``kind`` (float
+    or int); a ``ValueError`` naming the flag when it is empty or not a
+    number of that kind."""
+    if not entry:
+        raise ValueError(f"{flag} has an empty entry: {text!r}")
+    try:
+        return kind(entry)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{flag} has an entry that is not {noun}: {entry!r} in {text!r}") from None
+
+
 def _parse_grid(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError("grid must be start:stop:steps")
-    start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    start, stop, steps = (_flag_number("--grid", spec, x, kind)
+                          for x, kind in zip(parts, (float, float, int)))
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError("grid bounds must be finite")
     if steps < 1:
@@ -153,17 +168,13 @@ def _exp_or_inf(s: float) -> float:
 def _cmd_sweep(args) -> int:
     n = args.n
     grid = _parse_grid(args.grid)
-    b_raw = args.b.split(",")
-    if "" in b_raw:
-        raise ValueError(f"--b has an empty entry: {args.b!r}")
-    if len(b_raw) == 1:
-        b_vals = [float(b_raw[0])] * (n - 1)
-    elif len(b_raw) == n - 1:
-        b_vals = [float(x) for x in b_raw]
-    else:
+    b_vals = [_flag_number("--b", args.b, x, float) for x in args.b.split(",")]
+    if len(b_vals) == 1:
+        b_vals *= n - 1
+    elif len(b_vals) != n - 1:
         raise ValueError(f"--b needs 1 or {n - 1} comma-separated values")
     if args.slots:
-        slots = sorted({int(x) for x in args.slots.split(",")})
+        slots = sorted({_flag_number("--slots", args.slots, x, int) for x in args.slots.split(",")})
         if any(i < 2 or i > n for i in slots):
             raise ValueError(f"slots must lie in 2..{n}")
     else:

@@ -25,22 +25,22 @@ nonzero bending parameters.  Note a_i blows up as s_i -> 0+: the inverted
 parameters 1/a_i extend continuously by 0 across type changes, which is why
 sweeps report both.
 
-One private builder, :func:`_cusp_arrays`, writes down the bent generators
-g_k, the normalizing matrix A and the normal forms W_k as dense arrays, for
-any number of rows of float bending data or one row of exact data; the
-public generator functions are slices of its output.  Each generator is
-checked in the inverse-free form A g_k = W_k A, which is equivalent to
-A g_k A^{-1} = W_k since det A = 1, so no route forms A^{-1}.  Exact data
-stays in integers from the parsed b and mu to the written JSON: each of
-g_k, A and W_k is its denominator times the identity but for a few
-entries, which :func:`_exact_cusp_table` lists as integer numerators over
-one denominator d for A and one e shared by every g_k and W_k.  The dense
-exact arrays are written from that table, and the check multiplies its
-entries sparsely (:func:`_exact_residual`), in O(n) integer operations
-per slot, and must match with residual exactly 0; the conjugator is the
-one dense A, a reduced integer :class:`ProjMap` that ``matrix_to_json``
-prints from its numerators.  ``Fraction`` appears only where the input is
-parsed and in the residual.
+:func:`_slot_entries` writes the construction down once: the four
+positions of each slot and the entries there of the bent generators g_k,
+the normalizing matrix A and the normal forms W_k.  Two builders read it:
+:func:`_cusp_arrays` writes float arrays for any number of rows of
+bending data, and :func:`_exact_cusp_table` lists one row of exact data as
+integer numerators over one denominator d for A and one e shared by every
+g_k and W_k; the public generator functions are written from one or the
+other.  Each generator is checked in the inverse-free form A g_k = W_k A,
+which is equivalent to A g_k A^{-1} = W_k since det A = 1, so no route
+forms A^{-1}.  Exact data stays in integers from the parsed b and mu to
+the written JSON: the check multiplies the table's entries sparsely
+(:func:`_exact_residual`), in O(n) integer operations per slot, and must
+match with residual exactly 0; the conjugator is the one dense A, a
+reduced integer :class:`ProjMap` that ``matrix_to_json`` prints from its
+numerators.  ``Fraction`` appears only where the input is parsed and in
+the residual.
 Float data goes through :func:`conjugation_residuals`, which checks the
 generators of G grid rows in stacked matmuls and scales each entry of
 |A g - W A| by its componentwise rounding bound |A||g| + |W||A|;
@@ -218,99 +218,93 @@ def require_normal_parameters(a: np.ndarray, slots) -> None:
                          "its cusp parameter underflows")
 
 
+def _slot_entries(k, n: int) -> tuple:
+    """The four entries of slot k (an int, or an array of slots) in the
+    construction of dimension n, as indices (k, i, j) of entry (i, j) of the
+    k-th matrix, with i = k + 1:
+
+        (k, 0, i), (k, i, n), (k, i, i), (k, 0, n).
+
+    This is the one place the construction is written down.  Each of g_k, A
+    and W_k is the identity but for its entries at these (i, j):
+
+    - g_k, the bent generator, has b_k, mu_k b_k, mu_k and b_k^2 / 2: the
+      unipotent U(b_k) with row i scaled by mu_k;
+    - W_k, its normal form, is g_k on an unbent slot (mu_k = 1), and on a
+      bent one has 0, 0, mu_k and :func:`expected_corner`;
+    - A, the normalizing matrix, one for all slots, has alpha_k =
+      -b_k / (mu_k - 1) and delta_k = mu_k b_k / (mu_k - 1) at the first
+      two (i, j) of each bent slot.
+
+    So A = I + C, where C^2 has only the corner entry and C^3 = 0, and
+    det A = 1."""
+    i = k + 1
+    return (k, 0, i), (k, i, n), (k, i, i), (k, 0, n)
+
+
 def _cusp_arrays(b, s, mu):
-    """Bent generators g, normalizing matrices A and normal forms W of G rows
-    of bending data: the one place the construction is written down.
+    """The float g, A and W of G rows of bending data, written from the
+    table of :func:`_slot_entries`.
 
     ``s`` and ``mu`` have shape (G, m), m = n - 1, with mu = 1 on unbent
-    slots; ``b`` has length m, or in floats shape (G, m), one per row.  g
-    and W have shape (G, m, n+1, n+1) and A has shape (G, n+1, n+1), where
-    for slot k (coordinate i = k + 2, matrix index k + 1):
-
-    - g[r, k] is the unipotent U(b_k) -- b_k at (0, k+1) and (k+1, n),
-      b_k^2 / 2 at (0, n) -- with row k+1 scaled by mu_k;
-    - A[r] = I + C, where each bent slot k puts alpha = -b_k / (mu_k - 1) at
-      (0, k+1) and delta = mu_k b_k / (mu_k - 1) at (k+1, n) of C;
-    - W[r, k] is g[r, k] on an unbent slot, and on a bent one the identity
-      with mu_k at (k+1, k+1) and :func:`expected_corner` at (0, n).
-
-    C^2 has only the corner entry and C^3 = 0, so det A = 1.  Float data
-    (any b or mu not exact) returns the ``float64`` arrays (g, A, W) and
-    must pass the ``MIN_BEND_FLOAT`` guard.  Exact data, one row (G = 1),
-    returns the pairs ((g, e), (A, d), (W, e)): integer numerator arrays
-    (``object`` dtype of Python ints) over positive int denominators, one d
-    for A and one e shared by every g and W, written from the entries of
-    :func:`_exact_cusp_table`; no ``Fraction`` and no matrix of them is
-    made.  The exact check of :func:`conjugate_and_match` reads that table
-    and builds none of these arrays.
+    slots; ``b`` has shape (m,), shared by the rows, or (G, m).  g and W
+    have shape (G, m, n+1, n+1) and A has shape (G, n+1, n+1), all
+    ``float64``; the data must pass the ``MIN_BEND_FLOAT`` guard.
     """
-    if all(map(is_exact, b)) and all(is_exact(x) for row in mu for x in row):
-        (row,) = mu
-        g, a, w, e, d = _exact_cusp_table(b, row)
-        shape = (len(b), len(b) + 2, len(b) + 2)
-        return ((_exact_dense(g, e, shape)[None], e), (_exact_dense(a, d, shape[1:])[None], d),
-                (_exact_dense(w, e, shape)[None], e))
     s, mu = (np.asarray(x, dtype=np.float64) for x in (s, mu))
     _guard_small_bending(s, mu)
     b = np.broadcast_to(np.asarray(b, dtype=np.float64), mu.shape)
-    # entries that overflow read inf, and the residual of their row NaN
+    rows, m = mu.shape
+    n = m + 1
+    bent = mu != 1
+    # entries that overflow read inf, and the residual of their row NaN; the
+    # values that divide by mu - 1 = 0 on unbent slots are not kept
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rows, m = mu.shape
-        n = m + 1
-        eye = np.eye(n + 1)
-        slot = np.arange(m)
-        coord = slot + 1
-        r_bent, k_bent = np.nonzero(mu != 1)
-
-        gens = np.tile(eye, (rows, m, 1, 1))
-        gens[:, slot, 0, coord] = b
-        gens[:, slot, coord, n] = b
-        gens[:, slot, 0, n] = b * b / 2
-        gens[:, slot, coord, :] *= mu[:, :, None]
-
-        b_bent, mu_bent = b[r_bent, k_bent], mu[r_bent, k_bent]
-        denom = mu_bent - 1
-        a_mat = np.repeat(eye[None], rows, axis=0)
-        a_mat[r_bent, 0, k_bent + 1] = -b_bent / denom
-        a_mat[r_bent, k_bent + 1, n] = mu_bent * b_bent / denom
-
-        normal = gens.copy()
-        normal[r_bent, k_bent, 0, k_bent + 1] = 0
-        normal[r_bent, k_bent, k_bent + 1, n] = 0
-        normal[r_bent, k_bent, 0, n] = expected_corner(b_bent, mu_bent)
-        return gens, a_mat, normal
+        g_vals = (b, mu * b, mu, b * b / 2)
+        w_bent = (0.0, 0.0, mu, expected_corner(b, mu))
+        w_vals = [np.where(bent, w, g) for w, g in zip(w_bent, g_vals)]
+        # alpha and delta, 0 on unbent slots
+        a_vals = (np.where(bent, -b / (mu - 1), 0.0), np.where(bent, mu * b / (mu - 1), 0.0))
+    eye = np.eye(n + 1)
+    gens, normal = np.tile(eye, (2, rows, m, 1, 1))
+    a_mat = np.tile(eye, (rows, 1, 1))
+    spots = _slot_entries(np.arange(m), n)
+    for (k, i, j), g_val, w_val in zip(spots, g_vals, w_vals):
+        gens[:, k, i, j] = g_val
+        normal[:, k, i, j] = w_val
+    for (_, i, j), a_val in zip(spots, a_vals):
+        a_mat[:, i, j] = a_val
+    return gens, a_mat, normal
 
 
 def _exact_cusp_table(b, mu):
-    """The entry table of one row of exact bending data: each of g_k, A and
-    W_k is its denominator times the identity but for the entries listed.
+    """The entries of :func:`_slot_entries` for one row of exact bending
+    data, as integer numerators: each of g_k, A and W_k is its denominator
+    times the identity but for the entries listed.
 
-    Returns (g, a, w, e, d).  ``g`` and ``w`` map (k, i, j) to the integer
-    numerator over e of entry (i, j) of g_k and of W_k, every slot listing
-    its four entries of g_k and, for W_k, those same four on an unbent slot
-    and mu_k at (k+1, k+1) and the corner on a bent one; ``a`` maps (i, j)
-    to a numerator of A over d, two per bent slot.  The entries are those of
-    the :func:`_cusp_arrays` docstring.  Only the O(m) slot scalars -- b,
-    b^2 / 2, mu, mu b, alpha, delta and the corner -- are computed, each
-    first an int pair (numerator, denominator > 0) from the
-    ``as_integer_ratio`` of b and mu, not necessarily in lowest terms; the
-    numerators are then scaled to e, the lcm of the denominators of g and W,
-    and d, that of A."""
+    Returns (g, a, w, e, d).  ``g`` and ``w`` map (k, i, j) to the numerator
+    over e of entry (i, j) of g_k and of W_k, and ``a`` maps (i, j) to a
+    numerator of A over d.  ``w`` lists a bent slot's mu_k and corner but
+    not its two zeros, and ``a`` only the entries of bent slots.  Only the
+    O(m) slot scalars -- b, b^2 / 2, mu, mu b, alpha, delta and the corner
+    -- are computed, each first an int pair (numerator, denominator > 0)
+    from the ``as_integer_ratio`` of b and mu, not necessarily in lowest
+    terms; the numerators are then scaled to e, the lcm of the denominators
+    of g and W, and d, that of A."""
     n = len(b) + 1
     g, a, w = {}, {}, {}
     for k, (b_k, mu_k) in enumerate(zip(b, mu)):
         (p, q), (u, v) = b_k.as_integer_ratio(), mu_k.as_integer_ratio()
-        i = k + 1
-        g_k = {(k, 0, i): (p, q), (k, i, n): (u * p, v * q), (k, i, i): (u, v),
-               (k, 0, n): (p * p, 2 * q * q)}
+        top, right, diag, corner = _slot_entries(k, n)
+        g_k = {top: (p, q), right: (u * p, v * q), diag: (u, v), corner: (p * p, 2 * q * q)}
         g.update(g_k)
         if u == v:
             w.update(g_k)
             continue
         # 1 / (mu - 1) = v / (u - v), with its sign moved to the numerator
         sign, t = (1, u - v) if u > v else (-1, v - u)
-        a[0, i], a[i, n] = (-sign * p * v, q * t), (sign * u * p, q * t)
-        w[k, i, i], w[k, 0, n] = (u, v), (-sign * p * p * (u + v), 2 * q * q * t)
+        a[top[1:]], a[right[1:]] = (-sign * p * v, q * t), (sign * u * p, q * t)
+        w[diag], w[corner] = (u, v), (-sign * p * p * (u + v), 2 * q * q * t)
     e = math.lcm(*(den for _, den in (*g.values(), *w.values())))
     d = math.lcm(*(den for _, den in a.values()))
 
@@ -367,29 +361,29 @@ def _exact_residual(g: dict, a: dict, w: dict, e: int, d: int) -> Fraction:
     return Fraction(worst, d * e)
 
 
-def _row_maps(part) -> list[ProjMap]:
-    """The maps of grid row 0 of one :func:`_cusp_arrays` output (a float
-    array or an exact (numerators, denominator) pair): one per slot for g or
-    W, a list of one for A."""
-    if isinstance(part, tuple):
-        num, den = part
-        return [ProjMap._from_exact(x.copy(), den) for x in num[0].reshape(-1, *num.shape[-2:])]
-    return [ProjMap(x) for x in part[0].reshape(-1, *part.shape[-2:])]
+def _generators(b, s, mu) -> list[ProjMap]:
+    """The generators g_k of one row of bending data: integer maps written
+    from :func:`_exact_cusp_table` when every b and mu is exact, else the
+    float maps of :func:`_cusp_arrays`."""
+    if all(map(is_exact, (*b, *mu))):
+        g, _, _, e, _ = _exact_cusp_table(b, mu)
+        size = len(b) + 2
+        return [ProjMap._from_exact(x.copy(), e)
+                for x in _exact_dense(g, e, (len(b), size, size))]
+    return [ProjMap(x) for x in _cusp_arrays(b, [s], [mu])[0][0]]
 
 
 def standard_cusp_generators(data: RectangularCuspData) -> list[ProjMap]:
     """Unbent generators: unipotent, pairwise commuting, generator i
     translating by b_i along coordinate i."""
     m = data.n - 1
-    gens, _, _ = _cusp_arrays(data.b, [[0] * m], [[1] * m])
-    return _row_maps(gens)
+    return _generators(data.b, [0] * m, [1] * m)
 
 
 def bent_cusp_generators(data: RectangularCuspData) -> list[ProjMap]:
     """Generators after bending: the diagonal factor with mu_i in position i
     times the standard generator."""
-    gens, _, _ = _cusp_arrays(data.b, [data.s], [data.mu])
-    return _row_maps(gens)
+    return _generators(data.b, data.s, data.mu)
 
 
 def _intertwining_residuals(gens: np.ndarray, a_mat: np.ndarray,

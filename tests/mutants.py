@@ -127,6 +127,21 @@ MUTANTS = [
            (T_CLI + "test_hilbert_pair_not_two_points_is_usage_error",
             T_CLI + "test_refused_input_keeps_its_message")),
     # the exact check, a sparse product of the entry table
+    # the slot-entry table, read by the float and the exact builder
+    Mutant("slot-entries-swap-right-and-corner", CLASSIFY,
+           "return (k, 0, i), (k, i, n), (k, i, i), (k, 0, n)",
+           "return (k, 0, i), (k, 0, n), (k, i, i), (k, i, n)",
+           (T_CLASSIFY + "test_standard_generators_explicit_matrix",)),
+    Mutant("float-alpha-sign-flipped", CLASSIFY,
+           "np.where(bent, -b / (mu - 1), 0.0)", "np.where(bent, b / (mu - 1), 0.0)",
+           (T_CLASSIFY + "test_normalizing_matrix_sends_new_eigenvector_to_slot",)),
+    Mutant("float-w-choice-inverted", CLASSIFY,
+           "w_vals = [np.where(bent, w, g) for w, g in zip(w_bent, g_vals)]",
+           "w_vals = [np.where(bent, g, w) for w, g in zip(w_bent, g_vals)]",
+           (T_CLASSIFY + "test_conjugate_and_match_type_count",)),
+    Mutant("exact-corner-u-minus-v", CLASSIFY,
+           "(-sign * p * p * (u + v), 2 * q * q * t)", "(-sign * p * p * (u - v), 2 * q * q * t)",
+           (T_CLASSIFY + "test_conjugate_and_match_frozen_example",)),
     Mutant("sparse-product-drops-an-a-entry", CLASSIFY,
            "    for (i, j), x in a.items():\n        x -= d * (i == j)\n",
            "    for (i, j), x in list(a.items())[1:]:\n        x -= d * (i == j)\n",

@@ -431,6 +431,14 @@ SMALL_S = ("bending parameter s_{} = {} is below 1e-08; float classification is 
     (["--n", "3", "--grid=-1:710:2"], "bending parameters must be nonnegative"),
     # stop - start overflows: the first row is nan
     (["--n", "3", "--grid=-1.7e308:1.7e308:3"], "bending parameters must be finite"),
+    # a flag entry that does not parse names its flag
+    (["--n", "3", "--b", "x", "--grid", "0:1:3"], "--b has an entry that is not a number: 'x' in 'x'"),
+    (["--n", "3", "--grid", "0:1:3", "--slots", "2,"], "--slots has an empty entry: '2,'"),
+    (["--n", "3", "--grid", "0:1:3", "--slots", "2,x"],
+     "--slots has an entry that is not an integer: 'x' in '2,x'"),
+    (["--n", "3", "--grid=0:1:2.5"], "--grid has an entry that is not an integer: '2.5' in '0:1:2.5'"),
+    (["--n", "3", "--grid", "a:1:3"], "--grid has an entry that is not a number: 'a' in 'a:1:3'"),
+    (["--n", "3", "--grid", "0::3"], "--grid has an empty entry: '0::3'"),
 ])
 def test_sweep_bad_bending_data_is_usage_error(tmp_path, capsys, args):
     argv, message = args

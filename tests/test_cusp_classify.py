@@ -16,7 +16,6 @@ from cuspbend.cusp_classify import (
     _exact_cusp_table,
     _exact_residual,
     _intertwining_residuals,
-    _row_maps,
     bent_cusp_generators,
     classify_h_form,
     conjugate_and_match,
@@ -105,7 +104,7 @@ def test_residual_check_fails_closed():
 def _independent_residual(data: RectangularCuspData) -> float:
     """A g = W A slot by slot in ProjMap products, with the generators g, the
     normalizing matrix A and the normal forms W built here from the formulas
-    of the ``_cusp_arrays`` docstring."""
+    of the ``_slot_entries`` docstring."""
     n = data.n
     a = np.eye(n + 1)
     for k in data.bent_slots():
@@ -226,7 +225,7 @@ def test_exact_mismatch_reports_max_intertwining_error(monkeypatch):
 
 def _fraction_cusp_matrices(data: RectangularCuspData):
     """g_k and A in Fractions, entry by entry from the formulas of the
-    ``_cusp_arrays`` docstring."""
+    ``_slot_entries`` docstring."""
     n = data.n
     a = [[F(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
     gens = []
@@ -361,6 +360,28 @@ def test_bent_generators_reduce_to_standard():
         assert np.array_equal(bent.entries, std.entries)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_float_generators_equal_exact_generators_of_the_same_floats(data):
+    """The float generators of the float builder equal, entry for entry, the
+    exact generators of the entry table for the same floats read as
+    rationals, rounded back: every entry of g_k is one correctly rounded
+    operation on b and mu (b^2 / 2 a product and an exact halving), so the
+    float formulas and the integer pairs agree to the bit."""
+    n = data.draw(st.integers(2, 7), label="n")
+    b = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1), label="b")
+    bent = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+    s = data.draw(st.lists(bent, min_size=n - 1, max_size=n - 1), label="s")
+    cusp = RectangularCuspData(n, b=b, s=s)
+    exact = RectangularCuspData(n, b=[F(x) for x in cusp.b], mu=[F(x) for x in cusp.mu])
+    for generators in (bent_cusp_generators, standard_cusp_generators):
+        pairs = list(zip(generators(cusp), generators(exact), strict=True))
+        assert len(pairs) == n - 1
+        for got, want in pairs:
+            assert not got.exact and want.exact
+            assert np.array_equal(got.entries, want.to_float().entries)
+
+
 def test_bent_generator_eigenvalues():
     s = 0.9
     data = RectangularCuspData(4, b=[1.0, 1.0, 1.0], s=[0.0, s, 0.0])
@@ -372,8 +393,12 @@ def test_bent_generator_eigenvalues():
 
 def _normalizing_matrix(data: RectangularCuspData) -> ProjMap:
     """The normalizing matrix A that ``conjugate_and_match`` checks and
-    permutes into its conjugator: the A slice of ``_cusp_arrays``."""
-    return _row_maps(_cusp_arrays(data.b, [data.s], [data.mu])[1])[0]
+    permutes into its conjugator: on exact data written from
+    ``_exact_cusp_table``, else the A slice of ``_cusp_arrays``."""
+    if data.exact:
+        _, a, _, _, d = _exact_cusp_table(data.b, data.mu)
+        return ProjMap._from_exact(exact_reference.dense(a, d, (data.n + 1,) * 2), d)
+    return ProjMap(_cusp_arrays(data.b, [data.s], [data.mu])[1][0])
 
 
 def test_normalizing_matrix_trivial_and_entry():

@@ -37,22 +37,41 @@ tables, and every other value (0, -0.0, inf, nan, subnormals, exponent
 notation) goes through ``"%.17g" % x``.  The bytes are those of one ``%``
 over every value.
 
-Every output file goes through :func:`_write_text`, which rewrites an
-existing file in place and cuts it to length after the write rather than
-truncating it to zero first; ``/dev/null``, FIFOs and ``-`` (standard output)
-are written but not cut.  Nothing calls ``fsync``: after a crash soon after a
-rewrite, a file may hold its old bytes or a mix of old and new.
+An argv that starts with a subcommand is read by that subcommand's parser
+in one pass; anything it leaves unread, and every other argv, goes to the
+full parser, so usage errors and help read as from the full parser.
+
+An input file is read by :func:`_load_json` through a file descriptor and
+decoded as ``open(path)`` decodes it (the locale's preferred encoding,
+strict errors, universal newlines), so its decode and JSON error messages
+are those of ``json.load(open(path))``; ``--in -`` reads standard input.
+
+The JSON outputs (``bend``, ``classify``, ``verify --out``) are written by
+:func:`_json_text`, byte for byte ``json.dumps(o, sort_keys=True,
+indent=2)``, without the pure-Python encoder that ``indent`` runs: a list or
+dict of scalars goes through one C encoder, cached per indent, whose item
+separator carries the newline and the indent.
+
+Every output file goes through :func:`_write_text`, which encodes the text
+once and writes it with ``os.write`` into an existing file in place, then
+cuts the file to length, rather than truncating it to zero first;
+``/dev/null``, FIFOs and ``-`` (standard output) are written but not cut.
+Nothing calls ``fsync``: after a crash soon after a rewrite, a file may hold
+its old bytes or a mix of old and new.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import io
 import json
 import math
 import os
 import stat
 import sys
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -79,25 +98,123 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _text_encoding() -> str:
+    """The encoding ``open(path)`` reads and writes text in: UTF-8 in UTF-8
+    mode, else the locale's.  ``locale`` is imported only in that case: it
+    adds about 1 ms and 0.25 MB to a process."""
+    if sys.flags.utf8_mode:
+        return "utf-8"
+    import locale
+    return locale.getpreferredencoding(False)
+
+
 def _write_text(path, text: str) -> None:
-    """The one way the CLI writes an output (see the module docstring).  Not
-    truncating to zero first matters on ext4: a close after truncate-to-zero
-    starts writeback, and the next truncate of the same path waits for it."""
+    """The one way the CLI writes an output (see the module docstring): the
+    text encoded once, written by ``os.write`` until it is all out (a FIFO
+    may take part of it), then the file cut to that length if it is a
+    regular file.  Not truncating to zero first matters on ext4: a close
+    after truncate-to-zero starts writeback, and the next truncate of the
+    same path waits for it."""
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w") as fh:
-            fh.write(text)
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
+        return
+    data = text.encode(_text_encoding())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _load_json(path) -> dict:
+    """The JSON document at ``path`` (``-``: standard input), read as
+    ``json.load(open(path))`` reads it."""
     if path == "-":
         return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    return json.loads(_read_text(path))
+
+
+def _read_text(path) -> str:
+    """The text of the file at ``path`` as ``open(path).read()`` gives it:
+    decoded by :func:`_text_encoding` with strict errors, and ``\\r\\n`` and
+    ``\\r`` read as ``\\n``, so decode errors and JSON error offsets are those
+    of ``open``.  The bytes are freed before the text is parsed."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):  # open() refuses a directory before reading
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        chunks = []
+        while chunk := os.read(fd, max(info.st_size + 1, io.DEFAULT_BUFFER_SIZE)):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    text = b"".join(chunks).decode(_text_encoding())
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+# The JSON outputs: the text of json.dumps(o, sort_keys=True, indent=2),
+# whose indent runs json's pure-Python encoder.  A container of scalars only
+# goes through one C encoder whose item separator is the newline and pad of
+# its items, cached per pad; deeper containers are joined here.
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _unserializable(o):
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+@functools.cache
+def _flat_encoder(sep: str):
+    """The C encoder of a list or dict of scalars with items joined by
+    ``sep``; its text is ``[a<sep>b]`` or ``{"k": v<sep>...}``, keys sorted."""
+    return c_make_encoder(None, _unserializable, encode_basestring_ascii, None, ": ", sep,
+                          True, False, True)
+
+
+def _json(o, pad: str) -> str:
+    """The text of ``o`` as json.dumps(o, sort_keys=True, indent=2) writes it
+    where ``pad`` (a newline and the indent) starts the line of ``o``."""
+    if isinstance(o, (dict, list, tuple)):
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        inner = pad + "  "
+        is_dict = isinstance(o, dict)
+        if _SCALARS.issuperset(map(type, o.values() if is_dict else o)):
+            text = "".join(_flat_encoder("," + inner)(o, 0))
+            return text[0] + inner + text[1:-1] + pad + text[-1]
+        if is_dict:
+            items = [encode_basestring_ascii(k) + ": " + _json(o[k], inner) for k in sorted(o)]
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        return "[" + inner + ("," + inner).join([_json(x, inner) for x in o]) + pad + "]"
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        return "Infinity" if o == math.inf else "-Infinity" if o == -math.inf else float.__repr__(o)
+    _unserializable(o)
+
+
+def _json_text(o) -> str:
+    """The one JSON writer of ``bend``, ``classify`` and ``verify --out``:
+    json.dumps(o, sort_keys=True, indent=2), byte for byte, for str keys."""
+    return _json(o, "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +237,7 @@ def _cmd_verify(args) -> int:
         "all_pass": all_pass,
     }
     if args.out:
-        _write_text(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _write_text(args.out, _json_text(report) + "\n")
     print("ALL PASS" if all_pass else "FAILURES PRESENT")
     return 0 if all_pass else 1
 
@@ -273,7 +390,7 @@ def _cmd_bend(args) -> int:
         raise
     result = iterated_bend(rep, moves, tol=args.tol,
                            verify_order=args.verify_order, seed=args.seed)
-    _write_text(args.out, json.dumps(result.to_json(), sort_keys=True, indent=2) + "\n")
+    _write_text(args.out, _json_text(result.to_json()) + "\n")
     return 0
 
 
@@ -294,7 +411,7 @@ def _cmd_classify(args) -> int:
             raise ValueError("--exact needs rational b and mu values in the input")
         rect = RectangularCuspData(n, b=b, s=s, mu=mu)
         cls = conjugate_and_match(rect, tol=args.tol)
-    _write_text(args.out, json.dumps(cls.to_json(), sort_keys=True, indent=2) + "\n")
+    _write_text(args.out, _json_text(cls.to_json()) + "\n")
     return 0
 
 
@@ -497,6 +614,11 @@ def _hilbert_csv(X: np.ndarray, Y: np.ndarray, dists: np.ndarray) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The full parser and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(
         prog="cuspbend",
         description="Model cusp domains, Hilbert metrics, bending, and cusp classification.")
@@ -545,18 +667,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help='JSON {"domain": {"kind": "ball"|"model", …}, "pairs": [[x, y], …]}')
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_hilbert)
-    return parser
+    return parser, sub.choices
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args keeps no state in it."""
-    return build_parser()
+_parsers = functools.cache(_build_parsers)  # built once per process: parsing keeps no state
+
+
+def _parse_args(argv):
+    """``build_parser().parse_args(argv)``, in one argparse pass where argv
+    starts with a subcommand: its parser reads the rest.  Anything it leaves
+    unread, and every other argv, goes to the full parser, whose messages
+    are then those of the one route."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

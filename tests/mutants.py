@@ -121,6 +121,35 @@ MUTANTS = [
            "keep = np.maximum(17 - (last == 0) * (1 + zeros), X + 1)",
            "keep = 17 - (last == 0) * (1 + zeros)",
            (T_CLI + "test_csv_writer_matches_stdlib_digits",)),
+    # the one JSON writer: json.dumps(o, sort_keys=True, indent=2), byte for byte
+    Mutant("json-writer-unsorted-keys", CLI, "for k in sorted(o)]", "for k in o]",
+           (T_CLI + "test_json_writer_round_trips_the_fixtures",)),
+    Mutant("json-flat-encoder-unsorted", CLI,
+           '": ", sep,\n                          True, False, True)',
+           '": ", sep,\n                          False, False, True)',
+           (T_CLI + "test_json_writer_round_trips_the_fixtures",)),
+    Mutant("json-leaf-separator-without-pad", CLI,
+           '_flat_encoder("," + inner)', '_flat_encoder(",\\n")',
+           (T_CLI + "test_json_writer_round_trips_the_fixtures",)),
+    # dispatch: one parser pass, the full parser for leftovers
+    Mutant("dispatch-ignores-leftovers", CLI,
+           "        if not rest:\n            return args\n", "        return args\n",
+           (T_CLI + "test_dispatch_parses_as_the_full_parser",)),
+    # the read path reads as open(path) does
+    Mutant("read-without-newline-translation", CLI,
+           '    if "\\r" in text:\n', "    if False:\n",
+           (T_CLI + "test_read_path_fails_and_reads_as_open",)),
+    Mutant("text-encoding-always-utf8", CLI,
+           "    if sys.flags.utf8_mode:\n        return \"utf-8\"", "    if True:\n        return \"utf-8\"",
+           (T_CLI + "test_read_path_decodes_as_open_in_and_out_of_utf8_mode",)),
+    Mutant("read-directory-unchecked", CLI,
+           "        if stat.S_ISDIR(info.st_mode):", "        if False:",
+           (T_CLI + "test_read_path_fails_and_reads_as_open",)),
+    # the write path cuts only a regular file
+    Mutant("ftruncate-any-file", CLI,
+           "        if stat.S_ISREG(os.fstat(fd).st_mode):\n            os.ftruncate",
+           "        if True:\n            os.ftruncate",
+           (T_CLI + "test_output_to_dev_null", T_CLI + "test_output_to_fifo_is_read_whole")),
     # hilbert refuses a string or object for pairs before reading it
     Mutant("pairs-list-unchecked", CLI,
            'pairs = require_json(spec["pairs"], "pairs", list)', 'pairs = spec["pairs"]',

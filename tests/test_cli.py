@@ -1,5 +1,6 @@
 import ast
 import copy
+import io
 import json
 import math
 import os
@@ -17,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspbend.bending import MAX_WORD_EXPONENT
-from cuspbend.cli import main
+from cuspbend import cli
+from cuspbend.cli import _json_text, _parse_args, _parsers, build_parser, main
 from cuspbend.cusp_classify import RectangularCuspData, bent_cusp_generators
 from cuspbend.hilbert import klein_distance
 from cuspbend.projlin import matrix_from_json, proj_equiv
@@ -1333,3 +1335,259 @@ def test_write_call_guard_passes_reads_and_write_text():
               "    os.open(p, os.O_RDONLY)\n"
               "def _write_text(p):\n    os.open(p, os.O_WRONLY | os.O_CREAT)\n    open(p, 'w')\n")
     assert _write_calls(source, "cli.py") == []
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: json.dumps(o, sort_keys=True, indent=2), byte for byte
+
+_JSON_STRINGS = st.text() | st.sampled_from(['"', "\\", "\n\r\t\b\f", "\x00\x1f\x7f", "é",
+                                            " ", "\U0001f600", "a/b"])
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 40, 10 ** 40) | st.floats()
+                 | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]) | _JSON_STRINGS)
+_JSON_TREES = st.recursive(_JSON_SCALARS, lambda kids: st.lists(kids, max_size=5)
+                           | st.dictionaries(_JSON_STRINGS, kids, max_size=5), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_JSON_TREES)
+def test_json_writer_matches_json_dumps(tree):
+    """Trees of every JSON kind: nan, +-inf, -0.0 and big ints; escapes and
+    non-ASCII characters in strings and keys; empty lists and dicts at any
+    depth; scalars at the top."""
+    assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("tree", [
+    [], {}, [[]], {"a": {}, "b": [[], {}]}, (1, (2.5, "x")), {"k": (None, [True])},
+    -0.0, math.nan, -math.inf, 10 ** 40, "é\n", [1, [2, [3, {"z": 0, "a": [-0.0]}]]],
+], ids=["empty-list", "empty-dict", "nested-empty-list", "empty-values", "tuples",
+        "tuple-value", "negative-zero", "nan", "minus-inf", "big-int", "string", "mixed-depth"])
+def test_json_writer_matches_json_dumps_on_listed_trees(tree):
+    """Empty containers, tuples, top-level scalars and mixed depths, every
+    run (hypothesis may run its examples untraced)."""
+    assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("tree", [object(), [1, {2j}], {"a": [1, b"x"]}],
+                         ids=["object", "set-in-list", "bytes-in-flat-list"])
+def test_json_writer_refuses_what_json_dumps_refuses(tree):
+    with pytest.raises(TypeError) as want:
+        json.dumps(tree, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        _json_text(tree)
+    assert str(got.value) == str(want.value)
+
+
+def test_json_writer_round_trips_the_fixtures():
+    """Every fixture file, and every JSON output recorded in one, written
+    again: the recorded outputs and ``verify_seed0.json`` byte for byte."""
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
+        doc = json.loads(path.read_text())
+        assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2), path.name
+        for case in doc.get("cases", []):
+            if path.name.startswith(("bend", "classify")) and "output" in case:
+                assert _json_text(json.loads(case["output"])) + "\n" == case["output"], case["name"]
+    report = (Path(__file__).parent / "fixtures" / "verify_seed0.json").read_text()
+    assert _json_text(json.loads(report)) + "\n" == report
+
+
+def _indent_dumps(source):
+    """Lines of the calls of ``json.dump``/``json.dumps`` (or a bare
+    ``dump``/``dumps``) with an ``indent`` keyword in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("dump", "dumps") and any(kw.arg == "indent" for kw in node.keywords):
+                found.append(node.lineno)
+    return found
+
+
+def test_every_json_output_goes_through_json_text():
+    """No module writes indented JSON with ``json.dump(s)``, whose indent runs
+    the pure-Python encoder: ``cli._json_text`` writes that layout."""
+    sources = sorted((Path(__file__).parent.parent / "src" / "cuspbend").glob("*.py"))
+    found = {path.name: _indent_dumps(path.read_text()) for path in sources}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize("source", [
+    "json.dumps(o, sort_keys=True, indent=2)\n",
+    "json.dump(o, fh, indent=None)\n",
+    "def f(o):\n    return dumps(o, indent=4)\n",
+    "x = [json.dumps(o, indent='\\t') for o in y]\n",
+])
+def test_indent_dump_guard_sees_indented_dumps(source):
+    assert _indent_dumps(source)
+
+
+def test_indent_dump_guard_passes_plain_dumps_and_json_text():
+    source = ("json.dumps(o)\njson.dumps(o, sort_keys=True)\njson.dump(o, fh)\n"
+              "_json_text(o)\nindent(o, indent=2)\n")
+    assert _indent_dumps(source) == []
+
+
+# ---------------------------------------------------------------------------
+# dispatch: argv read by the subcommand's own parser, as the full parser reads it
+
+def _parse_route(parse, argv, capsys):
+    """What parsing ``argv`` gives: the namespace's vars or the exit code,
+    and the standard output and error it printed."""
+    capsys.readouterr()
+    try:
+        result = ("args", vars(parse(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return (result, *capsys.readouterr())
+
+
+_BEND_FAILURE_ARGVS = [case["argv"] for case in json.loads(
+    (Path(__file__).parent / "fixtures" / "bend_failures.json").read_text())["cases"]]
+_DISPATCH = {
+    "help": ["--help"],
+    "classify-help": ["classify", "--help"],
+    "empty": [],
+    "unknown-command": ["nope", "--in", "x"],
+    "trailing-unrecognized": ["classify", "--in", "x", "--exact", "stray"],
+    "unrecognized-option": ["bend", "--in", "x", "--bogus", "1"],
+    "missing-in": ["classify", "--exact"],
+    "abbreviated-option": ["bend", "--in", "x", "--verify"],
+    "ambiguous-abbreviation": ["verify", "--s", "1"],
+    "equals-form": ["classify", "--in=x", "--tol=1e-9"],
+    "separator": ["classify", "--in", "x", "--", "--exact"],
+    "bad-int": ["sweep", "--n", "three", "--grid", "0:1:2"],
+    "repeated-suite": ["verify", "--suite", "projlin", "--suite", "hilbert", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("name", list(_DISPATCH) + WRITERS
+                         + [f"bend-failure-{i}" for i in range(len(_BEND_FAILURE_ARGVS))])
+def test_dispatch_parses_as_the_full_parser(tmp_path, capsys, name):
+    """Exit code, standard output and error, and the namespace of
+    ``_parse_args`` against ``build_parser().parse_args`` on the same argv:
+    every writer's argv, every ``bend_failures.json`` argv, help, no
+    arguments, an unknown command, leftovers and abbreviations."""
+    if name in _DISPATCH:
+        argv = _DISPATCH[name]
+    elif name in WRITERS:
+        argv = _writers(tmp_path)[name](tmp_path / "out")
+    else:
+        argv = ["bend", "--in", "x", "--out", "y"] + _BEND_FAILURE_ARGVS[int(name.rsplit("-", 1)[1])]
+    want = _parse_route(build_parser().parse_args, argv, capsys)
+    assert _parse_route(_parse_args, argv, capsys) == want
+    assert want[0][0] == ("args" if name in WRITERS or name.startswith("bend-failure")
+                          or name in ("abbreviated-option", "equals-form", "repeated-suite")
+                          else "exit")
+
+
+def test_a_subcommand_argv_takes_one_parser_pass(monkeypatch):
+    """The full parser is not run for an argv its subcommand reads whole."""
+    full = _parsers()[0]
+    monkeypatch.setattr(full, "parse_known_args", lambda *a: pytest.fail("full parser ran"))
+    args = _parse_args(["classify", "--in", "x", "--exact"])
+    assert (args.command, args.input, args.exact, args.out) == ("classify", "x", True, "-")
+
+
+# ---------------------------------------------------------------------------
+# the read path: json.load(open(path)), read through a file descriptor
+
+_GOOD_INPUT = '{\n  "n": 3,\n  "b": ["1", "3/2"],\n  "mu": ["2", "1"]\n}\n'
+_READ_CASES = {
+    "empty": b"",
+    "utf8-bom": b"\xef\xbb\xbf" + _GOOD_INPUT.encode(),
+    "crlf-error-on-line-3": b'{\r\n  "n": 3,\r\n  "b": [1, 2,],\r\n  "mu": [2, 1]\r\n}\r\n',
+    "cr-error-on-line-3": b'{\r  "n": 3,\r  "b": [1, 2,],\r  "mu": [2, 1]\r}\r',
+    "invalid-utf8": b'{"n": 3, "b": ["\xff1", "1"], "mu": ["2", "1"]}',
+    "crlf-good": _GOOD_INPUT.replace("\n", "\r\n").encode(),
+    "non-ascii-good": _GOOD_INPUT.replace('"n"', '"é": 0, "n"').encode(),
+}
+
+
+def _open_route(path):
+    """Exit code and standard error of the CLI on ``path`` when the input is
+    read by ``open`` and ``json.load``; None when that reads it."""
+    try:
+        with open(path) as fh:
+            json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        return 2, f"cuspbend: i/o error: {exc}\n"
+    except ValueError as exc:
+        return 2, f"cuspbend: {exc}\n"
+    return None
+
+
+@pytest.mark.parametrize("name", ["missing", "directory"] + list(_READ_CASES))
+def test_read_path_fails_and_reads_as_open(tmp_path, capsys, name):
+    """``classify --in`` on a missing file, a directory and the inputs above
+    exits with the code and standard error that ``open(path)`` and
+    ``json.load`` give, and reads what they read."""
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    if name == "directory":
+        path.mkdir()
+    elif name != "missing":
+        path.write_bytes(_READ_CASES[name])
+    want = _open_route(path)
+    capsys.readouterr()
+    code = main(["classify", "--in", str(path), "--exact", "--out", str(out)])
+    if want is None:
+        with open(path) as fh:
+            assert cli._load_json(str(path)) == json.load(fh)
+        assert code == 0 and capsys.readouterr().err == ""
+    else:
+        assert (code, capsys.readouterr().err) == want
+        assert not out.exists()
+    if "error-on-line-3" in name:
+        assert "line 3 column 14 (char 25)" in want[1]
+
+
+@pytest.mark.parametrize("text", [_GOOD_INPUT, '{"n": 3,\n "b": [1,,2]}', ""])
+def test_read_path_from_stdin(tmp_path, capsys, monkeypatch, text):
+    """``--in -`` reads standard input with ``json.load``, as before."""
+    out = tmp_path / "out.json"
+    try:
+        json.load(io.StringIO(text))
+        want = (0, "")
+    except json.JSONDecodeError as exc:
+        want = (2, f"cuspbend: i/o error: {exc}\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    capsys.readouterr()
+    assert (main(["classify", "--in", "-", "--exact", "--out", str(out)]),
+            capsys.readouterr().err) == want
+
+
+_ENCODING_PROBE = """
+import json, os, sys
+from cuspbend.cli import _load_json, _text_encoding
+
+def outcome(read, path):
+    try:
+        return ["read", read(path)]
+    except (OSError, ValueError) as exc:
+        return [type(exc).__name__, str(exc)]
+
+def by_open(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+print(json.dumps([[_text_encoding(), open(os.devnull).encoding]]
+                 + [[outcome(_load_json, p), outcome(by_open, p)] for p in sys.argv[1:]]))
+"""
+
+
+@pytest.mark.parametrize("utf8_mode", ["0", "1"])
+def test_read_path_decodes_as_open_in_and_out_of_utf8_mode(tmp_path, utf8_mode):
+    """Under ``LC_ALL=C`` with UTF-8 mode off, the locale's encoding (ASCII
+    on glibc) decodes the input, as ``open`` decodes it; with it on, UTF-8."""
+    paths = []
+    for name in ("non-ascii-good", "invalid-utf8", "crlf-good"):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_bytes(_READ_CASES[name])
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, LC_ALL="C", PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-X", f"utf8={utf8_mode}", "-c", _ENCODING_PROBE,
+                           *map(str, paths)], env=env, capture_output=True, text=True, check=True)
+    encodings, *outcomes = json.loads(proc.stdout)
+    assert encodings[0] == encodings[1]
+    for got, want in outcomes:
+        assert got == want

@@ -11,7 +11,7 @@ Exit codes: 0 success / all properties pass, 1 property failure (a failed
 relative residual misses the normal form: it goes to standard error, and
 ``sweep`` names the first such grid row), 2 usage or I/O error.  Usage
 errors include Hilbert points that are not finite and strictly interior, a
-Hilbert pair that is not two points, a JSON string or object where a list
+Hilbert pair that is not two points, any other JSON kind where a list
 belongs, a ``domain`` or ``rep.generators`` that is not an object,
 ``classify --exact`` on generators, an integer field (``classify`` n,
 ``hilbert`` ball n, ``bend`` rep.n, a ``bend`` word exponent in pair form)
@@ -41,10 +41,12 @@ An argv that starts with a subcommand is read by that subcommand's parser
 in one pass; anything it leaves unread, and every other argv, goes to the
 full parser, so usage errors and help read as from the full parser.
 
-An input file is read by :func:`_load_json` through a file descriptor and
-decoded as ``open(path)`` decodes it (the locale's preferred encoding,
-strict errors, universal newlines), so its decode and JSON error messages
-are those of ``json.load(open(path))``; ``--in -`` reads standard input.
+An input file is read by :func:`_load_json` through an unbuffered FileIO
+(``open(path, "rb", buffering=0)``), which refuses a directory as ``open``
+does and reads to EOF, and decoded as ``open(path)`` decodes it (the
+locale's preferred encoding, strict errors, universal newlines), so its
+decode and JSON error messages are those of ``json.load(open(path))``;
+``--in -`` reads standard input.
 
 The JSON outputs (``bend``, ``classify``, ``verify --out``) are written by
 :func:`_json_text`, byte for byte ``json.dumps(o, sort_keys=True,
@@ -63,9 +65,7 @@ its old bytes or a mix of old and new.
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
-import io
 import json
 import math
 import os
@@ -140,20 +140,13 @@ def _load_json(path) -> dict:
 
 def _read_text(path) -> str:
     """The text of the file at ``path`` as ``open(path).read()`` gives it:
-    decoded by :func:`_text_encoding` with strict errors, and ``\\r\\n`` and
-    ``\\r`` read as ``\\n``, so decode errors and JSON error offsets are those
-    of ``open``.  The bytes are freed before the text is parsed."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        info = os.fstat(fd)
-        if stat.S_ISDIR(info.st_mode):  # open() refuses a directory before reading
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        chunks = []
-        while chunk := os.read(fd, max(info.st_size + 1, io.DEFAULT_BUFFER_SIZE)):
-            chunks.append(chunk)
-    finally:
-        os.close(fd)
-    text = b"".join(chunks).decode(_text_encoding())
+    the bytes read to EOF by an unbuffered FileIO, which refuses a directory
+    with ``open``'s own message, decoded by :func:`_text_encoding` with
+    strict errors, and ``\\r\\n`` and ``\\r`` read as ``\\n``, so decode errors
+    and JSON error offsets are those of ``open``.  The bytes are freed before
+    the text is parsed."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode(_text_encoding())
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -298,22 +291,19 @@ def _cmd_sweep(args) -> int:
         slots = list(range(2, n + 1))
 
     RectangularCuspData(n, b=b_vals, s=[0.0] * (n - 1))  # n and b, checked once
-    s_rows = np.where(np.isin(np.arange(2, n + 1), slots) & (grid[:, None] != 0),
-                      grid[:, None], 0.0)
-    mu_rows = np.where(s_rows != 0, [[_exp_or_inf(s)] for s in grid.tolist()], 1.0)
+    bent = np.isin(np.arange(2, n + 1), slots) & (grid[:, None] != 0)
+    s_rows = np.where(bent, grid[:, None], 0.0)
+    mu_rows = np.where(bent, [[_exp_or_inf(s)] for s in grid.tolist()], 1.0)
     bad = np.flatnonzero(~(np.isfinite(mu_rows) & (s_rows >= 0)).all(axis=1))
     if bad.size:  # the first row RectangularCuspData refuses, with its message
         RectangularCuspData(n, b=b_vals, s=s_rows[bad[0]].tolist())
     residuals = conjugation_residuals(b_vals, s_rows, mu_rows)
     require_normal_form(residuals, DEFAULT_TOL)
-    bent = s_rows != 0
-    a_vals = np.full(bent.shape, math.inf)
-    a_vals[bent] = cusp_parameter_entry(np.broadcast_to(b_vals, bent.shape)[bent],
-                                        mu_rows[bent], s_rows[bent])
+    a_vals = np.where(bent, cusp_parameter_entry(b_vals, mu_rows, s_rows), math.inf)
     require_normal_parameters(a_vals, range(n - 1))
     ainv = 1.0 / a_vals
     header = [f"{col}_{i}" for col in ("s", "a", "ainv") for i in range(2, n + 1)] + ["type"]
-    types = np.count_nonzero(mu_rows != 1, axis=1).tolist()
+    types = np.count_nonzero(bent, axis=1).tolist()
     table = np.hstack([s_rows, a_vals, ainv]).tolist()
     # one % per row: "%.17g" prints exactly what _fmt prints, inf included
     row_fmt = ",".join(["%.17g"] * (len(header) - 1)) + ",%d"
@@ -451,7 +441,10 @@ def _cmd_hilbert(args) -> int:
         raise ValueError(f"unknown domain kind {kind!r} (expected ball or model)")
     pairs = require_json(spec["pairs"], "pairs", list)
     for i, p in enumerate(pairs):
-        if type(p) is list and len(p) != 2:
+        # the field name is built for a failing pair only: for every pair it
+        # cost about 4% of a 1000-pair call
+        if type(p) is not list or len(p) != 2:
+            require_json(p, f"pairs[{i}]", list)
             raise ValueError(f"pairs[{i}] must be two points, got {len(p)}")
     X, Y = (_points([p[side] for p in pairs]) for side in (0, 1))
     if pairs == []:  # an empty batch, which the library takes as 0 rows of n

@@ -420,8 +420,7 @@ def conjugation_residuals(b, s, mu) -> np.ndarray:
     which grow like 1/s.  A row's residual is the maximum over its slots,
     and NaN if any slot's is.
     """
-    arrays = _cusp_arrays(*(np.asarray(x, dtype=np.float64) for x in (b, s, mu)))
-    return _intertwining_residuals(*arrays)
+    return _intertwining_residuals(*_cusp_arrays(b, s, mu))
 
 
 def require_normal_form(residuals: np.ndarray, tol: float) -> None:

@@ -48,9 +48,9 @@ march on a moved ball's own ``value``.
 
 A domain moved by ``transformed_oracle`` answers every question on its
 base, since projective maps are Hilbert isometries.  Its points are pulled
-back through g^-1 (a domain moved twice, through the composite), divided by
-the last homogeneous coordinate whatever its sign, and run through the
-base's kernel or march.  A distance or chord call pulls back once, X and Y
+back through g^-1 (a domain moved twice, through the composite), scaled to
+largest entry in [1, 2), divided by the last homogeneous coordinate
+whatever its sign, and run through the base's kernel or march.  A distance or chord call pulls back once, X and Y
 stacked: the interiority check reads the base's ``value`` at those rows (a
 row on the pulled-back hyperplane at infinity is outside), which is the
 moved domain's own ``value`` there, and the base's route runs on the same
@@ -101,10 +101,12 @@ class ConvexDomainOracle:
     and positive or ``inf`` elsewhere (``inf`` off the chart); it may leave
     floating-point warnings to its caller.  Convexity is an assumed contract.
     ``distances(X, Y)`` is the domain's own batch distance kernel for
-    row-paired interior chart points: the built-in constructors set it.  A
-    domain without one has its chord ends marched on ``value``.  Every
-    route asks :meth:`on_base` for the domain that answers and the rows in
-    its chart, once per call, with X and Y stacked.
+    row-paired interior chart points, set by the built-in constructors; it
+    receives the rows the routes have already checked, ``float64`` and
+    C-contiguous, and converts nothing.  A domain without one has its chord
+    ends marched on ``value``.  Every route asks :meth:`on_base` for the
+    domain that answers and the rows in its chart, once per call, with X
+    and Y stacked.
     ``classify`` is read by no route.  It stays, None by default and set by
     keyword only, because it is the slot that the benchmark's layer tracer
     fills with :func:`dataclasses.replace` to count oracle calls; it can go
@@ -130,7 +132,7 @@ class ConvexDomainOracle:
 @dataclass(frozen=True)
 class MovedOracle(ConvexDomainOracle):
     """The image g(base) of a domain under a float projective map, with its
-    rows pulled back to ``base`` through ``inverse(g)``, which g keeps (see
+    rows pulled back to ``base`` through ``g_inv`` (see
     :func:`transformed_oracle`).  Its distances are its base's, so
     ``distances`` is None and cannot be set, not even by
     :func:`dataclasses.replace`."""
@@ -138,9 +140,10 @@ class MovedOracle(ConvexDomainOracle):
     distances: None = field(default=None, init=False)
     base: ConvexDomainOracle = field(kw_only=True)
     g: ProjMap = field(kw_only=True)
+    g_inv: ProjMap = field(kw_only=True)
 
     def on_base(self, P: np.ndarray):
-        return (self.base, *_pull(inverse(self.g), P))
+        return (self.base, *_pull(self.g_inv, P))
 
     def push(self, z: np.ndarray) -> ProjPoint:
         return act(self.g, ProjPoint(np.append(z, 1.0)))
@@ -175,18 +178,21 @@ def transformed_oracle(dom: ConvexDomainOracle, g: ProjMap) -> MovedOracle:
     :func:`convexity_scan`) pulls its points back through g^-1 and runs on
     the base domain, and so does the image's own ``value``.  Moving a moved
     domain moves its base by the composite map, so each pull-back is one
-    matmul.  g^-1 is computed here, once, and kept on the float g.
+    matmul.  g^-1 is computed here, once, and scaled by a power of two to
+    largest entry in [1, 2): a product with it rounds as with g^-1, scaled,
+    and a tiny or huge multiple of g pulls back as g does.
     """
     g = g.to_float()
     if isinstance(dom, MovedOracle):
         dom, g = dom.base, compose(g, dom.g)
-    g_inv = inverse(g)
+    M = inverse(g).entries
+    g_inv = ProjMap._from_float(np.ldexp(M, 1 - math.frexp(np.max(np.abs(M)))[1]))
 
     def value(P: np.ndarray) -> np.ndarray:
         B, at_infinity = _pull(g_inv, P)
         return np.where(at_infinity, np.inf, dom.value(B))
 
-    return MovedOracle(dom.n, value, base=dom, g=g)
+    return MovedOracle(dom.n, value, base=dom, g=g, g_inv=g_inv)
 
 
 @dataclass(frozen=True)
@@ -231,7 +237,9 @@ def _interior_on_base(dom: ConvexDomainOracle, X: np.ndarray, Y: np.ndarray,
     one ``on_base`` stacked (one pull-back on a moved domain), and a row is
     interior when it is finite, not at infinity and negative under one base
     ``value`` call, which is the moved domain's ``value``.  A batch names the
-    first offending row, a single pair only the point."""
+    first offending row, a single pair only the point.  The rows returned,
+    slices of the stacked P or of the pull-back, are ``float64`` and
+    C-contiguous."""
     P = np.vstack([X, Y])
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         base, B, at_infinity = dom.on_base(P)
@@ -307,11 +315,8 @@ def hilbert_distance(dom: ConvexDomainOracle, x, y) -> float:
     When both ends of the chord lie at its point at infinity, the distance
     is 0 (use chord_boundary directly for the diagnostic).
     """
-    base, X, Y = _interior_on_base(dom, _as_chart(x, dom.n)[None], _as_chart(y, dom.n)[None],
-                                   batch=False)
-    if base.distances is not None:
-        return float(base.distances(X, Y)[0])
-    return float(value_distances(base.value, X, Y)[0])
+    return float(_distances(*_interior_on_base(dom, _as_chart(x, dom.n)[None],
+                                               _as_chart(y, dom.n)[None], batch=False))[0])
 
 
 def hilbert_distances(dom: ConvexDomainOracle, X, Y) -> np.ndarray:
@@ -327,7 +332,13 @@ def hilbert_distances(dom: ConvexDomainOracle, X, Y) -> np.ndarray:
     X, Y = (np.atleast_2d(_float_array(P, expected)) for P in (X, Y))
     if X.shape != Y.shape or X.shape[1] != dom.n:
         raise ValueError(expected)
-    base, X, Y = _interior_on_base(dom, X, Y, batch=True)
+    return _distances(*_interior_on_base(dom, X, Y, batch=True))
+
+
+def _distances(base: ConvexDomainOracle, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The route of both distance calls on the rows that
+    :func:`_interior_on_base` checked: the base domain's own ``distances``
+    kernel, else the march on its ``value``."""
     if base.distances is not None:
         return base.distances(X, Y)
     return value_distances(base.value, X, Y)
@@ -596,18 +607,13 @@ def value_distances(value_fn, X, Y) -> np.ndarray:
 
 def _ball_distances(X, Y) -> np.ndarray:
     """Hilbert distances between row-paired interior points of the unit ball."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
     return _quadric_distances(_ball_end, X, Y)
 
 
 def _model_distances(X, Y, psi, t: int) -> np.ndarray:
     """Hilbert distances between row-paired interior points of the model
     cusp domain with parameter psi (type t)."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
     if t == 0:
         return _quadric_distances(_model0_end, X, Y)
-    psi = np.ascontiguousarray(psi, dtype=np.float64)
     P, E = _rays(X, Y)
     return _march_distances(_march(_model_inside(P, E, psi, t), _model_ray_stays(E, t))[0])

@@ -76,10 +76,11 @@ def parse_scalar(s):
 
 
 def require_json(value, what: str, kind: type):
-    """``value``, unless ``kind`` is list and it is a JSON string or object
-    (iterating one reads a string by character, a dict by key), or ``kind``
-    is dict and it is not an object (reading a key of it names no field)."""
-    if (not isinstance(value, dict)) if kind is dict else isinstance(value, (str, dict)):
+    """``value`` if it is a ``kind`` (list or dict), else a ``ValueError``
+    naming ``what``: iterating a string would read it by character and a
+    dict by key, and reading a number or null would fail in Python's own
+    words, naming no field."""
+    if not isinstance(value, kind):
         noun = "object" if kind is dict else "list"
         raise ValueError(f"{what} must be a JSON {noun}, not {value!r}")
     return value
@@ -302,8 +303,8 @@ def matrix_to_json(m: ProjMap) -> list:
 def matrix_from_json(rows) -> ProjMap:
     """A map from row-major nested lists of JSON scalars (see
     :func:`parse_scalar`).  A square list of lists of floats goes straight
-    to ``float64``; any other input is refused if the matrix or a row is a
-    string or dict (:func:`require_json`), then parsed entry by entry."""
+    to ``float64``; any other input is refused if the matrix or a row is
+    not a list (:func:`require_json`), then parsed entry by entry."""
     if (type(rows) is list and all(type(row) is list and len(row) == len(rows) for row in rows)
             and all(type(x) is float for row in rows for x in row)):
         return ProjMap(np.array(rows, dtype=np.float64))

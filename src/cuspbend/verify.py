@@ -563,8 +563,7 @@ def chord_convexity_scan(rng) -> PropertyResult:
 def cusp_fixture_rep(data: RectangularCuspData) -> bending.MarkedRep:
     """Standard cusp generators as a marked representation with all
     pairwise commutator relators supplied."""
-    unbent = RectangularCuspData(data.n, b=data.b, s=[0.0] * (data.n - 1))
-    gens = cusp_classify.standard_cusp_generators(unbent)
+    gens = cusp_classify.standard_cusp_generators(data)
     names = [f"g{i}" for i in range(2, data.n + 1)]
     rels = [[a, b, f"{a}^-1", f"{b}^-1"] for i, a in enumerate(names) for b in names[i + 1:]]
     return bending.MarkedRep(data.n, dict(zip(names, [g.to_float() for g in gens])), rels)
@@ -693,8 +692,7 @@ def type_law(rng) -> PropertyResult:
                     for f in ("b", "s", "mu"))
         residuals = cusp_classify.conjugation_residuals(b, s, mu)
         bent = mu != 1
-        entries = np.zeros_like(s)
-        entries[bent] = cusp_classify.cusp_parameter_entry(b[bent], mu[bent], s[bent])
+        entries = np.where(bent, cusp_classify.cusp_parameter_entry(b, mu, s), 0.0)
         expected = np.count_nonzero(s, axis=1)
         bad += int(np.count_nonzero(~(residuals <= DEFAULT_TOL)
                                     | (np.count_nonzero(bent, axis=1) != expected)

@@ -79,6 +79,15 @@ MUTANTS = [
            "top = math.frexp(U_CAP)[1] - 1", "top = math.frexp(U_CAP)[1]",
            (T_HILBERT + "test_fixed_halvings_match_masked_bisection",
             T_HILBERT + "test_doubling_chunks_keep_the_reference_bytes")),
+    # a moved domain pulls back through g^-1 scaled to largest entry in [1, 2)
+    Mutant("pull-back-unscaled", HILBERT,
+           "g_inv = ProjMap._from_float(np.ldexp(M, 1 - math.frexp(np.max(np.abs(M)))[1]))",
+           "g_inv = ProjMap._from_float(M)",
+           (T_HILBERT + "test_moved_domain_depends_on_its_map_only_up_to_scale",)),
+    Mutant("on-base-pulls-the-inverse-as-given", HILBERT,
+           "return (self.base, *_pull(self.g_inv, P))",
+           "return (self.base, *_pull(inverse(self.g), P))",
+           (T_HILBERT + "test_moved_domain_depends_on_its_map_only_up_to_scale",)),
     # one pull-back and one interiority check per call
     Mutant("at-infinity-mask-dropped", HILBERT,
            "np.all(np.isfinite(P), axis=1) & ~at_infinity & (base.value(B) < 0.0)",
@@ -142,8 +151,11 @@ MUTANTS = [
     Mutant("text-encoding-always-utf8", CLI,
            "    if sys.flags.utf8_mode:\n        return \"utf-8\"", "    if True:\n        return \"utf-8\"",
            (T_CLI + "test_read_path_decodes_as_open_in_and_out_of_utf8_mode",)),
-    Mutant("read-directory-unchecked", CLI,
-           "        if stat.S_ISDIR(info.st_mode):", "        if False:",
+    # FileIO refuses a directory in open()'s words; one opened from a bare
+    # descriptor names the descriptor instead of the path
+    Mutant("read-directory-by-descriptor", CLI,
+           'with open(path, "rb", buffering=0) as fh:',
+           'with os.fdopen(os.open(path, os.O_RDONLY), "rb", buffering=0) as fh:',
            (T_CLI + "test_read_path_fails_and_reads_as_open",)),
     # the write path cuts only a regular file
     Mutant("ftruncate-any-file", CLI,
@@ -155,6 +167,9 @@ MUTANTS = [
            'pairs = require_json(spec["pairs"], "pairs", list)', 'pairs = spec["pairs"]',
            (T_CLI + "test_hilbert_pair_not_two_points_is_usage_error",
             T_CLI + "test_refused_input_keeps_its_message")),
+    Mutant("pair-kind-unchecked", CLI,
+           '            require_json(p, f"pairs[{i}]", list)\n', "",
+           (T_CLI + "test_refused_input_keeps_its_message",)),
     # the exact check, a sparse product of the entry table
     # the slot-entry table, read by the float and the exact builder
     Mutant("slot-entries-swap-right-and-corner", CLASSIFY,
@@ -202,6 +217,12 @@ MUTANTS = [
     Mutant("matrix-rows-read-first", PROJLIN,
            '        require_json(row, f"matrix row {i}", list)\n', "        pass\n",
            (T_PROJLIN + "test_matrix_from_json_bad_input_messages",)),
+    # every kind but the one asked for is refused, numbers and null too
+    Mutant("require-json-refuses-only-str-and-dict", PROJLIN,
+           "    if not isinstance(value, kind):\n",
+           "    if (not isinstance(value, dict)) if kind is dict else isinstance(value, (str, dict)):\n",
+           (T_CLI + "test_refused_input_keeps_its_message",
+            T_PROJLIN + "test_matrix_from_json_bad_input_messages")),
     # a bent slot whose cusp parameter underflows
     Mutant("underflow-refused-only-at-zero", CLASSIFY,
            "small = a < sys.float_info.min", "small = a == 0",

@@ -646,6 +646,73 @@ def test_moved_oracle_refuses_a_kernel_it_would_not_read():
         ball_oracle(2), [0.0, 0.0], [0.0, 0.25])
 
 
+# per domain: its oracle and pairs of interior points, far ones among them
+_SCALE_CASES = {
+    "ball": (ball_oracle(3), [[0.1, -0.2, 0.3], [0.999, 0.0, 0.01]],
+             [[-0.4, 0.5, 0.1], [0.0, 0.999, -0.01]]),
+    "model-t0": (model_domain_oracle(CuspParameter([0.0, 0.0, 0.0])),
+                 [[2e9, 1.0, 0.0], [1.0, 0.5, 0.3]], [[3e9, 1.5, 0.2], [2.0, -0.4, 0.1]]),
+    "model-t1": (model_domain_oracle(CuspParameter([1.0, 0.0, 0.0])),
+                 [[2e9, 1.0, 0.0], [1.0, 0.5, 0.3]], [[3e9, 1.5, 0.2], [2.0, 0.8, -0.2]]),
+    "model-t2": (model_domain_oracle(CuspParameter([1.0, 0.5, 0.0])),
+                 [[2e9, 1.0, 0.5], [2.0, 0.5, 0.3]], [[3e9, 1.5, 0.2], [1.5, 0.9, 0.7]]),
+}
+
+
+@pytest.mark.parametrize("c", [2.0 ** 40, 2.0 ** -40, 1e10, 1e-10, 1e300, 1e-300])
+@pytest.mark.parametrize("kind", list(_SCALE_CASES))
+def test_moved_domain_depends_on_its_map_only_up_to_scale(kind, c):
+    """c I is the identity map for every c != 0, so the domain it moves
+    reads the distances of the domain itself: bit for bit when c is a power
+    of two, within 1e-12 relative otherwise, and without a floating-point
+    warning.  A pull-back through the inverse as given, 1/c I, overflows
+    at c = 1e-300 on the points near 2e9."""
+    dom, X, Y = _SCALE_CASES[kind]
+    want = hilbert_distances(dom, X, Y)
+    assert np.all(np.isfinite(want))
+    moved = transformed_oracle(dom, ProjMap(c * np.eye(4)))
+    got = np.array([hilbert_distances(moved, X, Y),
+                    [hilbert_distance(moved, x, y) for x, y in zip(X, Y)]])
+    if math.frexp(c)[0] == 0.5:
+        assert got.tobytes() == np.array([want, want]).tobytes()
+    else:
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+@pytest.mark.parametrize("kind", ["ball", "model-t0", "model-t1"])
+def test_kernels_receive_checked_float64_c_contiguous_rows(kind):
+    """A domain's ``distances`` kernel converts nothing: every route hands it
+    ``float64``, C-contiguous X and Y of one shape, whatever layout and
+    dtype the caller passed (lists of ints, float32, Fortran order, strided
+    views), on the domain itself and on a moved copy; for a batch, one row,
+    an empty batch and a single pair."""
+    base = {"ball": ball_oracle(2), "model-t0": model_domain_oracle(CuspParameter([0.0, 0.0])),
+            "model-t1": model_domain_oracle(CuspParameter([1.0, 0.0]))}[kind]
+    seen = []
+
+    def kernel(X, Y):
+        seen.append((X.dtype, X.flags.c_contiguous, Y.dtype, Y.flags.c_contiguous,
+                     X.shape == Y.shape))
+        return base.distances(X, Y)
+
+    wrapped = dataclasses.replace(base, distances=kernel)
+    G = np.eye(3) + 0.08 * np.array([[0.0, 1.0, -0.5], [0.3, 0.0, 0.2], [-0.2, 0.4, 0.0]])
+    shift = 0.0 if kind == "ball" else np.array([1.5, 0.0 if kind == "model-t0" else 1.0])
+    X = np.array([[0.2, -0.1], [0.0, 0.3], [0.1, 0.1], [-0.2, 0.0]]) + shift
+    Y = np.array([[-0.4, 0.3], [0.5, 0.1], [0.3, -0.2], [0.1, 0.4]]) + shift
+    for dom, P, Q in ((wrapped, X, Y),
+                      (transformed_oracle(wrapped, ProjMap(G)), _moved(G, X), _moved(G, Y))):
+        batches = [(np.asfortranarray(P), Q.astype(np.float32)), (P[::2], Q[::2]),
+                   (P[:1].tolist(), Q[:1]), (np.zeros((0, 2)), np.zeros((0, 2), np.float32))]
+        for A, B in batches:
+            seen.clear()
+            hilbert_distances(dom, A, B)
+            assert seen == [(np.float64, True, np.float64, True, True)]
+        seen.clear()
+        hilbert_distance(dom, P[1].tolist(), Q[::-1][2])
+        assert seen == [(np.float64, True, np.float64, True, True)]
+
+
 
 @pytest.mark.parametrize("base", ["ball", "model"])
 def test_moved_value_agrees_with_pointwise_route(base):

@@ -225,7 +225,7 @@ BAD_JSON_MATRICES = [
     ([[1.0]], ValueError, "projective map must be at least 2x2"),
     ([], ValueError, "projective map must be square, got shape (0,)"),
     ([[]], ValueError, "projective map must be square, got shape (1, 0)"),
-    ([1.0, 2.0], TypeError, "'float' object is not iterable"),
+    ([1.0, 2.0], ValueError, "matrix row 0 must be a JSON list, not 1.0"),
     ([[1.0, True], [0.0, 1.0]], ValueError, "not a scalar: True"),
     ([[1.0, "x"], [0.0, 1.0]], ValueError, "Invalid literal for Fraction: 'x'"),
     ([[1.0, {"a": 1}], [0.0, 1.0]], ValueError, "not a scalar: {'a': 1}"),

@@ -11,8 +11,9 @@ Exit codes: 0 success / all properties pass, 1 property failure (a failed
 relative residual misses the normal form: it goes to standard error, and
 ``sweep`` names the first such grid row), 2 usage or I/O error.  Usage
 errors include Hilbert points that are not finite and strictly interior, a
-Hilbert pair that is not two points, any other JSON kind where a list
-belongs, a ``domain`` or ``rep.generators`` that is not an object,
+Hilbert pair that is not two points (or whose points differ in length
+from those of other pairs), any other JSON kind where a list belongs, an
+input document, ``domain`` or ``rep.generators`` that is not an object,
 ``classify --exact`` on generators, an integer field (``classify`` n,
 ``hilbert`` ball n, ``bend`` rep.n, a ``bend`` word exponent in pair form)
 that is a bool, a string or not a whole number, a ball n below 1, a
@@ -132,10 +133,10 @@ def _write_text(path, text: str) -> None:
 
 def _load_json(path) -> dict:
     """The JSON document at ``path`` (``-``: standard input), read as
-    ``json.load(open(path))`` reads it."""
-    if path == "-":
-        return json.load(sys.stdin)
-    return json.loads(_read_text(path))
+    ``json.load(open(path))`` reads it; a document that is not a JSON object
+    is refused by :func:`require_json` as the ``input``."""
+    doc = json.load(sys.stdin) if path == "-" else json.loads(_read_text(path))
+    return require_json(doc, "input", dict)
 
 
 def _read_text(path) -> str:
@@ -427,6 +428,18 @@ def _read_strings(node):
     return node
 
 
+def _require_even_points(pairs, n: int) -> None:
+    """On a batch that numpy could not read: when its points differ in
+    length, refuse the first pair with a point that is not a list of n
+    coordinates, as a batch of scalars is refused.  Points of one length
+    keep numpy's message (a coordinate that is not a number).  A valid
+    batch never comes here, so it pays for no check per pair."""
+    lengths = [len(x) if type(x) is list else None for p in pairs for x in p]
+    if len(set(lengths)) > 1:
+        i = next(k for k, m in enumerate(lengths) if m != n) // 2
+        raise ValueError(f"pairs[{i}] must be two points of dimension {n}")
+
+
 def _cmd_hilbert(args) -> int:
     spec = _load_json(args.input)
     dspec = require_json(spec["domain"], "domain", dict)
@@ -446,7 +459,11 @@ def _cmd_hilbert(args) -> int:
         if type(p) is not list or len(p) != 2:
             require_json(p, f"pairs[{i}]", list)
             raise ValueError(f"pairs[{i}] must be two points, got {len(p)}")
-    X, Y = (_points([p[side] for p in pairs]) for side in (0, 1))
+    try:
+        X, Y = (_points([p[side] for p in pairs]) for side in (0, 1))
+    except ValueError:
+        _require_even_points(pairs, dom.n)
+        raise
     if pairs == []:  # an empty batch, which the library takes as 0 rows of n
         X = Y = np.zeros((0, dom.n))
     dists = hilbert_distances(dom, X, Y)

@@ -37,15 +37,24 @@ which is equivalent to A g_k A^{-1} = W_k since det A = 1, so no route
 forms A^{-1}.  Exact data stays in integers from the parsed b and mu to
 the written JSON: the check multiplies the table's entries sparsely
 (:func:`_exact_residual`), in O(n) integer operations per slot, and must
-match with residual exactly 0; the conjugator is the one dense A, a
-reduced integer :class:`ProjMap` that ``matrix_to_json`` prints from its
-numerators.  ``Fraction`` appears only where the input is parsed and in
-the residual.
+match with residual exactly 0; the conjugator is the one dense A, written
+by :func:`_exact_map` from the table's integers as a flat list of int
+rows in the order of psi, reduced by one gcd and stored in one ``object``
+array, a reduced integer :class:`ProjMap` that ``matrix_to_json`` prints
+from its numerators.  That array is the only numpy on the exact route, and
+``Fraction`` appears only in the parsed b and mu and in the residual.
 Float data goes through :func:`conjugation_residuals`, which checks the
 generators of G grid rows in stacked matmuls and scales each entry of
 |A g - W A| by its componentwise rounding bound |A||g| + |W||A|;
 :func:`conjugate_and_match` runs that check on one row and the ``sweep``
 command on its whole grid.
+
+The cusp-parameter entries come from the same formula on two routes.  The
+``sweep`` grid computes them in numpy (:func:`cusp_parameter_entry`) and
+refuses an entry that underflows with :func:`require_normal_parameters`.
+:func:`conjugate_and_match`, exact or float, computes its one row in
+Python floats, a bent slot at a time (:func:`_slot_entry`), with the same
+bits, numpy's inf and NaN where a divisor is 0, and the same refusals.
 """
 
 from __future__ import annotations
@@ -125,15 +134,17 @@ class RectangularCuspData:
             raise ValueError("supply bending parameters s, multipliers mu, or both")
         if mu is not None:
             mu = _slot_values(mu, n, "multipliers", positive=True)
+        mu_floats = None  # taken once: here when s comes from mu, else in the check below
         if s is None:
-            s = tuple(math.log(require_float(m, f"mu_{k+2}")) for k, m in enumerate(mu))
+            mu_floats = [require_float(m, f"mu_{k+2}") for k, m in enumerate(mu)]
+            s = tuple(map(math.log, mu_floats))
         s = _slot_values(s, n, "bending parameters", positive=False)
         exp_s = tuple(_exp(x) for x in s)
         if mu is None:
             mu = tuple(1 if x == 0 else e for x, e in zip(s, exp_s))
         else:
             for k, (m, e) in enumerate(zip(mu, exp_s)):
-                f = require_float(m, f"mu_{k+2}")
+                f = mu_floats[k] if mu_floats is not None else require_float(m, f"mu_{k+2}")
                 if abs(f - e) > 1e-12 * max(1.0, f):
                     raise ValueError(f"mu_{k+2} = {m} inconsistent with exp(s_{k+2}) = {e}")
         object.__setattr__(self, "n", n)
@@ -204,18 +215,36 @@ def cusp_parameter_entry(b, mu, s):
         return expected_corner(b, mu) / -s
 
 
+def _quotient(x: float, y: float) -> float:
+    """x / y in Python floats, with numpy's bits: at y = 0 (of either sign)
+    inf with the sign of x y, or NaN for x = 0 or NaN, and no exception."""
+    return x / y if y else x * math.copysign(math.inf, y)
+
+
+def _slot_entry(b: float, mu: float, s: float) -> float:
+    """:func:`cusp_parameter_entry` of one bent slot in Python floats, bit
+    for bit: the same operations in the same order, each correctly rounded,
+    and numpy's inf or NaN where a divisor is 0."""
+    return _quotient(_quotient(-b * b * (mu + 1), 2 * (mu - 1)), -s)
+
+
+def _underflow(slot: int, where: str = "") -> ValueError:
+    """The refusal of a bent slot (0-based) whose cusp-parameter entry
+    underflows: below the smallest normal float, b_k^2 has lost its digits,
+    and at 0 the slot would read as unbent against its type."""
+    return ValueError(f"{where}b_{slot + 2} is too small for a bent slot: "
+                      "its cusp parameter underflows")
+
+
 def require_normal_parameters(a: np.ndarray, slots) -> None:
-    """Refuse a bent slot whose cusp-parameter entry underflows: below the
-    smallest normal float, b_k^2 has lost its digits, and at 0 the slot
-    would read as unbent against its type.  ``a`` has one row per grid row
-    and one column per slot of ``slots`` (0-based); more than one row names
-    the row."""
+    """Refuse the first bent slot whose cusp-parameter entry is below the
+    smallest normal float (:func:`_underflow`).  ``a`` has one row per grid
+    row and one column per slot of ``slots`` (0-based); more than one row
+    names the row."""
     small = a < sys.float_info.min
     if small.any():
         row, col = np.argwhere(small)[0]
-        where = f"row {row}: " if a.shape[0] > 1 else ""
-        raise ValueError(f"{where}b_{slots[col] + 2} is too small for a bent slot: "
-                         "its cusp parameter underflows")
+        raise _underflow(slots[col], f"row {row}: " if a.shape[0] > 1 else "")
 
 
 def _slot_entries(k, n: int) -> tuple:
@@ -314,16 +343,21 @@ def _exact_cusp_table(b, mu):
     return scaled(g, e), scaled(a, d), scaled(w, e), e, d
 
 
-def _exact_dense(entries: dict, den: int, shape: tuple) -> np.ndarray:
-    """The integer numerators of entry-table matrices as one ``object``
-    array of ``shape``: den on every diagonal, 0 elsewhere, then the listed
-    entries (whose keys index the array)."""
-    out = np.zeros(shape, dtype=object)
-    diag = np.arange(shape[-1])
-    out[..., diag, diag] = den
-    if entries:
-        out[tuple(zip(*entries))] = np.array(list(entries.values()), dtype=object)
-    return out
+def _exact_map(entries: dict, den: int, rows) -> ProjMap:
+    """The exact map that is den times the identity but for the listed
+    entries, {(i, j): numerator}, over den, with its rows in the order
+    ``rows``.  Its ints are written into one flat list, row by row, and
+    reduced by one gcd, that of den and the listed entries; then they are
+    stored in one ``object`` array."""
+    size = len(rows)
+    start = {i: r * size for r, i in enumerate(rows)}
+    g = math.gcd(den, *entries.values())
+    flat = [0] * (size * size)
+    for i, at in start.items():
+        flat[at + i] = den // g
+    for (i, j), x in entries.items():
+        flat[start[i] + j] = x // g
+    return ProjMap._from_reduced(np.array(flat, dtype=object).reshape(size, size), den // g)
 
 
 def _exact_residual(g: dict, a: dict, w: dict, e: int, d: int) -> Fraction:
@@ -336,28 +370,26 @@ def _exact_residual(g: dict, a: dict, w: dict, e: int, d: int) -> Fraction:
 
         d e (A g_k - W_k A) = d (G_k - V_k) + C G_k - V_k C,
 
-    so each slot costs a few products of its own entries with those of C in
-    the same row or column, and no dense matrix is formed."""
+    so each listed entry of g_k or W_k costs a product with each entry of C
+    in the same row or column, added into one sparse diff over every slot;
+    no dense matrix is formed."""
     by_col, by_row = {}, {}
     for (i, j), x in a.items():
         x -= d * (i == j)
         by_col.setdefault(j, []).append((i, x))
         by_row.setdefault(i, []).append((j, x))
-    deltas = ({}, {})
-    for entries, delta in zip((g, w), deltas):
-        for (k, i, j), x in entries.items():
-            delta.setdefault(k, {})[i, j] = x - e * (i == j)
-    worst = 0
-    for k, gk in deltas[0].items():
-        vk = deltas[1].get(k, {})
-        diff = {at: d * (gk.get(at, 0) - vk.get(at, 0)) for at in gk.keys() | vk.keys()}
-        for (mid, j), x in gk.items():
-            for i, c in by_col.get(mid, ()):
-                diff[i, j] = diff.get((i, j), 0) + c * x
-        for (i, mid), x in vk.items():
-            for j, c in by_row.get(mid, ()):
-                diff[i, j] = diff.get((i, j), 0) - x * c
-        worst = max(worst, max(map(abs, diff.values()), default=0))
+    diff = {}
+    for (k, i, j), x in g.items():
+        x -= e * (i == j)
+        diff[k, i, j] = diff.get((k, i, j), 0) + d * x
+        for row, c in by_col.get(i, ()):
+            diff[k, row, j] = diff.get((k, row, j), 0) + c * x
+    for (k, i, j), x in w.items():
+        x -= e * (i == j)
+        diff[k, i, j] = diff.get((k, i, j), 0) - d * x
+        for col, c in by_row.get(j, ()):
+            diff[k, i, col] = diff.get((k, i, col), 0) - x * c
+    worst = max(map(abs, diff.values()), default=0)
     return Fraction(worst, d * e)
 
 
@@ -367,9 +399,10 @@ def _generators(b, s, mu) -> list[ProjMap]:
     float maps of :func:`_cusp_arrays`."""
     if all(map(is_exact, (*b, *mu))):
         g, _, _, e, _ = _exact_cusp_table(b, mu)
-        size = len(b) + 2
-        return [ProjMap._from_exact(x.copy(), e)
-                for x in _exact_dense(g, e, (len(b), size, size))]
+        slots = [{} for _ in b]
+        for (k, i, j), x in g.items():
+            slots[k][i, j] = x
+        return [_exact_map(entries, e, range(len(b) + 2)) for entries in slots]
     return [ProjMap(x) for x in _cusp_arrays(b, [s], [mu])[0][0]]
 
 
@@ -459,11 +492,14 @@ def conjugate_and_match(data: RectangularCuspData,
     max|A g - W A|, where N, M_g and M_W are the numerator matrices; only
     N is written densely, once, for the conjugator.  Float data comes from
     :func:`_cusp_arrays` and must match within tol, through the scaled
-    residual of :func:`conjugation_residuals`.  The conjugator is A with its
-    rows permuted so that the parameter is sorted non-increasing; exact, it
-    is the integer rows of N over d, reduced by ``ProjMap._from_exact``.
+    residual of :func:`conjugation_residuals`.  Each bent slot's parameter
+    entry is then computed in Python floats (:func:`_slot_entry`) and
+    refused if it underflows.  The conjugator is A with its rows permuted
+    so that the parameter is sorted non-increasing; exact, it is the integer
+    rows of N over d, reduced by one gcd in :func:`_exact_map`.
     """
-    if data.exact:
+    exact = data.exact
+    if exact:
         table = _exact_cusp_table(data.b, data.mu)
         residual = _exact_residual(*table)
         if residual != 0:
@@ -476,18 +512,19 @@ def conjugate_and_match(data: RectangularCuspData,
         require_normal_form(residuals, tol)
         residual = float(residuals[0])
 
-    bent = data.bent_slots()
-    slots = ([v[k] for k in bent] for v in (data.b, data.mu, data.s))
-    entries = cusp_parameter_entry(*slots)
-    require_normal_parameters(entries[None], bent)
-    psi, perm = _sorted_parameter(dict(zip(bent, entries.tolist())), data.n)
+    values = {}
+    for k in data.bent_slots():
+        a_k = _slot_entry(float(data.b[k]), float(data.mu[k]), float(data.s[k]))
+        if a_k < sys.float_info.min:
+            raise _underflow(k)
+        values[k] = a_k
+    psi, perm = _sorted_parameter(values, data.n)
     # P A is A with its rows reordered; + 0.0 turns a -0.0 entry into 0.0
-    if data.exact:
-        _, a, _, _, d = table
-        conjugator = ProjMap._from_exact(_exact_dense(a, d, (data.n + 1,) * 2)[perm], d)
+    if exact:
+        conjugator = _exact_map(table[1], table[4], perm)
     else:
         conjugator = ProjMap._from_float(a_mat[0][perm] + 0.0)
-    return ClassifiedCusp(psi, len(bent), conjugator, residual)
+    return ClassifiedCusp(psi, len(values), conjugator, residual)
 
 
 def equivalent_parameters(psi: CuspParameter, psi2: CuspParameter) -> bool:

@@ -9,15 +9,15 @@ int denominator ``den``, with ``gcd(den, *num) == 1``, so every rational
 matrix has exactly one stored form, and no other.  Composition is an
 integer matmul plus one gcd reduction; inversion uses fraction-free Bareiss
 elimination (Bareiss 1968, *Math. Comp.* 22), and :func:`matrix_to_json`
-prints each entry from ``num`` and ``den`` with one gcd.  ``Fraction``
-appears only where scalars are parsed (:func:`parse_scalar`) or printed; a
-square JSON list of float rows is read straight into ``float64``.  Float
-maps store ``entries`` as a frozen ``float64`` array, and points are
-``float64`` only.  An exact operand that meets a float one is read through
-:meth:`ProjMap.to_float`, so mixed products and actions run in floats.  An
-exact value beyond float range is refused with a ``ValueError`` where it
-meets floats: a matrix entry whose float overflows, and a scalar that
-:func:`require_float` reads.
+prints each entry from ``num`` and ``den``, with one gcd unless it is 0
+or den.  ``Fraction`` appears only where scalars are parsed
+(:func:`parse_scalar`) or printed; a square JSON list of float rows is
+read straight into ``float64``.  Float maps store ``entries`` as a frozen
+``float64`` array, and points are ``float64`` only.  An exact operand that
+meets a float one is read through :meth:`ProjMap.to_float`, so mixed
+products and actions run in floats.  An exact value beyond float range is
+refused with a ``ValueError`` where it meets floats: a matrix entry whose
+float overflows, and a scalar that :func:`require_float` reads.
 
 Everything here is a value: construction copies, arrays are frozen, and
 operations return new values.  A map computes its inverse once per instance
@@ -60,9 +60,14 @@ def _is_exact_type(cls) -> bool:
 def parse_scalar(s):
     """JSON scalar decoding: strings "p/q" are exact, ints exact, floats float.
     A string with a zero denominator is a ``ValueError``, as any other string
-    that is not a number is."""
+    that is not a number is.  A string "p" or "p/q" of ASCII digits only is
+    read by ``int``, without ``Fraction``'s regular expression; every other
+    string by ``Fraction(s)``, which gives such a string the same value."""
     if isinstance(s, str):
+        num, slash, den = s.partition("/")
         try:
+            if num.isdigit() and num.isascii() and (not slash or den.isdigit() and den.isascii()):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             return Fraction(s)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in scalar {s!r}") from None
@@ -229,6 +234,12 @@ class ProjMap:
         g = math.gcd(den, *num.flat)
         if g != 1:
             num, den = num // g, den // g
+        return cls._from_reduced(num, den)
+
+    @classmethod
+    def _from_reduced(cls, num: np.ndarray, den: int) -> "ProjMap":
+        """Exact map from an owned integer array already in the stored form:
+        den > 0 and gcd(den, *num) == 1."""
         out = object.__new__(cls)
         out._set(num, den, None)
         return out
@@ -285,7 +296,13 @@ class ProjMap:
 
 
 def _ratio_to_json(p: int, q: int) -> str:
-    """``str(Fraction(p, q))`` for q > 0, with one gcd and no Fraction."""
+    """``str(Fraction(p, q))`` for q > 0, with no Fraction: "0" and "1" for
+    p = 0 and p = q (most of a conjugator's entries) without a gcd, and
+    otherwise with one gcd."""
+    if not p:
+        return "0"
+    if p == q:
+        return "1"
     g = math.gcd(p, q)
     return str(p // g) if g == q else f"{p // g}/{q // g}"
 

@@ -192,8 +192,13 @@ MUTANTS = [
            (T_CLASSIFY + "test_exact_check_builds_no_stacked_product",
             T_CLASSIFY + "test_sparse_exact_check_matches_dense_reference")),
     Mutant("sparse-product-drops-d-term", CLASSIFY,
-           "diff = {at: d * (gk.get(at, 0) - vk.get(at, 0)) for at in gk.keys() | vk.keys()}",
-           "diff = {at: 0 for at in gk.keys() | vk.keys()}",
+           "diff[k, i, j] = diff.get((k, i, j), 0) + d * x",
+           "diff[k, i, j] = diff.get((k, i, j), 0)",
+           (T_CLASSIFY + "test_exact_check_builds_no_stacked_product",
+            T_CLASSIFY + "test_sparse_exact_check_matches_dense_reference")),
+    Mutant("sparse-product-w-side-sign-flipped", CLASSIFY,
+           "diff[k, i, col] = diff.get((k, i, col), 0) - x * c",
+           "diff[k, i, col] = diff.get((k, i, col), 0) + x * c",
            (T_CLASSIFY + "test_exact_check_builds_no_stacked_product",
             T_CLASSIFY + "test_sparse_exact_check_matches_dense_reference")),
     # a JSON field's kind, checked before the field is read
@@ -223,10 +228,55 @@ MUTANTS = [
            "    if (not isinstance(value, dict)) if kind is dict else isinstance(value, (str, dict)):\n",
            (T_CLI + "test_refused_input_keeps_its_message",
             T_PROJLIN + "test_matrix_from_json_bad_input_messages")),
-    # a bent slot whose cusp parameter underflows
+    # a bent slot whose cusp parameter underflows: the grid route of sweep
+    # (its killer is a sweep case) and the one-row route of classify
     Mutant("underflow-refused-only-at-zero", CLASSIFY,
            "small = a < sys.float_info.min", "small = a == 0",
            (T_CLI + "test_overflowing_construction_keeps_the_exit_contract",)),
+    Mutant("row-underflow-refused-only-at-zero", CLASSIFY,
+           "if a_k < sys.float_info.min:", "if a_k == 0:",
+           (T_CLASSIFY + "test_one_row_tail_matches_the_grid_route_on_chosen_rows",)),
+    # the one-row tail of conjugate_and_match: psi entries in Python floats
+    Mutant("row-entry-sign-flipped", CLASSIFY,
+           "2 * (mu - 1)), -s)", "2 * (mu - 1)), s)",
+           (T_CLASSIFY + "test_slot_entry_has_the_bits_of_the_grid_entry",
+            T_CLASSIFY + "test_one_row_tail_matches_the_grid_route")),
+    Mutant("zero-divisor-drops-its-sign", CLASSIFY,
+           "return x / y if y else x * math.copysign(math.inf, y)",
+           "return x / y if y else x * math.inf",
+           (T_CLASSIFY + "test_slot_entry_has_the_bits_of_the_grid_entry",
+            T_CLI + "test_overflowing_construction_keeps_the_exit_contract")),
+    # ... and the exact conjugator, int rows reduced by one gcd
+    Mutant("conjugator-left-unreduced", CLASSIFY,
+           "g = math.gcd(den, *entries.values())", "g = 1",
+           (T_CLASSIFY + "test_one_row_tail_matches_the_grid_route_on_chosen_rows",)),
+    Mutant("conjugator-rows-unpermuted", CLASSIFY,
+           "start = {i: r * size for r, i in enumerate(rows)}",
+           "start = {i: i * size for r, i in enumerate(rows)}",
+           (T_CLASSIFY + "test_one_row_tail_matches_the_grid_route_on_chosen_rows",
+            T_CLI + "test_classify_exact_output_matches_fixture")),
+    # parse and print: ASCII-digit "p" and "p/q" by int, shortcuts for 0 and den
+    Mutant("fast-parse-accepts-p-over-0", PROJLIN,
+           "return Fraction(int(num), int(den)) if slash",
+           "return Fraction(int(num), int(den) or 1) if slash",
+           (T_PROJLIN + "test_parse_scalar_reads_strings_as_fraction_does",
+            T_PROJLIN + "test_parse_scalar_zero_denominator_is_value_error")),
+    Mutant("fast-parse-takes-any-digits", PROJLIN,
+           "if num.isdigit() and num.isascii() and", "if num.isdigit() and",
+           (T_PROJLIN + "test_parse_scalar_reads_strings_as_fraction_does",)),
+    Mutant("ratio-zero-shortcut-takes-negatives", PROJLIN,
+           '    if not p:\n        return "0"', '    if p <= 0:\n        return "0"',
+           (T_PROJLIN + "test_ratio_to_json_matches_fraction",)),
+    Mutant("ratio-den-shortcut-prints-p", PROJLIN,
+           '    if p == q:\n        return "1"', '    if p == q:\n        return str(p)',
+           (T_PROJLIN + "test_ratio_to_json_matches_fraction",)),
+    # a top-level document that is not an object; points that differ in length
+    Mutant("input-kind-unchecked", CLI,
+           'return require_json(doc, "input", dict)', "return doc",
+           (T_CLI + "test_refused_input_keeps_its_message",)),
+    Mutant("uneven-points-unnamed", CLI,
+           "        _require_even_points(pairs, dom.n)\n", "",
+           (T_CLI + "test_refused_input_keeps_its_message",)),
     # one slot validator for b, mu and s
     Mutant("slot-positive-allows-zero", CLASSIFY,
            "if any(x <= 0 if positive else x < 0 for x in values):",

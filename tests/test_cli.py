@@ -958,8 +958,8 @@ def test_string_or_dict_for_a_list_is_usage_error(tmp_path, capsys, command, dat
 
 
 def test_refused_input_keeps_its_message(tmp_path, capsys):
-    """Input that ``classify`` and ``hilbert`` refuse gets the recorded
-    message."""
+    """Input that ``classify``, ``hilbert`` and ``bend`` refuse gets the
+    recorded message."""
     fixture = Path(__file__).parent / "fixtures" / "refused_input.json"
     src, out = tmp_path / "data.json", tmp_path / "out"
     for case in json.loads(fixture.read_text())["cases"]:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cuspbend.cusp_classify import (
@@ -16,6 +16,7 @@ from cuspbend.cusp_classify import (
     _exact_cusp_table,
     _exact_residual,
     _intertwining_residuals,
+    _slot_entry,
     bent_cusp_generators,
     classify_h_form,
     conjugate_and_match,
@@ -333,6 +334,90 @@ def test_exact_check_builds_no_stacked_product(monkeypatch):
     assert json.dumps(cls.to_json()) == json.dumps(ClassifiedCusp(cls.psi, cls.type, **want).to_json())
     conjugate_and_match(RectangularCuspData(n, b=[float(x) for x in b], mu=[float(x) for x in mu]))
     assert calls
+
+
+def _classified(classify, data):
+    """What a classification route gives one row: the refusal's class and
+    message, or the psi bits, type, conjugator numbers or float bytes, and
+    the JSON of the result."""
+    try:
+        cls = classify(data)
+    except ValueError as exc:  # PatternMismatch among them
+        return type(exc), str(exc)
+    conj = cls.conjugator
+    return ([float(x).hex() for x in cls.psi.psi], cls.type,
+            (conj.den, conj.num.tolist()) if conj.exact else conj.entries.tobytes(),
+            json.dumps(cls.to_json()))
+
+
+# shape constants whose float square underflows to 0 or to a subnormal, or
+# overflows; a multiplier whose float is 1.0 on a bent slot
+EDGE_B = [F(1, 10 ** 170), F(1, 10 ** 160), F(10 ** 200)]
+EDGE_MU = [1 + F(1, 10 ** 30)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_row_tail_matches_the_grid_route(data):
+    """``conjugate_and_match`` on one row of exact or float bending data,
+    n = 2..8, against the grid route of ``exact_reference.grid_classify``
+    (numpy psi entries, ``require_normal_parameters``, the dense exact
+    conjugator): the same psi bits, type, conjugator numbers or bytes and
+    JSON, or the same refusal.  Edge values of b and mu are drawn too."""
+    n = data.draw(st.integers(2, 8), label="n")
+    if data.draw(st.booleans(), label="exact"):
+        b_kind = positive_rational | st.sampled_from(EDGE_B)
+        mu_kind = positive_rational.map(lambda x: 1 + x) | st.sampled_from(EDGE_MU + [F(1)])
+        key = "mu"
+    else:
+        b_kind = st.floats(1e-3, 1e3) | st.sampled_from([float(x) for x in EDGE_B])
+        mu_kind = st.floats(MIN_BEND_FLOAT, 5.0) | st.just(0.0)
+        key = "s"
+    b = data.draw(st.lists(b_kind, min_size=n - 1, max_size=n - 1), label="b")
+    slots = data.draw(st.lists(mu_kind, min_size=n - 1, max_size=n - 1), label=key)
+    row = RectangularCuspData(n, b=b, **{key: slots})
+    assert _classified(conjugate_and_match, row) == _classified(exact_reference.grid_classify, row)
+
+
+@pytest.mark.parametrize("n,b,slots,refused", [
+    (3, [F(1), F(1)], {"mu": [EDGE_MU[0], F(1)]}, True),
+    (3, [EDGE_B[0], F(1)], {"mu": [F(2), F(1)]}, True),
+    (3, [F(1), EDGE_B[1]], {"mu": [F(1), F(3)]}, True),
+    (4, [EDGE_B[2], F(1), F(1)], {"mu": [F(2), F(3), F(1)]}, True),
+    (3, [1e-170, 1.0], {"s": [0.5, 0.0]}, True),
+    (3, [1.0, 1e-160], {"s": [0.0, 0.5]}, True),
+    (3, [1e200, 1.0], {"s": [0.5, 0.0]}, True),
+    (4, [F(2), F(1), F(4)], {"mu": [F(3), F(1), F(5)]}, False),
+    (4, [1.5, 0.5, 2.0], {"s": [0.3, 0.0, 1.1]}, False),
+], ids=["exact-mu-float-is-1", "exact-b-square-is-0", "exact-b-square-subnormal",
+        "exact-b-square-overflows", "float-b-square-is-0", "float-b-square-subnormal",
+        "float-b-overflows", "exact-conjugator-reduces", "float-two-bent"])
+def test_one_row_tail_matches_the_grid_route_on_chosen_rows(n, b, slots, refused):
+    """The edge rows are refused, with the grid route's message; an exact
+    row whose A reduces (numerators -4, 12, -4, 20 over d = 4, so the
+    conjugator is over 1) and a float row classify as on the grid route."""
+    row = RectangularCuspData(n, b=b, **slots)
+    got = _classified(conjugate_and_match, row)
+    assert got == _classified(exact_reference.grid_classify, row)
+    assert (got[0] in (ValueError, PatternMismatch)) == refused
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(), st.floats(), st.floats())
+@example(1.0, 1.0, 0.0)          # mu - 1 = 0 and s = 0: -inf / -0.0 = inf
+@example(0.0, 1.0, 0.0)          # 0 / 0 = NaN
+@example(1.0, 1.0, -0.0)         # -inf / 0.0 = -inf
+@example(1e-200, 2.0, 0.5)       # b * b underflows to 0
+@example(1e200, 2.0, 0.5)        # b * b overflows
+@example(1e10, 1.7e308, 709.0)   # -inf / inf = NaN
+@example(math.nan, 1.0, 0.0)     # NaN / 0 = NaN
+def test_slot_entry_has_the_bits_of_the_grid_entry(b, mu, s):
+    """The one-row entry in Python floats against ``cusp_parameter_entry``
+    in numpy on any three floats, zeros of both signs, inf and NaN among
+    them: the same bits, or NaN on both."""
+    got = _slot_entry(b, mu, s)
+    want = float(cusp_parameter_entry(b, mu, s))
+    assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
 
 
 def test_standard_generators_explicit_matrix():

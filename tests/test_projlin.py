@@ -15,6 +15,7 @@ from cuspbend.projlin import (
     ProjMap,
     ProjPoint,
     SingularMatrix,
+    _ratio_to_json,
     act,
     compose,
     inverse,
@@ -307,6 +308,69 @@ def test_scalar_json():
 def test_parse_scalar_zero_denominator_is_value_error(text):
     with pytest.raises(ValueError, match=re.escape(f"zero denominator in scalar {text!r}")):
         parse_scalar(text)
+
+
+def _fraction_reading(text):
+    """``Fraction(text)`` as ``parse_scalar`` promises it: the value as its
+    numerator and denominator, or the class and message of the refusal (a
+    zero denominator reworded)."""
+    try:
+        x = F(text)
+    except ZeroDivisionError:
+        return ValueError, f"zero denominator in scalar {text!r}"
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return x.numerator, x.denominator
+
+
+def _parse_reading(text):
+    try:
+        x = parse_scalar(text)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    assert type(x) is F
+    return x.numerator, x.denominator
+
+
+PARSE_CORPUS = [
+    "7", "0", "007", "00/05", "3/2", "12/8", "0/7", "1/0", "0/0", "007/000",
+    "-3/2", "+3/2", "-0", "-3/0", " 3/2", "3/2 ", "3 /2", "\t42\n", "1_000/3", "1/2_0",
+    "1__0", "_1", "1_", "0.5", "-.5", "5.", "1e3", "1E-3", "2.5e-3", "1/2.0", "1/-2",
+    "1/+2", "3/", "/3", "/", "", " ", "1/2/3", "abc", "0x10", "inf", "nan",
+    "\u0661/\u0662", "\u0661\u0662", "1/\u0660", "\u00b2", "\u00b2/3", "\uff11/2",
+    "1" * 40 + "/" + "7" * 35, "1" * 4301, "1/" + "2" * 4301,
+]
+
+
+@pytest.mark.parametrize("text", PARSE_CORPUS)
+def test_parse_scalar_reads_strings_as_fraction_does(text):
+    """Every string reads as ``Fraction(text)`` reads it: the fast route
+    for ASCII-digit "p" and "p/q" and the ``Fraction`` route give the same
+    numerator and denominator, or the same refusal, on signs, spaces,
+    underscores, decimals, exponents, leading zeros, non-ASCII digits
+    (Arabic-Indic, superscript, fullwidth), "p/0" and over-long digit runs."""
+    assert _parse_reading(text) == _fraction_reading(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789/+-_ .eE\u0661", max_size=12)
+       | st.from_regex(r"\A[0-9]{1,25}(/[0-9]{1,25})?\Z"))
+def test_parse_scalar_reads_random_strings_as_fraction_does(text):
+    assert _parse_reading(text) == _fraction_reading(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+@example(0, 1)
+@example(0, 12)
+@example(12, 12)
+@example(-12, 12)
+@example(24, 12)
+@example(1, 1)
+def test_ratio_to_json_matches_fraction(p, q):
+    """The printed entry ``p`` over ``q`` > 0, with its shortcuts for 0 and
+    q, is ``str(Fraction(p, q))``."""
+    assert _ratio_to_json(p, q) == str(F(p, q))
 
 
 small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=5)
